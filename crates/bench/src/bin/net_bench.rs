@@ -242,7 +242,7 @@ fn main() {
         "notes": json!([
             "Reproduce with: cargo run --release -p hypertune-bench --bin net-bench",
             "Bit-identical measurement streams across codecs and slot counts are pinned by crates/hypertune/tests/distributed.rs; exactly-once recovery under group commit by crates/service/src/service.rs tests.",
-            "The buffered rows show the default configuration: group commit still wins by batching write syscalls, but the decisive gap is in durable (fsync) mode where flushes are disk barriers."
+            "Buffered (no fsync) rows: do not expect group commit to win. It batches little to nothing without fsync - at the service default (wal_flush_rounds 1) a scheduler round is one completion, so a group is one trial's submission + measurement (the perf harness reads wal.records_per_flush.mean = 2.0) - and the perf harness found no throughput difference against per-record flushing. Group commit earns its keep in durable (fsync) mode, where each flush is a disk barrier."
         ])
     });
     let text = serde_json::to_string_pretty(&report).expect("serialize report");

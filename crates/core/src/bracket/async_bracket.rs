@@ -1,4 +1,5 @@
-use std::collections::HashSet;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, HashSet};
 
 use hypertune_space::Config;
 
@@ -22,6 +23,9 @@ use crate::levels::ResourceLevels;
 /// hold η measurements for every one the next rung would have after the
 /// promotion. In-flight promotions count towards `|D_{k+1}|` so several
 /// idle workers cannot rush past the threshold together.
+///
+/// Each rung keeps its results indexed in promotion order (see `Rung`),
+/// so a suggestion costs `O(log |D_k|)` however long the study runs.
 #[derive(Debug, Clone)]
 pub struct AsyncBracket {
     base_level: usize,
@@ -30,14 +34,114 @@ pub struct AsyncBracket {
     rungs: Vec<Rung>,
 }
 
+/// A result's place in its rung's promotion order: ascending value, ties
+/// by arrival — what a stable sort of the results by value yields.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Rank {
+    value: f64,
+    arrival: usize,
+}
+
+impl Ord for Rank {
+    fn cmp(&self, other: &Self) -> Ordering {
+        #[cfg(test)]
+        tests::count_op();
+        self.value
+            .partial_cmp(&other.value)
+            .expect("values are not NaN")
+            .then(self.arrival.cmp(&other.arrival))
+    }
+}
+
+impl PartialOrd for Rank {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Eq for Rank {}
+
+/// One rung's results, indexed so that "best unpromoted finite entry
+/// inside the first `⌊|D_k|/η⌋` ranks" needs no sort: `top` and `rest`
+/// split the ranks at the top-1/η boundary (which only ever moves
+/// outward, one rank per η results), and `open` yields the best entry
+/// still eligible. That entry is the candidate iff it ranks inside `top`.
 #[derive(Debug, Clone, Default)]
 struct Rung {
-    /// Completed `(config, value)` measurements of this rung.
-    results: Vec<(Config, f64)>,
-    /// Configurations already promoted out of this rung.
+    /// Configurations of the completed measurements, in arrival order
+    /// (their values live in the ranks).
+    configs: Vec<Config>,
+    /// Configurations already promoted out of this rung. Membership is by
+    /// `Config` equality: one promotion blocks every equal entry of the
+    /// rung, whether it arrived earlier or later.
     promoted: HashSet<Config>,
     /// Jobs dispatched to this rung that have not yet returned.
     outstanding: usize,
+    /// The first `⌊|D_k|/η⌋` ranks; the peek is the last rank inside.
+    top: BinaryHeap<Rank>,
+    /// Every other rank, best first.
+    rest: BinaryHeap<Reverse<Rank>>,
+    /// Finite entries not yet seen in `promoted`, best first. Entries
+    /// whose config was promoted through an equal entry are dropped when
+    /// they surface, so each costs one `promoted` lookup over its life.
+    open: BinaryHeap<Reverse<Rank>>,
+}
+
+impl Rung {
+    fn insert(&mut self, config: Config, value: f64, eta: usize) {
+        let rank = Rank {
+            value,
+            arrival: self.configs.len(),
+        };
+        self.configs.push(config);
+        // Quarantined configs sit in the rung with value = +inf: they
+        // occupy ranks and count toward |D_k| (their slot was spent) but
+        // are never promotable, so a failure-riddled rung keeps admitting
+        // fresh work instead of stalling.
+        if value.is_finite() {
+            self.open.push(Reverse(rank));
+        }
+        if self.top.peek().is_some_and(|last| rank < *last) {
+            self.top.push(rank);
+        } else {
+            self.rest.push(Reverse(rank));
+        }
+        let n_top = self.configs.len() / eta;
+        while self.top.len() > n_top {
+            let last = self.top.pop().expect("top is non-empty");
+            self.rest.push(Reverse(last));
+        }
+        while self.top.len() < n_top {
+            let Reverse(next) = self.rest.pop().expect("top and rest hold every rank");
+            self.top.push(next);
+        }
+    }
+
+    /// Cond. 1: arrival index of the best unpromoted config within the
+    /// top 1/η of this rung.
+    fn candidate(&mut self) -> Option<usize> {
+        let last_top = *self.top.peek()?;
+        while let Some(&Reverse(best)) = self.open.peek() {
+            if best > last_top {
+                return None;
+            }
+            #[cfg(test)]
+            tests::count_op();
+            if !self.promoted.contains(&self.configs[best.arrival]) {
+                return Some(best.arrival);
+            }
+            self.open.pop();
+        }
+        None
+    }
+
+    /// Marks the entry [`Rung::candidate`] just returned as promoted.
+    fn promote(&mut self, arrival: usize) -> Config {
+        let config = self.configs[arrival].clone();
+        self.open.pop();
+        self.promoted.insert(config.clone());
+        config
+    }
 }
 
 impl AsyncBracket {
@@ -65,7 +169,7 @@ impl AsyncBracket {
 
     /// Completed measurements at absolute `level`.
     pub fn rung_len(&self, level: usize) -> usize {
-        self.rungs[level - self.base_level].results.len()
+        self.rungs[level - self.base_level].configs.len()
     }
 
     /// Scans rungs from second-highest down to base (the `for k = …` loop
@@ -94,51 +198,24 @@ impl AsyncBracket {
             // Delay condition (Cond. 2): |D_k| / (|D_{k+1}| + 1) >= eta,
             // with in-flight next-rung jobs counted in |D_{k+1}|.
             if self.delay {
-                let d_k = self.rungs[j].results.len();
-                let d_next = self.rungs[j + 1].results.len() + self.rungs[j + 1].outstanding;
+                let d_k = self.rungs[j].configs.len();
+                let d_next = self.rungs[j + 1].configs.len() + self.rungs[j + 1].outstanding;
                 if d_k < self.eta * (d_next + 1) {
                     if let Some(d) = delayed.as_deref_mut() {
-                        if self.candidate(j).is_some() {
+                        if self.rungs[j].candidate().is_some() {
                             d.push(self.base_level + j);
                         }
                     }
                     continue;
                 }
             }
-            if let Some(config) = self.candidate(j) {
-                self.rungs[j].promoted.insert(config.clone());
+            if let Some(arrival) = self.rungs[j].candidate() {
+                let config = self.rungs[j].promote(arrival);
                 self.rungs[j + 1].outstanding += 1;
                 return Some((config, self.base_level + j + 1));
             }
         }
         None
-    }
-
-    /// Cond. 1: best unpromoted config within the top 1/eta of rung `j`.
-    /// Quarantined configs sit in the rung with value = +inf: they count
-    /// toward |D_k| (their slot was spent) but are never promotable, so a
-    /// failure-riddled rung keeps admitting fresh work instead of
-    /// stalling.
-    fn candidate(&self, j: usize) -> Option<Config> {
-        let rung = &self.rungs[j];
-        let n_top = rung.results.len() / self.eta;
-        if n_top == 0 {
-            return None;
-        }
-        let mut order: Vec<usize> = (0..rung.results.len()).collect();
-        order.sort_by(|&a, &b| {
-            rung.results[a]
-                .1
-                .partial_cmp(&rung.results[b].1)
-                .expect("values are not NaN")
-        });
-        order
-            .into_iter()
-            .take(n_top)
-            .filter(|&i| rung.results[i].1.is_finite())
-            .map(|i| &rung.results[i].0)
-            .find(|c| !rung.promoted.contains(*c))
-            .cloned()
     }
 
     /// Registers a freshly sampled configuration dispatched at the base
@@ -151,7 +228,8 @@ impl AsyncBracket {
     ///
     /// # Panics
     ///
-    /// Panics if `level` is outside this bracket's rungs.
+    /// Panics if `level` is outside this bracket's rungs, or if `value`
+    /// is NaN and has to be ordered against another result.
     pub fn on_result(&mut self, config: Config, level: usize, value: f64) {
         let j = level
             .checked_sub(self.base_level)
@@ -159,7 +237,7 @@ impl AsyncBracket {
         let rung = &mut self.rungs[j];
         debug_assert!(rung.outstanding > 0, "result without outstanding job");
         rung.outstanding = rung.outstanding.saturating_sub(1);
-        rung.results.push((config, value));
+        rung.insert(config, value, self.eta);
     }
 }
 
@@ -167,9 +245,189 @@ impl AsyncBracket {
 mod tests {
     use super::*;
     use hypertune_space::ParamValue;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Rank comparisons plus promoted-set lookups made on this thread.
+        static OPS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(super) fn count_op() {
+        OPS.with(|ops| ops.set(ops.get() + 1));
+    }
 
     fn cfg(v: f64) -> Config {
         Config::new(vec![ParamValue::Float(v)])
+    }
+
+    /// The bracket as it was before the rung index: every candidate
+    /// lookup stably sorts the whole rung and walks the top 1/η. Kept as
+    /// the reference the indexed bracket must agree with decision for
+    /// decision.
+    struct FullSortBracket {
+        base_level: usize,
+        eta: usize,
+        delay: bool,
+        rungs: Vec<FullSortRung>,
+    }
+
+    #[derive(Clone, Default)]
+    struct FullSortRung {
+        results: Vec<(Config, f64)>,
+        promoted: HashSet<Config>,
+        outstanding: usize,
+    }
+
+    impl FullSortBracket {
+        fn new(levels: &ResourceLevels, base_level: usize, delay: bool) -> Self {
+            Self {
+                base_level,
+                eta: levels.eta(),
+                delay,
+                rungs: vec![FullSortRung::default(); levels.k() - base_level],
+            }
+        }
+
+        fn candidate(&self, j: usize) -> Option<Config> {
+            let rung = &self.rungs[j];
+            let n_top = rung.results.len() / self.eta;
+            let mut order: Vec<usize> = (0..rung.results.len()).collect();
+            order.sort_by(|&a, &b| {
+                rung.results[a]
+                    .1
+                    .partial_cmp(&rung.results[b].1)
+                    .expect("values are not NaN")
+            });
+            order
+                .into_iter()
+                .take(n_top)
+                .filter(|&i| rung.results[i].1.is_finite())
+                .map(|i| &rung.results[i].0)
+                .find(|c| !rung.promoted.contains(*c))
+                .cloned()
+        }
+
+        fn try_promote(&mut self, mut delayed: Option<&mut Vec<usize>>) -> Option<(Config, usize)> {
+            for j in (0..self.rungs.len().saturating_sub(1)).rev() {
+                if self.delay {
+                    let d_k = self.rungs[j].results.len();
+                    let d_next = self.rungs[j + 1].results.len() + self.rungs[j + 1].outstanding;
+                    if d_k < self.eta * (d_next + 1) {
+                        if let Some(d) = delayed.as_deref_mut() {
+                            if self.candidate(j).is_some() {
+                                d.push(self.base_level + j);
+                            }
+                        }
+                        continue;
+                    }
+                }
+                if let Some(config) = self.candidate(j) {
+                    self.rungs[j].promoted.insert(config.clone());
+                    self.rungs[j + 1].outstanding += 1;
+                    return Some((config, self.base_level + j + 1));
+                }
+            }
+            None
+        }
+
+        fn add_base_job(&mut self) {
+            self.rungs[0].outstanding += 1;
+        }
+
+        fn on_result(&mut self, config: Config, level: usize, value: f64) {
+            let rung = &mut self.rungs[level - self.base_level];
+            rung.outstanding -= 1;
+            rung.results.push((config, value));
+        }
+    }
+
+    proptest! {
+        /// Random interleavings of dispatch, completion and (traced)
+        /// promotion over a handful of configs and values — so duplicate
+        /// configs, tied values and quarantined (+inf) entries are the
+        /// norm — must yield the same promotions and the same delay
+        /// reports from the indexed bracket as from the full sort.
+        #[test]
+        fn indexed_bracket_matches_full_sort_reference(
+            eta in 2usize..=4,
+            delay in any::<bool>(),
+            ops in proptest::collection::vec((0u8..6, 0u8..6, 0u8..6, any::<u8>()), 0..400),
+        ) {
+            const VALUES: [f64; 6] = [0.1, 0.2, 0.2, 0.5, f64::INFINITY, 0.05];
+            let levels = ResourceLevels::new(30.0, eta);
+            let mut indexed = AsyncBracket::new(&levels, 0, delay);
+            let mut reference = FullSortBracket::new(&levels, 0, delay);
+            // Dispatched jobs awaiting their result: (config, level).
+            let mut in_flight: Vec<(Config, usize)> = Vec::new();
+            for (op, c, v, pick) in ops {
+                match op {
+                    0 | 1 => {
+                        indexed.add_base_job();
+                        reference.add_base_job();
+                        in_flight.push((cfg(f64::from(c)), 0));
+                    }
+                    2 | 3 if !in_flight.is_empty() => {
+                        let (config, level) =
+                            in_flight.swap_remove(usize::from(pick) % in_flight.len());
+                        let value = VALUES[usize::from(v)];
+                        indexed.on_result(config.clone(), level, value);
+                        reference.on_result(config, level, value);
+                    }
+                    4 => {
+                        let got = indexed.try_promote();
+                        prop_assert_eq!(&got, &reference.try_promote(None));
+                        in_flight.extend(got);
+                    }
+                    5 => {
+                        let (mut d_got, mut d_want) = (Vec::new(), Vec::new());
+                        let got = indexed.try_promote_traced(&mut d_got);
+                        prop_assert_eq!(&got, &reference.try_promote(Some(&mut d_want)));
+                        prop_assert_eq!(d_got, d_want);
+                        in_flight.extend(got);
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    /// The cost of a suggestion must not grow with the rung: a count of
+    /// rank comparisons and promoted-set lookups, so a busy box cannot
+    /// make it flake. (The full sort spent ~n·log₂n comparisons on *each*
+    /// of these calls.)
+    #[test]
+    fn promotion_cost_does_not_grow_with_the_rung() {
+        const N: usize = 20_000;
+        let mut b = AsyncBracket::new(&levels(), 0, false);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut per_call = Vec::with_capacity(N);
+        for i in 0..N {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let value = (state >> 11) as f64 / (1u64 << 53) as f64;
+            let before = OPS.with(Cell::get);
+            b.add_base_job();
+            // Repeating configs exercise the promoted-by-equality path.
+            b.on_result(cfg((i % 4096) as f64), 0, value);
+            if let Some((config, level)) = b.try_promote() {
+                b.on_result(config, level, value);
+            }
+            per_call.push(OPS.with(Cell::get) - before);
+        }
+        let total: u64 = per_call.iter().sum();
+        let bound = 4.0 * N as f64 * (N as f64).log2();
+        assert!(
+            (total as f64) <= bound,
+            "{total} ops > 4·n·log2(n) = {bound}"
+        );
+        let first: u64 = per_call[..1000].iter().sum();
+        let last: u64 = per_call[N - 1000..].iter().sum();
+        assert!(
+            last <= 2 * first,
+            "last 1000 calls {last} ops vs first 1000 {first}"
+        );
     }
 
     fn levels() -> ResourceLevels {

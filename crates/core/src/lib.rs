@@ -84,7 +84,7 @@ pub use runner::{
     RunResult, SpeculationConfig,
 };
 pub use runner_threaded::{
-    run_distributed, run_threaded, ThreadedJob, ThreadedRunConfig, ThreadedRunResult,
+    booked_status, run_distributed, run_threaded, ThreadedJob, ThreadedRunConfig, ThreadedRunResult,
 };
 pub use shared::{HistoryView, ShardedPending, SharedHistory};
 pub use tenant::StudyRuntime;

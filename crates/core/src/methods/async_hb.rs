@@ -65,7 +65,9 @@ pub struct AsyncHb {
     brackets: Vec<AsyncBracket>,
     policy: BracketPolicy,
     sampler: Box<dyn Sampler>,
-    theta: ThetaTracker,
+    /// `None` when neither the policy nor the sampler reads `θ`: the
+    /// model-free baselines never pay for an estimate nobody consumes.
+    theta: Option<ThetaTracker>,
     diagnostics: Diagnostics,
     telemetry: TelemetryHandle,
     /// Breaker-open mode: θ refreshes and promotions pause, the sampler
@@ -86,12 +88,14 @@ impl AsyncHb {
         let brackets = (0..levels.k())
             .map(|b| AsyncBracket::new(levels, b, delay))
             .collect();
+        let theta = (matches!(policy, BracketPolicy::Learned(_)) || sampler.consumes_theta())
+            .then(|| ThetaTracker::new(seed ^ 0xa57c));
         Self {
             name,
             brackets,
             policy,
             sampler,
-            theta: ThetaTracker::new(seed ^ 0xa57c),
+            theta,
             diagnostics: Diagnostics::new(levels.k()),
             telemetry: TelemetryHandle::disabled(),
             degraded: false,
@@ -104,15 +108,19 @@ impl AsyncHb {
     }
 
     /// The latest precision weights `θ`, if estimated (for diagnostics).
+    /// Always `None` for a method with no `θ` consumer.
     pub fn theta(&self) -> Option<&[f64]> {
-        self.theta.theta()
+        self.theta.as_ref()?.theta()
     }
 
     /// Step 4 of Figure 3: refresh θ from the multi-fidelity history and
     /// push it into both the allocator and the MFES sampler.
     fn refresh_theta(&mut self, ctx: &MethodContext<'_>) {
+        let Some(tracker) = &mut self.theta else {
+            return;
+        };
         let refresh_span = self.telemetry.span("theta_refresh");
-        if let Some(theta) = self.theta.maybe_refresh(ctx.history, ctx.space) {
+        if let Some(theta) = tracker.maybe_refresh(ctx.history, ctx.space) {
             drop(refresh_span);
             let n_full = ctx.history.len_at(ctx.levels.max_level());
             self.diagnostics.record_theta(n_full, &theta);

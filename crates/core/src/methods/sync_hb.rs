@@ -30,7 +30,8 @@ pub struct SyncHb {
     policy: CyclePolicy,
     next_base: usize,
     sampler: Box<dyn Sampler>,
-    theta: ThetaTracker,
+    /// `None` unless the sampler reads `θ` (only MFES-HB's does).
+    theta: Option<ThetaTracker>,
 }
 
 impl SyncHb {
@@ -52,8 +53,19 @@ impl SyncHb {
             bracket: SyncBracket::new(levels, base),
             policy,
             next_base: (base + 1) % levels.k(),
+            theta: sampler
+                .consumes_theta()
+                .then(|| ThetaTracker::new(seed ^ 0x7e7a)),
             sampler,
-            theta: ThetaTracker::new(seed ^ 0x7e7a),
+        }
+    }
+
+    fn refresh_theta(&mut self, ctx: &MethodContext<'_>) {
+        let Some(tracker) = &mut self.theta else {
+            return;
+        };
+        if let Some(theta) = tracker.maybe_refresh(ctx.history, ctx.space) {
+            self.sampler.set_theta(&theta);
         }
     }
 
@@ -76,9 +88,7 @@ impl Method for SyncHb {
     }
 
     fn next_job(&mut self, ctx: &mut MethodContext<'_>) -> Option<JobSpec> {
-        if let Some(theta) = self.theta.maybe_refresh(ctx.history, ctx.space) {
-            self.sampler.set_theta(&theta);
-        }
+        self.refresh_theta(ctx);
         if self.bracket.is_done() {
             self.advance_bracket(ctx.levels);
         }
@@ -108,9 +118,7 @@ impl Method for SyncHb {
             // Must stay bit-identical to the sequential path.
             return (0..k).filter_map(|_| self.next_job(ctx)).collect();
         }
-        if let Some(theta) = self.theta.maybe_refresh(ctx.history, ctx.space) {
-            self.sampler.set_theta(&theta);
-        }
+        self.refresh_theta(ctx);
         if self.bracket.is_done() {
             self.advance_bracket(ctx.levels);
         }
@@ -216,6 +224,92 @@ mod tests {
             fail_status: None,
         };
         m.on_result(&outcome, &mut env.ctx());
+    }
+
+    /// A θ-consuming sampler that records what it is given.
+    struct ThetaProbe(std::sync::Arc<std::sync::Mutex<Vec<Vec<f64>>>>);
+
+    impl Sampler for ThetaProbe {
+        fn name(&self) -> &str {
+            "probe"
+        }
+
+        fn sample(&mut self, ctx: &mut MethodContext<'_>) -> hypertune_space::Config {
+            ctx.space.sample(ctx.rng)
+        }
+
+        fn consumes_theta(&self) -> bool {
+            true
+        }
+
+        fn set_theta(&mut self, theta: &[f64]) {
+            self.0.lock().unwrap().push(theta.to_vec());
+        }
+    }
+
+    /// Runs one full bracket-0 iteration (27 + 9 + 3 + 1 jobs), booking
+    /// every result into the history as a driver would.
+    fn run_one_iteration(m: &mut SyncHb, env: &mut Env) {
+        for expected in [27usize, 9, 3, 1] {
+            let jobs: Vec<JobSpec> = (0..expected)
+                .map(|_| m.next_job(&mut env.ctx()).unwrap())
+                .collect();
+            for j in jobs {
+                let value = env.space.encode(&j.config)[0];
+                env.history.record(crate::history::Measurement {
+                    config: j.config.clone(),
+                    level: j.level,
+                    resource: j.resource,
+                    value,
+                    test_value: value,
+                    cost: 1.0,
+                    finished_at: 0.0,
+                });
+                complete(m, env, j);
+            }
+        }
+    }
+
+    #[test]
+    fn theta_reaches_a_consuming_sampler() {
+        let mut env = Env::new();
+        let seen = std::sync::Arc::default();
+        let mut m = SyncHb::new(
+            "MFES-HB".into(),
+            &env.levels,
+            CyclePolicy::Fixed(0),
+            Box::new(ThetaProbe(std::sync::Arc::clone(&seen))),
+            0,
+        );
+        // One complete evaluation per iteration; θ needs a handful.
+        while env.history.len_at(3) < 8 {
+            run_one_iteration(&mut m, &mut env);
+        }
+        m.next_job(&mut env.ctx());
+        let seen = seen.lock().unwrap();
+        assert!(!seen.is_empty(), "the sampler never received θ");
+        let tracker = m.theta.as_ref().expect("a consumer gets a tracker");
+        assert_eq!(tracker.theta(), seen.last().map(Vec::as_slice));
+    }
+
+    #[test]
+    fn theta_is_never_fitted_without_a_consumer() {
+        use crate::sampler::{BoSampler, MfesSampler, TpeSampler};
+        let levels = ResourceLevels::new(27.0, 3);
+        // The samplers of SHA/Hyperband, BOHB and BOHB-TPE ignore θ: no
+        // tracker exists, so no θ forest can ever be fitted for them.
+        let ignoring: [Box<dyn Sampler>; 3] = [
+            Box::new(RandomSampler),
+            Box::new(BoSampler::new(0)),
+            Box::new(TpeSampler::new()),
+        ];
+        for sampler in ignoring {
+            let m = SyncHb::new("m".into(), &levels, CyclePolicy::Cycle, sampler, 0);
+            assert!(m.theta.is_none(), "{} does not read θ", m.sampler.name());
+        }
+        let mfes = Box::new(MfesSampler::new(0));
+        let m = SyncHb::new("MFES-HB".into(), &levels, CyclePolicy::Cycle, mfes, 0);
+        assert!(m.theta.is_some());
     }
 
     #[test]

@@ -54,7 +54,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hypertune_benchmarks::{Benchmark, Eval};
-use hypertune_cluster::{Executor, FaultModel, FaultSpec, JobStatus, MembershipPlan, ThreadPool};
+use hypertune_cluster::{
+    Executor, FaultModel, FaultSpec, JobStatus, MembershipPlan, PoolResult, ThreadPool,
+};
 use hypertune_space::{Config, ConfigSpace};
 use hypertune_telemetry::{Event, TelemetryHandle};
 use rand::rngs::StdRng;
@@ -661,11 +663,12 @@ fn inline_loop<E: Executor<ThreadedJob, Eval>>(
                 break;
             }
         };
+        let status = booked_status(&done);
         let job = done.job;
         let now = started.elapsed().as_secs_f64();
-        if done.status.is_failure() {
+        if status.is_failure() {
             if handle_failure(
-                done.status,
+                status,
                 job.spec.level,
                 job.attempt,
                 config,
@@ -677,7 +680,7 @@ fn inline_loop<E: Executor<ThreadedJob, Eval>>(
                     attempt: job.attempt + 1,
                     ..job
                 };
-                if done.status == JobStatus::Orphaned {
+                if status == JobStatus::Orphaned {
                     // The dead worker freed no slot; wait for one.
                     orphan_queue.push_back(retry);
                 } else {
@@ -685,13 +688,13 @@ fn inline_loop<E: Executor<ThreadedJob, Eval>>(
                 }
                 continue;
             }
-            emit_quarantine(&job.spec, done.status, telemetry, started);
+            emit_quarantine(&job.spec, status, telemetry, started);
             if let Some(degraded) = feed_breaker(breaker, true, telemetry, started, tally) {
                 sg.method.set_degraded(degraded);
             }
             // Release the budget slot so a replacement config dispatches.
             *dispatched -= 1;
-            let outcome = failed_outcome(job.spec, done.status, started);
+            let outcome = failed_outcome(job.spec, status, started);
             state.complete(&outcome.spec, None);
             sg.on_completed(outcome, 0, now);
             continue;
@@ -877,10 +880,11 @@ fn drive_prefetch<E: Executor<ThreadedJob, Eval>>(
                     break;
                 }
             };
+            let status = booked_status(&done);
             let job = done.job;
-            if done.status.is_failure() {
+            if status.is_failure() {
                 if handle_failure(
-                    done.status,
+                    status,
                     job.spec.level,
                     job.attempt,
                     config,
@@ -892,7 +896,7 @@ fn drive_prefetch<E: Executor<ThreadedJob, Eval>>(
                         attempt: job.attempt + 1,
                         ..job
                     };
-                    if done.status == JobStatus::Orphaned {
+                    if status == JobStatus::Orphaned {
                         // The dead worker freed no slot; wait for one.
                         orphan_queue.push_back(retry);
                     } else {
@@ -900,7 +904,7 @@ fn drive_prefetch<E: Executor<ThreadedJob, Eval>>(
                     }
                     continue;
                 }
-                emit_quarantine(&job.spec, done.status, telemetry, started);
+                emit_quarantine(&job.spec, status, telemetry, started);
                 if let Some(degraded) =
                     feed_breaker(&mut breaker, true, telemetry, started, &mut tally)
                 {
@@ -912,7 +916,6 @@ fn drive_prefetch<E: Executor<ThreadedJob, Eval>>(
                 // Release the budget slot so a replacement config
                 // dispatches.
                 dispatched -= 1;
-                let status = done.status;
                 let outcome = failed_outcome(job.spec, status, started);
                 let now = outcome.finished_at;
                 let predicted_k = pool.idle_workers().min(config.max_evals - dispatched);
@@ -1027,6 +1030,17 @@ fn drive_prefetch<E: Executor<ThreadedJob, Eval>>(
     state
         .history
         .with(|h| tally.into_result(method_name, h, wall))
+}
+
+/// The status a fleet completion is booked under: the executor's own,
+/// except that a "successful" NaN objective (any remote worker can send
+/// one) is [`JobStatus::Corrupt`] and walks the retry/quarantine ladder —
+/// neither the history nor a rung can order a NaN.
+pub fn booked_status<J>(done: &PoolResult<J, Eval>) -> JobStatus {
+    match &done.output {
+        Some(eval) if !done.status.is_failure() && eval.value.is_nan() => JobStatus::Corrupt,
+        _ => done.status,
+    }
 }
 
 /// Books a failed attempt; returns `true` when the job should be
@@ -1446,6 +1460,34 @@ mod tests {
         assert!(r.n_failed_attempts > 0, "30% corruption should fire");
         for m in &r.measurements {
             assert!(m.value.is_finite());
+        }
+    }
+
+    #[test]
+    fn nan_objective_is_retried_as_corrupt_not_booked() {
+        // A worker that reports NaN once (a diverged training run): the
+        // result must walk the retry ladder instead of reaching the
+        // history and the rung, where ordering it panicked the driver.
+        let bench: Arc<dyn Benchmark> = Arc::new(CountingOnes::new(4, 4, 7));
+        let levels = ResourceLevels::new(bench.max_resource(), 3);
+        for prefetch in [false, true] {
+            let diverged = std::sync::atomic::AtomicBool::new(false);
+            let eval_bench = Arc::clone(&bench);
+            let pool = ThreadPool::new(2, move |job: &ThreadedJob| {
+                let mut eval = eval_bench.evaluate(&job.spec.config, job.spec.resource, 7);
+                if !diverged.swap(true, std::sync::atomic::Ordering::SeqCst) {
+                    eval.value = f64::NAN;
+                }
+                eval
+            });
+            let mut method = MethodKind::Asha.build(&levels, 7);
+            let mut cfg = ThreadedRunConfig::new(2, 30, 7);
+            cfg.prefetch = prefetch;
+            let r = run_distributed(method.as_mut(), bench.space(), &levels, pool, &cfg);
+            assert_eq!(r.total_evals, 30);
+            assert_eq!((r.n_retries, r.n_quarantined), (1, 0));
+            assert_eq!(r.failure_counts.corrupt, 1);
+            assert!(r.measurements.iter().all(|m| !m.value.is_nan()));
         }
     }
 }

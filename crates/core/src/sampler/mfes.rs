@@ -201,6 +201,10 @@ impl Sampler for MfesSampler {
         "MFES"
     }
 
+    fn consumes_theta(&self) -> bool {
+        true
+    }
+
     fn set_theta(&mut self, theta: &[f64]) {
         self.theta = Some(theta.to_vec());
     }

@@ -90,6 +90,13 @@ pub trait Sampler: Send {
         (0..k).map(|_| self.sample(ctx)).collect()
     }
 
+    /// Whether [`Sampler::set_theta`] does anything. The owning engine
+    /// estimates `θ` (K forest fits plus cross-validation per refresh)
+    /// only when this or a learned bracket policy will read it.
+    fn consumes_theta(&self) -> bool {
+        false
+    }
+
     /// Receives fresh precision weights `θ` from the owner (only the
     /// multi-fidelity sampler uses them).
     fn set_theta(&mut self, _theta: &[f64]) {}

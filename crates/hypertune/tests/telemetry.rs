@@ -154,6 +154,42 @@ fn trace_summary_matches_run_and_diagnostics() {
 }
 
 #[test]
+fn theta_is_estimated_only_where_something_consumes_it() {
+    // θ costs K forest fits plus cross-validation per refresh, so the
+    // engines estimate it only for a learned bracket policy or an MFES
+    // sampler. Every other method must leave no trace of it.
+    let consumers = [
+        MethodKind::HyperTune,
+        MethodKind::HyperTuneNoBs,
+        MethodKind::HyperTuneNoDasha,
+        MethodKind::HyperTuneNoMfes,
+        MethodKind::HyperTuneTpe,
+        MethodKind::AHyperbandBs,
+        MethodKind::ABohbBs,
+    ];
+    let bench = CountingOnes::new(4, 4, 0);
+    let levels = ResourceLevels::new(bench.max_resource(), 3);
+    for &kind in MethodKind::all() {
+        let ring = RingBufferSink::new(1 << 16);
+        let mut cfg = RunConfig::new(4, 1e9, 9);
+        cfg.max_evals = 120;
+        cfg.telemetry = Telemetry::new().with_sink(ring.clone()).build();
+        let mut method = kind.build(&levels, 9);
+        let result = run(method.as_mut(), &bench, &cfg);
+        assert_eq!(result.total_evals, 120, "{kind:?}");
+        let records = ring.snapshot();
+        let updated = records
+            .iter()
+            .any(|r| matches!(r.event, Event::BracketWeightsUpdated { .. }));
+        let refresh_spans = records
+            .iter()
+            .any(|r| matches!(&r.event, Event::SpanClosed { name, .. } if name == "theta_refresh"));
+        assert_eq!(updated, consumers.contains(&kind), "{kind:?}");
+        assert_eq!(refresh_spans, updated, "{kind:?}");
+    }
+}
+
+#[test]
 fn metrics_registry_matches_run_accounting() {
     let bench = CountingOnes::new(4, 4, 0);
     let levels = ResourceLevels::new(bench.max_resource(), 3);

@@ -56,8 +56,8 @@ use hypertune_benchmarks::{Benchmark, Eval};
 use hypertune_cluster::{ClusterError, Executor, JobStatus, PoolResult};
 use hypertune_core::persist::{RunSnapshot, SubmissionRecord, WalWriter};
 use hypertune_core::{
-    failure_kind, FailureCounts, JobSpec, Measurement, ResourceLevels, RetryPolicy, StudyRuntime,
-    ThreadedJob,
+    booked_status, failure_kind, FailureCounts, JobSpec, Measurement, ResourceLevels, RetryPolicy,
+    StudyRuntime, ThreadedJob,
 };
 use hypertune_telemetry::{Event, TelemetryHandle};
 
@@ -547,7 +547,16 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
     /// half of the lifecycle API and the internal success path. Appends
     /// to the study's WAL, feeds the method, and completes the study
     /// when its budget is exhausted.
+    ///
+    /// A NaN objective is `InvalidInput`: nothing is booked, the trial
+    /// stays outstanding, and the caller may report again.
     pub fn report(&mut self, handle: StudyHandle, spec: &JobSpec, eval: &Eval) -> io::Result<()> {
+        if eval.value.is_nan() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "objective value is NaN",
+            ));
+        }
         let id = handle.id();
         let now = self.now();
         let study = self
@@ -701,6 +710,7 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
     /// retry/quarantine ladder.
     fn handle_completion(&mut self, result: PoolResult<ServiceJob, Eval>) -> io::Result<()> {
         let now = self.now();
+        let status = booked_status(&result);
         let job = result.job;
         let id = job.study;
         let Some(study) = self.studies.get_mut(&id) else {
@@ -710,14 +720,14 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
             study.outstanding = study.outstanding.saturating_sub(1);
             return Ok(());
         }
-        if !result.status.is_failure() {
+        if !status.is_failure() {
             let eval = result.output.expect("successful jobs carry output");
             return self.report(StudyHandle::from_id(id), &job.job.spec, &eval);
         }
-        study.failures.record(result.status);
+        study.failures.record(status);
         let level = job.job.spec.level;
         let attempt = job.job.attempt;
-        if result.status == JobStatus::Orphaned {
+        if status == JobStatus::Orphaned {
             study
                 .telemetry
                 .emit_with(now, || Event::LeaseExpired { level, attempt });
@@ -725,7 +735,7 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
                 .telemetry
                 .counter_add(&scoped(id, "trials.orphaned"), 1);
         }
-        let kind = failure_kind(result.status).expect("failure statuses map to a kind");
+        let kind = failure_kind(status).expect("failure statuses map to a kind");
         if attempt < self.config.retry.max_retries {
             let next = attempt + 1;
             study.telemetry.emit_with(now, || Event::TrialRetried {
@@ -752,9 +762,7 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
             study.dispatched = study.dispatched.saturating_sub(1);
             study.quarantined += 1;
             study.outstanding = study.outstanding.saturating_sub(1);
-            study
-                .runtime
-                .complete_quarantine(job.job.spec, result.status, now);
+            study.runtime.complete_quarantine(job.job.spec, status, now);
         }
         Ok(())
     }
@@ -1096,6 +1104,50 @@ mod tests {
             .create_study(StudySpec::new("x", "no-such-bench", MethodKind::ARandom))
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn nan_objective_is_retried_as_corrupt_and_rejected_by_report() {
+        // A fleet worker that reports NaN once: the completion must walk
+        // the retry ladder, not reach the history and the rung (where
+        // ordering it panicked the driver on the next suggestion).
+        let diverged = std::sync::atomic::AtomicBool::new(false);
+        let eval = pool_eval(resolver());
+        let pool = ThreadPool::new(2, move |job: &ServiceJob| {
+            let mut out = eval(job);
+            if !diverged.swap(true, Ordering::SeqCst) {
+                out.value = f64::NAN;
+            }
+            out
+        });
+        let mut svc = TuningService::new(pool, resolver(), ServiceConfig::new()).unwrap();
+        let asha = StudySpec::new("nan", "counting-ones-small", MethodKind::Asha)
+            .with_seed(5)
+            .with_max_evals(30)
+            .with_max_in_flight(2);
+        let h = svc.create_study(asha).unwrap();
+        svc.drain().unwrap();
+        assert_eq!(svc.status(h), Some(StudyStatus::Completed));
+        let stats = svc.stats();
+        let s = &stats.studies[0];
+        assert_eq!((s.completed, s.quarantined), (30, 0));
+        // The service un-charges quarantined trials, so this is the
+        // dispatched = completed + quarantined identity.
+        assert_eq!((s.dispatched, s.outstanding), (s.completed, 0));
+        assert_eq!(s.failures.corrupt, 1, "exactly one retry");
+        assert!(svc.measurements(h).iter().all(|m| !m.value.is_nan()));
+
+        // The lifecycle API refuses NaN outright and books nothing.
+        let h = svc.create_study(spec("direct", 6)).unwrap();
+        let job = svc.suggest(h, 1).unwrap().remove(0);
+        let nan = Eval {
+            value: f64::NAN,
+            test_value: 0.0,
+            cost: 1.0,
+        };
+        let err = svc.report(h, &job, &nan).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(svc.completed(h), 0);
     }
 
     #[test]

@@ -338,6 +338,14 @@ impl TraceSummary {
                 };
                 let _ = writeln!(out, "  {:>10.3} {:>7}  {}", round.time, round.n_full, w);
             }
+        } else {
+            // Methods without a learned bracket policy or an MFES sampler
+            // never estimate θ; a consumer's trace can only lack it while
+            // the run is too young for a first estimate.
+            let _ = writeln!(
+                out,
+                "\nθ: not estimated (no consumer), or too few complete evaluations yet"
+            );
         }
 
         if !self.surrogate_fits.is_empty() || self.surrogate_predicts > 0 {
@@ -571,6 +579,17 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
+    }
+
+    #[test]
+    fn render_says_theta_was_not_estimated_instead_of_an_empty_table() {
+        let log: Vec<EventRecord> = sample_log()
+            .into_iter()
+            .filter(|r| !matches!(r.event, Event::BracketWeightsUpdated { .. }))
+            .collect();
+        let text = TraceSummary::from_records(&log).render();
+        assert!(text.contains("θ: not estimated (no consumer)"), "{text}");
+        assert!(!text.contains("bracket-weight trajectory"), "{text}");
     }
 
     #[test]

@@ -23,6 +23,12 @@ fi
 step "cargo test -q"
 cargo test --workspace -q --offline
 
+step "perf smoke (harness unit tests + 1/20-scale pass: result schema, exactly-once reconciliation)"
+# The benchmark behind BENCHMARK.json is a package outside the
+# workspace, so no other step builds it. The numbers this prints are
+# not measurements.
+perf/ci-smoke.sh
+
 step "cargo fmt --check"
 cargo fmt --all --check
 
