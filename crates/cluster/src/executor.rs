@@ -76,6 +76,8 @@ impl<J, O> PoolResult<J, O> {
 ///   and errors with [`ClusterError::Quiescent`] when nothing is in
 ///   flight and nothing can surface later (orphan leases pending count
 ///   as "can surface");
+/// - `drain_completions` is the same wait followed by a sweep: it blocks
+///   for the first completion only, then takes what is already there;
 /// - orphaned jobs hold no capacity slot while they wait out a lease.
 pub trait Executor<J, O> {
     /// Submits a job; errors when every worker is already busy.
@@ -84,6 +86,30 @@ pub trait Executor<J, O> {
     /// Blocks until the next job finishes (or orphans), or reports
     /// [`ClusterError::Quiescent`].
     fn next_completion(&mut self) -> Result<PoolResult<J, O>, ClusterError>;
+
+    /// Blocks for the first completion, then appends to `out`, in
+    /// arrival order, every completion that is already ready, up to
+    /// `max` in total. Returns how many were appended — at least one
+    /// unless `max` is 0 — or [`ClusterError::Quiescent`] with nothing
+    /// appended, on the same terms as `next_completion`. What it leaves
+    /// behind stays queued for the next call.
+    ///
+    /// This is a driver's scheduler round: one wake-up, everything that
+    /// arrived meanwhile. The provided implementation takes exactly one
+    /// completion, so an executor that only forwards the required
+    /// methods stays correct; [`ThreadPool`] and
+    /// [`crate::net::TcpCluster`] sweep natively.
+    fn drain_completions(
+        &mut self,
+        out: &mut Vec<PoolResult<J, O>>,
+        max: usize,
+    ) -> Result<usize, ClusterError> {
+        if max == 0 {
+            return Ok(0);
+        }
+        out.push(self.next_completion()?);
+        Ok(1)
+    }
 
     /// Current logical capacity (number of live workers).
     fn n_workers(&self) -> usize;
@@ -397,21 +423,56 @@ where
     /// [`ClusterError::Quiescent`] when nothing is in flight and no
     /// orphan lease is pending (mirroring
     /// [`crate::SimCluster::next_completion`] and its loop invariant).
+    /// This is [`drain_completions`](Self::drain_completions) with
+    /// `max = 1`.
     pub fn next_completion(&mut self) -> Result<PoolResult<J, O>, ClusterError> {
+        let mut one = Vec::with_capacity(1);
+        self.drain_completions(&mut one, 1)?;
+        Ok(one.pop().expect("a successful drain yields a completion"))
+    }
+
+    /// Blocks for the first completion, then appends to `out` every
+    /// completion already ready — orphans whose lease has run out first,
+    /// then thread results in the order the threads reported them — up
+    /// to `max` in total; returns how many it appended.
+    /// [`ClusterError::Quiescent`] on the same terms as
+    /// [`next_completion`](Self::next_completion).
+    pub fn drain_completions(
+        &mut self,
+        out: &mut Vec<PoolResult<J, O>>,
+        max: usize,
+    ) -> Result<usize, ClusterError> {
+        if max == 0 {
+            return Ok(0);
+        }
+        let before = out.len();
         loop {
             self.apply_due_membership();
             let now = Instant::now();
             // Reap orphans whose lease has expired.
             if let Some(m) = &mut self.membership {
-                if m.orphans.front().is_some_and(|o| o.deadline <= now) {
+                while out.len() - before < max
+                    && m.orphans.front().is_some_and(|o| o.deadline <= now)
+                {
                     let o = m.orphans.pop_front().expect("front checked");
-                    return Ok(PoolResult {
+                    out.push(PoolResult {
                         job: o.job,
                         output: None,
                         status: JobStatus::Orphaned,
                         worker: o.worker,
                     });
                 }
+            }
+            // Sweep what the threads have already reported.
+            while out.len() - before < max {
+                let Ok(r) = self.result_rx.try_recv() else {
+                    break;
+                };
+                self.in_flight -= 1;
+                out.push(r);
+            }
+            if out.len() > before {
+                return Ok(out.len() - before);
             }
             let orphan_deadline = self
                 .membership
@@ -449,8 +510,9 @@ where
                 };
                 if let Some(r) = r {
                     self.in_flight -= 1;
-                    return Ok(r);
+                    out.push(r);
                 }
+                // Loop once more: sweep whatever else landed meanwhile.
                 continue;
             }
             // Nothing on a thread: only an orphan lease can still produce a
@@ -474,6 +536,14 @@ where
 
     fn next_completion(&mut self) -> Result<PoolResult<J, O>, ClusterError> {
         ThreadPool::next_completion(self)
+    }
+
+    fn drain_completions(
+        &mut self,
+        out: &mut Vec<PoolResult<J, O>>,
+        max: usize,
+    ) -> Result<usize, ClusterError> {
+        ThreadPool::drain_completions(self, out, max)
     }
 
     fn n_workers(&self) -> usize {
@@ -544,6 +614,104 @@ mod tests {
     fn next_completion_quiescent_when_idle() {
         let mut pool: ThreadPool<u8, u8> = ThreadPool::new(1, |j| *j);
         assert_eq!(pool.next_completion().unwrap_err(), ClusterError::Quiescent);
+    }
+
+    /// Spins until `n` thread results sit in the pool's channel — the
+    /// only way to know, without consuming them, that `n` jobs are
+    /// *ready* rather than merely finished evaluating.
+    fn wait_ready<J, O>(pool: &ThreadPool<J, O>, n: usize) {
+        while pool.result_rx.len() < n {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn drain_takes_everything_ready_up_to_max() {
+        let mut pool = ThreadPool::new(8, |j: &u64| j * 2);
+        let mut out = Vec::new();
+        assert_eq!(
+            pool.drain_completions(&mut out, usize::MAX).unwrap_err(),
+            ClusterError::Quiescent,
+            "nothing submitted, nothing ready"
+        );
+        for j in 0..8u64 {
+            pool.submit(j).unwrap();
+        }
+        wait_ready(&pool, 8);
+        assert_eq!(
+            pool.drain_completions(&mut out, 0),
+            Ok(0),
+            "max 0 takes none"
+        );
+        assert_eq!(pool.drain_completions(&mut out, usize::MAX), Ok(8));
+        assert_eq!((pool.in_flight(), pool.idle_workers()), (0, 8));
+        let mut jobs: Vec<u64> = out.iter().map(|r| r.job).collect();
+        jobs.sort_unstable();
+        assert_eq!(jobs, (0..8).collect::<Vec<_>>());
+        assert!(out.iter().all(|r| r.output == Some(r.job * 2)));
+
+        // A bound splits the same batch across calls and loses nothing;
+        // `out` is appended to, never cleared.
+        for j in 8..16u64 {
+            pool.submit(j).unwrap();
+        }
+        wait_ready(&pool, 8);
+        assert_eq!(pool.drain_completions(&mut out, 3), Ok(3));
+        assert_eq!((pool.in_flight(), pool.idle_workers()), (5, 3));
+        assert_eq!(pool.drain_completions(&mut out, usize::MAX), Ok(5));
+        assert_eq!((pool.in_flight(), pool.idle_workers()), (0, 8));
+        assert_eq!(out.len(), 16);
+        assert_eq!(
+            pool.drain_completions(&mut out, usize::MAX).unwrap_err(),
+            ClusterError::Quiescent
+        );
+        assert_eq!(out.len(), 16, "a quiescent drain appends nothing");
+    }
+
+    #[test]
+    fn drain_blocks_for_the_first_completion_only() {
+        // One job is slow, one never finishes before the drain returns:
+        // the drain must come back with the first, not wait for both.
+        let (release_tx, release_rx) = unbounded::<()>();
+        let mut pool = ThreadPool::new(2, move |j: &u8| {
+            if *j == 1 {
+                let _ = release_rx.recv();
+            }
+            *j
+        });
+        pool.submit(0).unwrap();
+        pool.submit(1).unwrap();
+        let mut out = Vec::new();
+        assert_eq!(pool.drain_completions(&mut out, usize::MAX), Ok(1));
+        assert_eq!(out[0].job, 0);
+        assert_eq!(pool.in_flight(), 1);
+        release_tx.send(()).unwrap();
+        assert_eq!(pool.next_completion().unwrap().job, 1);
+    }
+
+    #[test]
+    fn drain_surfaces_a_due_orphan_ahead_of_thread_results() {
+        // crash_prob 1.0 on two workers: the first dispatch kills its
+        // worker (orphan, lease of a nanosecond), the second cannot (the
+        // last worker is never killed) and runs.
+        let plan = MembershipPlan::worker_crashes(1.0, None, 3).with_lease_timeout(1e-9);
+        let mut pool = ThreadPool::new(2, |j: &u32| j + 1).with_membership(plan);
+        pool.submit(10).unwrap();
+        pool.submit(20).unwrap();
+        assert_eq!(pool.in_flight(), 1, "the orphan holds no slot");
+        wait_ready(&pool, 1);
+        let mut out = Vec::new();
+        assert_eq!(pool.drain_completions(&mut out, usize::MAX), Ok(2));
+        assert_eq!(
+            (out[0].job, out[0].status),
+            (10, JobStatus::Orphaned),
+            "orphans first"
+        );
+        assert_eq!((out[1].job, out[1].output), (20, Some(21)));
+        assert_eq!(
+            pool.drain_completions(&mut out, usize::MAX).unwrap_err(),
+            ClusterError::Quiescent
+        );
     }
 
     #[test]

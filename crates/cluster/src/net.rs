@@ -12,7 +12,12 @@
 //! [`TcpCluster::connect`] dials a static list of worker addresses,
 //! performs the Hello/HelloAck handshake on each, and spawns one reader
 //! thread per connection feeding a single event channel. The driver
-//! thread owns every write half; readers never write. Each worker
+//! thread owns every write half; readers never write. Everything the
+//! driver sends a worker goes through that connection's out-buffer,
+//! written at once when the worker is idle and otherwise with one
+//! `write_all` at the top of the next
+//! [`drain_completions`](TcpCluster::drain_completions) (DESIGN.md
+//! §16.2). Each worker
 //! advertises a slot count in its `HelloAck` (`--slots N` on the worker
 //! binary), and the driver keeps up to that many `Dispatch` frames in
 //! flight per connection — capacity is the sum of slots across live
@@ -244,18 +249,28 @@ enum NetEvent {
         reason: ProtoError,
     },
     /// A redialer re-established worker `worker` at session `epoch`:
-    /// the new connection's write half, handshake results, and how many
-    /// dials it took.
+    /// the handshaken connection and how many dials it took.
     Redialed {
         worker: usize,
         epoch: u64,
-        stream: TcpStream,
-        slots: usize,
-        codec: Codec,
+        session: Session,
         attempts: u32,
     },
     /// A redialer exhausted its attempts; the Leave is now permanent.
     RedialFailed { worker: usize, attempts: u32 },
+}
+
+/// A connection fresh out of the Hello/HelloAck handshake.
+struct Session {
+    stream: TcpStream,
+    /// Slot count from the `HelloAck` (at least 1).
+    slots: usize,
+    /// The codec the pair settled on.
+    codec: Codec,
+    /// The decoder that read the `HelloAck`. It may already hold bytes
+    /// that arrived behind the ack, so the session's reader thread
+    /// continues with it rather than a fresh one.
+    dec: FrameDecoder,
 }
 
 /// A job awaiting its `Result` frame.
@@ -277,15 +292,40 @@ struct WorkerConn<J> {
     slots: usize,
     /// Negotiated write codec for this connection.
     codec: Codec,
+    /// Encoded driver→worker frames not yet written. Every outgoing
+    /// frame passes through here, so wire order is enqueue order.
+    out: Vec<u8>,
     /// Last time anything (handshake, heartbeat, result) arrived.
     last_seen: Instant,
     completed: u64,
+    /// `net.worker<idx>.completed`, built once per connection slot.
+    completed_key: String,
     reader: Option<JoinHandle<()>>,
     /// Session epoch: 0 for the startup connection, bumped per redial.
     /// Events stamped with any other epoch are residue and are dropped.
     epoch: u64,
     /// A redialer thread is currently working this address.
     redialing: bool,
+}
+
+impl<J> WorkerConn<J> {
+    /// Appends `frame` to the out-buffer. Every driver→worker frame
+    /// (`Dispatch`, `Cancel`, `Shutdown`) takes this path, so the bytes
+    /// reach the wire in the order the frames were produced.
+    fn enqueue(&mut self, enc: &mut FrameEncoder, frame: &Frame) {
+        enc.set_codec(self.codec);
+        self.out.extend_from_slice(enc.encode(frame));
+    }
+
+    /// Writes everything buffered with one `write_all`.
+    fn flush(&mut self) -> std::io::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.out);
+        self.out.clear();
+        written
+    }
 }
 
 /// A cluster of worker processes reached over TCP, presenting the same
@@ -306,8 +346,8 @@ pub struct TcpCluster<J, O> {
     orphans: VecDeque<PoolResult<J, O>>,
     /// Shared encode scratch buffer for every outgoing frame.
     enc: FrameEncoder,
-    /// Dispatches since the last `next_completion` call, recorded into
-    /// the `net.batch_size` histogram.
+    /// Dispatches since the last drain, recorded into the
+    /// `net.batch_size` histogram.
     batch: u64,
     telemetry: TelemetryHandle,
     joins_emitted: bool,
@@ -364,7 +404,12 @@ where
         for (idx, addr) in addrs.iter().enumerate() {
             let addr = addr.to_string();
             let mut attempt = 0u32;
-            let (stream, slots, codec) = loop {
+            let Session {
+                stream,
+                slots,
+                codec,
+                dec,
+            } = loop {
                 match dial_worker(&addr, &hello, opts.codec, 0, opts.connect_timeout) {
                     Ok(ok) => break ok,
                     // A handshake rejection (or a peer speaking
@@ -382,7 +427,8 @@ where
             capacity += slots;
             let reader_stream = stream.try_clone()?;
             let reader_tx = tx.clone();
-            let reader = std::thread::spawn(move || reader_loop(idx, 0, reader_stream, reader_tx));
+            let reader =
+                std::thread::spawn(move || reader_loop(idx, 0, reader_stream, dec, reader_tx));
             workers.push(WorkerConn {
                 addr,
                 stream,
@@ -390,8 +436,10 @@ where
                 pending: Vec::with_capacity(slots),
                 slots,
                 codec,
+                out: Vec::new(),
                 last_seen: Instant::now(),
                 completed: 0,
+                completed_key: format!("net.worker{idx}.completed"),
                 reader: Some(reader),
                 epoch: 0,
                 redialing: false,
@@ -474,11 +522,20 @@ where
     }
 
     /// Submits a job to the least-loaded live worker with a free slot;
-    /// errors when every slot is busy. If the write itself fails the
-    /// connection is dead: the submit still succeeds and the job (plus
-    /// anything else pending there) surfaces as [`JobStatus::Orphaned`]
-    /// (mirroring a dispatch onto a crashing worker in the other
-    /// substrates).
+    /// errors when every slot is busy.
+    ///
+    /// A dispatch to a worker with nothing pending and nothing buffered
+    /// is written at once — it has nothing else to do. A dispatch to a
+    /// busy worker is appended to that connection's out-buffer and goes
+    /// out, with everything else buffered for it, in one `write_all` at
+    /// the top of the next [`drain_completions`](Self::drain_completions)
+    /// / [`next_completion`](Self::next_completion) — that is, always
+    /// before the driver can block.
+    ///
+    /// If a write fails the connection is dead: the submit still
+    /// succeeds and the job (plus anything else pending there) surfaces
+    /// as [`JobStatus::Orphaned`] (mirroring a dispatch onto a crashing
+    /// worker in the other substrates).
     pub fn submit(&mut self, job: J) -> Result<(), ClusterError> {
         let idx = self
             .workers
@@ -491,31 +548,39 @@ where
         let job_id = self.next_job_id;
         self.next_job_id += 1;
         let payload = serde_json::to_value(&job);
-        let frame = Frame::Dispatch { job_id, payload };
-        self.enc.set_codec(self.workers[idx].codec);
-        let buf = self.enc.encode(&frame);
-        match self.workers[idx].stream.write_all(buf) {
-            Ok(()) => {
-                self.workers[idx].pending.push(Pending {
-                    job_id,
-                    job,
-                    sent: Instant::now(),
-                });
-                self.in_flight += 1;
-                self.batch += 1;
-                self.telemetry.counter_add("net.dispatches", 1);
-                Ok(())
-            }
-            Err(_) => {
+        let w = &self.workers[idx];
+        let idle = w.pending.is_empty() && w.out.is_empty();
+        self.workers[idx].enqueue(&mut self.enc, &Frame::Dispatch { job_id, payload });
+        if idle && self.workers[idx].flush().is_err() {
+            self.kill_and_orphan(idx);
+            self.maybe_spawn_redialer(idx);
+            self.orphans.push_back(PoolResult {
+                job,
+                output: None,
+                status: JobStatus::Orphaned,
+                worker: idx,
+            });
+            return Ok(());
+        }
+        self.workers[idx].pending.push(Pending {
+            job_id,
+            job,
+            sent: Instant::now(),
+        });
+        self.in_flight += 1;
+        self.batch += 1;
+        self.telemetry.counter_add("net.dispatches", 1);
+        Ok(())
+    }
+
+    /// Flushes every live connection's out-buffer; a failed write kills
+    /// the worker and orphans what was pending on it, exactly as a
+    /// failed immediate write does.
+    fn flush_dispatches(&mut self) {
+        for idx in 0..self.workers.len() {
+            if self.workers[idx].alive && self.workers[idx].flush().is_err() {
                 self.kill_and_orphan(idx);
                 self.maybe_spawn_redialer(idx);
-                self.orphans.push_back(PoolResult {
-                    job,
-                    output: None,
-                    status: JobStatus::Orphaned,
-                    worker: idx,
-                });
-                Ok(())
             }
         }
     }
@@ -567,6 +632,7 @@ where
             return;
         }
         w.alive = false;
+        w.out.clear();
         let _ = w.stream.shutdown(SockShutdown::Both);
         self.capacity -= w.slots;
         let n_alive = self.capacity;
@@ -598,7 +664,31 @@ where
 
     /// Blocks until the next job completes or orphans; returns
     /// [`ClusterError::Quiescent`] when nothing is pending anywhere.
+    /// This is [`drain_completions`](Self::drain_completions) with
+    /// `max = 1`.
     pub fn next_completion(&mut self) -> Result<PoolResult<J, O>, ClusterError> {
+        let mut one = Vec::with_capacity(1);
+        self.drain_completions(&mut one, 1)?;
+        Ok(one.pop().expect("a successful drain yields a completion"))
+    }
+
+    /// Blocks for the first completion, then appends to `out`, in
+    /// arrival order, everything else that is already here, up to `max`
+    /// in total; returns how many it appended. Orphans queued by earlier
+    /// calls come first. [`ClusterError::Quiescent`] (nothing appended)
+    /// when nothing is pending anywhere.
+    ///
+    /// One call is one lease sweep and one sweep of the reader threads'
+    /// channel: it blocks only while it has nothing to return. Buffered
+    /// dispatches (see [`submit`](Self::submit)) are written first.
+    pub fn drain_completions(
+        &mut self,
+        out: &mut Vec<PoolResult<J, O>>,
+        max: usize,
+    ) -> Result<usize, ClusterError> {
+        if max == 0 {
+            return Ok(0);
+        }
         // One scheduler round's worth of submits has landed; record how
         // wide the dispatch batch was.
         if self.batch > 0 {
@@ -606,245 +696,290 @@ where
                 .histogram_record("net.batch_size", self.batch as f64);
             self.batch = 0;
         }
+        self.flush_dispatches();
+        let before = out.len();
         loop {
-            if let Some(r) = self.orphans.pop_front() {
-                return Ok(r);
+            while out.len() - before < max {
+                let Some(r) = self.orphans.pop_front() else {
+                    break;
+                };
+                out.push(r);
             }
-            // Lease sweep: a silent worker with pending jobs is dead to
-            // us once the lease runs out.
-            let now = Instant::now();
-            let expired = self.workers.iter().position(|w| {
-                w.alive && !w.pending.is_empty() && now.duration_since(w.last_seen) >= self.lease
-            });
-            if let Some(idx) = expired {
-                // Best-effort: the worker may be hung, not gone. Either
-                // way the ids are retired and any late result is stale.
-                self.enc.set_codec(self.workers[idx].codec);
-                let ids: Vec<u64> = self.workers[idx].pending.iter().map(|p| p.job_id).collect();
-                for job_id in ids {
-                    let buf = self.enc.encode(&Frame::Cancel { job_id });
-                    let _ = self.workers[idx].stream.write_all(buf);
-                    self.telemetry.counter_add("net.cancels", 1);
+            let taken = out.len() - before;
+            if taken == max {
+                return Ok(taken);
+            }
+            let event = if taken > 0 {
+                // Results in hand: take what the readers have already
+                // delivered, never wait for more.
+                match self.events_rx.try_recv() {
+                    Ok(e) => e,
+                    Err(_) => return Ok(taken),
                 }
-                self.kill_and_orphan(idx);
-                self.maybe_spawn_redialer(idx);
-                continue;
-            }
-            // Quiescence must wait out live redialers: capacity may come
-            // back, and the caller re-checks for parked work when it
-            // does (the runners resume dispatching on a restored fleet).
-            if self.in_flight == 0 && self.redialing == 0 {
-                return Err(ClusterError::Quiescent);
-            }
-            // Block for the next event, but wake at the earliest lease
-            // deadline so silence is noticed.
-            let deadline = self
-                .workers
-                .iter()
-                .filter(|w| w.alive && !w.pending.is_empty())
-                .map(|w| w.last_seen + self.lease)
-                .min();
-            let event = match deadline {
-                None => match self.events_rx.recv() {
-                    Ok(e) => e,
-                    Err(_) => return Err(ClusterError::Quiescent),
-                },
-                Some(d) => match self
-                    .events_rx
-                    .recv_timeout(d.saturating_duration_since(now))
-                {
-                    Ok(e) => e,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => return Err(ClusterError::Quiescent),
-                },
+            } else {
+                // Lease sweep: a silent worker with pending jobs is dead
+                // to us once the lease runs out.
+                let now = Instant::now();
+                let mut expired = false;
+                for idx in 0..self.workers.len() {
+                    let w = &self.workers[idx];
+                    if w.alive
+                        && !w.pending.is_empty()
+                        && now.duration_since(w.last_seen) >= self.lease
+                    {
+                        self.expire_lease(idx);
+                        expired = true;
+                    }
+                }
+                if expired {
+                    continue;
+                }
+                // Quiescence must wait out live redialers: capacity may
+                // come back, and the caller re-checks for parked work
+                // when it does (the runners resume dispatching on a
+                // restored fleet).
+                if self.in_flight == 0 && self.redialing == 0 {
+                    return Err(ClusterError::Quiescent);
+                }
+                // Block for the next event, but wake at the earliest
+                // lease deadline so silence is noticed.
+                let deadline = self
+                    .workers
+                    .iter()
+                    .filter(|w| w.alive && !w.pending.is_empty())
+                    .map(|w| w.last_seen + self.lease)
+                    .min();
+                match deadline {
+                    None => match self.events_rx.recv() {
+                        Ok(e) => e,
+                        Err(_) => return Err(ClusterError::Quiescent),
+                    },
+                    Some(d) => match self
+                        .events_rx
+                        .recv_timeout(d.saturating_duration_since(now))
+                    {
+                        Ok(e) => e,
+                        Err(RecvTimeoutError::Timeout) => continue,
+                        Err(RecvTimeoutError::Disconnected) => return Err(ClusterError::Quiescent),
+                    },
+                }
             };
-            match event {
-                NetEvent::Redialed {
-                    worker,
-                    epoch,
+            if let Some(r) = self.handle_event(event) {
+                out.push(r);
+            }
+        }
+    }
+
+    /// Gives up on silent worker `idx`: a best-effort `Cancel` per
+    /// pending job (the worker may be hung, not gone), then the
+    /// connection is killed and the jobs orphaned. Either way the ids
+    /// are retired and any late result is stale.
+    fn expire_lease(&mut self, idx: usize) {
+        let ids: Vec<u64> = self.workers[idx].pending.iter().map(|p| p.job_id).collect();
+        for job_id in ids {
+            self.workers[idx].enqueue(&mut self.enc, &Frame::Cancel { job_id });
+            self.telemetry.counter_add("net.cancels", 1);
+        }
+        let _ = self.workers[idx].flush();
+        self.kill_and_orphan(idx);
+        self.maybe_spawn_redialer(idx);
+    }
+
+    /// Applies one reader/redialer event to the driver's state; returns
+    /// the completion it carried, if any. Orphans it causes are queued
+    /// on `self.orphans`.
+    fn handle_event(&mut self, event: NetEvent) -> Option<PoolResult<J, O>> {
+        match event {
+            NetEvent::Redialed {
+                worker,
+                epoch,
+                session,
+                attempts,
+            } => {
+                self.redialing -= 1;
+                self.workers[worker].redialing = false;
+                if self.workers[worker].alive {
+                    // Unreachable (only dead workers redial), but a
+                    // stray success must not corrupt a live session.
+                    return None;
+                }
+                let Session {
                     stream,
                     slots,
                     codec,
-                    attempts,
-                } => {
-                    self.redialing -= 1;
-                    self.workers[worker].redialing = false;
-                    if self.workers[worker].alive {
-                        // Unreachable (only dead workers redial), but a
-                        // stray success must not corrupt a live session.
-                        continue;
-                    }
-                    let Ok(reader_stream) = stream.try_clone() else {
-                        self.telemetry.counter_add("net.redial_gaveup", 1);
-                        self.telemetry.emit_now_with(|| Event::RedialGaveUp {
-                            worker,
-                            attempts: attempts as usize,
-                        });
-                        continue;
-                    };
-                    let w = &mut self.workers[worker];
-                    // The old reader exited when its socket died; reap it
-                    // before installing the new session.
-                    if let Some(h) = w.reader.take() {
-                        let _ = h.join();
-                    }
-                    w.stream = stream;
-                    w.alive = true;
-                    w.slots = slots;
-                    w.codec = codec;
-                    w.epoch = epoch;
-                    w.last_seen = Instant::now();
-                    let tx = self._events_tx.clone();
-                    w.reader = Some(std::thread::spawn(move || {
-                        reader_loop(worker, epoch, reader_stream, tx)
-                    }));
-                    self.capacity += slots;
-                    let n_alive = self.capacity;
-                    self.telemetry.counter_add("net.reconnects", 1);
-                    let key = match codec {
-                        Codec::Binary => "net.codec.binary",
-                        Codec::Json => "net.codec.json",
-                    };
-                    self.telemetry.counter_add(key, 1);
-                    self.telemetry
-                        .gauge_set("net.workers_alive", n_alive as f64);
-                    self.telemetry.emit_now_with(|| Event::WorkerReconnected {
-                        worker,
-                        epoch,
-                        attempts: attempts as usize,
-                    });
-                    self.telemetry
-                        .emit_now_with(|| Event::WorkerJoined { worker, n_alive });
-                }
-                NetEvent::RedialFailed { worker, attempts } => {
-                    self.redialing -= 1;
-                    self.workers[worker].redialing = false;
+                    dec,
+                } = session;
+                let Ok(reader_stream) = stream.try_clone() else {
                     self.telemetry.counter_add("net.redial_gaveup", 1);
                     self.telemetry.emit_now_with(|| Event::RedialGaveUp {
                         worker,
                         attempts: attempts as usize,
                     });
+                    return None;
+                };
+                let w = &mut self.workers[worker];
+                // The old reader exited when its socket died; reap it
+                // before installing the new session.
+                if let Some(h) = w.reader.take() {
+                    let _ = h.join();
                 }
-                NetEvent::Disconnected {
+                w.stream = stream;
+                w.alive = true;
+                w.slots = slots;
+                w.codec = codec;
+                w.epoch = epoch;
+                w.last_seen = Instant::now();
+                let tx = self._events_tx.clone();
+                w.reader = Some(std::thread::spawn(move || {
+                    reader_loop(worker, epoch, reader_stream, dec, tx)
+                }));
+                self.capacity += slots;
+                let n_alive = self.capacity;
+                self.telemetry.counter_add("net.reconnects", 1);
+                let key = match codec {
+                    Codec::Binary => "net.codec.binary",
+                    Codec::Json => "net.codec.json",
+                };
+                self.telemetry.counter_add(key, 1);
+                self.telemetry
+                    .gauge_set("net.workers_alive", n_alive as f64);
+                self.telemetry.emit_now_with(|| Event::WorkerReconnected {
                     worker,
                     epoch,
-                    reason,
-                } => {
-                    if self.workers[worker].alive && epoch == self.workers[worker].epoch {
-                        // A clean EOF and a framing error both kill the
-                        // worker, but only the latter is a read fault.
-                        if !matches!(reason, ProtoError::Closed) {
-                            self.telemetry.counter_add("net.read_errors", 1);
-                        }
-                        self.kill_and_orphan(worker);
-                        self.maybe_spawn_redialer(worker);
-                    }
-                }
-                NetEvent::Frame {
+                    attempts: attempts as usize,
+                });
+                self.telemetry
+                    .emit_now_with(|| Event::WorkerJoined { worker, n_alive });
+                None
+            }
+            NetEvent::RedialFailed { worker, attempts } => {
+                self.redialing -= 1;
+                self.workers[worker].redialing = false;
+                self.telemetry.counter_add("net.redial_gaveup", 1);
+                self.telemetry.emit_now_with(|| Event::RedialGaveUp {
                     worker,
-                    epoch,
-                    frame,
-                } => {
-                    if epoch != self.workers[worker].epoch {
-                        // Residue from a previous session epoch,
-                        // surfacing after a redial made the worker live
-                        // again — the fence job-id retirement cannot
-                        // provide (DESIGN.md §16.4).
-                        self.telemetry.counter_add("net.stale_epoch_frames", 1);
-                        continue;
+                    attempts: attempts as usize,
+                });
+                None
+            }
+            NetEvent::Disconnected {
+                worker,
+                epoch,
+                reason,
+            } => {
+                if self.workers[worker].alive && epoch == self.workers[worker].epoch {
+                    // A clean EOF and a framing error both kill the
+                    // worker, but only the latter is a read fault.
+                    if !matches!(reason, ProtoError::Closed) {
+                        self.telemetry.counter_add("net.read_errors", 1);
                     }
-                    if !self.workers[worker].alive {
-                        // Residue from a connection we already tore down.
-                        continue;
+                    self.kill_and_orphan(worker);
+                    self.maybe_spawn_redialer(worker);
+                }
+                None
+            }
+            NetEvent::Frame {
+                worker,
+                epoch,
+                frame,
+            } => {
+                if epoch != self.workers[worker].epoch {
+                    // Residue from a previous session epoch, surfacing
+                    // after a redial made the worker live again — the
+                    // fence job-id retirement cannot provide
+                    // (DESIGN.md §16.4).
+                    self.telemetry.counter_add("net.stale_epoch_frames", 1);
+                    return None;
+                }
+                if !self.workers[worker].alive {
+                    // Residue from a connection we already tore down.
+                    return None;
+                }
+                let now = Instant::now();
+                let gap = now.duration_since(self.workers[worker].last_seen);
+                self.workers[worker].last_seen = now;
+                match frame {
+                    Frame::Heartbeat { .. } => {
+                        self.telemetry.counter_add("net.heartbeats", 1);
+                        self.telemetry
+                            .histogram_record("net.heartbeat_gap_ms", gap.as_secs_f64() * 1e3);
+                        None
                     }
-                    let gap = self.workers[worker].last_seen.elapsed();
-                    self.workers[worker].last_seen = Instant::now();
-                    match frame {
-                        Frame::Heartbeat { .. } => {
-                            self.telemetry.counter_add("net.heartbeats", 1);
-                            self.telemetry
-                                .histogram_record("net.heartbeat_gap_ms", gap.as_secs_f64() * 1e3);
-                        }
-                        Frame::Result {
-                            job_id,
-                            status,
-                            output,
-                        } => {
-                            let pos = self.workers[worker]
-                                .pending
-                                .iter()
-                                .position(|p| p.job_id == job_id);
-                            let Some(pos) = pos else {
-                                // Retired id (orphaned then re-dispatched
-                                // elsewhere): drop, never double-count.
-                                self.telemetry.counter_add("net.stale_results", 1);
-                                continue;
-                            };
-                            let p = self.workers[worker].pending.remove(pos);
-                            self.in_flight -= 1;
-                            self.workers[worker].completed += 1;
-                            self.telemetry.counter_add("net.results", 1);
-                            self.telemetry.histogram_record(
-                                "net.job_rtt_ms",
-                                p.sent.elapsed().as_secs_f64() * 1e3,
-                            );
-                            self.telemetry.gauge_set(
-                                &format!("net.worker{worker}.completed"),
-                                self.workers[worker].completed as f64,
-                            );
-                            let (status, output) = if output.is_null() {
-                                (status, None)
-                            } else {
-                                match O::from_value(&output) {
-                                    Ok(o) => (status, Some(o)),
-                                    Err(_) => {
-                                        // Undecodable payload: demote to a
-                                        // plain failure so no caller trusts it.
-                                        self.telemetry.counter_add("net.bad_outputs", 1);
-                                        (JobStatus::Errored, None)
-                                    }
+                    Frame::Result {
+                        job_id,
+                        status,
+                        output,
+                    } => {
+                        let Some(p) = self.take_pending(worker, job_id) else {
+                            // Retired id (orphaned then re-dispatched
+                            // elsewhere): drop, never double-count.
+                            self.telemetry.counter_add("net.stale_results", 1);
+                            return None;
+                        };
+                        let w = &mut self.workers[worker];
+                        w.completed += 1;
+                        self.telemetry.counter_add("net.results", 1);
+                        self.telemetry.histogram_record(
+                            "net.job_rtt_ms",
+                            now.duration_since(p.sent).as_secs_f64() * 1e3,
+                        );
+                        self.telemetry
+                            .gauge_set(&w.completed_key, w.completed as f64);
+                        let (status, output) = if output.is_null() {
+                            (status, None)
+                        } else {
+                            match O::from_value(&output) {
+                                Ok(o) => (status, Some(o)),
+                                Err(_) => {
+                                    // Undecodable payload: demote to a
+                                    // plain failure so no caller trusts it.
+                                    self.telemetry.counter_add("net.bad_outputs", 1);
+                                    (JobStatus::Errored, None)
                                 }
-                            };
-                            return Ok(PoolResult {
-                                job: p.job,
-                                output,
-                                status,
-                                worker,
-                            });
-                        }
-                        Frame::Cancel { job_id } => {
-                            // The worker is draining: it dropped this
-                            // queued job without running it. Reclaim it
-                            // now instead of waiting for the disconnect.
-                            let pos = self.workers[worker]
-                                .pending
-                                .iter()
-                                .position(|p| p.job_id == job_id);
-                            let Some(pos) = pos else {
-                                self.telemetry.counter_add("net.stale_results", 1);
-                                continue;
-                            };
-                            let p = self.workers[worker].pending.remove(pos);
-                            self.in_flight -= 1;
-                            self.telemetry.counter_add("net.cancel_acks", 1);
-                            return Ok(PoolResult {
-                                job: p.job,
-                                output: None,
-                                status: JobStatus::Orphaned,
-                                worker,
-                            });
-                        }
-                        other => {
-                            // A frame only drivers may send: the peer is
-                            // not speaking our protocol. Tear it down.
-                            let _ = other;
-                            self.telemetry.counter_add("net.protocol_violations", 1);
-                            self.kill_and_orphan(worker);
-                        }
+                            }
+                        };
+                        Some(PoolResult {
+                            job: p.job,
+                            output,
+                            status,
+                            worker,
+                        })
+                    }
+                    Frame::Cancel { job_id } => {
+                        // The worker is draining: it dropped this queued
+                        // job without running it. Reclaim it now instead
+                        // of waiting for the disconnect.
+                        let Some(p) = self.take_pending(worker, job_id) else {
+                            self.telemetry.counter_add("net.stale_results", 1);
+                            return None;
+                        };
+                        self.telemetry.counter_add("net.cancel_acks", 1);
+                        Some(PoolResult {
+                            job: p.job,
+                            output: None,
+                            status: JobStatus::Orphaned,
+                            worker,
+                        })
+                    }
+                    _ => {
+                        // A frame only drivers may send: the peer is not
+                        // speaking our protocol. Tear it down.
+                        self.telemetry.counter_add("net.protocol_violations", 1);
+                        self.kill_and_orphan(worker);
+                        None
                     }
                 }
             }
         }
+    }
+
+    /// Removes job `job_id` from worker `worker`'s pending set, freeing
+    /// its slot; `None` for an id that is not (or no longer) live there.
+    fn take_pending(&mut self, worker: usize, job_id: u64) -> Option<Pending<J>> {
+        let pending = &mut self.workers[worker].pending;
+        let pos = pending.iter().position(|p| p.job_id == job_id)?;
+        self.in_flight -= 1;
+        Some(pending.remove(pos))
     }
 }
 
@@ -859,6 +994,14 @@ where
 
     fn next_completion(&mut self) -> Result<PoolResult<J, O>, ClusterError> {
         TcpCluster::next_completion(self)
+    }
+
+    fn drain_completions(
+        &mut self,
+        out: &mut Vec<PoolResult<J, O>>,
+        max: usize,
+    ) -> Result<usize, ClusterError> {
+        TcpCluster::drain_completions(self, out, max)
     }
 
     fn n_workers(&self) -> usize {
@@ -886,14 +1029,14 @@ impl<J, O> Drop for TcpCluster<J, O> {
         for h in self.redial_handles.drain(..) {
             let _ = h.join();
         }
-        for i in 0..self.workers.len() {
-            if self.workers[i].alive {
-                // Polite goodbye, then force the socket down either way
-                // so the reader thread unblocks.
-                self.enc.set_codec(self.workers[i].codec);
-                let buf = self.enc.encode(&Frame::Shutdown);
-                let _ = self.workers[i].stream.write_all(buf);
-                let _ = self.workers[i].stream.shutdown(SockShutdown::Both);
+        for w in &mut self.workers {
+            if w.alive {
+                // Polite goodbye — behind whatever dispatches are still
+                // buffered, through the same out-buffer — then force the
+                // socket down either way so the reader thread unblocks.
+                w.enqueue(&mut self.enc, &Frame::Shutdown);
+                let _ = w.flush();
+                let _ = w.stream.shutdown(SockShutdown::Both);
             }
         }
         for w in &mut self.workers {
@@ -905,16 +1048,23 @@ impl<J, O> Drop for TcpCluster<J, O> {
 }
 
 /// Reads frames until the connection dies, forwarding everything to the
-/// driver's event channel. Never writes. The decoder's body buffer is
-/// reused across frames, so a steady result stream allocates only for
-/// the decoded `Value` trees themselves. Every event is stamped with the
+/// driver's event channel. Never writes. `dec` is the handshake's
+/// decoder (see [`Session`]); it reads ahead, so a burst of result
+/// frames costs one `read`, and its buffer is reused across frames, so a
+/// steady result stream allocates only for the decoded `Value` trees
+/// themselves. Every event is stamped with the
 /// session `epoch` the reader was spawned for, so the driver can fence
 /// out anything a dead session's reader was still flushing when a redial
 /// revived the slot.
-fn reader_loop(worker: usize, epoch: u64, mut stream: TcpStream, tx: Sender<NetEvent>) {
-    let mut dec = FrameDecoder::new();
+fn reader_loop(
+    worker: usize,
+    epoch: u64,
+    mut stream: TcpStream,
+    mut dec: FrameDecoder,
+    tx: Sender<NetEvent>,
+) {
     loop {
-        match dec.read_from(&mut stream) {
+        match dec.read_ahead(&mut stream) {
             Ok(frame) => {
                 if tx
                     .send(NetEvent::Frame {
@@ -958,8 +1108,9 @@ fn decorate_hello(hello: &Value, offer: Codec, epoch: u64) -> Value {
 }
 
 /// Dials one worker and runs the Hello/HelloAck handshake for session
-/// `epoch`. Returns the connected stream, the worker's advertised slot
-/// count, and the codec the pair settled on. `timeout` bounds both the
+/// `epoch`. Returns the connected [`Session`]: stream, the worker's
+/// advertised slot count, the codec the pair settled on, and the decoder
+/// the session's reader must continue with. `timeout` bounds both the
 /// TCP connect and the handshake reads (cleared before returning, so the
 /// reader thread blocks normally afterwards); `None` blocks on OS
 /// defaults. A handshake rejection, a mismatched epoch echo, or an
@@ -971,7 +1122,7 @@ fn dial_worker(
     offer: Codec,
     epoch: u64,
     timeout: Option<Duration>,
-) -> Result<(TcpStream, usize, Codec), ProtoError> {
+) -> Result<Session, ProtoError> {
     let mut stream = match timeout {
         None => TcpStream::connect(addr)?,
         Some(t) => {
@@ -1009,8 +1160,8 @@ fn dial_worker(
     };
     stream.write_all(enc.encode(&frame))?;
     let mut dec = FrameDecoder::new();
-    let ack = dec.read_from(&mut stream)?;
-    let out = match ack {
+    let ack = dec.read_ahead(&mut stream)?;
+    let slots = match ack {
         Frame::HelloAck {
             slots,
             error: None,
@@ -1023,7 +1174,7 @@ fn dial_worker(
                     )));
                 }
             }
-            (stream, slots.max(1), dec.last_codec())
+            slots.max(1)
         }
         Frame::HelloAck {
             error: Some(msg), ..
@@ -1038,8 +1189,13 @@ fn dial_worker(
             )))
         }
     };
-    out.0.set_read_timeout(None).ok();
-    Ok(out)
+    stream.set_read_timeout(None).ok();
+    Ok(Session {
+        stream,
+        slots,
+        codec: dec.last_codec(),
+        dec,
+    })
 }
 
 /// Sleeps up to `dur` in small slices, returning `false` early if `stop`
@@ -1093,13 +1249,11 @@ fn redial_loop(
             return;
         }
         match dial_worker(&addr, &hello, offer, epoch, connect_timeout) {
-            Ok((stream, slots, codec)) => {
+            Ok(session) => {
                 let _ = tx.send(NetEvent::Redialed {
                     worker,
                     epoch,
-                    stream,
-                    slots,
-                    codec,
+                    session,
                     attempts: attempt,
                 });
                 return;
@@ -1285,7 +1439,7 @@ where
         stream,
         enc: FrameEncoder::new(Codec::Json),
     }));
-    let hello = match dec.read_from(&mut reader)? {
+    let hello = match dec.read_ahead(&mut reader)? {
         Frame::Hello { payload } => payload,
         other => {
             return Err(ProtoError::Garbage(format!(
@@ -1418,7 +1572,7 @@ fn session_loop(
     queue: &Arc<JobQueue>,
 ) -> Result<(), ProtoError> {
     loop {
-        match dec.read_from(reader) {
+        match dec.read_ahead(reader) {
             Ok(Frame::Dispatch { job_id, payload }) => queue.push(job_id, payload),
             // If the job already started (or finished), its Result is
             // fenced driver-side as stale; nothing to do here.
@@ -1490,6 +1644,236 @@ mod tests {
             lease_timeout: Duration::from_millis(ms),
             ..TcpClusterOptions::default()
         }
+    }
+
+    /// A hand-rolled worker that doubles each job the moment it reads
+    /// it and never heartbeats, so the only frames it sends are results.
+    fn spawn_quiet_doubler() -> (String, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let handle = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let _ = proto::read_frame(&mut s).unwrap(); // Hello
+            let ack = Frame::HelloAck {
+                slots: 1,
+                error: None,
+                epoch: None,
+            };
+            proto::write_frame(&mut s, &ack).unwrap();
+            while let Ok(Frame::Dispatch { job_id, payload }) = proto::read_frame(&mut s) {
+                let result = Frame::Result {
+                    job_id,
+                    status: JobStatus::Succeeded,
+                    output: json!(payload.as_u64().unwrap() * 2),
+                };
+                proto::write_frame(&mut s, &result).unwrap();
+            }
+        });
+        (addr, handle)
+    }
+
+    /// Spins until `n` reader events sit in the driver's channel: the
+    /// only way to know, without consuming them, that `n` results have
+    /// *arrived* (the workers in these tests send nothing else).
+    fn wait_arrived<J, O>(cluster: &TcpCluster<J, O>, n: usize) {
+        while cluster.events_rx.len() < n {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn drain_takes_everything_arrived_up_to_max() {
+        // Eight one-slot workers: every dispatch goes to an idle worker
+        // and is therefore written at once, so all eight results can be
+        // in the channel before the first drain.
+        let (addrs, handles): (Vec<_>, Vec<_>) = (0..8).map(|_| spawn_quiet_doubler()).unzip();
+        let mut cluster: TcpCluster<u64, u64> =
+            TcpCluster::connect(&addrs, json!(null), TcpClusterOptions::default()).unwrap();
+        let mut out = Vec::new();
+        assert_eq!(
+            cluster.drain_completions(&mut out, usize::MAX).unwrap_err(),
+            ClusterError::Quiescent,
+            "nothing submitted, nothing ready"
+        );
+        for j in 0..8 {
+            cluster.submit(j).unwrap();
+        }
+        wait_arrived(&cluster, 8);
+        assert_eq!(cluster.drain_completions(&mut out, usize::MAX), Ok(8));
+        assert_eq!((cluster.in_flight(), cluster.idle_workers()), (0, 8));
+        let mut jobs: Vec<u64> = out.iter().map(|r| r.job).collect();
+        jobs.sort_unstable();
+        assert_eq!(jobs, (0..8).collect::<Vec<_>>());
+        assert!(out.iter().all(|r| r.output == Some(r.job * 2)));
+
+        // A bound splits the same batch across calls and loses nothing.
+        for j in 8..16 {
+            cluster.submit(j).unwrap();
+        }
+        wait_arrived(&cluster, 8);
+        assert_eq!(cluster.drain_completions(&mut out, 3), Ok(3));
+        assert_eq!((cluster.in_flight(), cluster.idle_workers()), (5, 3));
+        assert_eq!(cluster.drain_completions(&mut out, usize::MAX), Ok(5));
+        assert_eq!((cluster.in_flight(), cluster.idle_workers()), (0, 8));
+        assert_eq!(out.len(), 16);
+        assert_eq!(
+            cluster.drain_completions(&mut out, usize::MAX).unwrap_err(),
+            ClusterError::Quiescent
+        );
+        drop(cluster);
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn buffered_dispatches_flush_and_queued_orphans_surface_first() {
+        // Worker 0 (3 slots) takes its jobs and dies on command; worker
+        // 1 (4 slots) answers on command, in dispatch order. Both are
+        // silent otherwise, so every drain below has exactly one thing
+        // it can return.
+        let (die_tx, die_rx) = unbounded::<()>();
+        let (go_tx, go_rx) = unbounded::<()>();
+        let scripted = |slots: usize, script: Box<dyn FnOnce(TcpStream) + Send>| {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let handle = std::thread::spawn(move || {
+                let (mut s, _) = listener.accept().unwrap();
+                let _ = proto::read_frame(&mut s).unwrap(); // Hello
+                let ack = Frame::HelloAck {
+                    slots,
+                    error: None,
+                    epoch: None,
+                };
+                proto::write_frame(&mut s, &ack).unwrap();
+                script(s);
+            });
+            (addr, handle)
+        };
+        let (a, ha) = scripted(
+            3,
+            Box::new(move |s| {
+                let _ = die_rx.recv();
+                drop(s); // process death with three jobs pending
+            }),
+        );
+        let (b, hb) = scripted(
+            4,
+            Box::new(move |mut s| {
+                for burst in [1, 3] {
+                    let mut results = Vec::new();
+                    for _ in 0..burst {
+                        let Frame::Dispatch { job_id, payload } =
+                            proto::read_frame(&mut s).unwrap()
+                        else {
+                            panic!("expected Dispatch")
+                        };
+                        let result = Frame::Result {
+                            job_id,
+                            status: JobStatus::Succeeded,
+                            output: json!(payload.as_u64().unwrap() * 2),
+                        };
+                        results.extend_from_slice(&proto::encode_frame(&result));
+                    }
+                    let _ = go_rx.recv();
+                    s.write_all(&results).unwrap();
+                }
+                let _ = proto::read_frame(&mut s); // linger for Shutdown
+            }),
+        );
+        let mut cluster: TcpCluster<u64, u64> =
+            TcpCluster::connect(&[a, b], json!(null), TcpClusterOptions::default()).unwrap();
+        // Least-loaded placement: 0, 2, 4 land on worker 0 and 1, 3, 5, 6
+        // on worker 1. Only the first dispatch to each (an idle worker)
+        // is on the wire; the rest sit in the out-buffers.
+        for j in 0..7 {
+            cluster.submit(j).unwrap();
+        }
+        assert_eq!((cluster.in_flight(), cluster.idle_workers()), (7, 0));
+
+        // Worker 1 can only have read job 1. The drain flushes both
+        // out-buffers before it blocks, then returns that one result.
+        let mut out = Vec::new();
+        go_tx.send(()).unwrap();
+        assert_eq!(cluster.drain_completions(&mut out, 1), Ok(1));
+        assert_eq!((out[0].job, out[0].output), (1, Some(2)));
+
+        // Worker 0 dies: three orphans, the drain may take one.
+        die_tx.send(()).unwrap();
+        assert_eq!(cluster.drain_completions(&mut out, 1), Ok(1));
+        assert_eq!((out[1].job, out[1].status), (0, JobStatus::Orphaned));
+        assert_eq!(cluster.in_flight(), 3, "queued orphans hold no slot");
+        assert_eq!(cluster.n_workers(), 4);
+
+        // Worker 1's last three results arrive — proof that the flush
+        // delivered the buffered dispatches — and queue up behind the two
+        // orphans the previous call left.
+        go_tx.send(()).unwrap();
+        wait_arrived(&cluster, 3);
+        assert_eq!(cluster.drain_completions(&mut out, usize::MAX), Ok(5));
+        let tail: Vec<(u64, JobStatus)> = out[2..].iter().map(|r| (r.job, r.status)).collect();
+        assert_eq!(
+            tail,
+            vec![
+                (2, JobStatus::Orphaned),
+                (4, JobStatus::Orphaned),
+                (3, JobStatus::Succeeded),
+                (5, JobStatus::Succeeded),
+                (6, JobStatus::Succeeded),
+            ],
+            "orphans first, then results in the order the socket delivered them"
+        );
+        assert_eq!((cluster.in_flight(), cluster.idle_workers()), (0, 4));
+        assert_eq!(
+            cluster.drain_completions(&mut out, usize::MAX).unwrap_err(),
+            ClusterError::Quiescent
+        );
+        drop(cluster);
+        ha.join().unwrap();
+        hb.join().unwrap();
+    }
+
+    #[test]
+    fn frames_behind_the_hello_ack_survive_the_handshake() {
+        // The ack and a heartbeat leave the worker in one write, so they
+        // can reach the driver in one segment and one `read`. The
+        // handshake's decoder must hand the heartbeat on to the session's
+        // reader instead of dropping it with its buffer.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let h = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let _ = proto::read_frame(&mut s).unwrap(); // Hello
+            let mut both = proto::encode_frame(&Frame::HelloAck {
+                slots: 1,
+                error: None,
+                epoch: None,
+            });
+            both.extend_from_slice(&proto::encode_frame(&Frame::Heartbeat { seq: 1 }));
+            s.write_all(&both).unwrap();
+            let Frame::Dispatch { job_id, .. } = proto::read_frame(&mut s).unwrap() else {
+                panic!("expected Dispatch")
+            };
+            let result = Frame::Result {
+                job_id,
+                status: JobStatus::Succeeded,
+                output: json!(1),
+            };
+            proto::write_frame(&mut s, &result).unwrap();
+            let _ = proto::read_frame(&mut s); // linger for Shutdown
+        });
+        let mut cluster: TcpCluster<u64, u64> =
+            TcpCluster::connect(&[addr], json!(null), TcpClusterOptions::default()).unwrap();
+        let telemetry = hypertune_telemetry::Telemetry::new().build();
+        cluster.set_telemetry(telemetry.clone());
+        cluster.submit(0).unwrap();
+        // One reader, one channel: the heartbeat is processed before the
+        // result behind it is returned.
+        assert_eq!(cluster.next_completion().unwrap().output, Some(1));
+        let seen = telemetry.snapshot().expect("telemetry is on");
+        assert_eq!(seen.counter("net.heartbeats"), Some(1));
+        drop(cluster);
+        h.join().unwrap();
     }
 
     #[test]

@@ -683,12 +683,32 @@ impl FrameEncoder {
     }
 }
 
-/// Decodes frames from a stream into a reused body buffer. Accepts both
+/// How many spare bytes [`FrameDecoder::read_ahead`] offers the stream
+/// per `read`: room for a burst of small frames in one syscall.
+const READ_AHEAD: usize = 8 * 1024;
+
+/// Decodes frames from a stream through one reused buffer. Accepts both
 /// codecs on every frame and remembers which one the last frame used, so
 /// the handshake can detect what the peer speaks.
+///
+/// Two ways to pull a frame, over the same buffer and the same error
+/// rules:
+///
+/// - [`read_from`](FrameDecoder::read_from) asks the stream for exactly
+///   the bytes of one frame, so the stream is left at the next frame
+///   boundary and any reader may continue from there.
+/// - [`read_ahead`](FrameDecoder::read_ahead) asks for as much as fits,
+///   so a burst of frames costs one `read`. Bytes past the frame stay in
+///   this decoder: **the decoder that read ahead on a stream must be the
+///   one that keeps reading it** (either call consumes the buffered bytes
+///   first). That is why the handshake hands its decoder to the session
+///   instead of starting a fresh one.
 #[derive(Debug)]
 pub struct FrameDecoder {
-    body: Vec<u8>,
+    /// Received bytes; `buf[start..end]` are not yet consumed.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
     last_codec: Codec,
 }
 
@@ -702,7 +722,9 @@ impl FrameDecoder {
     /// A new decoder; `last_codec` starts as [`Codec::Json`].
     pub fn new() -> Self {
         FrameDecoder {
-            body: Vec::with_capacity(256),
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
             last_codec: Codec::Json,
         }
     }
@@ -712,45 +734,91 @@ impl FrameDecoder {
         self.last_codec
     }
 
-    /// Reads one frame from `r`. Returns [`ProtoError::Closed`] on a
-    /// clean EOF at a frame boundary; every other failure names what
-    /// went wrong.
+    /// Reads one frame from `r`, taking no byte past its end. Returns
+    /// [`ProtoError::Closed`] on a clean EOF at a frame boundary; every
+    /// other failure names what went wrong.
     pub fn read_from<R: Read>(&mut self, r: &mut R) -> Result<Frame, ProtoError> {
-        let mut header = [0u8; 4];
-        if !read_exact_or_eof(r, &mut header)? {
-            return Err(ProtoError::Closed);
+        self.read(r, false)
+    }
+
+    /// Reads one frame from `r`, buffering whatever else the stream has
+    /// ready (see the type docs for the one-decoder-per-stream rule).
+    /// Same results and errors as [`read_from`](FrameDecoder::read_from).
+    pub fn read_ahead<R: Read>(&mut self, r: &mut R) -> Result<Frame, ProtoError> {
+        self.read(r, true)
+    }
+
+    fn read<R: Read>(&mut self, r: &mut R, ahead: bool) -> Result<Frame, ProtoError> {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
         }
-        let body_len = u32::from_be_bytes(header) as usize;
+        if !self.fill(r, 4, ahead)? {
+            return Err(match self.end - self.start {
+                0 => ProtoError::Closed,
+                got => ProtoError::Truncated { expected: 4, got },
+            });
+        }
+        let header = &self.buf[self.start..self.start + 4];
+        let body_len = u32::from_be_bytes(header.try_into().expect("4-byte slice")) as usize;
         if body_len == 0 {
             return Err(garbage("zero-length frame body"));
         }
         if body_len > MAX_FRAME {
             return Err(ProtoError::Oversized { len: body_len });
         }
-        self.body.clear();
-        self.body.resize(body_len, 0);
-        match read_exact_or_eof(r, &mut self.body)? {
-            true => {}
-            false => {
-                return Err(ProtoError::Truncated {
-                    expected: body_len,
-                    got: 0,
-                })
-            }
+        if !self.fill(r, 4 + body_len, ahead)? {
+            return Err(ProtoError::Truncated {
+                expected: body_len,
+                got: self.end - self.start - 4,
+            });
         }
-        match self.body[0] {
+        let body = &self.buf[self.start + 4..self.start + 4 + body_len];
+        self.start += 4 + body_len;
+        match body[0] {
             WIRE_VERSION => {
                 self.last_codec = Codec::Json;
-                let payload = std::str::from_utf8(&self.body[1..])
-                    .map_err(|_| garbage("payload is not UTF-8"))?;
+                let payload =
+                    std::str::from_utf8(&body[1..]).map_err(|_| garbage("payload is not UTF-8"))?;
                 serde_json::from_str::<Frame>(payload).map_err(|e| garbage(e.to_string()))
             }
             WIRE_VERSION_BINARY => {
                 self.last_codec = Codec::Binary;
-                decode_binary_payload(&self.body[1..])
+                decode_binary_payload(&body[1..])
             }
             got => Err(ProtoError::BadVersion { got }),
         }
+    }
+
+    /// Reads until `need` unconsumed bytes are buffered: exactly that
+    /// many, or with `ahead` as many as the buffer has room for.
+    /// `Ok(false)` is an EOF short of `need`.
+    fn fill<R: Read>(&mut self, r: &mut R, need: usize, ahead: bool) -> Result<bool, ProtoError> {
+        while self.end - self.start < need {
+            let room = if ahead { need.max(READ_AHEAD) } else { need };
+            if self.buf.len() < self.start + room {
+                // The frame being assembled moves to the front, so the
+                // buffer never outgrows one frame plus the read-ahead.
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+                if self.buf.len() < room {
+                    self.buf.resize(room, 0);
+                }
+            }
+            let limit = if ahead {
+                self.buf.len()
+            } else {
+                self.start + need
+            };
+            match r.read(&mut self.buf[self.end..limit]) {
+                Ok(0) => return Ok(false),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(true)
     }
 }
 
@@ -772,29 +840,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), ProtoError> {
     w.write_all(&encode_frame(frame))?;
     Ok(())
-}
-
-/// Reads exactly `buf.len()` bytes, distinguishing a clean EOF before
-/// the first byte (`Ok(false)`) from a mid-buffer EOF (`Truncated`).
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<bool, ProtoError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(false);
-                }
-                return Err(ProtoError::Truncated {
-                    expected: buf.len(),
-                    got: filled,
-                });
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(true)
 }
 
 /// Reads one frame from `r` in either codec. Returns
@@ -1218,6 +1263,142 @@ mod tests {
                 proptest::prop_assert_eq!(&cross, &frame);
             }
         }
+    }
+
+    /// A stream that hands its bytes out in scheduled pieces: the
+    /// `i`-th `read` returns at most `chunks[i]` bytes (then whatever is
+    /// asked for once the schedule runs out), the way a socket delivers
+    /// segments with no regard for frame boundaries.
+    struct Chunked<'a> {
+        bytes: &'a [u8],
+        chunks: std::vec::IntoIter<usize>,
+    }
+
+    impl<'a> Chunked<'a> {
+        fn new(bytes: &'a [u8], chunks: Vec<usize>) -> Self {
+            Chunked {
+                bytes,
+                chunks: chunks.into_iter(),
+            }
+        }
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let chunk = self.chunks.next().unwrap_or(usize::MAX);
+            let n = chunk.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Decodes `r` to its end: every frame, then the error that ended it.
+    fn decode_all<R: Read>(r: &mut R, ahead: bool) -> (Vec<Frame>, ProtoError) {
+        let mut dec = FrameDecoder::new();
+        let mut frames = Vec::new();
+        loop {
+            let next = if ahead {
+                dec.read_ahead(r)
+            } else {
+                dec.read_from(r)
+            };
+            match next {
+                Ok(frame) => frames.push(frame),
+                Err(e) => return (frames, e),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The read-ahead reader is the exact reader with fewer
+        /// syscalls: over any mixed-codec stream — whole, cut short
+        /// mid-frame, or ending in an oversized header — delivered in
+        /// any pieces, it yields the same frames and the same final
+        /// `Closed` / `Truncated{expected, got}` / `Oversized`.
+        #[test]
+        fn read_ahead_matches_the_exact_reader_under_any_chunking(
+            seed in proptest::prelude::any::<u64>()
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut stream = Vec::new();
+            for _ in 0..rng.gen_range(1..8usize) {
+                let codec = if rng.gen_range(0..2) == 0 { Codec::Json } else { Codec::Binary };
+                stream.extend_from_slice(&encode_frame_as(&arb_frame(&mut rng), codec));
+            }
+            match rng.gen_range(0..3) {
+                0 => {}
+                1 => stream.truncate(rng.gen_range(0..stream.len())),
+                _ => {
+                    let len = (MAX_FRAME + 1 + rng.gen_range(0..1000usize)) as u32;
+                    stream.extend_from_slice(&len.to_be_bytes());
+                    stream.extend_from_slice(&[0u8; 16]);
+                }
+            }
+            let expected = decode_all(&mut Cursor::new(&stream), false);
+            proptest::prop_assert!(matches!(
+                expected.1,
+                ProtoError::Closed | ProtoError::Truncated { .. } | ProtoError::Oversized { .. }
+            ));
+            // One read boundary at every byte offset (a 0-byte read
+            // would be an EOF, not a boundary)...
+            for split in 1..=stream.len() {
+                let got = decode_all(&mut Chunked::new(&stream, vec![split]), true);
+                proptest::prop_assert_eq!(&got, &expected, "split at {}", split);
+            }
+            // ...and random boundaries all the way through, for both
+            // readers (the exact one must not care either).
+            for _ in 0..8 {
+                let chunks: Vec<usize> =
+                    (0..stream.len() + 1).map(|_| rng.gen_range(1..40usize)).collect();
+                for ahead in [true, false] {
+                    let got = decode_all(&mut Chunked::new(&stream, chunks.clone()), ahead);
+                    proptest::prop_assert_eq!(&got, &expected, "chunks {:?}", &chunks);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_shot_reads_take_exactly_one_frame() {
+        // `read_frame` / `read_from` may be called with a fresh decoder
+        // per frame on one stream (tests and the replay harness do), so
+        // they must leave the stream at the next frame boundary.
+        let mut buf = Vec::new();
+        for frame in all_variants() {
+            buf.extend_from_slice(&encode_frame_as(&frame, Codec::Binary));
+        }
+        let mut cur = Cursor::new(buf);
+        for frame in all_variants() {
+            let at = cur.position() as usize;
+            assert_eq!(read_frame(&mut cur).unwrap(), frame);
+            let len = encode_frame_as(&frame, Codec::Binary).len();
+            assert_eq!(cur.position() as usize, at + len, "over-read {frame:?}");
+        }
+        assert_eq!(read_frame(&mut cur).unwrap_err(), ProtoError::Closed);
+    }
+
+    #[test]
+    fn an_exact_read_after_a_read_ahead_drains_the_buffer_first() {
+        let ack = Frame::HelloAck {
+            slots: 2,
+            error: None,
+            epoch: Some(0),
+        };
+        let beat = Frame::Heartbeat { seq: 1 };
+        let mut buf = encode_frame(&ack);
+        buf.extend_from_slice(&encode_frame_as(&beat, Codec::Binary));
+        buf.extend_from_slice(&encode_frame(&Frame::Shutdown));
+        let mut cur = Cursor::new(buf);
+        let mut dec = FrameDecoder::new();
+        // The handshake-handover case: both frames arrive in one read.
+        assert_eq!(dec.read_ahead(&mut cur).unwrap(), ack);
+        assert_eq!(dec.last_codec(), Codec::Json);
+        assert_eq!(cur.position() as usize, cur.get_ref().len(), "read ahead");
+        assert_eq!(dec.read_from(&mut cur).unwrap(), beat);
+        assert_eq!(dec.last_codec(), Codec::Binary);
+        assert_eq!(dec.read_ahead(&mut cur).unwrap(), Frame::Shutdown);
+        assert_eq!(dec.read_from(&mut cur).unwrap_err(), ProtoError::Closed);
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! legacy blob parser.
 
 use std::io::{BufReader, BufWriter, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
@@ -155,27 +155,88 @@ fn corrupt(msg: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
-/// One line of the snapshot WAL (owned, for reading; the write path
-/// builds the externally-tagged [`serde::Value`] by hand via
-/// [`tagged`], so no record is cloned on save).
+/// The header line's payload: format version plus the run's seed.
+#[derive(Serialize, Deserialize)]
+struct WalHeader {
+    version: u32,
+    seed: u64,
+}
+
+/// One line of the snapshot WAL, as read back. The write path prints
+/// the same externally-tagged shape around a *borrowed* payload (see
+/// [`write_record`]), so no record is cloned on save.
 #[derive(Deserialize)]
 enum WalRecord {
-    Header { version: u32, seed: u64 },
+    Header(WalHeader),
     Submission(SubmissionRecord),
     Measurement(Measurement),
 }
 
-/// Wraps a payload in the externally-tagged form the derive reads:
-/// `{"<tag>": payload}`.
-fn tagged(tag: &str, payload: serde::Value) -> serde::Value {
-    let mut m = serde::Map::new();
-    m.insert(tag.to_string(), payload);
-    serde::Value::Object(m)
+/// Writes one WAL line: `<fnv1a hex>\t{"<tag>":<payload>}\n`, the
+/// payload streamed through [`Serialize::write_json`] into `scratch`
+/// (cleared first; callers keep it to reuse its capacity).
+fn write_record(
+    w: &mut impl Write,
+    scratch: &mut String,
+    tag: &str,
+    payload: &impl Serialize,
+) -> std::io::Result<()> {
+    scratch.clear();
+    scratch.push_str("{\"");
+    scratch.push_str(tag);
+    scratch.push_str("\":");
+    payload.write_json(scratch);
+    scratch.push('}');
+    writeln!(w, "{:016x}\t{scratch}", fnv1a(scratch.as_bytes()))
 }
 
-fn write_record(w: &mut impl Write, record: &serde::Value) -> std::io::Result<()> {
-    let payload = serde_json::to_string(record)?;
-    writeln!(w, "{:016x}\t{payload}", fnv1a(payload.as_bytes()))
+/// Writes the header line every WAL starts with.
+fn write_header(w: &mut impl Write, scratch: &mut String, seed: u64) -> std::io::Result<()> {
+    let header = WalHeader {
+        version: WAL_VERSION,
+        seed,
+    };
+    write_record(w, scratch, "Header", &header)
+}
+
+/// Writes a whole snapshot in WAL order: header, submissions in
+/// dispatch order, measurements in completion order.
+fn write_snapshot(w: &mut impl Write, snapshot: &RunSnapshot) -> std::io::Result<()> {
+    let mut scratch = String::new();
+    write_header(w, &mut scratch, snapshot.seed)?;
+    for s in &snapshot.submissions {
+        write_record(w, &mut scratch, "Submission", s)?;
+    }
+    for m in &snapshot.measurements {
+        write_record(w, &mut scratch, "Measurement", m)?;
+    }
+    Ok(())
+}
+
+/// Where [`replace_wal`] stages the rewritten log before the rename.
+fn staging_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".tmp");
+    PathBuf::from(name)
+}
+
+/// Replaces the WAL at `path` with `snapshot` without ever exposing a
+/// state in which records `path` held are gone: the new log is written
+/// beside it (`<path>.tmp`, through `sink`), flushed, and renamed over
+/// the original. A failure or a kill part-way leaves `path` untouched
+/// and at most a torn `.tmp`, which nothing reads and the next rewrite
+/// overwrites.
+fn replace_wal<W: Write>(
+    path: &Path,
+    snapshot: &RunSnapshot,
+    sink: impl FnOnce(std::fs::File) -> W,
+) -> std::io::Result<()> {
+    let staged = staging_path(path);
+    let mut w = sink(std::fs::File::create(&staged)?);
+    write_snapshot(&mut w, snapshot)?;
+    w.flush()?;
+    drop(w);
+    std::fs::rename(&staged, path)
 }
 
 /// Parses one WAL line: verifies the checksum prefix, then decodes the
@@ -205,18 +266,8 @@ impl RunSnapshot {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        let file = std::fs::File::create(path)?;
-        let mut w = BufWriter::new(file);
-        let mut header = serde::Map::new();
-        header.insert("version".to_string(), Serialize::to_value(&WAL_VERSION));
-        header.insert("seed".to_string(), Serialize::to_value(&self.seed));
-        write_record(&mut w, &tagged("Header", serde::Value::Object(header)))?;
-        for s in &self.submissions {
-            write_record(&mut w, &tagged("Submission", Serialize::to_value(s)))?;
-        }
-        for m in &self.measurements {
-            write_record(&mut w, &tagged("Measurement", Serialize::to_value(m)))?;
-        }
+        let mut w = BufWriter::new(std::fs::File::create(path)?);
+        write_snapshot(&mut w, self)?;
         w.flush()
     }
 
@@ -253,10 +304,11 @@ impl RunSnapshot {
         }
         let mut records = records.into_iter();
         let seed = match records.next() {
-            Some(WalRecord::Header { version, seed }) if version == WAL_VERSION => seed,
-            Some(WalRecord::Header { version, .. }) => {
+            Some(WalRecord::Header(h)) if h.version == WAL_VERSION => h.seed,
+            Some(WalRecord::Header(h)) => {
                 return Err(corrupt(format!(
-                    "snapshot WAL version {version} not supported (expected {WAL_VERSION})"
+                    "snapshot WAL version {} not supported (expected {WAL_VERSION})",
+                    h.version
                 )))
             }
             _ => return Err(corrupt("snapshot WAL has no valid header line".into())),
@@ -268,7 +320,7 @@ impl RunSnapshot {
         };
         for record in records {
             match record {
-                WalRecord::Header { .. } => {
+                WalRecord::Header(_) => {
                     return Err(corrupt("snapshot WAL has a duplicate header".into()))
                 }
                 WalRecord::Submission(s) => snapshot.submissions.push(s),
@@ -296,6 +348,9 @@ impl RunSnapshot {
 /// so a clean exit never loses records.
 pub struct WalWriter {
     w: BufWriter<std::fs::File>,
+    /// Reused line buffer: a record is streamed into it, checksummed and
+    /// written, with no allocation once it has grown to a record's size.
+    scratch: String,
     auto_flush: bool,
     sync_on_flush: bool,
     /// Records appended since the last flush.
@@ -312,45 +367,45 @@ impl std::fmt::Debug for WalWriter {
 }
 
 impl WalWriter {
-    /// Creates (truncating) the WAL at `path` and writes the header
-    /// line for `seed`.
-    pub fn create(path: &Path, seed: u64) -> std::io::Result<Self> {
-        Self::create_from(
-            path,
-            &RunSnapshot {
-                seed,
-                submissions: Vec::new(),
-                measurements: Vec::new(),
-            },
-        )
-    }
-
-    /// Creates the WAL at `path` pre-populated with `snapshot`'s
-    /// records — compaction for a recovered study: rewrite what was
-    /// loaded, then keep appending.
-    pub fn create_from(path: &Path, snapshot: &RunSnapshot) -> std::io::Result<Self> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let file = std::fs::File::create(path)?;
-        let mut w = BufWriter::new(file);
-        let mut header = serde::Map::new();
-        header.insert("version".to_string(), Serialize::to_value(&WAL_VERSION));
-        header.insert("seed".to_string(), Serialize::to_value(&snapshot.seed));
-        write_record(&mut w, &tagged("Header", serde::Value::Object(header)))?;
-        for s in &snapshot.submissions {
-            write_record(&mut w, &tagged("Submission", Serialize::to_value(s)))?;
-        }
-        for m in &snapshot.measurements {
-            write_record(&mut w, &tagged("Measurement", Serialize::to_value(m)))?;
-        }
-        w.flush()?;
-        Ok(Self {
-            w,
+    fn over(file: std::fs::File) -> Self {
+        Self {
+            w: BufWriter::new(file),
+            scratch: String::new(),
             auto_flush: true,
             sync_on_flush: false,
             dirty: 0,
-        })
+        }
+    }
+
+    /// Creates (truncating) the WAL at `path` and writes the header
+    /// line for `seed`.
+    pub fn create(path: &Path, seed: u64) -> std::io::Result<Self> {
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
+        let mut wal = Self::over(std::fs::File::create(path)?);
+        write_header(&mut wal.w, &mut wal.scratch, seed)?;
+        wal.w.flush()?;
+        Ok(wal)
+    }
+
+    /// Opens the WAL at `path` holding exactly `snapshot`'s records —
+    /// compaction for a recovered study: rewrite what was loaded, then
+    /// keep appending. The rewrite goes through a staging file and a
+    /// rename, so the records `path` already held stay on disk until
+    /// the compacted log has replaced them whole; a kill in between
+    /// loses nothing. An empty snapshot has nothing to protect and
+    /// takes [`WalWriter::create`]'s direct path.
+    pub fn create_from(path: &Path, snapshot: &RunSnapshot) -> std::io::Result<Self> {
+        if snapshot.submissions.is_empty() && snapshot.measurements.is_empty() {
+            return Self::create(path, snapshot.seed);
+        }
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
+        replace_wal(path, snapshot, BufWriter::new)?;
+        let file = std::fs::OpenOptions::new().append(true).open(path)?;
+        Ok(Self::over(file))
     }
 
     /// Chooses between flush-per-append (`true`, the default) and
@@ -391,17 +446,16 @@ impl WalWriter {
 
     /// Appends one submission line (flushing under auto-flush).
     pub fn append_submission(&mut self, s: &SubmissionRecord) -> std::io::Result<()> {
-        write_record(&mut self.w, &tagged("Submission", Serialize::to_value(s)))?;
-        self.dirty += 1;
-        if self.auto_flush {
-            self.flush()?;
-        }
-        Ok(())
+        self.append("Submission", s)
     }
 
     /// Appends one measurement line (flushing under auto-flush).
     pub fn append_measurement(&mut self, m: &Measurement) -> std::io::Result<()> {
-        write_record(&mut self.w, &tagged("Measurement", Serialize::to_value(m)))?;
+        self.append("Measurement", m)
+    }
+
+    fn append(&mut self, tag: &str, payload: &impl Serialize) -> std::io::Result<()> {
+        write_record(&mut self.w, &mut self.scratch, tag, payload)?;
         self.dirty += 1;
         if self.auto_flush {
             self.flush()?;
@@ -681,6 +735,65 @@ mod tests {
         assert_eq!(back.submissions, fixture.submissions);
         assert_eq!(back.measurements.len(), 4);
         assert_eq!(back.measurements[3].finished_at, 99.0);
+    }
+
+    /// A sink that takes `budget` bytes and then fails — a disk filling
+    /// up, or a kill, part-way through a rewrite.
+    struct FailAfter<W> {
+        inner: W,
+        budget: usize,
+    }
+
+    impl<W: Write> Write for FailAfter<W> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                return Err(std::io::Error::other("sink failed mid-rewrite"));
+            }
+            let n = self.inner.write(&buf[..buf.len().min(self.budget)])?;
+            self.budget -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    #[test]
+    fn a_failed_compaction_leaves_the_wal_it_was_compacting_intact() {
+        let fixture = snapshot_fixture(6);
+        let path = temp_wal("torn-compaction");
+        fixture.save(&path).unwrap();
+        let original = std::fs::read(&path).unwrap();
+        let recovered = RunSnapshot::load(&path).unwrap();
+        // The rewrite dies half-way: the booked records must still be
+        // where recovery found them, byte for byte.
+        let err = replace_wal(&path, &recovered, |file| FailAfter {
+            inner: file,
+            budget: original.len() / 2,
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("mid-rewrite"), "{err}");
+        assert!(
+            std::fs::read(&path).unwrap() == original,
+            "the WAL being compacted changed"
+        );
+        let torn = std::fs::read(staging_path(&path)).unwrap();
+        assert_eq!(torn.len(), original.len() / 2, "only the staging file tore");
+        // The next compaction overwrites the torn staging file and
+        // renames it away; the log it leaves is the same log.
+        let mut w = WalWriter::create_from(&path, &recovered).unwrap();
+        assert!(!staging_path(&path).exists());
+        assert!(
+            std::fs::read(&path).unwrap() == original,
+            "compacting a compact log rewrites the same bytes"
+        );
+        w.append_measurement(&measurement(1, 0.33, 99.0)).unwrap();
+        drop(w);
+        let back = RunSnapshot::load(&path).unwrap();
+        cleanup(&path);
+        assert_eq!(back.submissions, fixture.submissions);
+        assert_eq!(back.measurements.len(), 7, "appends land behind the rename");
     }
 
     #[test]

@@ -64,6 +64,10 @@ fn keys(ms: &[Measurement]) -> Vec<(Config, usize, u64, u64, u64, u64)> {
 /// mirroring `hypertune-worker`'s `multi_study` branch: every dispatch
 /// is a [`ServiceJob`] carrying its own benchmark coordinates.
 fn spawn_fleet_worker() -> String {
+    spawn_fleet_worker_with_slots(1)
+}
+
+fn spawn_fleet_worker_with_slots(slots: usize) -> String {
     use hypertune::cluster::EvalFn;
     use serde::{Deserialize, Value};
 
@@ -72,6 +76,7 @@ fn spawn_fleet_worker() -> String {
     let opts = WorkerOptions {
         heartbeat_interval: Duration::from_millis(50),
         once: true,
+        slots,
         ..WorkerOptions::default()
     };
     std::thread::spawn(move || {
@@ -267,6 +272,66 @@ fn restart_drill_recovers_every_tenant_exactly_once() {
     assert_eq!(
         per_tenant.iter().filter(|(t, _)| t.is_some()).count() as u64,
         STUDIES
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A scheduler round is one drain (DESIGN.md §17.3): on a saturated
+/// multi-slot fleet the driver is the bottleneck, so results pile up
+/// while it books and a round carries several of them — one WAL commit
+/// covering more than one trial's two records, and a dispatch batch
+/// wider than one. Asserted here, in the library, because the perf
+/// harness's `TimedExecutor` forwards only the required `Executor`
+/// methods and so measures its traced rounds one completion at a time.
+#[test]
+fn saturated_fleet_rounds_carry_more_than_one_completion() {
+    const STUDIES: u64 = 4;
+    const EVALS: usize = 400;
+    let dir = unique_dir("batched-rounds");
+    let addrs: Vec<String> = (0..2).map(|_| spawn_fleet_worker_with_slots(8)).collect();
+    let cluster: TcpCluster<ServiceJob, Eval> = TcpCluster::connect(
+        &addrs,
+        json!({ "multi_study": true }),
+        TcpClusterOptions::default(),
+    )
+    .expect("loopback connect");
+    assert_eq!(cluster.n_workers(), 16);
+    let telemetry = Telemetry::new().build();
+    let config = ServiceConfig::new()
+        .with_state_dir(&dir)
+        .with_telemetry(telemetry.clone());
+    let mut svc = TuningService::new(cluster, resolver(), config).unwrap();
+    for i in 0..STUDIES {
+        let spec = StudySpec::new(format!("t{i}"), "counting-ones-small", MethodKind::ARandom)
+            .with_seed(i)
+            .with_max_evals(EVALS)
+            .with_max_in_flight(8);
+        svc.create_study(spec).unwrap();
+    }
+    svc.drain().unwrap();
+    for h in svc.handles() {
+        assert_eq!(svc.status(h), Some(StudyStatus::Completed));
+        assert_eq!(svc.completed(h), EVALS);
+    }
+
+    let seen = telemetry.snapshot().expect("telemetry is on");
+    let groups = seen
+        .histogram("wal.group_commit.records")
+        .expect("commits were recorded");
+    assert!(
+        groups.mean() > 2.0,
+        "a commit group must span more than one trial: mean {} over {} commits",
+        groups.mean(),
+        groups.count
+    );
+    let batches = seen
+        .histogram("net.batch_size")
+        .expect("dispatch batches were recorded");
+    assert!(
+        batches.mean() > 1.0,
+        "a round must dispatch more than one job: mean {} over {} rounds",
+        batches.mean(),
+        batches.count
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -27,11 +27,11 @@
 //!   logged, so they re-run fresh and **no trial is ever booked
 //!   twice** (the restart drill asserts
 //!   `TraceSummary::duplicated_trials() == 0` per tenant). WAL appends
-//!   group-commit across studies — buffered per study, flushed once
-//!   every [`ServiceConfig::wal_flush_rounds`] scheduler rounds — so a
-//!   kill mid-window widens the set of trials that re-run but never
-//!   the set that double-books; lifecycle sidecar writes always flush
-//!   the WAL first.
+//!   group-commit across studies — buffered per study, flushed once per
+//!   scheduler round over the studies the round touched — so a kill
+//!   mid-round loses only results that were not booked yet, which
+//!   re-run and never double-book; lifecycle sidecar writes always
+//!   flush the WAL first.
 //! - **Retries and quarantine**: failed attempts are re-dispatched up
 //!   to the configured [`RetryPolicy`] budget, then quarantined and fed
 //!   back to the study's method as a failed outcome — the same ladder
@@ -42,9 +42,11 @@
 //!   `TraceSummary::per_tenant` splits it back apart. Counters are
 //!   namespaced `study.<id>.*`.
 //!
-//! The driver loop is deliberately the inline single-study loop
-//! generalized: park-queue requeues first, then fair-share fill, then
-//! block on the next completion and route it home by tenant id.
+//! A scheduler round is one drain: park-queue requeues first, then
+//! fair-share fill, then block for the first completion, take every
+//! other one that is already there
+//! ([`Executor::drain_completions`]), route them home by tenant id in
+//! arrival order, and commit the round's WAL records with one flush.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::io;
@@ -82,20 +84,14 @@ pub struct ServiceConfig {
     pub state_dir: Option<PathBuf>,
     /// Retry budget for failed attempts, shared by all studies.
     pub retry: RetryPolicy,
-    /// WAL group-commit cadence: `0` flushes every record as it is
-    /// appended (the legacy per-record path); `n ≥ 1` buffers appends
-    /// across all studies and flushes once every `n` scheduler rounds
-    /// (default 1 — one flush per round, the bounded-latency knob). A
-    /// kill mid-window loses at most the un-flushed whole-line records,
-    /// which recovery treats exactly like trials that were still in
-    /// flight: they re-run, nothing is ever booked twice. Lifecycle
-    /// transitions (complete/stop) always flush the study's WAL before
-    /// the sidecar is rewritten, so a sidecar can never claim records
-    /// the WAL does not have.
-    pub wal_flush_rounds: usize,
     /// When `true`, every WAL flush also fsyncs (`sync_data`), making
     /// the durability window a storage guarantee rather than an OS-cache
-    /// one. Off by default; group commit is what makes this affordable.
+    /// one. Off by default. The flush cadence itself is not
+    /// configurable: records buffer while a drained batch is booked and
+    /// one flush per scheduler round covers every study the round
+    /// touched. Lifecycle transitions (complete/stop) always flush the
+    /// study's WAL before the sidecar is rewritten, so a sidecar can
+    /// never claim records the WAL does not have.
     pub wal_sync: bool,
     /// Telemetry pipeline; per-study handles are tenant-stamped clones
     /// of this one, so every tenant shares the sinks and ring buffer.
@@ -108,7 +104,6 @@ impl ServiceConfig {
         Self {
             state_dir: None,
             retry: RetryPolicy::default_policy(),
-            wal_flush_rounds: 1,
             wal_sync: false,
             telemetry: TelemetryHandle::disabled(),
         }
@@ -126,12 +121,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the group-commit cadence (see [`ServiceConfig::wal_flush_rounds`]).
-    pub fn with_wal_flush_rounds(mut self, rounds: usize) -> Self {
-        self.wal_flush_rounds = rounds;
-        self
-    }
-
     /// Sets whether WAL flushes also fsync.
     pub fn with_wal_sync(mut self, sync: bool) -> Self {
         self.wal_sync = sync;
@@ -144,9 +133,10 @@ impl ServiceConfig {
         self
     }
 
-    /// Applies this config's flush policy to a study's WAL writer.
+    /// Applies this config's flush policy to a study's WAL writer:
+    /// appends buffer, the service flushes once per round.
     fn configure_wal(&self, wal: &mut WalWriter) {
-        wal.set_auto_flush(self.wal_flush_rounds == 0);
+        wal.set_auto_flush(false);
         wal.set_sync_on_flush(self.wal_sync);
     }
 }
@@ -205,6 +195,8 @@ struct Study {
     /// Tenant-stamped handle; every event this study causes carries its
     /// id.
     telemetry: TelemetryHandle,
+    /// The study's scoped counter names, built once.
+    counters: StudyCounters,
     /// Completed measurements in completion order (the WAL's in-memory
     /// twin; what the equivalence tests fingerprint).
     measurements: Vec<Measurement>,
@@ -297,8 +289,28 @@ fn write_sidecar(dir: &Path, record: &StudyRecord) -> io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-fn scoped(id: u64, name: &str) -> String {
-    format!("study.{id}.{name}")
+/// A study's `study.<id>.trials.*` counter names. Built when the study
+/// is, so the per-trial paths never format a key — least of all for a
+/// telemetry handle that is disabled.
+struct StudyCounters {
+    dispatched: String,
+    completed: String,
+    orphaned: String,
+    retried: String,
+    quarantined: String,
+}
+
+impl StudyCounters {
+    fn new(id: u64) -> Self {
+        let scoped = |name: &str| format!("study.{id}.trials.{name}");
+        Self {
+            dispatched: scoped("dispatched"),
+            completed: scoped("completed"),
+            orphaned: scoped("orphaned"),
+            retried: scoped("retried"),
+            quarantined: scoped("quarantined"),
+        }
+    }
 }
 
 /// The multi-tenant tuning service; see the module docs for the
@@ -316,8 +328,11 @@ pub struct TuningService<E: Executor<ServiceJob, Eval>> {
     /// they requeue ahead of fresh fair-share grants — the same
     /// ordering as the single-study drivers' orphan queue.
     parked: VecDeque<ServiceJob>,
-    /// Scheduler rounds since the last WAL group commit.
-    rounds_since_flush: usize,
+    /// The round's drained completions; kept for its capacity.
+    batch: Vec<PoolResult<ServiceJob, Eval>>,
+    /// Studies whose WAL has buffered records — what the round's one
+    /// flush visits instead of scanning every study.
+    dirty_wals: Vec<u64>,
     /// True while the live fleet sits at zero capacity (every worker
     /// partitioned away). Studies park rather than stall; cleared when
     /// a redial restores capacity.
@@ -356,7 +371,8 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
             next_study_id: 1,
             started: Instant::now(),
             parked: VecDeque::new(),
-            rounds_since_flush: 0,
+            batch: Vec::new(),
+            dirty_wals: Vec::new(),
             fleet_down: false,
             suggest_latencies: Vec::new(),
             latency_cursor: 0,
@@ -445,6 +461,7 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
                 runtime,
                 wal,
                 telemetry,
+                counters: StudyCounters::new(id),
                 measurements: Vec::new(),
                 dispatched: 0,
                 completed: 0,
@@ -538,7 +555,7 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
         if !batch.is_empty() {
             study
                 .telemetry
-                .counter_add(&scoped(id, "trials.dispatched"), batch.len() as u64);
+                .counter_add(&study.counters.dispatched, batch.len() as u64);
         }
         Ok(batch)
     }
@@ -565,6 +582,9 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no study {id}")))?;
         let m = study.runtime.complete_success(spec, eval, now);
         if let Some(wal) = &mut study.wal {
+            if wal.dirty() == 0 {
+                self.dirty_wals.push(id);
+            }
             wal.append_submission(&SubmissionRecord {
                 spec: spec.clone(),
                 value: eval.value,
@@ -585,9 +605,7 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
                 value,
                 cost,
             });
-        study
-            .telemetry
-            .counter_add(&scoped(id, "trials.completed"), 1);
+        study.telemetry.counter_add(&study.counters.completed, 1);
         study.telemetry.histogram_record("trial.cost", cost);
         if study.status == StudyStatus::Running && study.completed >= study.spec.max_evals {
             self.finish_study(id)?;
@@ -731,9 +749,7 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
             study
                 .telemetry
                 .emit_with(now, || Event::LeaseExpired { level, attempt });
-            study
-                .telemetry
-                .counter_add(&scoped(id, "trials.orphaned"), 1);
+            study.telemetry.counter_add(&study.counters.orphaned, 1);
         }
         let kind = failure_kind(status).expect("failure statuses map to a kind");
         if attempt < self.config.retry.max_retries {
@@ -743,9 +759,7 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
                 attempt: next,
                 kind,
             });
-            study
-                .telemetry
-                .counter_add(&scoped(id, "trials.retried"), 1);
+            study.telemetry.counter_add(&study.counters.retried, 1);
             let mut retry = job;
             retry.job.attempt = next;
             self.parked.push_back(retry);
@@ -756,9 +770,7 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
                 bracket,
                 kind,
             });
-            study
-                .telemetry
-                .counter_add(&scoped(id, "trials.quarantined"), 1);
+            study.telemetry.counter_add(&study.counters.quarantined, 1);
             study.dispatched = study.dispatched.saturating_sub(1);
             study.quarantined += 1;
             study.outstanding = study.outstanding.saturating_sub(1);
@@ -767,22 +779,28 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
         Ok(())
     }
 
-    /// One service step: fill, then process one completion. Returns
-    /// `Ok(false)` when the fleet is quiescent and no study has
-    /// dispatchable work.
+    /// One scheduler round: fill, block for the first completion and
+    /// take every other one already there (at most `max` in all), book
+    /// them in arrival order, then commit the round's WAL records with
+    /// one flush. Returns how many completions it processed; `Ok(0)`
+    /// means the fleet is quiescent and no study has dispatchable work.
     ///
     /// # Panics
     ///
     /// Panics if a running study wants work but its method produced
     /// none with nothing in flight — a stalled method, the same
     /// invariant the single-study drivers assert.
-    fn step(&mut self) -> io::Result<bool> {
+    fn step(&mut self, max: usize) -> io::Result<usize> {
         self.fill();
-        match self.executor.next_completion() {
-            Ok(result) => {
-                self.handle_completion(result)?;
-                self.group_commit()?;
-                Ok(true)
+        let mut batch = std::mem::take(&mut self.batch);
+        match self.executor.drain_completions(&mut batch, max) {
+            Ok(n) => {
+                for result in batch.drain(..) {
+                    self.handle_completion(result)?;
+                }
+                self.batch = batch;
+                self.flush_wals()?;
+                Ok(n)
             }
             Err(ClusterError::Quiescent) => {
                 // Nothing more will arrive: close the durability window
@@ -801,40 +819,24 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
                     "service stalled: a running study wants work but its method \
                      produced none with nothing in flight"
                 );
-                Ok(false)
+                Ok(0)
             }
             Err(e) => Err(io::Error::other(format!("executor failed: {e}"))),
         }
     }
 
-    /// Advances the group-commit clock one scheduler round and flushes
-    /// every study's WAL when the cadence comes due. No-op in
-    /// per-record mode (`wal_flush_rounds == 0`): the writers flush
-    /// themselves on append.
-    fn group_commit(&mut self) -> io::Result<()> {
-        if self.config.wal_flush_rounds == 0 {
-            return Ok(());
-        }
-        self.rounds_since_flush += 1;
-        if self.rounds_since_flush >= self.config.wal_flush_rounds {
-            self.flush_wals()?;
-        }
-        Ok(())
-    }
-
-    /// Flushes every study's buffered WAL records in one pass — the
-    /// group commit itself. Emits `wal.group_commit.flushes` and a
-    /// `wal.group_commit.records` histogram (how many records the
+    /// The group commit: flushes the WAL of every study that buffered
+    /// records since the last one. Emits `wal.group_commit.flushes` and
+    /// a `wal.group_commit.records` histogram (how many records the
     /// commit covered) when anything was dirty.
     fn flush_wals(&mut self) -> io::Result<()> {
         let mut records = 0usize;
-        for study in self.studies.values_mut() {
-            if let Some(wal) = &mut study.wal {
+        for id in self.dirty_wals.drain(..) {
+            if let Some(wal) = self.studies.get_mut(&id).and_then(|s| s.wal.as_mut()) {
                 records += wal.dirty();
                 wal.flush()?;
             }
         }
-        self.rounds_since_flush = 0;
         if records > 0 {
             self.config
                 .telemetry
@@ -849,21 +851,23 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
     /// Runs until every study is terminal (completed or stopped) and
     /// the fleet is drained.
     pub fn drain(&mut self) -> io::Result<()> {
-        while self.step()? {}
+        while self.step(usize::MAX)? > 0 {}
         Ok(())
     }
 
     /// Processes up to `n` fleet results (successes and failures both
     /// count — this is the CLI's `run` command and the restart drill's
-    /// "kill mid-run" knob). Returns how many were processed; fewer
-    /// than `n` means the service drained first.
+    /// "kill mid-run" knob). Returns how many were processed — never
+    /// more than `n`, whatever else the fleet already has ready; fewer
+    /// means the service drained first.
     pub fn run_completions(&mut self, n: usize) -> io::Result<usize> {
         let mut done = 0;
         while done < n {
-            if !self.step()? {
+            let processed = self.step(n - done)?;
+            if processed == 0 {
                 break;
             }
-            done += 1;
+            done += processed;
         }
         Ok(done)
     }
@@ -968,6 +972,7 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
                     runtime,
                     wal,
                     telemetry,
+                    counters: StudyCounters::new(id),
                     measurements: snapshot.measurements,
                     dispatched: completed,
                     completed,
@@ -1077,6 +1082,78 @@ mod tests {
 
     fn pool(n: usize) -> ThreadPool<ServiceJob, Eval> {
         ThreadPool::new(n, pool_eval(resolver()))
+    }
+
+    /// An executor that evaluates inside `submit`, so everything
+    /// submitted is ready by the next drain — the deterministic stand-in
+    /// for "the whole fleet finished while the driver was busy".
+    /// `ready` mirrors the queue length for the test to read after the
+    /// service has taken ownership.
+    struct ReadyPool {
+        eval: Box<dyn Fn(&ServiceJob) -> Eval>,
+        slots: usize,
+        queue: VecDeque<PoolResult<ServiceJob, Eval>>,
+        ready: Arc<AtomicUsize>,
+    }
+
+    impl ReadyPool {
+        fn new(slots: usize) -> (Self, Arc<AtomicUsize>) {
+            let ready = Arc::new(AtomicUsize::new(0));
+            let pool = Self {
+                eval: Box::new(pool_eval(resolver())),
+                slots,
+                queue: VecDeque::new(),
+                ready: Arc::clone(&ready),
+            };
+            (pool, ready)
+        }
+    }
+
+    impl Executor<ServiceJob, Eval> for ReadyPool {
+        fn submit(&mut self, job: ServiceJob) -> Result<(), ClusterError> {
+            if self.queue.len() >= self.slots {
+                return Err(ClusterError::NoIdleWorker);
+            }
+            let output = Some((self.eval)(&job));
+            self.queue.push_back(PoolResult {
+                job,
+                output,
+                status: JobStatus::Succeeded,
+                worker: 0,
+            });
+            self.ready.store(self.queue.len(), Ordering::SeqCst);
+            Ok(())
+        }
+
+        fn next_completion(&mut self) -> Result<PoolResult<ServiceJob, Eval>, ClusterError> {
+            let r = self.queue.pop_front().ok_or(ClusterError::Quiescent)?;
+            self.ready.store(self.queue.len(), Ordering::SeqCst);
+            Ok(r)
+        }
+
+        fn drain_completions(
+            &mut self,
+            out: &mut Vec<PoolResult<ServiceJob, Eval>>,
+            max: usize,
+        ) -> Result<usize, ClusterError> {
+            let n = max.min(self.queue.len());
+            if n == 0 && max > 0 {
+                return Err(ClusterError::Quiescent);
+            }
+            out.extend(self.queue.drain(..n));
+            self.ready.store(self.queue.len(), Ordering::SeqCst);
+            Ok(n)
+        }
+
+        fn n_workers(&self) -> usize {
+            self.slots
+        }
+
+        fn in_flight(&self) -> usize {
+            self.queue.len()
+        }
+
+        fn set_telemetry(&mut self, _telemetry: TelemetryHandle) {}
     }
 
     fn spec(name: &str, seed: u64) -> StudySpec {
@@ -1245,6 +1322,38 @@ mod tests {
     }
 
     #[test]
+    fn recover_ignores_a_torn_staging_file_beside_an_intact_wal() {
+        // A previous recovery was killed while compacting study `a`'s
+        // WAL: the staging file is half-written, the WAL itself was
+        // never touched (persist::replace_wal). The next recovery must
+        // read the WAL, not the leftovers, and clean them up.
+        let dir = unique_dir("torn-staging");
+        let config = ServiceConfig::new().with_state_dir(&dir);
+        let a;
+        {
+            let mut svc = TuningService::new(pool(2), resolver(), config.clone()).unwrap();
+            a = svc.create_study(spec("a", 13).with_max_evals(6)).unwrap();
+            assert_eq!(svc.run_completions(4).unwrap(), 4);
+        }
+        let wal = wal_path(&dir, a.id());
+        let booked = std::fs::read(&wal).unwrap();
+        let staging = dir.join(format!("study-{}.wal.tmp", a.id()));
+        std::fs::write(&staging, &booked[..booked.len() / 3]).unwrap();
+
+        let mut svc = TuningService::new(pool(2), resolver(), config).unwrap();
+        assert_eq!(svc.recover().unwrap().len(), 1);
+        assert_eq!(svc.completed(a), 4, "carried == booked");
+        assert!(!staging.exists(), "the compaction replaced the leftovers");
+        let compacted = RunSnapshot::load(&wal).unwrap();
+        assert_eq!(compacted.measurements.len(), 4);
+        assert_eq!(compacted.submissions.len(), 4);
+        svc.drain().unwrap();
+        assert_eq!(svc.status(a), Some(StudyStatus::Completed));
+        assert_eq!(svc.completed(a), 6);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn recover_leaves_stopped_studies_stopped() {
         let dir = unique_dir("stopped");
         let config = ServiceConfig::new().with_state_dir(&dir);
@@ -1266,31 +1375,43 @@ mod tests {
 
     #[test]
     fn group_commit_recovery_never_double_books() {
-        // Same drill as recover_resumes_unfinished_studies but with a
-        // wide group-commit window (and fsync on flush): recovery must
-        // still book every study to exactly its budget — a lost WAL
-        // tail re-runs trials, it never duplicates them.
+        // Same drill as recover_resumes_unfinished_studies, but on a
+        // fleet whose four slots are all ready at every drain, so one
+        // commit group spans several trials (and fsyncs): recovery must
+        // still book every study to exactly its budget — results that
+        // were drained but not booked re-run, nothing is duplicated.
         let dir = unique_dir("group-commit");
+        let telemetry = hypertune_telemetry::Telemetry::new().build();
         let config = ServiceConfig::new()
             .with_state_dir(&dir)
-            .with_wal_flush_rounds(4)
-            .with_wal_sync(true);
+            .with_wal_sync(true)
+            .with_telemetry(telemetry.clone());
         let a;
         let b;
         {
-            let mut svc = TuningService::new(pool(2), resolver(), config.clone()).unwrap();
+            let (fleet, _) = ReadyPool::new(4);
+            let mut svc = TuningService::new(fleet, resolver(), config.clone()).unwrap();
             a = svc.create_study(spec("a", 31).with_max_evals(6)).unwrap();
             b = svc.create_study(spec("b", 32).with_max_evals(6)).unwrap();
-            svc.run_completions(5).unwrap();
-            // Killed here, possibly mid-window; BufWriter's Drop
-            // flushes, mirroring a clean shutdown.
+            assert_eq!(svc.run_completions(5).unwrap(), 5);
+            // Killed here, with three results ready and unbooked.
         }
+        let groups = telemetry.snapshot().expect("telemetry is on");
+        let groups = groups
+            .histogram("wal.group_commit.records")
+            .expect("commits were recorded");
+        assert_eq!(
+            (groups.count, groups.max),
+            (2, 8.0),
+            "rounds of 4 and 1 trials, two records per trial"
+        );
         let mut svc = TuningService::new(pool(2), resolver(), config).unwrap();
         let recovered = svc.recover().unwrap();
         assert_eq!(recovered.len(), 2);
-        assert!(
-            svc.completed(a) <= 6 && svc.completed(b) <= 6,
-            "recovery must never book past the budget"
+        assert_eq!(
+            svc.completed(a) + svc.completed(b),
+            5,
+            "recovery carries exactly what was booked"
         );
         svc.drain().unwrap();
         assert_eq!(svc.status(a), Some(StudyStatus::Completed));
@@ -1303,18 +1424,52 @@ mod tests {
     }
 
     #[test]
-    fn per_record_flush_mode_still_works() {
-        let dir = unique_dir("per-record");
-        let config = ServiceConfig::new()
-            .with_state_dir(&dir)
-            .with_wal_flush_rounds(0);
-        let mut svc = TuningService::new(pool(2), resolver(), config).unwrap();
-        let h = svc
-            .create_study(spec("legacy", 41).with_max_evals(4))
-            .unwrap();
+    fn run_completions_books_exactly_n_of_a_ready_batch() {
+        let dir = unique_dir("exact-n");
+        let config = ServiceConfig::new().with_state_dir(&dir);
+        let (fleet, ready) = ReadyPool::new(8);
+        let mut svc = TuningService::new(fleet, resolver(), config.clone()).unwrap();
+        let wide = |name: &str, seed: u64| {
+            StudySpec::new(name, "counting-ones-small", MethodKind::ARandom)
+                .with_seed(seed)
+                .with_max_evals(10)
+                .with_max_in_flight(4)
+        };
+        let a = svc.create_study(wide("a", 51)).unwrap();
+        let b = svc.create_study(wide("b", 52)).unwrap();
+
+        // The fill puts 8 trials on the fleet and all 8 are ready; the
+        // call must stop at 3 and leave the other 5 where they are.
+        assert_eq!(svc.run_completions(3).unwrap(), 3);
+        assert_eq!(svc.completed(a) + svc.completed(b), 3);
+        assert_eq!(ready.load(Ordering::SeqCst), 5, "5 results left for later");
+        let outstanding: usize = svc.stats().studies.iter().map(|s| s.outstanding).sum();
+        assert_eq!(outstanding, 5, "drained-but-unbooked results do not exist");
+
+        // The next call refills the 3 freed slots and takes 5 of 8.
+        assert_eq!(svc.run_completions(5).unwrap(), 5);
+        assert_eq!(svc.completed(a) + svc.completed(b), 8);
+        assert_eq!(ready.load(Ordering::SeqCst), 3);
+
+        // Killed here: every booked record must be in the WALs (the
+        // round flushed them; `WalWriter`'s drop covers the rest), and
+        // the three ready-but-unbooked results must not be.
+        drop(svc);
+        let (fleet, _) = ReadyPool::new(8);
+        let mut svc = TuningService::new(fleet, resolver(), config).unwrap();
+        svc.recover().unwrap();
+        assert_eq!(svc.completed(a) + svc.completed(b), 8, "carried == booked");
+
         svc.drain().unwrap();
-        assert_eq!(svc.status(h), Some(StudyStatus::Completed));
-        assert_eq!(svc.completed(h), 4);
+        for h in [a, b] {
+            assert_eq!(svc.status(h), Some(StudyStatus::Completed));
+            assert_eq!(svc.measurements(h).len(), 10, "booked exactly once each");
+        }
+        let stats = svc.stats();
+        assert!(stats
+            .studies
+            .iter()
+            .all(|s| s.dispatched == s.completed && s.outstanding == 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -186,6 +186,16 @@ pub mod channel {
             }
         }
 
+        /// Messages sent and not yet received.
+        pub fn len(&self) -> usize {
+            self.shared.queue.lock().unwrap().len()
+        }
+
+        /// `true` when no message is waiting.
+        pub fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut q = self.shared.queue.lock().unwrap();
             if let Some(msg) = q.pop_front() {

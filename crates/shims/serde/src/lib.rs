@@ -3,14 +3,18 @@
 //! Real serde abstracts over data formats; this workspace only ever
 //! serializes to and from JSON, so the shim collapses the data model to a
 //! single [`Value`] tree: [`Serialize`] renders into a `Value`,
-//! [`Deserialize`] reads back out of one. The `serde_json` shim supplies
-//! the text layer (printing, parsing, `json!`). Derive macros compatible
+//! [`Deserialize`] reads back out of one. [`Serialize::write_json`]
+//! prints the compact JSON text of that tree without building it; the
+//! derive and the impls here override it, a hand-written impl inherits a
+//! default that renders [`Serialize::to_value`]. The `serde_json` shim
+//! supplies the rest of the text layer (pretty-printing, parsing,
+//! `json!`). Derive macros compatible
 //! with `#[derive(Serialize, Deserialize)]` and `#[serde(skip)]` come
 //! from the sibling `serde_derive` shim and are re-exported here exactly
 //! like the real crate's `derive` feature.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -220,10 +224,37 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
+/// Appends `s` to `out` as a JSON string literal.
+pub fn write_escaped(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
 /// Renders a value into the JSON [`Value`] tree.
 pub trait Serialize {
     /// The JSON representation of `self`.
     fn to_value(&self) -> Value;
+
+    /// Appends the compact JSON text of `self` to `out`: byte for byte
+    /// what printing [`Serialize::to_value`] gives (object keys in
+    /// sorted order, non-finite floats as `null`). Override it to skip
+    /// the tree; an override that prints anything else is a bug.
+    fn write_json(&self, out: &mut String) {
+        self.to_value().write_json(out);
+    }
 }
 
 /// Reconstructs a value from the JSON [`Value`] tree.
@@ -236,11 +267,39 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
 }
 
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => b.write_json(out),
+            Value::Number(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Value::String(s) => write_escaped(s, out),
+            Value::Array(items) => items.write_json(out),
+            Value::Object(m) => {
+                out.push('{');
+                for (i, (k, v)) in m.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_escaped(k, out);
+                    out.push(':');
+                    v.write_json(out);
+                }
+                out.push('}');
+            }
+        }
     }
 }
 
@@ -254,6 +313,10 @@ impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
 }
 
 impl Deserialize for bool {
@@ -266,11 +329,19 @@ impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::String(self.clone())
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_escaped(self, out);
+    }
 }
 
 impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::String(self.to_string())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_escaped(self, out);
     }
 }
 
@@ -291,6 +362,14 @@ impl Serialize for f64 {
             Value::Null
         }
     }
+
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{}", Number::Float(*self));
+        } else {
+            out.push_str("null");
+        }
+    }
 }
 
 impl Deserialize for f64 {
@@ -302,6 +381,10 @@ impl Deserialize for f64 {
 impl Serialize for f32 {
     fn to_value(&self) -> Value {
         (*self as f64).to_value()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        (*self as f64).write_json(out);
     }
 }
 
@@ -316,6 +399,10 @@ macro_rules! impl_serde_uint {
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::Number(Number::PosInt(*self as u64))
+            }
+
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
             }
         }
         impl Deserialize for $t {
@@ -339,6 +426,10 @@ macro_rules! impl_serde_int {
                     Value::Number(Number::NegInt(i))
                 }
             }
+
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
@@ -352,13 +443,28 @@ impl_serde_int!(i8, i16, i32, i64, isize);
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+        self.as_slice().to_value()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
     }
 }
 
@@ -379,6 +485,13 @@ impl<T: Serialize> Serialize for Option<T> {
             None => Value::Null,
         }
     }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(x) => x.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
@@ -397,6 +510,28 @@ impl<K: ToString, V: Serialize> Serialize for BTreeMap<K, V> {
                 .map(|(k, v)| (k.to_string(), v.to_value()))
                 .collect(),
         )
+    }
+
+    fn write_json(&self, out: &mut String) {
+        // The tree is keyed by the *printed* key, so that is the order
+        // (and the uniqueness: a later twin replaces an earlier one).
+        let mut entries: Vec<(String, &V)> = self.iter().map(|(k, v)| (k.to_string(), v)).collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        out.push('{');
+        let mut first = true;
+        for (i, (k, v)) in entries.iter().enumerate() {
+            if entries.get(i + 1).is_some_and(|next| next.0 == *k) {
+                continue;
+            }
+            if !first {
+                out.push(',');
+            }
+            first = false;
+            write_escaped(k, out);
+            out.push(':');
+            v.write_json(out);
+        }
+        out.push('}');
     }
 }
 

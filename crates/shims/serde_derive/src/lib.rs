@@ -7,6 +7,9 @@
 //! unit) and enums (unit, tuple, struct variants), plus `#[serde(skip)]`
 //! on named struct fields. The JSON layout matches real serde's default
 //! externally-tagged representation so persisted files look conventional.
+//! `Serialize` gets both `to_value` and a streaming `write_json` that
+//! prints the same bytes — object keys sorted here, at expansion time,
+//! the way the `BTreeMap` behind `serde::Map` orders them.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -262,63 +265,129 @@ fn parse_item(input: TokenStream) -> Item {
 
 // ------------------------------------------------------------- generation
 
+/// Statements streaming `{"k":v,...}` for named fields, keys sorted;
+/// `exprs` pairs each field name with the expression borrowing it.
+fn object_json(exprs: &[(&str, String)]) -> String {
+    let mut sorted: Vec<&(&str, String)> = exprs.iter().collect();
+    sorted.sort_by_key(|(name, _)| *name);
+    let mut body = String::from("out.push('{');\n");
+    for (i, (name, expr)) in sorted.into_iter().enumerate() {
+        let comma = if i > 0 { "," } else { "" };
+        body.push_str(&format!(
+            "out.push_str(\"{comma}\\\"{name}\\\":\");\n\
+             serde::Serialize::write_json({expr}, out);\n"
+        ));
+    }
+    body.push_str("out.push('}');\n");
+    body
+}
+
+/// Statements streaming `[a,b,...]` for the given borrow expressions.
+fn array_json(exprs: &[String]) -> String {
+    let mut body = String::from("out.push('[');\n");
+    for (i, expr) in exprs.iter().enumerate() {
+        if i > 0 {
+            body.push_str("out.push(',');\n");
+        }
+        body.push_str(&format!("serde::Serialize::write_json({expr}, out);\n"));
+    }
+    body.push_str("out.push(']');\n");
+    body
+}
+
 fn gen_serialize(item: &Item) -> String {
     match item {
         Item::NamedStruct { name, fields } => {
+            let kept: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
             let mut body = String::from("let mut m = serde::Map::new();\n");
-            for f in fields.iter().filter(|f| !f.skip) {
+            for f in &kept {
                 body.push_str(&format!(
                     "m.insert(\"{0}\".to_string(), serde::Serialize::to_value(&self.{0}));\n",
                     f.name
                 ));
             }
             body.push_str("serde::Value::Object(m)");
-            impl_serialize(name, &body)
+            let exprs: Vec<(&str, String)> = kept
+                .iter()
+                .map(|f| (f.name.as_str(), format!("&self.{}", f.name)))
+                .collect();
+            impl_serialize(name, &body, &object_json(&exprs))
         }
         Item::TupleStruct { name, types } => {
-            let body = match types.len() {
-                0 => "serde::Value::Null".to_string(),
-                1 => "serde::Serialize::to_value(&self.0)".to_string(),
+            let (body, json) = match types.len() {
+                0 => (
+                    "serde::Value::Null".to_string(),
+                    "out.push_str(\"null\");".to_string(),
+                ),
+                1 => (
+                    "serde::Serialize::to_value(&self.0)".to_string(),
+                    "serde::Serialize::write_json(&self.0, out);".to_string(),
+                ),
                 n => {
                     let elems: Vec<String> = (0..n)
                         .map(|i| format!("serde::Serialize::to_value(&self.{i})"))
                         .collect();
-                    format!("serde::Value::Array(vec![{}])", elems.join(", "))
+                    let exprs: Vec<String> = (0..n).map(|i| format!("&self.{i}")).collect();
+                    (
+                        format!("serde::Value::Array(vec![{}])", elems.join(", ")),
+                        array_json(&exprs),
+                    )
                 }
             };
-            impl_serialize(name, &body)
+            impl_serialize(name, &body, &json)
         }
-        Item::UnitStruct { name } => impl_serialize(name, "serde::Value::Null"),
+        Item::UnitStruct { name } => {
+            impl_serialize(name, "serde::Value::Null", "out.push_str(\"null\");")
+        }
         Item::Enum { name, variants } => {
             let mut arms = String::new();
+            let mut json_arms = String::new();
             for v in variants {
                 let vn = &v.name;
                 match &v.shape {
-                    VariantShape::Unit => arms.push_str(&format!(
-                        "{name}::{vn} => serde::Value::String(\"{vn}\".to_string()),\n"
-                    )),
+                    VariantShape::Unit => {
+                        arms.push_str(&format!(
+                            "{name}::{vn} => serde::Value::String(\"{vn}\".to_string()),\n"
+                        ));
+                        json_arms.push_str(&format!(
+                            "{name}::{vn} => out.push_str(\"\\\"{vn}\\\"\"),\n"
+                        ));
+                    }
                     VariantShape::Tuple(types) => {
                         let binds: Vec<String> =
                             (0..types.len()).map(|i| format!("f{i}")).collect();
-                        let payload = if types.len() == 1 {
-                            "serde::Serialize::to_value(f0)".to_string()
+                        let (payload, payload_json) = if types.len() == 1 {
+                            (
+                                "serde::Serialize::to_value(f0)".to_string(),
+                                "serde::Serialize::write_json(f0, out);\n".to_string(),
+                            )
                         } else {
                             let elems: Vec<String> = binds
                                 .iter()
                                 .map(|b| format!("serde::Serialize::to_value({b})"))
                                 .collect();
-                            format!("serde::Value::Array(vec![{}])", elems.join(", "))
+                            (
+                                format!("serde::Value::Array(vec![{}])", elems.join(", ")),
+                                array_json(&binds),
+                            )
                         };
+                        let binds = binds.join(", ");
                         arms.push_str(&format!(
                             "{name}::{vn}({binds}) => {{\n\
                              let mut m = serde::Map::new();\n\
                              m.insert(\"{vn}\".to_string(), {payload});\n\
-                             serde::Value::Object(m)\n}}\n",
-                            binds = binds.join(", ")
+                             serde::Value::Object(m)\n}}\n"
+                        ));
+                        json_arms.push_str(&format!(
+                            "{name}::{vn}({binds}) => {{\n\
+                             out.push_str(\"{{\\\"{vn}\\\":\");\n\
+                             {payload_json}\
+                             out.push('}}');\n}}\n"
                         ));
                     }
                     VariantShape::Named(fields) => {
                         let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                        let binds = binds.join(", ");
                         let mut inner = String::from("let mut inner = serde::Map::new();\n");
                         for f in fields {
                             inner.push_str(&format!(
@@ -330,22 +399,37 @@ fn gen_serialize(item: &Item) -> String {
                             "{name}::{vn} {{ {binds} }} => {{\n{inner}\
                              let mut m = serde::Map::new();\n\
                              m.insert(\"{vn}\".to_string(), serde::Value::Object(inner));\n\
-                             serde::Value::Object(m)\n}}\n",
-                            binds = binds.join(", ")
+                             serde::Value::Object(m)\n}}\n"
+                        ));
+                        let exprs: Vec<(&str, String)> = fields
+                            .iter()
+                            .map(|f| (f.name.as_str(), f.name.clone()))
+                            .collect();
+                        json_arms.push_str(&format!(
+                            "{name}::{vn} {{ {binds} }} => {{\n\
+                             out.push_str(\"{{\\\"{vn}\\\":\");\n\
+                             {}\
+                             out.push('}}');\n}}\n",
+                            object_json(&exprs)
                         ));
                     }
                 }
             }
-            impl_serialize(name, &format!("match self {{\n{arms}\n}}"))
+            impl_serialize(
+                name,
+                &format!("match self {{\n{arms}\n}}"),
+                &format!("match self {{\n{json_arms}\n}}"),
+            )
         }
     }
 }
 
-fn impl_serialize(name: &str, body: &str) -> String {
+fn impl_serialize(name: &str, body: &str, json: &str) -> String {
     format!(
         "#[automatically_derived]\n\
          impl serde::Serialize for {name} {{\n\
-         fn to_value(&self) -> serde::Value {{\n{body}\n}}\n}}\n"
+         fn to_value(&self) -> serde::Value {{\n{body}\n}}\n\
+         fn write_json(&self, out: &mut ::std::string::String) {{\n{json}\n}}\n}}\n"
     )
 }
 

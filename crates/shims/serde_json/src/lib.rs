@@ -4,9 +4,9 @@
 //! derive macros can target it), and a [`json!`] macro covering object /
 //! array / expression literals.
 
-use std::fmt::Write as _;
 use std::io::{Read, Write};
 
+use serde::{write_escaped, Serialize as _};
 pub use serde::{Map, Number, Value};
 
 /// Serialization / deserialization failure.
@@ -53,10 +53,12 @@ pub fn to_value<T: serde::Serialize + ?Sized>(v: &T) -> Value {
     v.to_value()
 }
 
-/// Serializes `v` as a compact JSON string.
+/// Serializes `v` as a compact JSON string, streamed through
+/// [`serde::Serialize::write_json`] (no [`Value`] tree for derived
+/// types).
 pub fn to_string<T: serde::Serialize + ?Sized>(v: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_compact(&v.to_value(), &mut out);
+    v.write_json(&mut out);
     Ok(out)
 }
 
@@ -109,57 +111,6 @@ macro_rules! json {
 
 // ------------------------------------------------------------- printing
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_compact(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Number(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::String(s) => write_escaped(s, out),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_compact(item, out);
-            }
-            out.push(']');
-        }
-        Value::Object(m) => {
-            out.push('{');
-            for (i, (k, val)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_escaped(k, out);
-                out.push(':');
-                write_compact(val, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
 fn indent(depth: usize, out: &mut String) {
     for _ in 0..depth {
         out.push_str("  ");
@@ -196,7 +147,7 @@ fn write_pretty(v: &Value, depth: usize, out: &mut String) {
             indent(depth, out);
             out.push('}');
         }
-        other => write_compact(other, out),
+        other => other.write_json(out),
     }
 }
 

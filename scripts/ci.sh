@@ -166,7 +166,7 @@ grep -q "; 0 duplicated" target/partition-report.out
 grep -qE "reconnects: [1-9]" target/partition-report.out
 grep -q "blackhole" target/partition-report.out
 
-step "net-bench smoke (wire-overhead matrix + WAL group commit)"
+step "net-bench smoke (wire-overhead matrix + WAL durability)"
 # A scaled-down pass of the data-plane bench behind BENCH_net.json:
 # every (codec x slots) cell and every WAL durability config must run
 # to completion and write a report.
@@ -175,7 +175,7 @@ cargo run --release -q -p hypertune-bench --offline --bin net-bench -- \
   2> target/net-bench-smoke.err > target/net-bench-smoke.out
 grep -q "wrote target/bench-net-smoke.json" target/net-bench-smoke.out
 grep -q "speedup_binary8_vs_json1" target/bench-net-smoke.json
-grep -q "speedup_group_vs_per_record_fsync" target/bench-net-smoke.json
+grep -q "fsync_over_buffered" target/bench-net-smoke.json
 
 step "multi-tenant service smoke (8 studies, stop + kill + resume, per-study exactly-once)"
 # Eight concurrent studies fair-shared over one in-process pool. One
