@@ -169,10 +169,11 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(count.max(1));
+    // Asked on every model-based `sample`, mostly with nothing stale.
+    if count == 0 {
+        return Vec::new();
+    }
+    let threads = hypertune_surrogate::available_threads().min(count);
     if threads <= 1 {
         return (0..count).map(f).collect();
     }
@@ -326,7 +327,13 @@ fn level_predictions(
     if full.len() < MIN_FULL_EVALS {
         return None;
     }
-    let xs_full: Vec<Vec<f64>> = full.iter().map(|m| space.encode(&m.config)).collect();
+    // The `D_K` configurations as one row-major matrix: every level's
+    // forest and every cross-validation fold reads rows out of it.
+    let dim = space.len();
+    let mut rows_full = Vec::with_capacity(full.len() * dim);
+    for m in full {
+        space.encode_into(&m.config, &mut rows_full);
+    }
     let ys: Vec<f64> = full.iter().map(|m| m.value).collect();
 
     // Fit the lower levels whose data changed since the cache entry was
@@ -360,6 +367,7 @@ fn level_predictions(
     }
 
     let nk = full.len();
+    let mut level_preds = Vec::new();
     let mut preds: Vec<Option<Vec<f64>>> = Vec::with_capacity(top + 1);
     for level in 0..top {
         let n_level = history.len_at(level);
@@ -371,9 +379,8 @@ fn level_predictions(
             Some((pn, pnk, p)) if *pn == n_level && *pnk == nk => Some(p.clone()),
             _ => {
                 let fresh: Option<Vec<f64>> = cache.models.get(&level).and_then(|(_, rf)| {
-                    rf.predict_batch(&xs_full)
-                        .ok()
-                        .map(|ps| ps.into_iter().map(|p| p.mean).collect())
+                    rf.predict_rows(&rows_full, dim, &mut level_preds).ok()?;
+                    Some(level_preds.iter().map(|p| p.mean).collect())
                 });
                 match &fresh {
                     Some(v) => {
@@ -390,7 +397,7 @@ fn level_predictions(
     }
 
     if cache.cv.as_ref().map(|(n, _)| *n) != Some(nk) {
-        cache.cv = cross_val_predictions(&xs_full, &ys, seed).map(|p| (nk, p));
+        cache.cv = cross_val_predictions(&rows_full, dim, &ys, seed).map(|p| (nk, p));
     }
     preds.push(cache.cv.as_ref().map(|(_, p)| p.clone()));
     Some(LevelPredictions { preds, ys })
@@ -399,11 +406,12 @@ fn level_predictions(
 /// 5-fold cross-validated predictions of the top-level surrogate on its
 /// own training data (the paper's treatment of `M_K` in Eq. 1). Folds are
 /// independent and run on scoped threads when cores allow.
-fn cross_val_predictions(xs: &[Vec<f64>], ys: &[f64], seed: u64) -> Option<Vec<f64>> {
-    let n = xs.len();
+fn cross_val_predictions(rows: &[f64], dim: usize, ys: &[f64], seed: u64) -> Option<Vec<f64>> {
+    let n = ys.len();
     if n < MIN_FULL_EVALS {
         return None;
     }
+    let row = |i: usize| &rows[i * dim..(i + 1) * dim];
     let folds = 5.min(n);
     let fold_preds: Vec<Option<Vec<(usize, f64)>>> = run_indexed(folds, |fold| {
         let train_idx: Vec<usize> = (0..n).filter(|i| i % folds != fold).collect();
@@ -411,12 +419,13 @@ fn cross_val_predictions(xs: &[Vec<f64>], ys: &[f64], seed: u64) -> Option<Vec<f
         if train_idx.is_empty() || test_idx.is_empty() {
             return Some(Vec::new());
         }
-        let tx: Vec<Vec<f64>> = train_idx.iter().map(|&i| xs[i].clone()).collect();
+        let tx: Vec<Vec<f64>> = train_idx.iter().map(|&i| row(i).to_vec()).collect();
         let ty: Vec<f64> = train_idx.iter().map(|&i| ys[i]).collect();
         let mut rf = RandomForest::new(seed ^ 0xcf ^ (fold as u64) << 16);
         rf.fit(&tx, &ty).ok()?;
-        let test_x: Vec<Vec<f64>> = test_idx.iter().map(|&i| xs[i].clone()).collect();
-        let ps = rf.predict_batch(&test_x).ok()?;
+        let test_rows: Vec<f64> = test_idx.iter().flat_map(|&i| row(i)).copied().collect();
+        let mut ps = Vec::new();
+        rf.predict_rows(&test_rows, dim, &mut ps).ok()?;
         Some(
             test_idx
                 .into_iter()

@@ -121,17 +121,42 @@ impl ConfigSpace {
 
     /// Fallible variant of [`ConfigSpace::encode`].
     pub fn try_encode(&self, config: &Config) -> Result<Vec<f64>, SpaceError> {
+        let mut x = Vec::with_capacity(self.len());
+        self.try_encode_into(config, &mut x)?;
+        Ok(x)
+    }
+
+    /// Appends the encoding of `config` — [`ConfigSpace::len`] unit-cube
+    /// coordinates — to `out`, so a caller encoding many configurations
+    /// builds one flat row-major matrix instead of a `Vec` per row.
+    ///
+    /// Panics if the config does not belong to this space, like
+    /// [`ConfigSpace::encode`].
+    pub fn encode_into(&self, config: &Config, out: &mut Vec<f64>) {
+        self.try_encode_into(config, out)
+            .expect("config does not belong to this space")
+    }
+
+    /// Fallible variant of [`ConfigSpace::encode_into`]; `out` is left as
+    /// it was on error.
+    pub fn try_encode_into(&self, config: &Config, out: &mut Vec<f64>) -> Result<(), SpaceError> {
         if config.len() != self.len() {
             return Err(SpaceError::DimensionMismatch {
                 expected: self.len(),
                 actual: config.len(),
             });
         }
-        self.params
-            .iter()
-            .zip(config.values())
-            .map(|(p, v)| p.to_unit(v))
-            .collect()
+        let start = out.len();
+        for (p, v) in self.params.iter().zip(config.values()) {
+            match p.to_unit(v) {
+                Ok(u) => out.push(u),
+                Err(e) => {
+                    out.truncate(start);
+                    return Err(e);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Decodes a unit-cube point into a configuration.

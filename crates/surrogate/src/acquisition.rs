@@ -92,12 +92,47 @@ impl Default for MaximizeConfig {
     }
 }
 
+/// Encodes candidate batches into one flat row-major matrix and pushes
+/// them through the model's batch primitive, keeping the matrix and the
+/// prediction buffer alive across batches — a maximization sends dozens
+/// of 8-candidate batches after its one big random sweep.
+struct BatchScorer<'a> {
+    space: &'a ConfigSpace,
+    model: &'a dyn Predictor,
+    /// Encodings of the last batch, `space.len()` columns per candidate.
+    rows: Vec<f64>,
+    /// Predictions of the last batch, in candidate order.
+    preds: Vec<Prediction>,
+}
+
+impl<'a> BatchScorer<'a> {
+    fn new(space: &'a ConfigSpace, model: &'a dyn Predictor) -> Self {
+        Self {
+            space,
+            model,
+            rows: Vec::new(),
+            preds: Vec::new(),
+        }
+    }
+
+    /// Predicts `cands` into `self.preds` (and leaves their encodings in
+    /// `self.rows`).
+    fn predict(&mut self, cands: &[Config]) -> Result<(), SurrogateError> {
+        self.rows.clear();
+        for c in cands {
+            self.space.encode_into(c, &mut self.rows);
+        }
+        self.model
+            .predict_rows(&self.rows, self.space.len(), &mut self.preds)
+    }
+}
+
 /// Maximizes `acq` under `model`, returning the best configuration found
 /// and its acquisition value.
 ///
 /// `incumbents` should contain the best observed configurations (ordered
 /// or not); `best_y` is the best (lowest) observed objective. Candidates
-/// are scored in unit-cube encoding via `space.encode`.
+/// are scored in unit-cube encoding via `space.encode_into`.
 pub fn maximize<R: Rng + ?Sized>(
     space: &ConfigSpace,
     model: &dyn Predictor,
@@ -109,13 +144,9 @@ pub fn maximize<R: Rng + ?Sized>(
 ) -> Result<(Config, f64), SurrogateError> {
     // Candidate generation is separated from scoring: candidates are drawn
     // first (advancing `rng` exactly as per-point scoring did), encoded
-    // once, and pushed through the model's batch path — tree-major for
+    // once, and pushed through the model's batch path — lockstep for
     // forests, member-major for ensembles.
-    let score_batch = |cands: &[Config]| -> Result<Vec<f64>, SurrogateError> {
-        let encoded: Vec<Vec<f64>> = cands.iter().map(|c| space.encode(c)).collect();
-        let preds = model.predict_batch(&encoded)?;
-        Ok(preds.into_iter().map(|p| acq.score(p, best_y)).collect())
-    };
+    let mut scorer = BatchScorer::new(space, model);
 
     let mut best: Option<(Config, f64)> = None;
     let consider = |c: Config, s: f64, best: &mut Option<(Config, f64)>| {
@@ -128,9 +159,9 @@ pub fn maximize<R: Rng + ?Sized>(
     let randoms: Vec<Config> = (0..config.n_random.max(1))
         .map(|_| space.sample(rng))
         .collect();
-    let random_scores = score_batch(&randoms)?;
-    for (c, s) in randoms.into_iter().zip(random_scores) {
-        consider(c, s, &mut best);
+    scorer.predict(&randoms)?;
+    for (c, p) in randoms.into_iter().zip(&scorer.preds) {
+        consider(c, acq.score(*p, best_y), &mut best);
     }
 
     // Local phase: hill-climb from each incumbent, scoring each step's
@@ -138,12 +169,14 @@ pub fn maximize<R: Rng + ?Sized>(
     // in generation order, matching the sequential search exactly.
     for start in incumbents.iter().take(config.n_local_starts) {
         let mut current = (*start).clone();
-        let mut current_score = score_batch(std::slice::from_ref(&current))?[0];
+        scorer.predict(std::slice::from_ref(&current))?;
+        let mut current_score = acq.score(scorer.preds[0], best_y);
         for _ in 0..config.local_steps {
             let cands = neighbors::neighbors(space, &current, config.neighbors_per_step, rng);
-            let scores = score_batch(&cands)?;
+            scorer.predict(&cands)?;
             let mut improved = false;
-            for (cand, s) in cands.into_iter().zip(scores) {
+            for (cand, p) in cands.into_iter().zip(&scorer.preds) {
+                let s = acq.score(*p, best_y);
                 if s > current_score {
                     current = cand;
                     current_score = s;
@@ -251,49 +284,38 @@ impl BatchMaximizer {
             rescore_ops: 0,
             reference: false,
         };
-        // Scratch buffers reused across every expansion below — the
-        // local-search loop would otherwise allocate a fresh encoding
-        // matrix and prediction vector per hill-climbing step.
-        let mut enc_scratch: Vec<Vec<f64>> = Vec::new();
-        let mut pred_scratch: Vec<Prediction> = Vec::new();
-        let predict_into = |cands: Vec<Config>,
-                            pool: &mut Self,
-                            enc: &mut Vec<Vec<f64>>,
-                            preds: &mut Vec<Prediction>|
-         -> Result<usize, SurrogateError> {
-            enc.clear();
-            enc.extend(cands.iter().map(|c| space.encode(c)));
-            model.predict_batch_into(enc, preds)?;
-            let first = pool.configs.len();
-            for ((config, encoded), base) in cands.into_iter().zip(enc.drain(..)).zip(preds.iter())
-            {
-                pool.push_entry(config, encoded, *base);
-            }
-            Ok(first)
-        };
+        // One encoding matrix and one prediction buffer serve every
+        // expansion below — the local-search loop would otherwise allocate
+        // a fresh pair per hill-climbing step.
+        let mut scorer = BatchScorer::new(space, model);
+        let mut predict_into =
+            |cands: Vec<Config>, pool: &mut Self| -> Result<usize, SurrogateError> {
+                scorer.predict(&cands)?;
+                let first = pool.configs.len();
+                let encoded = scorer.rows.chunks_exact(space.len().max(1));
+                for ((config, encoded), base) in cands.into_iter().zip(encoded).zip(&scorer.preds) {
+                    pool.push_entry(config, encoded, *base);
+                }
+                Ok(first)
+            };
 
         // Random phase.
         let randoms: Vec<Config> = (0..config.n_random.max(1))
             .map(|_| space.sample(rng))
             .collect();
-        predict_into(randoms, &mut pool, &mut enc_scratch, &mut pred_scratch)?;
+        predict_into(randoms, &mut pool)?;
 
         // Local phase: hill-climb under the base model exactly as
         // `maximize` does, but keep every visited candidate — each one is
         // already predicted, and a runner-up on the base landscape is
         // often the argmax once liars penalize the leader's neighborhood.
         for start in incumbents.iter().take(config.n_local_starts) {
-            let i = predict_into(
-                vec![(*start).clone()],
-                &mut pool,
-                &mut enc_scratch,
-                &mut pred_scratch,
-            )?;
+            let i = predict_into(vec![(*start).clone()], &mut pool)?;
             let mut current = pool.configs[i].clone();
             let mut current_score = acq.score(Prediction::new(pool.means[i], pool.vars[i]), best_y);
             for _ in 0..config.local_steps {
                 let cands = neighbors::neighbors(space, &current, config.neighbors_per_step, rng);
-                let first = predict_into(cands, &mut pool, &mut enc_scratch, &mut pred_scratch)?;
+                let first = predict_into(cands, &mut pool)?;
                 let mut improved = false;
                 for j in first..pool.configs.len() {
                     let s = acq.score(Prediction::new(pool.means[j], pool.vars[j]), best_y);
@@ -339,18 +361,18 @@ impl BatchMaximizer {
             reference: false,
         };
         for (config, encoded, base) in entries {
-            pool.push_entry(config, encoded, base);
+            pool.push_entry(config, &encoded, base);
         }
         pool
     }
 
-    fn push_entry(&mut self, config: Config, encoded: Vec<f64>, base: Prediction) {
+    fn push_entry(&mut self, config: Config, encoded: &[f64], base: Prediction) {
         if self.configs.is_empty() {
             self.dims = encoded.len();
         }
         debug_assert_eq!(encoded.len(), self.dims, "ragged pool encoding");
         self.configs.push(config);
-        self.encoded.extend_from_slice(&encoded);
+        self.encoded.extend_from_slice(encoded);
         self.means.push(base.mean);
         self.vars.push(base.var);
         self.weights.push(0.0);

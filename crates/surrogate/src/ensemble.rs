@@ -13,7 +13,7 @@
 //! already-fitted base surrogates: it implements [`Predictor`] but not
 //! [`crate::SurrogateModel`], since it is never fit on raw data itself.
 
-use crate::model::{Prediction, Predictor, SurrogateError};
+use crate::model::{row_count, Prediction, Predictor, SurrogateError};
 
 /// Weighted-bagging combination of base surrogates.
 pub struct MfEnsemble<'a> {
@@ -68,25 +68,31 @@ impl Predictor for MfEnsemble<'_> {
         Ok(Prediction::new(mean, var))
     }
 
-    fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<Prediction>, SurrogateError> {
+    fn predict_rows(
+        &self,
+        rows: &[f64],
+        dim: usize,
+        out: &mut Vec<Prediction>,
+    ) -> Result<(), SurrogateError> {
         // Member-major: each base surrogate scores the whole batch with its
-        // own fast path (e.g. tree-major forest traversal) before the next
+        // own fast path (e.g. lockstep forest traversal) before the next
         // member runs. Accumulation order per point matches `predict`
         // (member 0, 1, ...), so results are bit-identical.
-        let mut means = vec![0.0; xs.len()];
-        let mut vars = vec![0.0; xs.len()];
+        out.clear();
+        out.resize(row_count(rows, dim)?, Prediction::new(0.0, 0.0));
+        // One buffer for every member's predictions of this batch.
+        let mut member_preds = Vec::new();
         for (model, w) in &self.members {
-            let preds = model.predict_batch(xs)?;
-            for (i, p) in preds.iter().enumerate() {
-                means[i] += w * p.mean;
-                vars[i] += w * w * p.var;
+            model.predict_rows(rows, dim, &mut member_preds)?;
+            for (sum, p) in out.iter_mut().zip(member_preds.iter()) {
+                sum.mean += w * p.mean;
+                sum.var += w * w * p.var;
             }
         }
-        Ok(means
-            .into_iter()
-            .zip(vars)
-            .map(|(m, v)| Prediction::new(m, v))
-            .collect())
+        for sum in out.iter_mut() {
+            *sum = Prediction::new(sum.mean, sum.var);
+        }
+        Ok(())
     }
 }
 

@@ -45,4 +45,4 @@ pub use ensemble::MfEnsemble;
 pub use gp::GaussianProcess;
 pub use model::{Prediction, Predictor, SurrogateError, SurrogateModel};
 pub use penalized::PenalizedPredictor;
-pub use rf::RandomForest;
+pub use rf::{available_threads, RandomForest};

@@ -37,12 +37,20 @@ pub enum SurrogateError {
         /// Number of targets.
         ys: usize,
     },
-    /// Rows of `x` have inconsistent dimensionality.
+    /// Rows of `x` have inconsistent dimensionality, or a flat matrix
+    /// does not divide into rows of the stated width.
     RaggedInput,
     /// A target value is NaN or infinite.
     NonFiniteTarget,
     /// `predict` was called before a successful `fit`.
     NotFitted,
+    /// A query row's width differs from the width the model was fit on.
+    DimensionMismatch {
+        /// Input width of the fitted model.
+        expected: usize,
+        /// Width of the offered query rows.
+        got: usize,
+    },
     /// The kernel matrix was not positive definite even after jitter.
     NumericalFailure(String),
 }
@@ -57,6 +65,12 @@ impl fmt::Display for SurrogateError {
             SurrogateError::RaggedInput => write!(f, "input rows have inconsistent dimensions"),
             SurrogateError::NonFiniteTarget => write!(f, "target values must be finite"),
             SurrogateError::NotFitted => write!(f, "predict called before fit"),
+            SurrogateError::DimensionMismatch { expected, got } => {
+                write!(
+                    f,
+                    "query rows are {got} wide, the model was fit on {expected}"
+                )
+            }
             SurrogateError::NumericalFailure(msg) => write!(f, "numerical failure: {msg}"),
         }
     }
@@ -80,10 +94,24 @@ pub trait SurrogateModel: Send {
     /// `true` once `fit` has succeeded at least once.
     fn is_fitted(&self) -> bool;
 
-    /// Predicts at many query points; the default loops over
-    /// [`SurrogateModel::predict`].
+    /// Predicts every row of a flat row-major matrix (`rows.len() / dim`
+    /// query points, `dim` coordinates each) into `out`, which is cleared
+    /// first. The default loops over [`SurrogateModel::predict`]; models
+    /// with a cheaper batch traversal override it and must return exactly
+    /// the per-point predictions.
+    fn predict_rows(
+        &self,
+        rows: &[f64],
+        dim: usize,
+        out: &mut Vec<Prediction>,
+    ) -> Result<(), SurrogateError> {
+        predict_rows_per_point(|x| self.predict(x), rows, dim, out)
+    }
+
+    /// [`SurrogateModel::predict_rows`] for callers that hold one `Vec`
+    /// per query point: flattens, predicts, returns a fresh vector.
     fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<Prediction>, SurrogateError> {
-        xs.iter().map(|x| self.predict(x)).collect()
+        predict_batch_via_rows(|rows, dim, out| self.predict_rows(rows, dim, out), xs)
     }
 }
 
@@ -98,32 +126,29 @@ pub trait Predictor {
     /// Predicts at one query point.
     fn predict(&self, x: &[f64]) -> Result<Prediction, SurrogateError>;
 
-    /// Predicts at many query points.
+    /// The batch primitive: predicts every row of a flat row-major matrix
+    /// (`rows.len() / dim` query points, `dim` coordinates each) into the
+    /// caller's `out`, which is cleared first — hot loops that predict
+    /// repeatedly (acquisition hill-climbing, pool expansion, θ refreshes)
+    /// keep one matrix and one prediction buffer alive across calls.
     ///
     /// The default loops over [`Predictor::predict`]; implementations with
-    /// a cheaper batch path (tree-major forest traversal, member-wise
+    /// a cheaper batch path (lockstep forest traversal, member-wise
     /// ensemble batching) override it. Must return exactly the same
     /// predictions as the per-point path.
-    fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<Prediction>, SurrogateError> {
-        xs.iter().map(|x| self.predict(x)).collect()
-    }
-
-    /// Predicts at many query points into a caller-provided scratch
-    /// buffer (cleared first), so hot loops that predict repeatedly —
-    /// acquisition hill-climbing, pool re-scoring — reuse one allocation
-    /// instead of producing a fresh `Vec<Prediction>` per call.
-    ///
-    /// The default delegates to [`Predictor::predict_batch`]; wrappers
-    /// that post-process predictions (e.g. constant-liar penalization)
-    /// override it to rewrite the buffer in place.
-    fn predict_batch_into(
+    fn predict_rows(
         &self,
-        xs: &[Vec<f64>],
+        rows: &[f64],
+        dim: usize,
         out: &mut Vec<Prediction>,
     ) -> Result<(), SurrogateError> {
-        out.clear();
-        out.extend(self.predict_batch(xs)?);
-        Ok(())
+        predict_rows_per_point(|x| self.predict(x), rows, dim, out)
+    }
+
+    /// [`Predictor::predict_rows`] for callers that hold one `Vec` per
+    /// query point: flattens, predicts, returns a fresh vector.
+    fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<Prediction>, SurrogateError> {
+        predict_batch_via_rows(|rows, dim, out| self.predict_rows(rows, dim, out), xs)
     }
 }
 
@@ -132,9 +157,61 @@ impl<T: SurrogateModel + ?Sized> Predictor for T {
         SurrogateModel::predict(self, x)
     }
 
-    fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<Prediction>, SurrogateError> {
-        SurrogateModel::predict_batch(self, xs)
+    fn predict_rows(
+        &self,
+        rows: &[f64],
+        dim: usize,
+        out: &mut Vec<Prediction>,
+    ) -> Result<(), SurrogateError> {
+        SurrogateModel::predict_rows(self, rows, dim, out)
     }
+}
+
+/// Number of `dim`-wide rows in the flat row-major matrix `rows`;
+/// [`SurrogateError::RaggedInput`] when it does not divide evenly. An
+/// empty matrix has no rows whatever its width.
+pub(crate) fn row_count(rows: &[f64], dim: usize) -> Result<usize, SurrogateError> {
+    if rows.is_empty() {
+        Ok(0)
+    } else if dim == 0 || !rows.len().is_multiple_of(dim) {
+        Err(SurrogateError::RaggedInput)
+    } else {
+        Ok(rows.len() / dim)
+    }
+}
+
+/// The provided `predict_rows`: one `predict` per row.
+fn predict_rows_per_point(
+    predict: impl Fn(&[f64]) -> Result<Prediction, SurrogateError>,
+    rows: &[f64],
+    dim: usize,
+    out: &mut Vec<Prediction>,
+) -> Result<(), SurrogateError> {
+    out.clear();
+    out.reserve(row_count(rows, dim)?);
+    for x in rows.chunks_exact(dim.max(1)) {
+        out.push(predict(x)?);
+    }
+    Ok(())
+}
+
+/// The provided `predict_batch`: flattens `xs` and runs `predict_rows`.
+fn predict_batch_via_rows(
+    predict_rows: impl FnOnce(&[f64], usize, &mut Vec<Prediction>) -> Result<(), SurrogateError>,
+    xs: &[Vec<f64>],
+) -> Result<Vec<Prediction>, SurrogateError> {
+    let dim = xs.first().map_or(0, Vec::len);
+    let mut rows = Vec::with_capacity(xs.len() * dim);
+    for x in xs {
+        // Zero-width points cannot be told apart in a flat matrix.
+        if x.len() != dim || dim == 0 {
+            return Err(SurrogateError::RaggedInput);
+        }
+        rows.extend_from_slice(x);
+    }
+    let mut out = Vec::with_capacity(xs.len());
+    predict_rows(&rows, dim, &mut out)?;
+    Ok(out)
 }
 
 /// Validates the common preconditions shared by every `fit` impl.

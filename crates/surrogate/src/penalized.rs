@@ -79,22 +79,16 @@ impl Predictor for PenalizedPredictor<'_> {
         Ok(self.penalize(x, self.inner.predict(x)?))
     }
 
-    fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<Prediction>, SurrogateError> {
-        let mut out = Vec::with_capacity(xs.len());
-        self.predict_batch_into(xs, &mut out)?;
-        Ok(out)
-    }
-
-    fn predict_batch_into(
+    fn predict_rows(
         &self,
-        xs: &[Vec<f64>],
+        rows: &[f64],
+        dim: usize,
         out: &mut Vec<Prediction>,
     ) -> Result<(), SurrogateError> {
-        // Keep the inner model's fast batch path and the caller's scratch
-        // buffer; penalization rewrites the buffer in place, O(liars) per
-        // point with no extra allocation.
-        self.inner.predict_batch_into(xs, out)?;
-        for (x, p) in xs.iter().zip(out.iter_mut()) {
+        // Keep the inner model's fast batch path and the caller's buffer;
+        // penalization rewrites it in place, O(liars) per point.
+        self.inner.predict_rows(rows, dim, out)?;
+        for (x, p) in rows.chunks_exact(dim.max(1)).zip(out.iter_mut()) {
             *p = penalize(&self.liars, self.liar_value, x, *p);
         }
         Ok(())

@@ -23,6 +23,22 @@ fi
 step "cargo test -q"
 cargo test --workspace -q --offline
 
+step "cargo test --release -p hypertune-surrogate (debug_assert! is compiled out here)"
+# The suite above runs the debug profile, where a debug_assert! stands in
+# for a check the shipped build does not make. The surrogate's query-width
+# validation was exactly that until it became a typed error; its tests
+# (tests/predict_rows.rs) and the kernel-vs-reference proptest run again
+# the way the product is built.
+cargo test --release -q -p hypertune-surrogate --offline
+
+step "dispatch fingerprints (all 24 methods x 2 seeds, bit for bit)"
+# results/dispatch_probe.txt is what the probe printed before the forest
+# kernel was rewritten. A change that alters which configurations any
+# method proposes, or any value it books, changes a line here; a change
+# that means to regenerates the file and says why.
+cargo run --release -q -p hypertune-bench --offline --bin dispatch_probe \
+  | diff results/dispatch_probe.txt -
+
 step "perf smoke (harness unit tests + 1/20-scale pass: result schema, exactly-once reconciliation)"
 # The benchmark behind BENCHMARK.json is a package outside the
 # workspace, so no other step builds it. The numbers this prints are
