@@ -31,111 +31,6 @@ pub struct Measurement {
     pub finished_at: f64,
 }
 
-/// Read-only view of a multi-fidelity measurement store.
-///
-/// Everything a method, sampler, or θ estimator consumes goes through
-/// this trait, so the same code runs against the plain owned [`History`]
-/// (the sim runner) and against concurrent snapshot views over shared
-/// state (the threaded runner's [`crate::shared::HistoryView`]) without
-/// cloning the store. `Sync` is a supertrait because θ refreshes fan
-/// level fits out across threads with the history captured by reference.
-pub trait HistoryRead: Sync {
-    /// The level ladder.
-    fn levels(&self) -> &ResourceLevels;
-
-    /// Measurements at `level` (`D_{level+1}` in paper notation).
-    fn group(&self, level: usize) -> &[Measurement];
-
-    /// Sum of evaluation costs recorded so far.
-    fn total_cost(&self) -> f64;
-
-    /// Best complete evaluation (lowest validation value at level `K−1`).
-    fn incumbent_full(&self) -> Option<&Measurement>;
-
-    /// Best measurement at any level; falls back gracefully when no
-    /// complete evaluation exists yet.
-    fn incumbent_any(&self) -> Option<&Measurement>;
-
-    /// Number of measurements at `level`.
-    fn len_at(&self, level: usize) -> usize {
-        self.group(level).len()
-    }
-
-    /// Total number of measurements at all levels.
-    fn len(&self) -> usize {
-        (0..self.levels().k()).map(|l| self.len_at(l)).sum()
-    }
-
-    /// `true` when nothing has been recorded.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The incumbent the experiment harness reports: the best complete
-    /// evaluation when one exists, otherwise the best at any level.
-    fn incumbent(&self) -> Option<&Measurement> {
-        self.incumbent_full().or_else(|| self.incumbent_any())
-    }
-
-    /// Indices (into [`HistoryRead::group`]) of the `n` best measurements
-    /// at `level`, ascending by value. Implementations may cache; the
-    /// result must equal [`top_indices_uncached`] on the same group.
-    fn top_indices(&self, level: usize, n: usize) -> Vec<usize> {
-        top_indices_uncached(self.group(level), n)
-    }
-
-    /// The `n` best configurations at `level` (ascending value), borrowed
-    /// from the store — used to seed local acquisition search without
-    /// cloning every `Config` on each call.
-    fn top_configs_ref(&self, level: usize, n: usize) -> Vec<&Config> {
-        let g = self.group(level);
-        self.top_indices(level, n)
-            .into_iter()
-            .map(|i| &g[i].config)
-            .collect()
-    }
-
-    /// Cloning variant of [`HistoryRead::top_configs_ref`], for callers
-    /// that need owned configurations.
-    fn top_configs(&self, level: usize, n: usize) -> Vec<Config> {
-        self.top_configs_ref(level, n)
-            .into_iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Unit-cube design matrix and targets of `level`, ready for
-    /// surrogate fitting.
-    fn training_data(
-        &self,
-        level: usize,
-        space: &hypertune_space::ConfigSpace,
-    ) -> (Vec<Vec<f64>>, Vec<f64>) {
-        self.training_data_capped(level, space, usize::MAX)
-    }
-
-    /// Like [`HistoryRead::training_data`], but keeps only the most
-    /// recent `cap` measurements — surrogate refits stay `O(cap)` as the
-    /// run grows, bounding the per-sample optimization overhead.
-    fn training_data_capped(
-        &self,
-        level: usize,
-        space: &hypertune_space::ConfigSpace,
-        cap: usize,
-    ) -> (Vec<Vec<f64>>, Vec<f64>) {
-        let g = self.group(level);
-        let skip = g.len().saturating_sub(cap);
-        let n = g.len() - skip;
-        let mut xs = Vec::with_capacity(n);
-        let mut ys = Vec::with_capacity(n);
-        for m in &g[skip..] {
-            xs.push(space.encode(&m.config));
-            ys.push(m.value);
-        }
-        (xs, ys)
-    }
-}
-
 /// Uncached top-`n` selection over one level's measurements, ascending by
 /// value with ties broken by insertion order (what a stable full sort
 /// returns — callers depend on this for reproducibility). A full sort
@@ -357,41 +252,6 @@ impl History {
     }
 }
 
-impl HistoryRead for History {
-    fn levels(&self) -> &ResourceLevels {
-        History::levels(self)
-    }
-
-    fn group(&self, level: usize) -> &[Measurement] {
-        History::group(self, level)
-    }
-
-    fn total_cost(&self) -> f64 {
-        History::total_cost(self)
-    }
-
-    fn incumbent_full(&self) -> Option<&Measurement> {
-        History::incumbent_full(self)
-    }
-
-    fn incumbent_any(&self) -> Option<&Measurement> {
-        History::incumbent_any(self)
-    }
-
-    fn len_at(&self, level: usize) -> usize {
-        History::len_at(self, level)
-    }
-
-    fn len(&self) -> usize {
-        History::len(self)
-    }
-
-    // Route the trait path through the memoizing inherent method.
-    fn top_indices(&self, level: usize, n: usize) -> Vec<usize> {
-        History::top_indices(self, level, n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,22 +336,6 @@ mod tests {
         // Appends to *other* levels leave level-1 cache entries valid.
         h.record(m(2, 0.4, 99.0));
         assert_eq!(h.top_indices(1, 3), top_indices_uncached(h.group(1), 3));
-    }
-
-    #[test]
-    fn history_read_trait_object_matches_inherent() {
-        let mut h = History::new(levels());
-        h.record(m(0, 0.5, 1.0));
-        h.record(m(3, 0.2, 2.0));
-        let dynref: &dyn HistoryRead = &h;
-        assert_eq!(dynref.len(), 2);
-        assert_eq!(dynref.len_at(0), 1);
-        assert!(!dynref.is_empty());
-        assert_eq!(dynref.total_cost(), 20.0);
-        assert_eq!(dynref.incumbent().unwrap().value, 0.2);
-        assert_eq!(dynref.top_configs(0, 5), h.top_configs(0, 5));
-        let space = ConfigSpace::builder().float("x", 0.0, 1.0).build();
-        assert_eq!(dynref.training_data(0, &space), h.training_data(0, &space));
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! | [`ranking`] | Cross-level ranking loss behind θ |
 //! | [`lce`] | Learning-curve extrapolation for the LCE-Stop baseline |
 //! | [`persist`] | Checkpoints and write-ahead run snapshots |
-//! | [`tenant`] | Per-study runtime state for the multi-tenant service |
+//! | [`tenant`] | Per-study runtime state: one study's history, pending set and RNG |
 //! | [`breaker`] | Quarantine-storm circuit breaker (graceful degradation) |
 //! | [`diagnostics`] | θ history, bracket starts/promotions/failures |
 //!
@@ -69,12 +69,11 @@ pub mod ranking;
 pub mod runner;
 pub mod runner_threaded;
 pub mod sampler;
-pub mod shared;
 pub mod tenant;
 
 pub use breaker::{Breaker, BreakerConfig, BreakerTransition};
 pub use diagnostics::{failure_kind, Diagnostics, FailureCounts};
-pub use history::{top_indices_uncached, History, HistoryRead, Measurement};
+pub use history::{top_indices_uncached, History, Measurement};
 pub use levels::ResourceLevels;
 pub use method::{JobSpec, Method, MethodContext, Outcome, OutcomeStatus};
 pub use methods::MethodKind;
@@ -86,5 +85,4 @@ pub use runner::{
 pub use runner_threaded::{
     booked_status, run_distributed, run_threaded, ThreadedJob, ThreadedRunConfig, ThreadedRunResult,
 };
-pub use shared::{HistoryView, ShardedPending, SharedHistory};
 pub use tenant::StudyRuntime;

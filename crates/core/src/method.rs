@@ -12,7 +12,7 @@ use hypertune_space::{Config, ConfigSpace};
 use hypertune_telemetry::TelemetryHandle;
 use rand::rngs::StdRng;
 
-use crate::history::HistoryRead;
+use crate::history::History;
 use crate::levels::ResourceLevels;
 
 /// A unit of work: evaluate `config` with `resource` units.
@@ -87,7 +87,7 @@ pub struct MethodContext<'a> {
     /// The resource-level ladder.
     pub levels: &'a ResourceLevels,
     /// All recorded measurements.
-    pub history: &'a dyn HistoryRead,
+    pub history: &'a History,
     /// Configurations currently being evaluated (for pending-imputation
     /// sampling, Algorithm 2).
     pub pending: &'a [JobSpec],
@@ -102,9 +102,10 @@ pub struct MethodContext<'a> {
 
 /// A tuning algorithm (Hyper-Tune itself or any baseline).
 ///
-/// `Send` is required so the threaded runner can hand the method to its
-/// background suggestion thread (prefetch); methods hold only owned state,
-/// seeded RNGs, and thread-safe telemetry handles, so this is free.
+/// `Send` is required because the multi-tenant service — and every
+/// study's method with it — may be moved to another thread by its
+/// embedder; methods hold only owned state, seeded RNGs, and thread-safe
+/// telemetry handles, so this is free.
 pub trait Method: Send {
     /// Display name used in reports (e.g. `"BOHB"`).
     fn name(&self) -> &str;

@@ -33,7 +33,7 @@ use hypertune_surrogate::{RandomForest, SurrogateModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::history::HistoryRead;
+use crate::history::History;
 
 /// Number of bootstrap samples `S` in Eq. 2.
 pub const BOOTSTRAP_SAMPLES: usize = 100;
@@ -243,11 +243,7 @@ impl ThetaModelCache {
 ///
 /// Returns `None` until at least [`MIN_FULL_EVALS`] complete evaluations
 /// exist. Levels whose surrogates cannot be fit get `θ_i = 0`.
-pub fn compute_theta(
-    history: &dyn HistoryRead,
-    space: &ConfigSpace,
-    seed: u64,
-) -> Option<Vec<f64>> {
+pub fn compute_theta(history: &History, space: &ConfigSpace, seed: u64) -> Option<Vec<f64>> {
     compute_theta_cached(history, space, seed, &mut ThetaModelCache::new())
 }
 
@@ -255,7 +251,7 @@ pub fn compute_theta(
 /// that re-estimate θ as the history grows (the [`ThetaTracker`]) only pay
 /// for levels whose data actually changed.
 pub fn compute_theta_cached(
-    history: &dyn HistoryRead,
+    history: &History,
     space: &ConfigSpace,
     seed: u64,
     cache: &mut ThetaModelCache,
@@ -317,7 +313,7 @@ fn pick_random<'a, T>(xs: &'a [T], rng: &mut StdRng) -> Option<&'a T> {
 /// unchanged) and evaluates them on the `D_K` configurations; `M_K` itself
 /// is evaluated by 5-fold cross-validation.
 fn level_predictions(
-    history: &dyn HistoryRead,
+    history: &History,
     space: &ConfigSpace,
     seed: u64,
     cache: &mut ThetaModelCache,
@@ -475,11 +471,7 @@ impl ThetaTracker {
     }
 
     /// Refreshes `θ` when due; returns the new value only when it changed.
-    pub fn maybe_refresh(
-        &mut self,
-        history: &dyn HistoryRead,
-        space: &ConfigSpace,
-    ) -> Option<Vec<f64>> {
+    pub fn maybe_refresh(&mut self, history: &History, space: &ConfigSpace) -> Option<Vec<f64>> {
         let nk = history.len_at(history.levels().max_level());
         if nk < MIN_FULL_EVALS || nk < self.last_nk + self.refresh_every {
             return None;

@@ -411,8 +411,10 @@ pub fn resume(
 }
 
 /// Feeds one terminal trial outcome (`failed` = quarantined) to the
-/// breaker and walks the degradation ladder on a transition.
-fn feed_breaker(
+/// breaker and walks the degradation ladder on a transition. Shared by
+/// the simulated and the real-executor driver; `now` is on the caller's
+/// clock.
+pub(crate) fn feed_breaker(
     breaker: &mut Option<Breaker>,
     failed: bool,
     now: f64,

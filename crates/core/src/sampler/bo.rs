@@ -186,8 +186,7 @@ impl Sampler for BoSampler {
 
     /// Batch path: one forest fit and one candidate-pool sweep, then `k`
     /// constant-liar re-scoring rounds over the cached pool predictions —
-    /// so a batch of `k` costs one model sweep instead of `k` (see
-    /// BENCH_scheduler.json for the measured per-dispatch reduction).
+    /// so a batch of `k` costs one model sweep instead of `k`.
     fn sample_batch(&mut self, ctx: &mut MethodContext<'_>, k: usize) -> Vec<Config> {
         // Degraded (breaker open): the whole batch is uniform random.
         if self.degraded {
@@ -246,6 +245,7 @@ mod tests {
     use crate::history::{History, Measurement};
     use crate::levels::ResourceLevels;
     use crate::method::JobSpec;
+    use crate::sampler::MfesSampler;
     use hypertune_space::{ConfigSpace, ParamValue};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -437,9 +437,8 @@ mod tests {
         let space = space();
         let levels = ResourceLevels::new(27.0, 3);
         let history = seeded_history(3, 25);
-        let ops_for = |k: usize| {
+        let ops_for = |s: &mut dyn Sampler, k: usize| {
             let telemetry = hypertune_telemetry::Telemetry::new().build();
-            let mut s = BoSampler::pure(11);
             s.set_telemetry(telemetry.clone());
             let mut rng = StdRng::seed_from_u64(11);
             let mut c = ctx(&space, &levels, &history, &[], &mut rng);
@@ -451,18 +450,26 @@ mod tests {
                 .counter("batch.rescore_ops")
                 .expect("sample_batch records rescore ops")
         };
-        let (k_small, k_big) = (4u64, 16u64);
-        let small = ops_for(k_small as usize);
-        let big = ops_for(k_big as usize);
-        assert!(small > 0);
-        // pool_len is identical across the two runs (same seed, same
-        // history), so linear scaling means exact proportionality.
-        assert_eq!(small % k_small, 0);
-        assert_eq!(big % k_big, 0);
-        assert_eq!(
-            small / k_small,
-            big / k_big,
-            "ops per liar must be the pool size, independent of k"
-        );
+        // Both batch samplers (BO, and Hyper-Tune's MFES), up to the widest
+        // fleet a fill round has been driven at; `ops_for` checks that
+        // every k returns a full batch.
+        let samplers: [fn() -> Box<dyn Sampler>; 2] = [
+            || Box::new(BoSampler::pure(11)),
+            || Box::new(MfesSampler::new(11)),
+        ];
+        for make in samplers {
+            let per_liar = [4u64, 16, 256].map(|k| {
+                let ops = ops_for(make().as_mut(), k as usize);
+                assert!(ops > 0);
+                // pool_len is identical across the runs (same seed, same
+                // history), so linear scaling means exact proportionality.
+                assert_eq!(ops % k, 0);
+                ops / k
+            });
+            assert!(
+                per_liar.iter().all(|&p| p == per_liar[0]),
+                "ops per liar must be the pool size, independent of k: {per_liar:?}"
+            );
+        }
     }
 }

@@ -65,8 +65,7 @@ pub(crate) fn pending_fingerprint(space: &ConfigSpace, pending: &[JobSpec]) -> u
 
 /// A configuration-proposal strategy; see the module docs.
 ///
-/// `Send` is required (transitively, through [`crate::Method`]) so the
-/// threaded runner can move methods onto its background suggestion thread.
+/// `Send` is required transitively, through [`crate::Method`].
 pub trait Sampler: Send {
     /// Display name fragment (e.g. `"BO"`), used to compose method names.
     fn name(&self) -> &str;

@@ -1,22 +1,23 @@
-//! Per-study runtime state, extracted from the threaded runner loop.
+//! Per-study runtime state: everything one study's method can observe.
 //!
-//! The single-study drivers in [`crate::runner_threaded`] weave three
-//! things into one loop: the *suggestion state* (method + RNG + read
-//! views), the *run state* (single-writer history/pending stores + the
-//! dispatch id counter), and the *pool loop* (fill idle workers, wait
-//! for completions). A multi-tenant service needs the first two per
-//! study while sharing one pool loop across all of them — so this
-//! module packages them as a [`StudyRuntime`]: everything one study
-//! owns, with the exact call ordering the inline driver uses, and
-//! nothing about where its jobs execute.
+//! A driver on a real executor weaves two things into one loop: the
+//! *study state* (history, pending set, RNG, dispatch id counter) and
+//! the *pool loop* (fill idle workers, wait for completions). The
+//! single-study driver in [`crate::runner_threaded`] runs one of each;
+//! the multi-tenant service runs one pool loop over many studies. Both
+//! suggest and book trials through [`StudyRuntime`], so the call
+//! ordering a method sees is the same wherever its jobs execute.
+//!
+//! The runtime borrows the method per call instead of owning it:
+//! [`crate::runner_threaded::run_threaded`] is lent a `&mut dyn Method`
+//! by its caller, while the service keeps a `Box<dyn Method>` beside
+//! each study's runtime.
 //!
 //! The fidelity contract: driving one `StudyRuntime` with the same
 //! fill/complete sequence as [`crate::runner_threaded::run_threaded`]
-//! (inline driver, same seed, same `n_workers`) produces a bit-identical
-//! suggestion and measurement stream. The service-level equivalence
-//! test pins this against a one-worker pool.
-
-use std::sync::Arc;
+//! (same seed, same `n_workers`) produces a bit-identical suggestion and
+//! measurement stream. The service-level equivalence test pins this
+//! against a one-worker pool.
 
 use hypertune_benchmarks::Eval;
 use hypertune_cluster::JobStatus;
@@ -24,69 +25,50 @@ use hypertune_space::ConfigSpace;
 use hypertune_telemetry::TelemetryHandle;
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::history::{HistoryRead, Measurement};
+use crate::history::{History, Measurement};
 use crate::levels::ResourceLevels;
 use crate::method::{JobSpec, Method, MethodContext, Outcome, OutcomeStatus};
-use crate::shared::{HistoryView, ShardedPending, SharedHistory};
+use crate::pending::PendingSet;
 
-/// One study's isolated tuning state: the method, its RNG, the
-/// single-writer history/pending stores, and the dispatch id counter.
+/// One study's isolated tuning state: its RNG, history, pending set,
+/// and dispatch id counter.
 ///
-/// The embedding driver owns scheduling and execution; the runtime owns
-/// everything the method can observe. Isolation between studies is
-/// structural — each runtime has its own stores and RNG, so tenants
-/// cannot perturb each other's suggestion streams no matter how the
-/// shared pool interleaves them.
+/// The embedding driver owns scheduling, execution and the method; the
+/// runtime owns everything the method can observe. Isolation between
+/// studies is structural — each runtime has its own stores and RNG, so
+/// tenants cannot perturb each other's suggestion streams no matter how
+/// the shared pool interleaves them. One thread owns a runtime at a
+/// time: nothing in it is shared or locked.
+#[derive(Debug)]
 pub struct StudyRuntime {
-    method: Box<dyn Method>,
     space: ConfigSpace,
     levels: ResourceLevels,
-    history: Arc<SharedHistory>,
-    view: HistoryView,
-    pending: Arc<ShardedPending>,
-    pending_snap: Arc<[JobSpec]>,
+    history: History,
+    pending: PendingSet,
     rng: StdRng,
     n_workers: usize,
     telemetry: TelemetryHandle,
     next_job_id: u64,
 }
 
-impl std::fmt::Debug for StudyRuntime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StudyRuntime")
-            .field("method", &self.method.name())
-            .field("history_len", &self.view.len())
-            .field("pending", &self.pending.len())
-            .field("next_job_id", &self.next_job_id)
-            .finish_non_exhaustive()
-    }
-}
-
 impl StudyRuntime {
     /// Builds the runtime. `n_workers` is the parallelism the *method*
     /// plans for — the study's in-flight quota, not the pool width.
     /// `telemetry` is typically a tenant-stamped handle
-    /// ([`TelemetryHandle::with_tenant`]); it reaches the method and
-    /// both shared stores.
+    /// ([`TelemetryHandle::with_tenant`]); the caller hands the same
+    /// handle to the method ([`Method::set_telemetry`]).
     pub fn new(
-        mut method: Box<dyn Method>,
         space: ConfigSpace,
         levels: ResourceLevels,
         seed: u64,
         n_workers: usize,
         telemetry: TelemetryHandle,
     ) -> Self {
-        method.set_telemetry(telemetry.clone());
-        let history = Arc::new(SharedHistory::new(levels.clone(), telemetry.clone()));
-        let pending = Arc::new(ShardedPending::new(telemetry.clone()));
         Self {
-            method,
             space,
+            history: History::new(levels.clone()),
             levels,
-            view: history.view(),
-            history,
-            pending_snap: pending.snapshot(),
-            pending,
+            pending: PendingSet::new(),
             rng: StdRng::seed_from_u64(seed),
             n_workers,
             telemetry,
@@ -100,46 +82,49 @@ impl StudyRuntime {
     /// history as the method runs fresh rounds against it.
     pub fn restore(&mut self, measurements: &[Measurement]) {
         for m in measurements {
-            self.history.append(m.clone());
+            self.history.record(m.clone());
         }
-        self.view.sync();
     }
 
-    /// One suggestion round: syncs the read views, asks the method for
-    /// up to `k` jobs, and registers the batch (dispatch ids assigned,
-    /// pending set updated and published) — the same order as the
-    /// inline driver's fill step. An empty batch means the method is at
-    /// a barrier and needs a completion before it can continue.
-    pub fn suggest(&mut self, k: usize, now: f64) -> Vec<JobSpec> {
-        self.view.sync();
-        self.pending_snap = self.pending.snapshot();
-        let mut ctx = MethodContext {
+    fn ctx(&mut self, now: f64) -> MethodContext<'_> {
+        MethodContext {
             space: &self.space,
             levels: &self.levels,
-            history: &self.view,
-            pending: &self.pending_snap,
+            history: &self.history,
+            pending: self.pending.as_slice(),
             rng: &mut self.rng,
             n_workers: self.n_workers,
             now,
-        };
+        }
+    }
+
+    /// One suggestion round: asks `method` for up to `k` jobs and
+    /// registers the batch (dispatch ids assigned, pending set updated).
+    /// An empty batch means the method is at a barrier and needs a
+    /// completion before it can continue.
+    pub fn suggest(&mut self, method: &mut dyn Method, k: usize, now: f64) -> Vec<JobSpec> {
         let span = self.telemetry.span("suggest_batch");
-        let mut batch = self.method.next_jobs(&mut ctx, k);
+        let mut batch = method.next_jobs(&mut self.ctx(now), k);
         drop(span);
         for job in batch.iter_mut() {
             job.id = self.next_job_id;
             self.next_job_id += 1;
             self.pending.insert(job.clone());
         }
-        self.pending.publish();
         batch
     }
 
     /// Books a successful completion: removes the job from pending,
-    /// appends the measurement, publishes, and feeds the outcome to the
-    /// method against refreshed views — the inline driver's completion
-    /// path. Returns the recorded measurement for the caller's own
+    /// records the measurement, and feeds the outcome to `method`.
+    /// Returns the recorded measurement for the caller's own
     /// bookkeeping (WAL append, telemetry, tallies).
-    pub fn complete_success(&mut self, spec: &JobSpec, eval: &Eval, now: f64) -> Measurement {
+    pub fn complete_success(
+        &mut self,
+        method: &mut dyn Method,
+        spec: &JobSpec,
+        eval: &Eval,
+        now: f64,
+    ) -> Measurement {
         let m = Measurement {
             config: spec.config.clone(),
             level: spec.level,
@@ -159,18 +144,22 @@ impl StudyRuntime {
             fail_status: None,
         };
         self.pending.remove(spec);
-        self.history.append(m.clone());
-        self.pending.publish();
-        self.on_result(outcome, now);
+        self.history.record(m.clone());
+        method.on_result(&outcome, &mut self.ctx(now));
         m
     }
 
     /// Books a quarantined job (final attempt failed, retries
-    /// exhausted): removes it from pending and feeds the method a
+    /// exhausted): removes it from pending and feeds `method` a
     /// `Failed` outcome so it can replace the configuration.
-    pub fn complete_quarantine(&mut self, spec: JobSpec, status: JobStatus, now: f64) {
+    pub fn complete_quarantine(
+        &mut self,
+        method: &mut dyn Method,
+        spec: JobSpec,
+        status: JobStatus,
+        now: f64,
+    ) {
         self.pending.remove(&spec);
-        self.pending.publish();
         let outcome = Outcome {
             spec,
             value: f64::INFINITY,
@@ -180,48 +169,17 @@ impl StudyRuntime {
             status: OutcomeStatus::Failed,
             fail_status: Some(status),
         };
-        self.on_result(outcome, now);
+        method.on_result(&outcome, &mut self.ctx(now));
     }
 
-    fn on_result(&mut self, outcome: Outcome, now: f64) {
-        self.view.sync();
-        self.pending_snap = self.pending.snapshot();
-        let mut ctx = MethodContext {
-            space: &self.space,
-            levels: &self.levels,
-            history: &self.view,
-            pending: &self.pending_snap,
-            rng: &mut self.rng,
-            n_workers: self.n_workers,
-            now,
-        };
-        self.method.on_result(&outcome, &mut ctx);
-    }
-
-    /// The method's display name.
-    pub fn method_name(&self) -> &str {
-        self.method.name()
-    }
-
-    /// Completed measurements recorded so far.
-    pub fn history_len(&self) -> usize {
-        self.history.with(|h| h.len())
+    /// The study's measurement store.
+    pub fn history(&self) -> &History {
+        &self.history
     }
 
     /// Jobs registered but not yet completed or quarantined.
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// The study's incumbent (best complete evaluation, falling back to
-    /// any level), cloned out of the shared store.
-    pub fn incumbent(&self) -> Option<Measurement> {
-        self.history.with(|h| h.incumbent().cloned())
-    }
-
-    /// Runs `f` against the study's history.
-    pub fn with_history<R>(&self, f: impl FnOnce(&crate::history::History) -> R) -> R {
-        self.history.with(f)
+        self.pending.as_slice().len()
     }
 }
 
@@ -231,38 +189,38 @@ mod tests {
     use crate::methods::MethodKind;
     use hypertune_benchmarks::{Benchmark, CountingOnes};
 
-    fn runtime(seed: u64) -> (StudyRuntime, CountingOnes) {
+    fn runtime(seed: u64) -> (StudyRuntime, Box<dyn Method>, CountingOnes) {
         let bench = CountingOnes::new(4, 4, seed);
         let levels = ResourceLevels::new(bench.max_resource(), 3);
+        let method = MethodKind::HyperTune.build(&levels, seed);
         let rt = StudyRuntime::new(
-            MethodKind::HyperTune.build(&levels, seed),
             bench.space().clone(),
             levels,
             seed,
             1,
             TelemetryHandle::disabled(),
         );
-        (rt, bench)
+        (rt, method, bench)
     }
 
     /// Sequentially drive the runtime the way a one-worker pool would.
     fn drive(seed: u64, n: usize) -> Vec<Measurement> {
-        let (mut rt, bench) = runtime(seed);
+        let (mut rt, mut method, bench) = runtime(seed);
         let mut out = Vec::new();
         while out.len() < n {
-            let batch = rt.suggest(1, out.len() as f64);
+            let batch = rt.suggest(method.as_mut(), 1, out.len() as f64);
             assert_eq!(batch.len(), 1, "k=1 suggestion cannot be empty mid-run");
             let spec = batch.into_iter().next().unwrap();
             let eval = bench.evaluate(&spec.config, spec.resource, seed);
-            out.push(rt.complete_success(&spec, &eval, out.len() as f64));
+            out.push(rt.complete_success(method.as_mut(), &spec, &eval, out.len() as f64));
         }
         out
     }
 
     #[test]
     fn ids_are_assigned_from_one() {
-        let (mut rt, _) = runtime(3);
-        let batch = rt.suggest(1, 0.0);
+        let (mut rt, mut method, _) = runtime(3);
+        let batch = rt.suggest(method.as_mut(), 1, 0.0);
         assert_eq!(batch[0].id, 1);
         assert_eq!(rt.pending_len(), 1);
     }
@@ -286,25 +244,25 @@ mod tests {
     #[test]
     fn restore_rebuilds_incumbent_and_counts() {
         let ms = drive(5, 8);
-        let (mut rt, _) = runtime(5);
+        let (mut rt, mut method, _) = runtime(5);
         rt.restore(&ms);
-        assert_eq!(rt.history_len(), 8);
-        let best = rt.incumbent().expect("non-empty history");
+        assert_eq!(rt.history().len(), 8);
+        let best = rt.history().incumbent().expect("non-empty history");
         assert!(ms.iter().any(|m| m.value == best.value));
         // And the method keeps running against the restored history.
-        let batch = rt.suggest(1, 99.0);
+        let batch = rt.suggest(method.as_mut(), 1, 99.0);
         assert_eq!(batch.len(), 1);
     }
 
     #[test]
     fn quarantine_feeds_failed_outcome_and_clears_pending() {
-        let (mut rt, _) = runtime(9);
-        let batch = rt.suggest(1, 0.0);
+        let (mut rt, mut method, _) = runtime(9);
+        let batch = rt.suggest(method.as_mut(), 1, 0.0);
         let spec = batch.into_iter().next().unwrap();
-        rt.complete_quarantine(spec, JobStatus::Crashed, 1.0);
+        rt.complete_quarantine(method.as_mut(), spec, JobStatus::Crashed, 1.0);
         assert_eq!(rt.pending_len(), 0);
-        assert_eq!(rt.history_len(), 0, "quarantines never enter history");
+        assert_eq!(rt.history().len(), 0, "quarantines never enter history");
         // The method must still be able to continue.
-        assert_eq!(rt.suggest(1, 2.0).len(), 1);
+        assert_eq!(rt.suggest(method.as_mut(), 1, 2.0).len(), 1);
     }
 }

@@ -6,7 +6,7 @@
 //!                 [--budget-hours H] [--seed S] [--eta E] [--trace]
 //!   hypertune cluster --workers ADDR[,ADDR...] [--bench NAME] [--method NAME]
 //!                 [--max-evals N] [--seed S] [--eta E] [--lease-secs F]
-//!                 [--eval-sleep-ms MS] [--no-prefetch] [--codec json|binary]
+//!                 [--eval-sleep-ms MS] [--codec json|binary]
 //!                 [--connect-timeout-ms MS] [--connect-retries N]
 //!                 [--redial-attempts N] [--redial-backoff-ms MS]
 //!                 [--chaos FILE] [--trace FILE]
@@ -72,7 +72,7 @@ use serde_json::json;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  hypertune run [--bench NAME] [--method NAME] [--workers N]\n                [--budget-hours H] [--seed S] [--eta E] [--trace]\n  hypertune cluster --workers ADDR[,ADDR...] [--bench NAME] [--method NAME]\n                [--max-evals N] [--seed S] [--eta E] [--lease-secs F]\n                [--eval-sleep-ms MS] [--no-prefetch] [--codec json|binary]\n                [--connect-timeout-ms MS] [--connect-retries N]\n                [--redial-attempts N] [--redial-backoff-ms MS]\n                [--chaos FILE] [--trace FILE]\n  hypertune serve [--pool N | --workers ADDR[,ADDR...]] [--state-dir DIR]\n                [--script FILE] [--resume] [--lease-secs F]\n                [--codec json|binary] [--connect-timeout-ms MS]\n                [--connect-retries N] [--redial-attempts N]\n                [--redial-backoff-ms MS] [--trace FILE]\n  hypertune list"
+        "usage:\n  hypertune run [--bench NAME] [--method NAME] [--workers N]\n                [--budget-hours H] [--seed S] [--eta E] [--trace]\n  hypertune cluster --workers ADDR[,ADDR...] [--bench NAME] [--method NAME]\n                [--max-evals N] [--seed S] [--eta E] [--lease-secs F]\n                [--eval-sleep-ms MS] [--codec json|binary]\n                [--connect-timeout-ms MS] [--connect-retries N]\n                [--redial-attempts N] [--redial-backoff-ms MS]\n                [--chaos FILE] [--trace FILE]\n  hypertune serve [--pool N | --workers ADDR[,ADDR...]] [--state-dir DIR]\n                [--script FILE] [--resume] [--lease-secs F]\n                [--codec json|binary] [--connect-timeout-ms MS]\n                [--connect-retries N] [--redial-attempts N]\n                [--redial-backoff-ms MS] [--trace FILE]\n  hypertune list"
     );
     std::process::exit(2);
 }
@@ -222,7 +222,6 @@ fn cluster_command(args: &[String]) {
     let mut eta = 3usize;
     let mut lease_secs = 10.0f64;
     let mut eval_sleep_ms = 0u64;
-    let mut prefetch = true;
     let mut codec = Codec::Binary;
     let mut trace_path: Option<String> = None;
     let mut connect_timeout_ms: Option<u64> = None;
@@ -260,7 +259,6 @@ fn cluster_command(args: &[String]) {
             "--eval-sleep-ms" => {
                 eval_sleep_ms = value("--eval-sleep-ms").parse().unwrap_or_else(|_| usage())
             }
-            "--no-prefetch" => prefetch = false,
             "--codec" => codec = parse_codec(&value("--codec")),
             "--connect-timeout-ms" => {
                 connect_timeout_ms = Some(
@@ -376,7 +374,6 @@ fn cluster_command(args: &[String]) {
 
     let mut config = ThreadedRunConfig::new(cluster.n_workers(), max_evals, seed);
     config.eta = eta;
-    config.prefetch = prefetch;
     config.telemetry = telemetry.clone();
 
     eprintln!(

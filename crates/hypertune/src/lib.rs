@@ -92,10 +92,10 @@ pub mod prelude {
     };
     pub use hypertune_core::{
         resume, run, run_checkpointed, run_distributed, run_threaded, BreakerConfig,
-        CheckpointPolicy, FailureCounts, History, HistoryRead, JobSpec, Measurement, Method,
-        MethodContext, MethodKind, Outcome, OutcomeStatus, ResourceLevels, ResumeError,
-        RetryPolicy, RunConfig, RunResult, RunSnapshot, SpeculationConfig, ThreadedJob,
-        ThreadedRunConfig, ThreadedRunResult,
+        CheckpointPolicy, FailureCounts, History, JobSpec, Measurement, Method, MethodContext,
+        MethodKind, Outcome, OutcomeStatus, ResourceLevels, ResumeError, RetryPolicy, RunConfig,
+        RunResult, RunSnapshot, SpeculationConfig, ThreadedJob, ThreadedRunConfig,
+        ThreadedRunResult,
     };
     pub use hypertune_service::{
         pool_eval, ServiceConfig, ServiceJob, StudyHandle, StudySpec, StudyStatus, TuningService,

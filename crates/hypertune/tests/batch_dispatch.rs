@@ -1,9 +1,6 @@
-//! Contract tests for pipelined dispatch: the batch suggestion API
+//! Contract tests for batched dispatch: the batch suggestion API
 //! (`Method::next_jobs`) must degenerate to the sequential `next_job`
-//! path at k = 1 for every method, and the threaded runner's prefetching
-//! driver must produce the same run as the inline driver.
-
-use std::sync::Arc;
+//! path at k = 1 for every method.
 
 use hypertune::core::{JobSpec, Measurement, Method, MethodContext, Outcome, OutcomeStatus};
 use hypertune::prelude::*;
@@ -160,24 +157,6 @@ fn lockstep(kind: MethodKind, seed: u64, evals: usize) {
     );
 }
 
-/// The parallelism-insensitive fingerprint of a measurement stream:
-/// everything but the wall-clock timestamp.
-fn keys(r: &hypertune::core::ThreadedRunResult) -> Vec<(Config, usize, u64, u64, u64, u64)> {
-    r.measurements
-        .iter()
-        .map(|m| {
-            (
-                m.config.clone(),
-                m.level,
-                m.resource.to_bits(),
-                m.value.to_bits(),
-                m.test_value.to_bits(),
-                m.cost.to_bits(),
-            )
-        })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
@@ -190,38 +169,6 @@ proptest! {
     fn batch_k1_bit_identical_to_sequential(seed in 0u64..1000) {
         for &kind in MethodKind::all() {
             lockstep(kind, seed, 45);
-        }
-    }
-
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// The threaded runner's prefetching driver and its inline driver
-    /// produce identical measurement streams on a fault-free run (one
-    /// worker pins the completion order): speculation moves suggestion
-    /// work off the critical path without changing a single suggestion.
-    #[test]
-    fn prefetch_and_inline_drivers_agree(seed in 0u64..500) {
-        for kind in [MethodKind::HyperTune, MethodKind::ABo, MethodKind::Bohb] {
-            let bench: Arc<dyn Benchmark> = Arc::new(CountingOnes::new(4, 4, 7));
-            let levels = ResourceLevels::new(bench.max_resource(), 3);
-
-            let mut cfg = hypertune::core::ThreadedRunConfig::new(1, 25, seed);
-            cfg.prefetch = false;
-            let mut m1 = kind.build(&levels, seed);
-            let inline = hypertune::core::run_threaded(m1.as_mut(), Arc::clone(&bench), &cfg);
-
-            cfg.prefetch = true;
-            let mut m2 = kind.build(&levels, seed);
-            let prefetched = hypertune::core::run_threaded(m2.as_mut(), bench, &cfg);
-
-            prop_assert_eq!(keys(&inline), keys(&prefetched), "{}", kind.name());
-            prop_assert_eq!(
-                inline.best_value.to_bits(),
-                prefetched.best_value.to_bits()
-            );
         }
     }
 }

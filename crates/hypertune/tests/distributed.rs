@@ -96,32 +96,25 @@ fn keys(ms: &[Measurement]) -> Vec<(Config, usize, u64, u64, u64, u64)> {
 #[test]
 fn tcp_matches_thread_pool_bit_identical_at_one_worker() {
     const SEED: u64 = 5;
-    for prefetch in [false, true] {
-        let bench: Arc<dyn Benchmark> = Arc::new(CountingOnes::new(4, 4, SEED));
-        let levels = ResourceLevels::new(bench.max_resource(), 3);
-        let mut cfg = ThreadedRunConfig::new(1, 30, SEED);
-        cfg.prefetch = prefetch;
+    let bench: Arc<dyn Benchmark> = Arc::new(CountingOnes::new(4, 4, SEED));
+    let levels = ResourceLevels::new(bench.max_resource(), 3);
+    let cfg = ThreadedRunConfig::new(1, 30, SEED);
 
-        let mut m_pool = MethodKind::HyperTune.build(&levels, SEED);
-        let pool_run = run_threaded(m_pool.as_mut(), Arc::clone(&bench), &cfg);
+    let mut m_pool = MethodKind::HyperTune.build(&levels, SEED);
+    let pool_run = run_threaded(m_pool.as_mut(), Arc::clone(&bench), &cfg);
 
-        let addr = spawn_inproc_worker("counting-ones-small", SEED);
-        let cluster = connect_one(addr, SEED);
-        let mut m_tcp = MethodKind::HyperTune.build(&levels, SEED);
-        let tcp_run = run_distributed(m_tcp.as_mut(), bench.space(), &levels, cluster, &cfg);
+    let addr = spawn_inproc_worker("counting-ones-small", SEED);
+    let cluster = connect_one(addr, SEED);
+    let mut m_tcp = MethodKind::HyperTune.build(&levels, SEED);
+    let tcp_run = run_distributed(m_tcp.as_mut(), bench.space(), &levels, cluster, &cfg);
 
-        assert_eq!(
-            keys(&pool_run.measurements),
-            keys(&tcp_run.measurements),
-            "prefetch={prefetch}: the wire must not change the study"
-        );
-        assert_eq!(
-            pool_run.best_value.to_bits(),
-            tcp_run.best_value.to_bits(),
-            "prefetch={prefetch}"
-        );
-        assert_eq!(pool_run.best_config, tcp_run.best_config);
-    }
+    assert_eq!(
+        keys(&pool_run.measurements),
+        keys(&tcp_run.measurements),
+        "the wire must not change the study"
+    );
+    assert_eq!(pool_run.best_value.to_bits(), tcp_run.best_value.to_bits());
+    assert_eq!(pool_run.best_config, tcp_run.best_config);
 }
 
 #[test]
@@ -146,15 +139,14 @@ fn tcp_matches_sim_stream_and_best_config_at_one_worker() {
     let addr = spawn_inproc_worker("counting-ones-small", SEED);
     let cluster = connect_one(addr, SEED);
     let mut m_tcp = MethodKind::HyperTune.build(&levels, SEED);
-    let mut cfg = ThreadedRunConfig::new(1, EVALS, SEED);
-    cfg.prefetch = false;
+    let cfg = ThreadedRunConfig::new(1, EVALS, SEED);
     let tcp = run_distributed(m_tcp.as_mut(), bench.space(), &levels, cluster, &cfg);
 
     // The streams agree measurement-for-measurement...
     assert_eq!(keys(&sim.measurements[..EVALS]), keys(&tcp.measurements));
     // ...so the best configuration over the shared prefix is the same
     // config (the ISSUE acceptance criterion, in its strongest form).
-    // "Best" follows `HistoryRead::incumbent`: the best *complete*
+    // "Best" follows `History::incumbent`: the best *complete*
     // (full-resource) evaluation, falling back to any level.
     let max_r = bench.max_resource();
     let prefix = &sim.measurements[..EVALS];
@@ -179,8 +171,7 @@ fn run_study(seed: u64, slots: usize, codec: Codec) -> ThreadedRunResult {
     let mut method = MethodKind::HyperTune.build(&levels, seed);
     // A slots=N worker gives the driver N units of in-flight capacity,
     // so the config's width is the fleet's total slot count.
-    let mut cfg = ThreadedRunConfig::new(slots, 30, seed);
-    cfg.prefetch = false;
+    let cfg = ThreadedRunConfig::new(slots, 30, seed);
     run_distributed(method.as_mut(), bench.space(), &levels, cluster, &cfg)
 }
 
@@ -239,8 +230,7 @@ fn pending_insensitive_method_is_slot_invariant() {
         let addr = spawn_inproc_worker_with("counting-ones-small", SEED, slots, Codec::Binary);
         let cluster = connect_fleet(vec![addr], SEED, Codec::Binary);
         let mut method = MethodKind::ARandom.build(&levels, SEED);
-        let mut cfg = ThreadedRunConfig::new(slots, 30, SEED);
-        cfg.prefetch = false;
+        let cfg = ThreadedRunConfig::new(slots, 30, SEED);
         let run = run_distributed(method.as_mut(), bench.space(), &levels, cluster, &cfg);
         streams.push(keys(&run.measurements));
     }
@@ -430,7 +420,6 @@ fn partition_drill_redials_under_new_epoch_exactly_once() {
     let levels = ResourceLevels::new(bench.max_resource(), 3);
     let mut method = MethodKind::HyperTune.build(&levels, SEED);
     let mut cfg = ThreadedRunConfig::new(1, 25, SEED);
-    cfg.prefetch = false;
     cfg.telemetry = telemetry.clone();
     let result = run_distributed(method.as_mut(), bench.space(), &levels, cluster, &cfg);
 
@@ -505,8 +494,7 @@ fn chaos_free_proxy_and_armed_redial_are_bit_identical_to_plain_tcp() {
     let bench: Box<dyn Benchmark> = Box::new(CountingOnes::new(4, 4, SEED));
     let levels = ResourceLevels::new(bench.max_resource(), 3);
     let mut method = MethodKind::HyperTune.build(&levels, SEED);
-    let mut cfg = ThreadedRunConfig::new(1, 30, SEED);
-    cfg.prefetch = false;
+    let cfg = ThreadedRunConfig::new(1, 30, SEED);
     let proxied = run_distributed(method.as_mut(), bench.space(), &levels, cluster, &cfg);
 
     assert_eq!(

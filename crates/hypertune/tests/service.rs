@@ -18,6 +18,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use hypertune::cluster::{ClusterError, PoolResult};
 use hypertune::prelude::*;
 use hypertune::registry;
 use hypertune::service::BenchResolver;
@@ -95,14 +96,13 @@ fn spawn_fleet_worker_with_slots(slots: usize) -> String {
 }
 
 /// Reference stream: the dedicated single-study threaded driver at one
-/// worker, no prefetch, completion order fully determined by the seed.
+/// worker, completion order fully determined by the seed.
 fn reference_stream(seed: u64, max_evals: usize) -> Vec<Measurement> {
     let bench: Arc<dyn Benchmark> =
         Arc::from(registry::make_bench("counting-ones-small", seed).expect("registered benchmark"));
     let levels = ResourceLevels::new(bench.max_resource(), 3);
     let mut method = MethodKind::HyperTune.build(&levels, seed);
-    let mut cfg = ThreadedRunConfig::new(1, max_evals, seed);
-    cfg.prefetch = false;
+    let cfg = ThreadedRunConfig::new(1, max_evals, seed);
     run_threaded(method.as_mut(), bench, &cfg).measurements
 }
 
@@ -154,6 +154,99 @@ fn service_matches_dedicated_driver_over_tcp() {
         keys(svc.measurements(h)),
         "the wire must not change the study either"
     );
+}
+
+/// An executor that strips the output off the first result it hands up
+/// — what a `TcpCluster` makes of a worker's `Result { status: Ok,
+/// output: Null }` frame.
+struct OutputlessOnce<E> {
+    inner: E,
+    fired: bool,
+}
+
+impl<J, E: Executor<J, Eval>> Executor<J, Eval> for OutputlessOnce<E> {
+    fn submit(&mut self, job: J) -> Result<(), ClusterError> {
+        self.inner.submit(job)
+    }
+
+    fn next_completion(&mut self) -> Result<PoolResult<J, Eval>, ClusterError> {
+        let mut done = self.inner.next_completion()?;
+        if !std::mem::replace(&mut self.fired, true) {
+            assert_eq!(done.status, JobStatus::Succeeded);
+            done.output = None;
+        }
+        Ok(done)
+    }
+
+    fn n_workers(&self) -> usize {
+        self.inner.n_workers()
+    }
+
+    fn in_flight(&self) -> usize {
+        self.inner.in_flight()
+    }
+
+    fn set_telemetry(&mut self, telemetry: TelemetryHandle) {
+        self.inner.set_telemetry(telemetry)
+    }
+}
+
+#[test]
+fn outputless_success_is_retried_as_corrupt_by_the_single_study_driver() {
+    const SEED: u64 = 7;
+    const EVALS: usize = 24;
+    let bench: Arc<dyn Benchmark> =
+        Arc::from(registry::make_bench("counting-ones-small", SEED).expect("registered benchmark"));
+    let levels = ResourceLevels::new(bench.max_resource(), 3);
+    let eval_bench = Arc::clone(&bench);
+    let hostile = OutputlessOnce {
+        inner: ThreadPool::new(1, move |job: &ThreadedJob| {
+            eval_bench.evaluate(&job.spec.config, job.spec.resource, SEED)
+        }),
+        fired: false,
+    };
+    let mut method = MethodKind::HyperTune.build(&levels, SEED);
+    let cfg = ThreadedRunConfig::new(1, EVALS, SEED);
+    let run = run_distributed(method.as_mut(), bench.space(), &levels, hostile, &cfg);
+
+    assert_eq!(run.total_evals, EVALS, "the retry must preserve the budget");
+    assert_eq!((run.n_retries, run.n_quarantined), (1, 0));
+    assert_eq!(run.failure_counts.corrupt, 1);
+    assert_eq!(
+        keys(&reference_stream(SEED, EVALS)),
+        keys(&run.measurements),
+        "a retried trial re-runs the same job"
+    );
+}
+
+#[test]
+fn outputless_success_in_one_study_leaves_the_other_untouched() {
+    const EVALS: usize = 16;
+    let hostile = OutputlessOnce {
+        inner: pool(1),
+        fired: false,
+    };
+    let mut svc = TuningService::new(hostile, resolver(), ServiceConfig::new()).unwrap();
+    // On one worker the first dispatch, hence the hostile result, is a's.
+    let a = svc.create_study(one_worker_spec(7, EVALS)).unwrap();
+    let b = svc.create_study(one_worker_spec(8, EVALS)).unwrap();
+    svc.drain().unwrap();
+
+    let stats = svc.stats();
+    let corrupt = |h: StudyHandle| {
+        let study = stats.studies.iter().find(|s| s.id == h.id()).unwrap();
+        (study.failures.corrupt, study.quarantined)
+    };
+    assert_eq!(corrupt(a), (1, 0), "the hostile result is a's, retried");
+    assert_eq!(corrupt(b), (0, 0));
+    for (h, seed) in [(a, 7), (b, 8)] {
+        assert_eq!(svc.status(h), Some(StudyStatus::Completed));
+        assert_eq!(
+            keys(&reference_stream(seed, EVALS)),
+            keys(svc.measurements(h)),
+            "study seeded {seed} must match a run that never saw the hostile result"
+        );
+    }
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //! [`Executor`] — a [`ThreadPool`](hypertune_cluster::ThreadPool) of OS
 //! threads or a [`TcpCluster`](hypertune_cluster::TcpCluster) of worker
 //! processes; the service is substrate-agnostic, exactly like the
-//! single-study drivers. Each study owns an isolated
-//! [`StudyRuntime`] (method, RNG, history, pending set), so tenants
+//! single-study driver. Each study owns its method and an isolated
+//! [`StudyRuntime`] (RNG, history, pending set), so tenants
 //! cannot perturb each other's suggestion streams no matter how the
 //! fleet interleaves them; the service owns everything *between* the
 //! runtimes and the fleet:
@@ -58,8 +58,8 @@ use hypertune_benchmarks::{Benchmark, Eval};
 use hypertune_cluster::{ClusterError, Executor, JobStatus, PoolResult};
 use hypertune_core::persist::{RunSnapshot, SubmissionRecord, WalWriter};
 use hypertune_core::{
-    booked_status, failure_kind, FailureCounts, JobSpec, Measurement, ResourceLevels, RetryPolicy,
-    StudyRuntime, ThreadedJob,
+    booked_status, failure_kind, FailureCounts, JobSpec, Measurement, Method, ResourceLevels,
+    RetryPolicy, StudyRuntime, ThreadedJob,
 };
 use hypertune_telemetry::{Event, TelemetryHandle};
 
@@ -185,11 +185,12 @@ pub fn pool_eval(resolver: BenchResolver) -> impl Fn(&ServiceJob) -> Eval + Send
 }
 
 /// Per-study bookkeeping the service owns (the method-visible state
-/// lives in the [`StudyRuntime`]).
+/// lives in the [`StudyRuntime`], which borrows `method` per call).
 struct Study {
     spec: StudySpec,
     status: StudyStatus,
     generation: u64,
+    method: Box<dyn Method>,
     runtime: StudyRuntime,
     wal: Option<WalWriter>,
     /// Tenant-stamped handle; every event this study causes carries its
@@ -422,8 +423,9 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
         // width — a study capped at 2 in-flight trials on a 64-wide
         // fleet behaves exactly like one on a 2-worker pool.
         let quota = spec.max_in_flight.min(self.executor.n_workers().max(1));
+        let mut method = spec.method.build(&levels, spec.seed);
+        method.set_telemetry(telemetry.clone());
         let runtime = StudyRuntime::new(
-            spec.method.build(&levels, spec.seed),
             bench.space().clone(),
             levels,
             spec.seed,
@@ -458,6 +460,7 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
                 spec,
                 status: StudyStatus::Running,
                 generation: 0,
+                method,
                 runtime,
                 wal,
                 telemetry,
@@ -533,7 +536,7 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
             return Ok(Vec::new());
         }
         let t0 = Instant::now();
-        let batch = study.runtime.suggest(k, now);
+        let batch = study.runtime.suggest(study.method.as_mut(), k, now);
         let latency = t0.elapsed().as_secs_f64();
         if self.suggest_latencies.len() < LATENCY_CAP {
             self.suggest_latencies.push(latency);
@@ -580,7 +583,9 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
             .studies
             .get_mut(&id)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no study {id}")))?;
-        let m = study.runtime.complete_success(spec, eval, now);
+        let m = study
+            .runtime
+            .complete_success(study.method.as_mut(), spec, eval, now);
         if let Some(wal) = &mut study.wal {
             if wal.dirty() == 0 {
                 self.dirty_wals.push(id);
@@ -738,8 +743,9 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
             study.outstanding = study.outstanding.saturating_sub(1);
             return Ok(());
         }
-        if !status.is_failure() {
-            let eval = result.output.expect("successful jobs carry output");
+        // `booked_status` turns a success without an output into a
+        // failure, so a hostile result frame walks the ladder below.
+        if let Some(eval) = result.output.filter(|_| !status.is_failure()) {
             return self.report(StudyHandle::from_id(id), &job.job.spec, &eval);
         }
         study.failures.record(status);
@@ -774,7 +780,9 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
             study.dispatched = study.dispatched.saturating_sub(1);
             study.quarantined += 1;
             study.outstanding = study.outstanding.saturating_sub(1);
-            study.runtime.complete_quarantine(job.job.spec, status, now);
+            study
+                .runtime
+                .complete_quarantine(study.method.as_mut(), job.job.spec, status, now);
         }
         Ok(())
     }
@@ -930,8 +938,9 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
                     measurements: Vec::new(),
                 }
             };
+            let mut method = spec.method.build(&levels, seed);
+            method.set_telemetry(telemetry.clone());
             let mut runtime = StudyRuntime::new(
-                spec.method.build(&levels, seed),
                 bench.space().clone(),
                 levels,
                 seed,
@@ -969,6 +978,7 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
                     spec,
                     status,
                     generation,
+                    method,
                     runtime,
                     wal,
                     telemetry,
@@ -1009,7 +1019,8 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
 
     /// The study's incumbent (best complete evaluation).
     pub fn incumbent(&self, handle: StudyHandle) -> Option<Measurement> {
-        self.studies.get(&handle.id())?.runtime.incumbent()
+        let study = self.studies.get(&handle.id())?;
+        study.runtime.history().incumbent().cloned()
     }
 
     /// Handles of every known study, by id.
@@ -1039,13 +1050,13 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
             .map(|(&id, s)| StudyStats {
                 id,
                 name: s.spec.name.clone(),
-                method: s.runtime.method_name().to_string(),
+                method: s.method.name().to_string(),
                 status: s.status,
                 completed: s.completed,
                 dispatched: s.dispatched,
                 outstanding: s.outstanding,
                 quarantined: s.quarantined,
-                best: s.runtime.incumbent().map(|m| m.value),
+                best: s.runtime.history().incumbent().map(|m| m.value),
                 failures: s.failures,
                 generation: s.generation,
             })

@@ -84,17 +84,6 @@ cargo run --release -q -p hypertune-bench --offline --bin trace-report -- \
   --demo target/trace-smoke.jsonl > target/trace-smoke.out
 grep -q "bracket-weight trajectory" target/trace-smoke.out
 
-step "schedulers bench smoke (--test: one pass, no timing)"
-# Exercises every scheduler bench including the dispatch-latency group
-# whose recorded numbers live in BENCH_scheduler.json (the batch
-# suggestion counterpart of BENCH_surrogate.json).
-cargo bench -q -p hypertune-bench --bench schedulers --offline -- --test \
-  > target/bench-smoke.out
-grep -q "dispatch_latency" target/bench-smoke.out
-# The wide-pool rows (flat dispatch at w128+) must stay in the bench:
-# BENCH_scheduler.json's w128/w256 entries are regenerated from them.
-grep -q "batch_w256" target/bench-smoke.out
-
 step "dispatch op-count guard (liar re-scoring stays O(pool x k))"
 # Two layers: the BatchMaximizer unit test pins rescore_ops == pool x k
 # exactly (and that the reference path is strictly worse), and the
@@ -102,9 +91,6 @@ step "dispatch op-count guard (liar re-scoring stays O(pool x k))"
 # scaling in k. A regression to full per-pick re-scoring fails both.
 cargo test -q -p hypertune-surrogate --offline rescore_ops_is_linear_in_k
 cargo test -q -p hypertune-core --offline batch_rescore_ops_counter_is_linear_in_k
-
-step "prefetch determinism smoke (batch k=1 + prefetch/inline agreement)"
-PROPTEST_CASES=2 cargo test -q -p hypertune --offline --test batch_dispatch
 
 step "TCP loopback smoke (real workers, kill -9 mid-run, exactly-once, both codecs)"
 # A real distributed study over localhost: two hypertune-worker
@@ -182,17 +168,6 @@ grep -q "; 0 duplicated" target/partition-report.out
 grep -qE "reconnects: [1-9]" target/partition-report.out
 grep -q "blackhole" target/partition-report.out
 
-step "net-bench smoke (wire-overhead matrix + WAL durability)"
-# A scaled-down pass of the data-plane bench behind BENCH_net.json:
-# every (codec x slots) cell and every WAL durability config must run
-# to completion and write a report.
-cargo run --release -q -p hypertune-bench --offline --bin net-bench -- \
-  --jobs 200 --studies 4 --evals 8 --out target/bench-net-smoke.json \
-  2> target/net-bench-smoke.err > target/net-bench-smoke.out
-grep -q "wrote target/bench-net-smoke.json" target/net-bench-smoke.out
-grep -q "speedup_binary8_vs_json1" target/bench-net-smoke.json
-grep -q "fsync_over_buffered" target/bench-net-smoke.json
-
 step "multi-tenant service smoke (8 studies, stop + kill + resume, per-study exactly-once)"
 # Eight concurrent studies fair-shared over one in-process pool. One
 # tenant is stopped mid-run; then the service exits with trials still
@@ -228,5 +203,18 @@ grep -q -- "-- study 8 --" target/service-report.out
 # every tenant section must report exactly zero duplicated trials
 [[ "$(grep -c "^duplicated trials: 0$" target/service-report.out)" -ge 8 ]]
 ! grep -E "^duplicated trials: [1-9]" target/service-report.out
+
+step "dead references (deleted benches, shared stores and the suggester thread stay deleted)"
+# ROADMAP.md and CHANGES.md are history and perf/ is the benchmark's own
+# tree, so none of them is searched; DESIGN.md keeps the one paragraph
+# that records why the suggester thread was removed.
+# (The quote pairs keep this file from matching its own patterns.)
+dead='BENCH_[a-z]*\.json|net-''bench|service-''bench|cargo ''bench'
+dead+='|Shared''History|Sharded''Pending|History''View'
+# (`if`, not `! grep`: errexit ignores a negated command.)
+if grep -rnE "$dead" README.md DESIGN.md EXPERIMENTS.md scripts/ crates/ examples/ ||
+  grep -rni 'pre''fetch' README.md scripts/ crates/ examples/; then
+  exit 1
+fi
 
 step "OK"
