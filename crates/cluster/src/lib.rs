@@ -40,9 +40,10 @@
 //! | [`sim`] | [`SimCluster`], [`JobResult`], [`JobStatus`], [`ClusterError`] — the discrete-event simulator and the submit/complete contract |
 //! | [`executor`] | [`Executor`], [`ThreadPool`], [`PoolResult`] — the driver-facing trait and the same contract on real OS threads |
 //! | [`proto`] | [`proto::Frame`], [`proto::ProtoError`], [`proto::Codec`] — the length-prefixed wire protocol with JSON and binary payload codecs (normative spec: DESIGN.md §16) |
-//! | [`net`] | [`TcpCluster`], [`serve_worker`] — the driver/worker TCP substrate built on [`proto`] |
+//! | [`net`] | [`TcpCluster`], [`serve_worker`] — the driver/worker TCP substrate built on [`proto`]; Unix-only, since both sides wait in `poll(2)` |
 //! | [`fault`] | [`Fault`], [`FaultSpec`], [`FaultModel`] — dispatch-time failure injection |
 //! | [`membership`] | [`MembershipPlan`], [`MembershipEvent`] — elastic worker churn: scheduled joins/leaves, worker crashes that orphan jobs, lease-based recovery |
+//! | `poll` (private) | `poll(2)` through one `extern "C"` declaration — the readiness wait under [`net`], and the workspace's only `unsafe` block |
 //! | `straggler` (private) | [`StragglerModel`] — duration noise |
 //! | [`trace`] | [`Trace`], [`TraceSpan`] — per-worker busy intervals for utilization and Gantt renderings (Figures 1 and 4 of the paper) |
 //!
@@ -64,6 +65,7 @@ pub mod proto;
 pub mod sim;
 pub mod trace;
 
+mod poll;
 mod straggler;
 
 pub use chaos::{ChaosFault, ChaosPlan, ChaosProxy, ScheduledFault};

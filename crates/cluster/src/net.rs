@@ -9,11 +9,15 @@
 //!
 //! # Driver side: [`TcpCluster`]
 //!
-//! [`TcpCluster::connect`] dials a static list of worker addresses,
-//! performs the Hello/HelloAck handshake on each, and spawns one reader
-//! thread per connection feeding a single event channel. The driver
-//! thread owns every write half; readers never write. Everything the
-//! driver sends a worker goes through that connection's out-buffer,
+//! [`TcpCluster::connect`] dials a static list of worker addresses and
+//! performs the Hello/HelloAck handshake on each. The driver thread owns
+//! every socket and reads them itself: each connection keeps its own
+//! [`FrameDecoder`], and [`drain_completions`](TcpCluster::drain_completions)
+//! decodes what is buffered, then blocks in `poll(2)` on every live
+//! socket (plus a wake-up socket the redialer threads ring) until a
+//! frame, a hang-up or the earliest lease deadline arrives; `poll` makes
+//! the substrate Unix-only. Everything the driver sends a worker goes
+//! through that connection's out-buffer,
 //! written at once when the worker is idle and otherwise with one
 //! `write_all` at the top of the next
 //! [`drain_completions`](TcpCluster::drain_completions) (DESIGN.md
@@ -65,15 +69,13 @@
 //!   counted under `net.stale_results` and dropped, never surfaced —
 //!   this is the driver-side half of the exactly-once argument
 //!   (DESIGN.md §16).
-//! - **Session epochs**: every reader thread stamps its events with the
-//!   epoch of the session it was spawned for, and the driver drops any
-//!   frame whose epoch differs from the worker's current one
-//!   (`net.stale_epoch_frames`). Job-id retirement already fences
-//!   `Result`s; the epoch fence extends that to *every* frame kind, so
-//!   nothing a pre-partition session buffered — heartbeats, cancel acks,
-//!   results — can touch the post-redial session's state. Together they
-//!   are why a result from before a partition can never double-book a
-//!   trial (DESIGN.md §16.4).
+//! - **Session epochs**: frames are decoded only from the live
+//!   session's own socket, and killing a worker drops its decoder with
+//!   whatever it still held, so nothing a pre-partition session sent —
+//!   heartbeats, cancel acks, results — can reach the post-redial
+//!   session's state; the redial handshake checks the epoch echo. With
+//!   job-id retirement fencing `Result`s, that is why a result from
+//!   before a partition can never double-book a trial (DESIGN.md §16.4).
 //! - **Worker-initiated `Cancel`**: a worker draining on `Shutdown`
 //!   acknowledges each queued-but-unrun dispatch with a `Cancel` frame.
 //!   The driver reclaims the job immediately as an orphan
@@ -88,21 +90,24 @@
 //! [`serve_worker`] is the accept loop behind the `hypertune-worker`
 //! binary. Per session it reads `Hello`, asks the caller's factory for
 //! an evaluator (rejecting the session via `HelloAck` on factory error),
-//! then serves `Dispatch` frames pipelined: the session thread reads
-//! frames and feeds a FIFO queue; a single evaluation thread pops jobs
-//! in dispatch order and streams `Result` frames back as they finish; a
-//! heartbeat thread beacons on a timer. All three share the write half
-//! behind a mutex — each frame is encoded into a per-connection scratch
-//! buffer and written with one `write_all` under the lock, so frames
-//! never interleave and steady-state framing is allocation-free.
+//! then serves `Dispatch` frames pipelined on one session thread: it
+//! decodes every buffered frame into a FIFO queue (a `Cancel` removes a
+//! queued job), checks its socket with a zero-timeout `poll` before each
+//! evaluation so a `Cancel` or `Shutdown` that arrived meanwhile applies
+//! first, evaluates the oldest job and writes its `Result`, and blocks
+//! in `read` only when the queue is empty. A heartbeat thread beacons on
+//! a timer. Both share the write half behind a mutex — each frame is
+//! encoded into a per-connection scratch buffer and written with one
+//! `write_all` under the lock, so frames never interleave and
+//! steady-state framing is allocation-free.
 //!
-//! On `Shutdown` the session drains its queue, acknowledging every
-//! unstarted job with a `Cancel` frame, lets the evaluation in progress
-//! finish and flush its `Result`, and only then closes the socket.
+//! On `Shutdown` — read between evaluations, so the one before it has
+//! already sent its `Result` — the session acknowledges every queued
+//! job with a `Cancel` frame and closes the socket.
 //!
-//! The single evaluation thread means completion order equals dispatch
-//! order no matter the slot count — which is what keeps multi-slot runs
-//! reproducible (see `crates/hypertune/tests/distributed.rs`).
+//! One thread evaluating in queue order means completion order equals
+//! dispatch order no matter the slot count — which is what keeps
+//! multi-slot runs reproducible (see `crates/hypertune/tests/distributed.rs`).
 //!
 //! The worker is intentionally typeless: jobs and outputs cross it as
 //! [`serde::Value`] trees, so one worker binary can serve any benchmark
@@ -112,8 +117,8 @@
 //!
 //! With a handle attached ([`TcpCluster::set_telemetry`]) the driver
 //! emits `net.*` counters (`dispatches`, `results`, `stale_results`,
-//! `stale_epoch_frames`, `heartbeats`, `cancels`, `cancel_acks`,
-//! `disconnects`, `reconnects`, `redial_gaveup`,
+//! `heartbeats`, `cancels`, `cancel_acks`, `disconnects`, `read_errors`,
+//! `protocol_violations`, `bad_outputs`, `reconnects`, `redial_gaveup`,
 //! `codec.binary`/`codec.json` per negotiated connection), latency
 //! histograms (`net.job_rtt_ms` dispatch→result, `net.heartbeat_gap_ms`
 //! between liveness signals, `net.batch_size` dispatches per scheduler
@@ -122,20 +127,23 @@
 //! produce.
 
 use std::collections::VecDeque;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{Shutdown as SockShutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use hypertune_telemetry::{Event, TelemetryHandle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Number, Serialize, Value};
 
 use crate::executor::{Executor, PoolResult};
+use crate::poll::{self, PollFd};
 use crate::proto::{self, Codec, Frame, FrameDecoder, FrameEncoder, ProtoError};
 use crate::sim::{ClusterError, JobStatus};
 
@@ -230,24 +238,8 @@ impl Default for ReconnectPolicy {
     }
 }
 
-/// What a reader thread (or a redialer thread) reports back to the
-/// driver. Frame and disconnect events carry the session epoch the
-/// reporting reader was spawned for, so the driver can fence residue
-/// from dead sessions even after the worker slot has been revived.
+/// What a redialer thread reports back to the driver.
 enum NetEvent {
-    /// A decoded frame from worker `worker`, session `epoch`.
-    Frame {
-        worker: usize,
-        epoch: u64,
-        frame: Frame,
-    },
-    /// The connection to worker `worker` (session `epoch`) is gone (EOF
-    /// or framing error).
-    Disconnected {
-        worker: usize,
-        epoch: u64,
-        reason: ProtoError,
-    },
     /// A redialer re-established worker `worker` at session `epoch`:
     /// the handshaken connection and how many dials it took.
     Redialed {
@@ -268,9 +260,24 @@ struct Session {
     /// The codec the pair settled on.
     codec: Codec,
     /// The decoder that read the `HelloAck`. It may already hold bytes
-    /// that arrived behind the ack, so the session's reader thread
-    /// continues with it rather than a fresh one.
+    /// that arrived behind the ack, so the connection keeps reading
+    /// with it rather than a fresh one.
     dec: FrameDecoder,
+}
+
+/// How a redialer thread hands its outcome to the driver: the event on
+/// the channel, then one byte on the wake-up socket the driver polls.
+#[derive(Clone)]
+struct RedialPost {
+    tx: Sender<NetEvent>,
+    wake: Arc<UnixStream>,
+}
+
+impl RedialPost {
+    fn send(&self, event: NetEvent) {
+        let _ = self.tx.send(event);
+        let _ = (&*self.wake).write_all(&[1]);
+    }
 }
 
 /// A job awaiting its `Result` frame.
@@ -283,8 +290,10 @@ struct Pending<J> {
 /// Driver-side state for one worker connection.
 struct WorkerConn<J> {
     addr: String,
-    /// Write half; the matching read half lives on the reader thread.
     stream: TcpStream,
+    /// Bytes read from `stream` and not yet decoded. Replaced when the
+    /// worker dies, so nothing a dead session sent is ever decoded.
+    dec: FrameDecoder,
     alive: bool,
     /// In-flight jobs, in dispatch order; at most `slots` of them.
     pending: Vec<Pending<J>>,
@@ -300,9 +309,7 @@ struct WorkerConn<J> {
     completed: u64,
     /// `net.worker<idx>.completed`, built once per connection slot.
     completed_key: String,
-    reader: Option<JoinHandle<()>>,
     /// Session epoch: 0 for the startup connection, bumped per redial.
-    /// Events stamped with any other epoch are residue and are dropped.
     epoch: u64,
     /// A redialer thread is currently working this address.
     redialing: bool,
@@ -333,10 +340,15 @@ impl<J> WorkerConn<J> {
 /// docs for lifecycle and failure semantics.
 pub struct TcpCluster<J, O> {
     workers: Vec<WorkerConn<J>>,
-    events_rx: Receiver<NetEvent>,
-    /// Kept so the channel never disconnects while the driver lives,
-    /// even after every reader thread has exited.
-    _events_tx: Sender<NetEvent>,
+    /// Redialer outcomes: the channel's only traffic.
+    redials: Receiver<NetEvent>,
+    /// What each redialer thread gets a clone of.
+    post: RedialPost,
+    /// Read end of the wake-up pair: readable once a redialer posted.
+    wake: UnixStream,
+    /// The `poll` set, rebuilt in place per wait: the wake-up socket,
+    /// then one entry per worker (a negative fd while it is dead).
+    fds: Vec<PollFd>,
     lease: Duration,
     next_job_id: u64,
     in_flight: usize,
@@ -371,12 +383,11 @@ where
     J: Serialize,
     O: Deserialize,
 {
-    /// Dials every address, handshakes with `hello`, and spawns one
-    /// reader thread per connection. By default it fails fast on the
-    /// first address that cannot be reached or rejects the handshake —
-    /// a partial cluster at startup is an operator error, unlike churn
-    /// later. [`TcpClusterOptions::connect_timeout`] bounds each dial
-    /// (and its handshake reads), and
+    /// Dials every address and handshakes with `hello`. By default it
+    /// fails fast on the first address that cannot be reached or rejects
+    /// the handshake — a partial cluster at startup is an operator
+    /// error, unlike churn later. [`TcpClusterOptions::connect_timeout`]
+    /// bounds each dial (and its handshake reads), and
     /// [`TcpClusterOptions::connect_retries`] retries connection-level
     /// failures a bounded number of times; rejections never retry.
     ///
@@ -399,17 +410,13 @@ where
     {
         assert!(!addrs.is_empty(), "cluster needs at least one worker");
         let (tx, rx) = unbounded();
+        let (wake_tx, wake) = UnixStream::pair()?;
         let mut workers = Vec::with_capacity(addrs.len());
         let mut capacity = 0;
         for (idx, addr) in addrs.iter().enumerate() {
             let addr = addr.to_string();
             let mut attempt = 0u32;
-            let Session {
-                stream,
-                slots,
-                codec,
-                dec,
-            } = loop {
+            let session = loop {
                 match dial_worker(&addr, &hello, opts.codec, 0, opts.connect_timeout) {
                     Ok(ok) => break ok,
                     // A handshake rejection (or a peer speaking
@@ -424,31 +431,32 @@ where
                     }
                 }
             };
-            capacity += slots;
-            let reader_stream = stream.try_clone()?;
-            let reader_tx = tx.clone();
-            let reader =
-                std::thread::spawn(move || reader_loop(idx, 0, reader_stream, dec, reader_tx));
+            capacity += session.slots;
             workers.push(WorkerConn {
                 addr,
-                stream,
+                stream: session.stream,
+                dec: session.dec,
                 alive: true,
-                pending: Vec::with_capacity(slots),
-                slots,
-                codec,
+                pending: Vec::with_capacity(session.slots),
+                slots: session.slots,
+                codec: session.codec,
                 out: Vec::new(),
                 last_seen: Instant::now(),
                 completed: 0,
                 completed_key: format!("net.worker{idx}.completed"),
-                reader: Some(reader),
                 epoch: 0,
                 redialing: false,
             });
         }
         Ok(Self {
+            fds: Vec::with_capacity(workers.len() + 1),
             workers,
-            events_rx: rx,
-            _events_tx: tx,
+            redials: rx,
+            post: RedialPost {
+                tx,
+                wake: Arc::new(wake_tx),
+            },
+            wake,
             lease: opts.lease_timeout,
             next_job_id: 0,
             in_flight: 0,
@@ -484,11 +492,7 @@ where
                         worker: idx,
                         n_alive,
                     });
-                    let key = match w.codec {
-                        Codec::Binary => "net.codec.binary",
-                        Codec::Json => "net.codec.json",
-                    };
-                    self.telemetry.counter_add(key, 1);
+                    self.telemetry.counter_add(codec_key(w.codec), 1);
                 }
             }
             self.telemetry
@@ -588,8 +592,7 @@ where
     /// Starts a background redial loop for dead worker `idx`, if the
     /// policy allows and one is not already running. The redialer
     /// handshakes with the *next* session epoch; the driver applies the
-    /// result when the `Redialed`/`RedialFailed` event arrives in
-    /// `next_completion`.
+    /// result when the wake-up socket rings inside a drain.
     fn maybe_spawn_redialer(&mut self, idx: usize) {
         if self.reconnect.max_attempts == 0 {
             return;
@@ -606,7 +609,7 @@ where
         let offer = self.offer_codec;
         let policy = self.reconnect.clone();
         let connect_timeout = self.connect_timeout;
-        let tx = self._events_tx.clone();
+        let post = self.post.clone();
         let stop = Arc::clone(&self.stop_redial);
         self.redial_handles.push(std::thread::spawn(move || {
             redial_loop(
@@ -617,14 +620,14 @@ where
                 epoch,
                 policy,
                 connect_timeout,
-                tx,
+                post,
                 stop,
             )
         }));
     }
 
-    /// Marks a worker dead: shuts its socket both ways (unblocking the
-    /// reader thread), shrinks capacity by its slots, and emits
+    /// Marks a worker dead: shuts its socket both ways, drops whatever
+    /// its decoder still held, shrinks capacity by its slots, and emits
     /// membership telemetry. Pending-job handling is the caller's job.
     fn kill_worker(&mut self, idx: usize) {
         let w = &mut self.workers[idx];
@@ -633,6 +636,7 @@ where
         }
         w.alive = false;
         w.out.clear();
+        w.dec = FrameDecoder::new();
         let _ = w.stream.shutdown(SockShutdown::Both);
         self.capacity -= w.slots;
         let n_alive = self.capacity;
@@ -678,9 +682,12 @@ where
     /// calls come first. [`ClusterError::Quiescent`] (nothing appended)
     /// when nothing is pending anywhere.
     ///
-    /// One call is one lease sweep and one sweep of the reader threads'
-    /// channel: it blocks only while it has nothing to return. Buffered
-    /// dispatches (see [`submit`](Self::submit)) are written first.
+    /// Buffered dispatches (see [`submit`](Self::submit)) are written
+    /// first. Each pass then takes queued orphans and every frame the
+    /// connections' decoders already hold. Once something is taken, one
+    /// zero-timeout `poll` sweep picks up whatever else has arrived and
+    /// the call returns; until then it sweeps leases and blocks in `poll`
+    /// on every live socket, waking at the earliest lease deadline.
     pub fn drain_completions(
         &mut self,
         out: &mut Vec<PoolResult<J, O>>,
@@ -698,76 +705,119 @@ where
         }
         self.flush_dispatches();
         let before = out.len();
+        let limit = before.saturating_add(max);
+        let mut swept = false;
         loop {
-            while out.len() - before < max {
+            while out.len() < limit {
                 let Some(r) = self.orphans.pop_front() else {
                     break;
                 };
                 out.push(r);
             }
+            self.take_buffered(out, limit);
             let taken = out.len() - before;
-            if taken == max {
+            if out.len() == limit || (taken > 0 && swept) {
                 return Ok(taken);
             }
-            let event = if taken > 0 {
-                // Results in hand: take what the readers have already
-                // delivered, never wait for more.
-                match self.events_rx.try_recv() {
-                    Ok(e) => e,
-                    Err(_) => return Ok(taken),
+            if taken > 0 {
+                // Results in hand: take what else is readable right
+                // now, never wait for more.
+                swept = true;
+                self.sweep(Some(Duration::ZERO));
+                continue;
+            }
+            // Lease sweep: a silent worker with pending jobs is dead to
+            // us once the lease runs out.
+            let now = Instant::now();
+            let mut expired = false;
+            for idx in 0..self.workers.len() {
+                let w = &self.workers[idx];
+                if w.alive && !w.pending.is_empty() && now.duration_since(w.last_seen) >= self.lease
+                {
+                    self.expire_lease(idx);
+                    expired = true;
                 }
-            } else {
-                // Lease sweep: a silent worker with pending jobs is dead
-                // to us once the lease runs out.
-                let now = Instant::now();
-                let mut expired = false;
-                for idx in 0..self.workers.len() {
-                    let w = &self.workers[idx];
-                    if w.alive
-                        && !w.pending.is_empty()
-                        && now.duration_since(w.last_seen) >= self.lease
-                    {
-                        self.expire_lease(idx);
-                        expired = true;
-                    }
+            }
+            if expired {
+                continue;
+            }
+            // Quiescence must wait out live redialers: capacity may come
+            // back, and the caller re-checks for parked work when it
+            // does (the runners resume dispatching on a restored fleet).
+            if self.in_flight == 0 && self.redialing == 0 {
+                return Err(ClusterError::Quiescent);
+            }
+            // Block until something arrives, but wake at the earliest
+            // lease deadline so silence is noticed.
+            let deadline = self
+                .workers
+                .iter()
+                .filter(|w| w.alive && !w.pending.is_empty())
+                .map(|w| w.last_seen + self.lease)
+                .min();
+            self.sweep(deadline.map(|d| d.saturating_duration_since(now)));
+        }
+    }
+
+    /// Decodes every frame the live connections already hold, appending
+    /// the completions they carry to `out` while it is shorter than
+    /// `limit`.
+    fn take_buffered(&mut self, out: &mut Vec<PoolResult<J, O>>, limit: usize) {
+        for idx in 0..self.workers.len() {
+            while out.len() < limit && self.workers[idx].alive {
+                match self.workers[idx].dec.buffered() {
+                    Ok(Some(frame)) => out.extend(self.handle_frame(idx, frame)),
+                    Ok(None) => break,
+                    Err(reason) => self.disconnect(idx, reason),
                 }
-                if expired {
-                    continue;
-                }
-                // Quiescence must wait out live redialers: capacity may
-                // come back, and the caller re-checks for parked work
-                // when it does (the runners resume dispatching on a
-                // restored fleet).
-                if self.in_flight == 0 && self.redialing == 0 {
-                    return Err(ClusterError::Quiescent);
-                }
-                // Block for the next event, but wake at the earliest
-                // lease deadline so silence is noticed.
-                let deadline = self
-                    .workers
-                    .iter()
-                    .filter(|w| w.alive && !w.pending.is_empty())
-                    .map(|w| w.last_seen + self.lease)
-                    .min();
-                match deadline {
-                    None => match self.events_rx.recv() {
-                        Ok(e) => e,
-                        Err(_) => return Err(ClusterError::Quiescent),
-                    },
-                    Some(d) => match self
-                        .events_rx
-                        .recv_timeout(d.saturating_duration_since(now))
-                    {
-                        Ok(e) => e,
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => return Err(ClusterError::Quiescent),
-                    },
-                }
-            };
-            if let Some(r) = self.handle_event(event) {
-                out.push(r);
             }
         }
+    }
+
+    /// One `poll` over the wake-up socket and every live connection,
+    /// waiting up to `timeout` (`None`: until something is ready). Reads
+    /// each ready socket once, killing the worker on a hang-up or read
+    /// error, and applies the redial outcomes that rang the wake-up.
+    fn sweep(&mut self, timeout: Option<Duration>) {
+        self.fds.clear();
+        self.fds.push(PollFd::readable(self.wake.as_raw_fd()));
+        self.fds.extend(
+            self.workers
+                .iter()
+                .map(|w| PollFd::readable(if w.alive { w.stream.as_raw_fd() } else { -1 })),
+        );
+        if poll::wait(&mut self.fds, timeout).unwrap_or(0) == 0 {
+            return;
+        }
+        if self.fds[0].ready() {
+            let _ = (&self.wake).read(&mut [0u8; 64]);
+            while let Ok(event) = self.redials.try_recv() {
+                self.apply_redial(event);
+            }
+        }
+        for idx in 0..self.workers.len() {
+            if !self.fds[idx + 1].ready() {
+                continue;
+            }
+            let w = &mut self.workers[idx];
+            let reason = match w.dec.read_some(&mut w.stream) {
+                Ok(0) => w.dec.eof(),
+                Ok(_) => continue,
+                Err(e) => e,
+            };
+            self.disconnect(idx, reason);
+        }
+    }
+
+    /// Worker `idx`'s read path failed: a clean EOF, or a framing or
+    /// socket error. Both kill the worker, but only the latter is a read
+    /// fault.
+    fn disconnect(&mut self, idx: usize, reason: ProtoError) {
+        if !matches!(reason, ProtoError::Closed) {
+            self.telemetry.counter_add("net.read_errors", 1);
+        }
+        self.kill_and_orphan(idx);
+        self.maybe_spawn_redialer(idx);
     }
 
     /// Gives up on silent worker `idx`: a best-effort `Cancel` per
@@ -785,10 +835,8 @@ where
         self.maybe_spawn_redialer(idx);
     }
 
-    /// Applies one reader/redialer event to the driver's state; returns
-    /// the completion it carried, if any. Orphans it causes are queued
-    /// on `self.orphans`.
-    fn handle_event(&mut self, event: NetEvent) -> Option<PoolResult<J, O>> {
+    /// Applies one redialer outcome to the driver's state.
+    fn apply_redial(&mut self, event: NetEvent) {
         match event {
             NetEvent::Redialed {
                 worker,
@@ -801,46 +849,20 @@ where
                 if self.workers[worker].alive {
                     // Unreachable (only dead workers redial), but a
                     // stray success must not corrupt a live session.
-                    return None;
+                    return;
                 }
-                let Session {
-                    stream,
-                    slots,
-                    codec,
-                    dec,
-                } = session;
-                let Ok(reader_stream) = stream.try_clone() else {
-                    self.telemetry.counter_add("net.redial_gaveup", 1);
-                    self.telemetry.emit_now_with(|| Event::RedialGaveUp {
-                        worker,
-                        attempts: attempts as usize,
-                    });
-                    return None;
-                };
                 let w = &mut self.workers[worker];
-                // The old reader exited when its socket died; reap it
-                // before installing the new session.
-                if let Some(h) = w.reader.take() {
-                    let _ = h.join();
-                }
-                w.stream = stream;
+                w.stream = session.stream;
+                w.dec = session.dec;
                 w.alive = true;
-                w.slots = slots;
-                w.codec = codec;
+                w.slots = session.slots;
+                w.codec = session.codec;
                 w.epoch = epoch;
                 w.last_seen = Instant::now();
-                let tx = self._events_tx.clone();
-                w.reader = Some(std::thread::spawn(move || {
-                    reader_loop(worker, epoch, reader_stream, dec, tx)
-                }));
-                self.capacity += slots;
+                self.capacity += session.slots;
                 let n_alive = self.capacity;
                 self.telemetry.counter_add("net.reconnects", 1);
-                let key = match codec {
-                    Codec::Binary => "net.codec.binary",
-                    Codec::Json => "net.codec.json",
-                };
-                self.telemetry.counter_add(key, 1);
+                self.telemetry.counter_add(codec_key(session.codec), 1);
                 self.telemetry
                     .gauge_set("net.workers_alive", n_alive as f64);
                 self.telemetry.emit_now_with(|| Event::WorkerReconnected {
@@ -850,7 +872,6 @@ where
                 });
                 self.telemetry
                     .emit_now_with(|| Event::WorkerJoined { worker, n_alive });
-                None
             }
             NetEvent::RedialFailed { worker, attempts } => {
                 self.redialing -= 1;
@@ -860,115 +881,85 @@ where
                     worker,
                     attempts: attempts as usize,
                 });
+            }
+        }
+    }
+
+    /// Applies one frame decoded from live worker `worker`'s socket;
+    /// returns the completion it carried, if any.
+    fn handle_frame(&mut self, worker: usize, frame: Frame) -> Option<PoolResult<J, O>> {
+        let now = Instant::now();
+        let gap = now.duration_since(self.workers[worker].last_seen);
+        self.workers[worker].last_seen = now;
+        match frame {
+            Frame::Heartbeat { .. } => {
+                self.telemetry.counter_add("net.heartbeats", 1);
+                self.telemetry
+                    .histogram_record("net.heartbeat_gap_ms", gap.as_secs_f64() * 1e3);
                 None
             }
-            NetEvent::Disconnected {
-                worker,
-                epoch,
-                reason,
+            Frame::Result {
+                job_id,
+                status,
+                output,
             } => {
-                if self.workers[worker].alive && epoch == self.workers[worker].epoch {
-                    // A clean EOF and a framing error both kill the
-                    // worker, but only the latter is a read fault.
-                    if !matches!(reason, ProtoError::Closed) {
-                        self.telemetry.counter_add("net.read_errors", 1);
+                let Some(p) = self.take_pending(worker, job_id) else {
+                    // Retired id (orphaned then re-dispatched elsewhere):
+                    // drop, never double-count.
+                    self.telemetry.counter_add("net.stale_results", 1);
+                    return None;
+                };
+                let w = &mut self.workers[worker];
+                w.completed += 1;
+                self.telemetry.counter_add("net.results", 1);
+                self.telemetry.histogram_record(
+                    "net.job_rtt_ms",
+                    now.duration_since(p.sent).as_secs_f64() * 1e3,
+                );
+                self.telemetry
+                    .gauge_set(&w.completed_key, w.completed as f64);
+                let (status, output) = if output.is_null() {
+                    (status, None)
+                } else {
+                    match O::from_value(&output) {
+                        Ok(o) => (status, Some(o)),
+                        Err(_) => {
+                            // Undecodable payload: demote to a plain
+                            // failure so no caller trusts it.
+                            self.telemetry.counter_add("net.bad_outputs", 1);
+                            (JobStatus::Errored, None)
+                        }
                     }
-                    self.kill_and_orphan(worker);
-                    self.maybe_spawn_redialer(worker);
-                }
-                None
+                };
+                Some(PoolResult {
+                    job: p.job,
+                    output,
+                    status,
+                    worker,
+                })
             }
-            NetEvent::Frame {
-                worker,
-                epoch,
-                frame,
-            } => {
-                if epoch != self.workers[worker].epoch {
-                    // Residue from a previous session epoch, surfacing
-                    // after a redial made the worker live again — the
-                    // fence job-id retirement cannot provide
-                    // (DESIGN.md §16.4).
-                    self.telemetry.counter_add("net.stale_epoch_frames", 1);
+            Frame::Cancel { job_id } => {
+                // The worker is draining: it dropped this queued job
+                // without running it. Reclaim it now instead of waiting
+                // for the disconnect.
+                let Some(p) = self.take_pending(worker, job_id) else {
+                    self.telemetry.counter_add("net.stale_results", 1);
                     return None;
-                }
-                if !self.workers[worker].alive {
-                    // Residue from a connection we already tore down.
-                    return None;
-                }
-                let now = Instant::now();
-                let gap = now.duration_since(self.workers[worker].last_seen);
-                self.workers[worker].last_seen = now;
-                match frame {
-                    Frame::Heartbeat { .. } => {
-                        self.telemetry.counter_add("net.heartbeats", 1);
-                        self.telemetry
-                            .histogram_record("net.heartbeat_gap_ms", gap.as_secs_f64() * 1e3);
-                        None
-                    }
-                    Frame::Result {
-                        job_id,
-                        status,
-                        output,
-                    } => {
-                        let Some(p) = self.take_pending(worker, job_id) else {
-                            // Retired id (orphaned then re-dispatched
-                            // elsewhere): drop, never double-count.
-                            self.telemetry.counter_add("net.stale_results", 1);
-                            return None;
-                        };
-                        let w = &mut self.workers[worker];
-                        w.completed += 1;
-                        self.telemetry.counter_add("net.results", 1);
-                        self.telemetry.histogram_record(
-                            "net.job_rtt_ms",
-                            now.duration_since(p.sent).as_secs_f64() * 1e3,
-                        );
-                        self.telemetry
-                            .gauge_set(&w.completed_key, w.completed as f64);
-                        let (status, output) = if output.is_null() {
-                            (status, None)
-                        } else {
-                            match O::from_value(&output) {
-                                Ok(o) => (status, Some(o)),
-                                Err(_) => {
-                                    // Undecodable payload: demote to a
-                                    // plain failure so no caller trusts it.
-                                    self.telemetry.counter_add("net.bad_outputs", 1);
-                                    (JobStatus::Errored, None)
-                                }
-                            }
-                        };
-                        Some(PoolResult {
-                            job: p.job,
-                            output,
-                            status,
-                            worker,
-                        })
-                    }
-                    Frame::Cancel { job_id } => {
-                        // The worker is draining: it dropped this queued
-                        // job without running it. Reclaim it now instead
-                        // of waiting for the disconnect.
-                        let Some(p) = self.take_pending(worker, job_id) else {
-                            self.telemetry.counter_add("net.stale_results", 1);
-                            return None;
-                        };
-                        self.telemetry.counter_add("net.cancel_acks", 1);
-                        Some(PoolResult {
-                            job: p.job,
-                            output: None,
-                            status: JobStatus::Orphaned,
-                            worker,
-                        })
-                    }
-                    _ => {
-                        // A frame only drivers may send: the peer is not
-                        // speaking our protocol. Tear it down.
-                        self.telemetry.counter_add("net.protocol_violations", 1);
-                        self.kill_and_orphan(worker);
-                        None
-                    }
-                }
+                };
+                self.telemetry.counter_add("net.cancel_acks", 1);
+                Some(PoolResult {
+                    job: p.job,
+                    output: None,
+                    status: JobStatus::Orphaned,
+                    worker,
+                })
+            }
+            _ => {
+                // A frame only drivers may send: the peer is not speaking
+                // our protocol. Tear it down.
+                self.telemetry.counter_add("net.protocol_violations", 1);
+                self.kill_and_orphan(worker);
+                None
             }
         }
     }
@@ -1033,59 +1024,20 @@ impl<J, O> Drop for TcpCluster<J, O> {
             if w.alive {
                 // Polite goodbye — behind whatever dispatches are still
                 // buffered, through the same out-buffer — then force the
-                // socket down either way so the reader thread unblocks.
+                // socket down either way.
                 w.enqueue(&mut self.enc, &Frame::Shutdown);
                 let _ = w.flush();
                 let _ = w.stream.shutdown(SockShutdown::Both);
             }
         }
-        for w in &mut self.workers {
-            if let Some(h) = w.reader.take() {
-                let _ = h.join();
-            }
-        }
     }
 }
 
-/// Reads frames until the connection dies, forwarding everything to the
-/// driver's event channel. Never writes. `dec` is the handshake's
-/// decoder (see [`Session`]); it reads ahead, so a burst of result
-/// frames costs one `read`, and its buffer is reused across frames, so a
-/// steady result stream allocates only for the decoded `Value` trees
-/// themselves. Every event is stamped with the
-/// session `epoch` the reader was spawned for, so the driver can fence
-/// out anything a dead session's reader was still flushing when a redial
-/// revived the slot.
-fn reader_loop(
-    worker: usize,
-    epoch: u64,
-    mut stream: TcpStream,
-    mut dec: FrameDecoder,
-    tx: Sender<NetEvent>,
-) {
-    loop {
-        match dec.read_ahead(&mut stream) {
-            Ok(frame) => {
-                if tx
-                    .send(NetEvent::Frame {
-                        worker,
-                        epoch,
-                        frame,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Err(reason) => {
-                let _ = tx.send(NetEvent::Disconnected {
-                    worker,
-                    epoch,
-                    reason,
-                });
-                return;
-            }
-        }
+/// The counter a connection's negotiated codec is counted under.
+fn codec_key(codec: Codec) -> &'static str {
+    match codec {
+        Codec::Binary => "net.codec.binary",
+        Codec::Json => "net.codec.json",
     }
 }
 
@@ -1110,10 +1062,9 @@ fn decorate_hello(hello: &Value, offer: Codec, epoch: u64) -> Value {
 /// Dials one worker and runs the Hello/HelloAck handshake for session
 /// `epoch`. Returns the connected [`Session`]: stream, the worker's
 /// advertised slot count, the codec the pair settled on, and the decoder
-/// the session's reader must continue with. `timeout` bounds both the
-/// TCP connect and the handshake reads (cleared before returning, so the
-/// reader thread blocks normally afterwards); `None` blocks on OS
-/// defaults. A handshake rejection, a mismatched epoch echo, or an
+/// the connection must keep reading with. `timeout` bounds both the
+/// TCP connect and the handshake reads (cleared before returning);
+/// `None` blocks on OS defaults. A handshake rejection, a mismatched epoch echo, or an
 /// unexpected first frame all come back as [`ProtoError::Garbage`] —
 /// definitive answers the caller must not retry.
 fn dial_worker(
@@ -1229,7 +1180,7 @@ fn redial_loop(
     epoch: u64,
     policy: ReconnectPolicy,
     connect_timeout: Option<Duration>,
-    tx: Sender<NetEvent>,
+    post: RedialPost,
     stop: Arc<AtomicBool>,
 ) {
     // Deterministic per-(worker, epoch) jitter stream: drills with a
@@ -1250,7 +1201,7 @@ fn redial_loop(
         }
         match dial_worker(&addr, &hello, offer, epoch, connect_timeout) {
             Ok(session) => {
-                let _ = tx.send(NetEvent::Redialed {
+                post.send(NetEvent::Redialed {
                     worker,
                     epoch,
                     session,
@@ -1265,7 +1216,7 @@ fn redial_loop(
             }
         }
     }
-    let _ = tx.send(NetEvent::RedialFailed {
+    post.send(NetEvent::RedialFailed {
         worker,
         attempts: policy.max_attempts,
     });
@@ -1308,8 +1259,8 @@ impl Default for WorkerOptions {
 pub type EvalFn = Box<dyn Fn(&Value) -> (JobStatus, Value) + Send>;
 
 /// The session's shared write half: socket plus a reused encode scratch
-/// buffer, always taken together under one lock so concurrent writers
-/// (session, evaluator, heartbeat) never interleave frame bytes.
+/// buffer, always taken together under one lock so the session and
+/// heartbeat threads never interleave frame bytes.
 struct FrameWriter {
     stream: TcpStream,
     enc: FrameEncoder,
@@ -1319,78 +1270,6 @@ impl FrameWriter {
     fn write(&mut self, frame: &Frame) -> Result<(), ProtoError> {
         let buf = self.enc.encode(frame);
         self.stream.write_all(buf).map_err(ProtoError::from)
-    }
-}
-
-/// The session's dispatch queue: the session thread pushes, the single
-/// evaluation thread pops in FIFO order, and `close` drains whatever
-/// never started so it can be Cancel-acknowledged.
-struct JobQueue {
-    inner: Mutex<JobQueueInner>,
-    cv: Condvar,
-}
-
-struct JobQueueInner {
-    jobs: VecDeque<(u64, Value)>,
-    closed: bool,
-}
-
-impl JobQueue {
-    fn new() -> Self {
-        Self {
-            inner: Mutex::new(JobQueueInner {
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn push(&self, job_id: u64, payload: Value) {
-        let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        if g.closed {
-            return;
-        }
-        g.jobs.push_back((job_id, payload));
-        self.cv.notify_one();
-    }
-
-    /// Removes a not-yet-started job; `false` if it already ran (or is
-    /// running), in which case its `Result` gets fenced driver-side.
-    fn cancel(&self, job_id: u64) -> bool {
-        let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        match g.jobs.iter().position(|(id, _)| *id == job_id) {
-            Some(pos) => {
-                g.jobs.remove(pos);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Closes the queue (unblocking the evaluator once it drains) and
-    /// returns every job that never started.
-    fn close(&self) -> Vec<(u64, Value)> {
-        let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        g.closed = true;
-        let drained = g.jobs.drain(..).collect();
-        self.cv.notify_all();
-        drained
-    }
-
-    /// Blocks for the next job; `None` once the queue is closed and
-    /// empty.
-    fn pop(&self) -> Option<(u64, Value)> {
-        let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(job) = g.jobs.pop_front() {
-                return Some(job);
-            }
-            if g.closed {
-                return None;
-            }
-            g = self.cv.wait(g).unwrap_or_else(|p| p.into_inner());
-        }
     }
 }
 
@@ -1496,65 +1375,18 @@ where
         }
     };
     // Heartbeats come from their own thread so a long evaluation never
-    // looks like a death. All writers share the write half; each frame
+    // looks like a death. Both threads share the write half; each frame
     // is one write_all under the lock, so frames never interleave.
     let stop = Arc::new(AtomicBool::new(false));
     let hb_stop = Arc::clone(&stop);
     let hb_writer = Arc::clone(&writer);
     let interval = opts.heartbeat_interval;
-    let heartbeat = std::thread::spawn(move || {
-        let mut seq = 0u64;
-        loop {
-            std::thread::sleep(interval);
-            if hb_stop.load(Ordering::Relaxed) {
-                return;
-            }
-            seq += 1;
-            if write_locked(&hb_writer, &Frame::Heartbeat { seq }).is_err() {
-                return;
-            }
-        }
-    });
-    // One evaluation thread pops the queue in FIFO order and streams
-    // results back as they finish — pipelining without reordering.
-    let queue = Arc::new(JobQueue::new());
-    let eval_queue = Arc::clone(&queue);
-    let eval_writer = Arc::clone(&writer);
-    let evaluator = std::thread::spawn(move || {
-        while let Some((job_id, payload)) = eval_queue.pop() {
-            // A panicking benchmark must not take the worker process (and
-            // its whole slot queue) down with it: surface it as a Crashed
-            // result so the driver's quarantine path owns the decision.
-            let (status, output) =
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eval(&payload))) {
-                    Ok(out) => out,
-                    Err(panic) => {
-                        let msg = panic
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| panic.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "opaque panic payload".to_string());
-                        eprintln!("hypertune-worker: evaluation of job {job_id} panicked: {msg}");
-                        (JobStatus::Crashed, Value::Null)
-                    }
-                };
-            let frame = Frame::Result {
-                job_id,
-                status,
-                output,
-            };
-            if write_locked(&eval_writer, &frame).is_err() {
-                return;
-            }
-        }
-    });
-    let outcome = session_loop(&mut reader, &mut dec, &writer, &queue);
-    // Whatever ended the session, release the evaluator and let the
-    // in-progress job's Result flush before the socket goes down (the
-    // heartbeat keeps the driver's lease alive meanwhile).
-    let _ = queue.close();
-    let _ = evaluator.join();
+    let heartbeat = std::thread::spawn(move || heartbeat_loop(&hb_writer, &hb_stop, interval));
+    let outcome = session_loop(&mut reader, &mut dec, &writer, &eval);
+    // Whatever ended the session, wake the heartbeat thread rather than
+    // wait out its interval, and close the socket.
     stop.store(true, Ordering::Relaxed);
+    heartbeat.thread().unpark();
     {
         let guard = writer.lock().unwrap_or_else(|p| p.into_inner());
         let _ = guard.stream.shutdown(SockShutdown::Both);
@@ -1563,47 +1395,112 @@ where
     outcome
 }
 
-/// The worker's frame-pump loop: dispatches go onto the queue, cancels
-/// come off it, and `Shutdown` drains it with Cancel acknowledgements.
-fn session_loop(
-    reader: &mut TcpStream,
-    dec: &mut FrameDecoder,
-    writer: &Arc<Mutex<FrameWriter>>,
-    queue: &Arc<JobQueue>,
-) -> Result<(), ProtoError> {
+/// Beacons every `interval` until `stop` is set. The session unparks
+/// this thread when it sets `stop`, so teardown never waits out a beat.
+fn heartbeat_loop(writer: &Mutex<FrameWriter>, stop: &AtomicBool, interval: Duration) {
+    let mut seq = 0u64;
+    let mut due = Instant::now() + interval;
     loop {
-        match dec.read_ahead(reader) {
-            Ok(Frame::Dispatch { job_id, payload }) => queue.push(job_id, payload),
-            // If the job already started (or finished), its Result is
-            // fenced driver-side as stale; nothing to do here.
-            Ok(Frame::Cancel { job_id }) => {
-                let _ = queue.cancel(job_id);
-            }
-            Ok(Frame::Shutdown) => {
-                // Drain: every queued-but-unstarted job is handed back
-                // via Cancel so the driver reclaims it immediately
-                // instead of inferring orphans from the disconnect.
-                for (job_id, _) in queue.close() {
-                    if write_locked(writer, &Frame::Cancel { job_id }).is_err() {
-                        break;
+        std::thread::park_timeout(due.saturating_duration_since(Instant::now()));
+        if stop.load(Ordering::Relaxed) {
+            return;
+        }
+        // `park_timeout` may also return early, spuriously.
+        if Instant::now() < due {
+            continue;
+        }
+        seq += 1;
+        if write_locked(writer, &Frame::Heartbeat { seq }).is_err() {
+            return;
+        }
+        due = Instant::now() + interval;
+    }
+}
+
+/// The session thread: frames in, evaluations in queue order, results
+/// out. A `Dispatch` queues its job, a `Cancel` removes its job if it has
+/// not started, and `Shutdown` hands every queued job back with a
+/// `Cancel` ack and ends the session.
+fn session_loop(
+    stream: &mut TcpStream,
+    dec: &mut FrameDecoder,
+    writer: &Mutex<FrameWriter>,
+    eval: &EvalFn,
+) -> Result<(), ProtoError> {
+    let mut queue: VecDeque<(u64, Value)> = VecDeque::new();
+    let mut fds = [PollFd::readable(stream.as_raw_fd())];
+    loop {
+        while let Some(frame) = dec.buffered()? {
+            match frame {
+                Frame::Dispatch { job_id, payload } => queue.push_back((job_id, payload)),
+                // If the job already ran, its Result is fenced
+                // driver-side as stale; nothing to do here.
+                Frame::Cancel { job_id } => queue.retain(|(id, _)| *id != job_id),
+                Frame::Shutdown => {
+                    // Drain: every queued job is handed back via Cancel so
+                    // the driver reclaims it immediately instead of
+                    // inferring orphans from the disconnect.
+                    for (job_id, _) in queue {
+                        if write_locked(writer, &Frame::Cancel { job_id }).is_err() {
+                            break;
+                        }
                     }
+                    return Ok(());
                 }
-                return Ok(());
+                other => {
+                    return Err(ProtoError::Garbage(format!(
+                        "unexpected frame from driver: {other:?}"
+                    )))
+                }
             }
-            Ok(other) => {
-                return Err(ProtoError::Garbage(format!(
-                    "unexpected frame from driver: {other:?}"
-                )))
+        }
+        // With nothing queued, block for more. Otherwise read whatever
+        // arrived during the last evaluation, so a Cancel or Shutdown
+        // applies before the next job starts.
+        if queue.is_empty() || poll::wait(&mut fds, Some(Duration::ZERO))? > 0 {
+            if dec.read_some(stream)? == 0 {
+                return match dec.eof() {
+                    // Driver vanished between frames; not this worker's
+                    // fault.
+                    ProtoError::Closed => Ok(()),
+                    e => Err(e),
+                };
             }
-            // Driver vanished between frames; not this worker's fault.
-            Err(ProtoError::Closed) => return Ok(()),
-            Err(e) => return Err(e),
+            continue;
+        }
+        let Some((job_id, payload)) = queue.pop_front() else {
+            continue;
+        };
+        // A panicking benchmark must not take the worker process (and its
+        // whole slot queue) down with it: surface it as a Crashed result
+        // so the driver's quarantine path owns the decision.
+        let (status, output) =
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eval(&payload))) {
+                Ok(out) => out,
+                Err(panic) => {
+                    let msg = panic
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| panic.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "opaque panic payload".to_string());
+                    eprintln!("hypertune-worker: evaluation of job {job_id} panicked: {msg}");
+                    (JobStatus::Crashed, Value::Null)
+                }
+            };
+        let frame = Frame::Result {
+            job_id,
+            status,
+            output,
+        };
+        if write_locked(writer, &frame).is_err() {
+            // The driver hung up mid-evaluation; not this worker's fault.
+            return Ok(());
         }
     }
 }
 
 /// Encodes and writes one frame atomically under the shared-writer lock.
-fn write_locked(writer: &Arc<Mutex<FrameWriter>>, frame: &Frame) -> Result<(), ProtoError> {
+fn write_locked(writer: &Mutex<FrameWriter>, frame: &Frame) -> Result<(), ProtoError> {
     let mut guard = writer.lock().unwrap_or_else(|p| p.into_inner());
     guard.write(frame)
 }
@@ -1672,11 +1569,18 @@ mod tests {
         (addr, handle)
     }
 
-    /// Spins until `n` reader events sit in the driver's channel: the
-    /// only way to know, without consuming them, that `n` results have
-    /// *arrived* (the workers in these tests send nothing else).
-    fn wait_arrived<J, O>(cluster: &TcpCluster<J, O>, n: usize) {
-        while cluster.events_rx.len() < n {
+    /// Spins until `n` live connections have unread bytes on their
+    /// sockets (one zero-timeout `poll` per try): the only way to know,
+    /// without reading them, that results have *arrived* (the workers in
+    /// these tests send nothing else).
+    fn wait_readable<J, O>(cluster: &TcpCluster<J, O>, n: usize) {
+        let mut fds: Vec<PollFd> = cluster
+            .workers
+            .iter()
+            .filter(|w| w.alive)
+            .map(|w| PollFd::readable(w.stream.as_raw_fd()))
+            .collect();
+        while poll::wait(&mut fds, Some(Duration::ZERO)).unwrap() < n {
             std::thread::yield_now();
         }
     }
@@ -1685,7 +1589,7 @@ mod tests {
     fn drain_takes_everything_arrived_up_to_max() {
         // Eight one-slot workers: every dispatch goes to an idle worker
         // and is therefore written at once, so all eight results can be
-        // in the channel before the first drain.
+        // on their sockets before the first drain.
         let (addrs, handles): (Vec<_>, Vec<_>) = (0..8).map(|_| spawn_quiet_doubler()).unzip();
         let mut cluster: TcpCluster<u64, u64> =
             TcpCluster::connect(&addrs, json!(null), TcpClusterOptions::default()).unwrap();
@@ -1698,7 +1602,7 @@ mod tests {
         for j in 0..8 {
             cluster.submit(j).unwrap();
         }
-        wait_arrived(&cluster, 8);
+        wait_readable(&cluster, 8);
         assert_eq!(cluster.drain_completions(&mut out, usize::MAX), Ok(8));
         assert_eq!((cluster.in_flight(), cluster.idle_workers()), (0, 8));
         let mut jobs: Vec<u64> = out.iter().map(|r| r.job).collect();
@@ -1710,7 +1614,7 @@ mod tests {
         for j in 8..16 {
             cluster.submit(j).unwrap();
         }
-        wait_arrived(&cluster, 8);
+        wait_readable(&cluster, 8);
         assert_eq!(cluster.drain_completions(&mut out, 3), Ok(3));
         assert_eq!((cluster.in_flight(), cluster.idle_workers()), (5, 3));
         assert_eq!(cluster.drain_completions(&mut out, usize::MAX), Ok(5));
@@ -1807,9 +1711,10 @@ mod tests {
 
         // Worker 1's last three results arrive — proof that the flush
         // delivered the buffered dispatches — and queue up behind the two
-        // orphans the previous call left.
+        // orphans the previous call left. They leave in one write, so one
+        // readable socket means all three are here.
         go_tx.send(()).unwrap();
-        wait_arrived(&cluster, 3);
+        wait_readable(&cluster, 1);
         assert_eq!(cluster.drain_completions(&mut out, usize::MAX), Ok(5));
         let tail: Vec<(u64, JobStatus)> = out[2..].iter().map(|r| (r.job, r.status)).collect();
         assert_eq!(
@@ -1988,7 +1893,7 @@ mod tests {
         assert_eq!(
             jobs,
             vec![0, 1, 2, 3],
-            "single evaluation thread serves the queue in dispatch order"
+            "one session thread serves the queue in dispatch order"
         );
         assert_eq!(
             cluster.next_completion().unwrap_err(),
@@ -2078,6 +1983,103 @@ mod tests {
         assert_eq!(results, vec![0], "the in-progress job still answers");
         assert_eq!(cancels, vec![1, 2], "queued jobs are handed back");
         h.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_cancel_that_arrives_mid_evaluation_applies_before_the_next_job() {
+        // A 2-slot session holds jobs 1 and 2, and job 1's evaluation
+        // blocks until released. The driver cancels job 2 meanwhile, and
+        // job 1 is released only once the Cancel's bytes sit unread on
+        // the worker's socket. Job 2 must never reach the evaluator.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut driver = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (worker_side, _) = listener.accept().unwrap();
+        let unread = worker_side.try_clone().unwrap();
+        let (started_tx, started_rx) = unbounded::<()>();
+        let (release_tx, release_rx) = unbounded::<()>();
+        let (seen_tx, seen_rx) = unbounded::<Value>();
+        let opts = WorkerOptions {
+            heartbeat_interval: Duration::from_secs(30),
+            slots: 2,
+            ..WorkerOptions::default()
+        };
+        let session = std::thread::spawn(move || {
+            let make_eval = move |_: &Value| {
+                let (started, release, seen) =
+                    (started_tx.clone(), release_rx.clone(), seen_tx.clone());
+                Ok(Box::new(move |payload: &Value| {
+                    seen.send(payload.clone()).unwrap();
+                    if *payload == json!(1) {
+                        started.send(()).unwrap();
+                        release.recv().unwrap();
+                    }
+                    (JobStatus::Succeeded, payload.clone())
+                }) as EvalFn)
+            };
+            serve_session(worker_side, &opts, &make_eval)
+        });
+        let hello = Frame::Hello {
+            payload: json!(null),
+        };
+        proto::write_frame(&mut driver, &hello).unwrap();
+        assert!(matches!(
+            proto::read_frame(&mut driver).unwrap(),
+            Frame::HelloAck { slots: 2, .. }
+        ));
+        // Both dispatches leave in one write, so the session queues both
+        // before job 1 starts.
+        let mut both = Vec::new();
+        for job_id in [1, 2] {
+            let payload = json!(job_id);
+            both.extend_from_slice(&proto::encode_frame(&Frame::Dispatch { job_id, payload }));
+        }
+        driver.write_all(&both).unwrap();
+        started_rx.recv().unwrap();
+        let cancel = proto::encode_frame(&Frame::Cancel { job_id: 2 });
+        driver.write_all(&cancel).unwrap();
+        let mut peeked = [0u8; 256];
+        while unread.peek(&mut peeked).unwrap() < cancel.len() {
+            std::thread::yield_now();
+        }
+        release_tx.send(()).unwrap();
+        assert!(matches!(
+            proto::read_frame(&mut driver).unwrap(),
+            Frame::Result { job_id: 1, .. }
+        ));
+        proto::write_frame(&mut driver, &Frame::Shutdown).unwrap();
+        // Job 2 left the queue with the driver's Cancel: no Result, and
+        // no Cancel ack at Shutdown either.
+        match proto::read_frame(&mut driver) {
+            Err(_) => {}
+            Ok(other) => panic!("nothing may follow job 1's Result, got {other:?}"),
+        }
+        session.join().unwrap().unwrap();
+        let mut seen = Vec::new();
+        while let Ok(payload) = seen_rx.try_recv() {
+            seen.push(payload);
+        }
+        assert_eq!(seen, vec![json!(1)], "job 2 never reached the evaluator");
+    }
+
+    #[test]
+    fn session_teardown_does_not_wait_out_a_heartbeat() {
+        let (addr, h) = spawn_doubler_with(WorkerOptions {
+            heartbeat_interval: Duration::from_secs(30),
+            once: true,
+            ..WorkerOptions::default()
+        });
+        let mut cluster: TcpCluster<u64, u64> =
+            TcpCluster::connect(&[addr], json!(null), TcpClusterOptions::default()).unwrap();
+        cluster.submit(1).unwrap();
+        assert_eq!(cluster.next_completion().unwrap().output, Some(2));
+        let t0 = Instant::now();
+        drop(cluster);
+        h.join().unwrap().unwrap();
+        assert!(
+            t0.elapsed() < Duration::from_secs(2),
+            "serve_worker returned {:?} after the driver hung up",
+            t0.elapsed()
+        );
     }
 
     #[test]

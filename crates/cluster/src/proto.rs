@@ -691,7 +691,7 @@ const READ_AHEAD: usize = 8 * 1024;
 /// codecs on every frame and remembers which one the last frame used, so
 /// the handshake can detect what the peer speaks.
 ///
-/// Two ways to pull a frame, over the same buffer and the same error
+/// Three ways to pull frames, over the same buffer and the same error
 /// rules:
 ///
 /// - [`read_from`](FrameDecoder::read_from) asks the stream for exactly
@@ -700,9 +700,13 @@ const READ_AHEAD: usize = 8 * 1024;
 /// - [`read_ahead`](FrameDecoder::read_ahead) asks for as much as fits,
 ///   so a burst of frames costs one `read`. Bytes past the frame stay in
 ///   this decoder: **the decoder that read ahead on a stream must be the
-///   one that keeps reading it** (either call consumes the buffered bytes
+///   one that keeps reading it** (every call consumes the buffered bytes
 ///   first). That is why the handshake hands its decoder to the session
 ///   instead of starting a fresh one.
+/// - [`buffered`](FrameDecoder::buffered) and
+///   [`read_some`](FrameDecoder::read_some) are `read_ahead` split in
+///   two for a readiness loop: decode what is already held, and do one
+///   `read` when `poll` says the stream has more.
 #[derive(Debug)]
 pub struct FrameDecoder {
     /// Received bytes; `buf[start..end]` are not yet consumed.
@@ -748,30 +752,17 @@ impl FrameDecoder {
         self.read(r, true)
     }
 
-    fn read<R: Read>(&mut self, r: &mut R, ahead: bool) -> Result<Frame, ProtoError> {
-        if self.start == self.end {
-            self.start = 0;
-            self.end = 0;
-        }
-        if !self.fill(r, 4, ahead)? {
-            return Err(match self.end - self.start {
-                0 => ProtoError::Closed,
-                got => ProtoError::Truncated { expected: 4, got },
-            });
-        }
-        let header = &self.buf[self.start..self.start + 4];
-        let body_len = u32::from_be_bytes(header.try_into().expect("4-byte slice")) as usize;
-        if body_len == 0 {
-            return Err(garbage("zero-length frame body"));
-        }
-        if body_len > MAX_FRAME {
-            return Err(ProtoError::Oversized { len: body_len });
-        }
-        if !self.fill(r, 4 + body_len, ahead)? {
-            return Err(ProtoError::Truncated {
-                expected: body_len,
-                got: self.end - self.start - 4,
-            });
+    /// Decodes the next frame if every one of its bytes is already
+    /// buffered; `Ok(None)` when more are needed. Never reads. A header
+    /// that can never start a frame (zero-length or oversized body) is an
+    /// error as soon as its four bytes are here, as it is for the
+    /// blocking readers.
+    pub fn buffered(&mut self) -> Result<Option<Frame>, ProtoError> {
+        let Some(body_len) = self.header()? else {
+            return Ok(None);
+        };
+        if self.end - self.start < 4 + body_len {
+            return Ok(None);
         }
         let body = &self.buf[self.start + 4..self.start + 4 + body_len];
         self.start += 4 + body_len;
@@ -780,45 +771,109 @@ impl FrameDecoder {
                 self.last_codec = Codec::Json;
                 let payload =
                     std::str::from_utf8(&body[1..]).map_err(|_| garbage("payload is not UTF-8"))?;
-                serde_json::from_str::<Frame>(payload).map_err(|e| garbage(e.to_string()))
+                serde_json::from_str::<Frame>(payload)
+                    .map(Some)
+                    .map_err(|e| garbage(e.to_string()))
             }
             WIRE_VERSION_BINARY => {
                 self.last_codec = Codec::Binary;
-                decode_binary_payload(&body[1..])
+                decode_binary_payload(&body[1..]).map(Some)
             }
             got => Err(ProtoError::BadVersion { got }),
         }
     }
 
-    /// Reads until `need` unconsumed bytes are buffered: exactly that
-    /// many, or with `ahead` as many as the buffer has room for.
-    /// `Ok(false)` is an EOF short of `need`.
-    fn fill<R: Read>(&mut self, r: &mut R, need: usize, ahead: bool) -> Result<bool, ProtoError> {
-        while self.end - self.start < need {
-            let room = if ahead { need.max(READ_AHEAD) } else { need };
-            if self.buf.len() < self.start + room {
-                // The frame being assembled moves to the front, so the
-                // buffer never outgrows one frame plus the read-ahead.
-                self.buf.copy_within(self.start..self.end, 0);
-                self.end -= self.start;
-                self.start = 0;
-                if self.buf.len() < room {
-                    self.buf.resize(room, 0);
-                }
+    /// One `read` from `r` into the spare room (at least the rest of the
+    /// frame being assembled, and at least the read-ahead); returns the
+    /// byte count, `Ok(0)` being EOF. Call it when
+    /// [`buffered`](FrameDecoder::buffered) has nothing and `r` is
+    /// readable, and it does not block.
+    pub fn read_some<R: Read>(&mut self, r: &mut R) -> Result<usize, ProtoError> {
+        self.read_into(r, true)
+    }
+
+    /// What the stream ending here means: [`ProtoError::Closed`] at a
+    /// frame boundary, [`ProtoError::Truncated`] inside a frame.
+    pub fn eof(&self) -> ProtoError {
+        let held = self.end - self.start;
+        match self.header() {
+            _ if held == 0 => ProtoError::Closed,
+            Ok(Some(body_len)) => ProtoError::Truncated {
+                expected: body_len,
+                got: held - 4,
+            },
+            _ => ProtoError::Truncated {
+                expected: 4,
+                got: held,
+            },
+        }
+    }
+
+    fn read<R: Read>(&mut self, r: &mut R, ahead: bool) -> Result<Frame, ProtoError> {
+        loop {
+            if let Some(frame) = self.buffered()? {
+                return Ok(frame);
             }
-            let limit = if ahead {
-                self.buf.len()
-            } else {
-                self.start + need
-            };
+            if self.read_into(r, ahead)? == 0 {
+                return Err(self.eof());
+            }
+        }
+    }
+
+    /// The body length the buffered header announces; `None` until all
+    /// four header bytes are here.
+    fn header(&self) -> Result<Option<usize>, ProtoError> {
+        if self.end - self.start < 4 {
+            return Ok(None);
+        }
+        let header = &self.buf[self.start..self.start + 4];
+        match u32::from_be_bytes(header.try_into().expect("4-byte slice")) as usize {
+            0 => Err(garbage("zero-length frame body")),
+            len if len > MAX_FRAME => Err(ProtoError::Oversized { len }),
+            len => Ok(Some(len)),
+        }
+    }
+
+    /// One `read` (retried on `Interrupted`). With `ahead` the stream is
+    /// offered all the spare room; without, exactly the bytes the next
+    /// decoding step lacks (the rest of the header, then of the frame).
+    fn read_into<R: Read>(&mut self, r: &mut R, ahead: bool) -> Result<usize, ProtoError> {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+        let held = self.end - self.start;
+        let want = match self.header() {
+            Ok(Some(body_len)) => 4 + body_len,
+            _ => 4,
+        }
+        .max(held + 1);
+        let room = if ahead { want.max(READ_AHEAD) } else { want };
+        if self.buf.len() < self.start + room {
+            // The frame being assembled moves to the front, so the
+            // buffer never outgrows one frame plus the read-ahead.
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end = held;
+            self.start = 0;
+            if self.buf.len() < room {
+                self.buf.resize(room, 0);
+            }
+        }
+        let limit = if ahead {
+            self.buf.len()
+        } else {
+            self.start + want
+        };
+        loop {
             match r.read(&mut self.buf[self.end..limit]) {
-                Ok(0) => return Ok(false),
-                Ok(n) => self.end += n,
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
             }
         }
-        Ok(true)
     }
 }
 
@@ -1293,28 +1348,46 @@ mod tests {
         }
     }
 
+    /// The three ways a [`FrameDecoder`] pulls frames.
+    #[derive(Clone, Copy, Debug)]
+    enum Pull {
+        Exact,
+        Ahead,
+        /// `buffered` until it has nothing, then one `read_some`.
+        Polled,
+    }
+
     /// Decodes `r` to its end: every frame, then the error that ended it.
-    fn decode_all<R: Read>(r: &mut R, ahead: bool) -> (Vec<Frame>, ProtoError) {
+    fn decode_all<R: Read>(r: &mut R, pull: Pull) -> (Vec<Frame>, ProtoError) {
         let mut dec = FrameDecoder::new();
         let mut frames = Vec::new();
         loop {
-            let next = if ahead {
-                dec.read_ahead(r)
-            } else {
-                dec.read_from(r)
+            let next = match pull {
+                Pull::Exact => dec.read_from(r).map(Some),
+                Pull::Ahead => dec.read_ahead(r).map(Some),
+                Pull::Polled => match dec.buffered() {
+                    Ok(None) => match dec.read_some(r) {
+                        Ok(0) => Err(dec.eof()),
+                        Ok(_) => Ok(None),
+                        Err(e) => Err(e),
+                    },
+                    other => other,
+                },
             };
             match next {
-                Ok(frame) => frames.push(frame),
+                Ok(Some(frame)) => frames.push(frame),
+                Ok(None) => {}
                 Err(e) => return (frames, e),
             }
         }
     }
 
     proptest::proptest! {
-        /// The read-ahead reader is the exact reader with fewer
+        /// The read-ahead reader, and the same reader split into
+        /// `buffered` + `read_some`, are the exact reader with fewer
         /// syscalls: over any mixed-codec stream — whole, cut short
         /// mid-frame, or ending in an oversized header — delivered in
-        /// any pieces, it yields the same frames and the same final
+        /// any pieces, they yield the same frames and the same final
         /// `Closed` / `Truncated{expected, got}` / `Oversized`.
         #[test]
         fn read_ahead_matches_the_exact_reader_under_any_chunking(
@@ -1335,7 +1408,7 @@ mod tests {
                     stream.extend_from_slice(&[0u8; 16]);
                 }
             }
-            let expected = decode_all(&mut Cursor::new(&stream), false);
+            let expected = decode_all(&mut Cursor::new(&stream), Pull::Exact);
             proptest::prop_assert!(matches!(
                 expected.1,
                 ProtoError::Closed | ProtoError::Truncated { .. } | ProtoError::Oversized { .. }
@@ -1343,17 +1416,19 @@ mod tests {
             // One read boundary at every byte offset (a 0-byte read
             // would be an EOF, not a boundary)...
             for split in 1..=stream.len() {
-                let got = decode_all(&mut Chunked::new(&stream, vec![split]), true);
-                proptest::prop_assert_eq!(&got, &expected, "split at {}", split);
+                for pull in [Pull::Ahead, Pull::Polled] {
+                    let got = decode_all(&mut Chunked::new(&stream, vec![split]), pull);
+                    proptest::prop_assert_eq!(&got, &expected, "{:?} split at {}", pull, split);
+                }
             }
-            // ...and random boundaries all the way through, for both
-            // readers (the exact one must not care either).
+            // ...and random boundaries all the way through, for every
+            // reader (the exact one must not care either).
             for _ in 0..8 {
                 let chunks: Vec<usize> =
                     (0..stream.len() + 1).map(|_| rng.gen_range(1..40usize)).collect();
-                for ahead in [true, false] {
-                    let got = decode_all(&mut Chunked::new(&stream, chunks.clone()), ahead);
-                    proptest::prop_assert_eq!(&got, &expected, "chunks {:?}", &chunks);
+                for pull in [Pull::Ahead, Pull::Exact, Pull::Polled] {
+                    let got = decode_all(&mut Chunked::new(&stream, chunks.clone()), pull);
+                    proptest::prop_assert_eq!(&got, &expected, "{:?} chunks {:?}", pull, &chunks);
                 }
             }
         }

@@ -31,6 +31,12 @@ step "cargo test --release -p hypertune-surrogate (debug_assert! is compiled out
 # the way the product is built.
 cargo test --release -q -p hypertune-surrogate --offline
 
+step "cargo test --release -p hypertune-cluster (the workspace's one unsafe block lives here)"
+# The TCP substrate waits in poll(2) through crates/cluster/src/poll.rs.
+# Its tests, and the loopback driver/worker tests built on it, run again
+# the way the product is built.
+cargo test --release -q -p hypertune-cluster --offline
+
 step "dispatch fingerprints (all 24 methods x 2 seeds, bit for bit)"
 # results/dispatch_probe.txt is what the probe printed before the forest
 # kernel was rewritten. A change that alters which configurations any
@@ -214,6 +220,30 @@ dead+='|Shared''History|Sharded''Pending|History''View'
 # (`if`, not `! grep`: errexit ignores a negated command.)
 if grep -rnE "$dead" README.md DESIGN.md EXPERIMENTS.md scripts/ crates/ examples/ ||
   grep -rni 'pre''fetch' README.md scripts/ crates/ examples/; then
+  exit 1
+fi
+
+step "one TCP shell (one unsafe block; net.rs spawns heartbeat and redialer threads only)"
+# The only unsafe code is the poll(2) call in crates/cluster/src/poll.rs,
+# with its `// SAFETY:` invariant on the line right above it. Comment
+# lines that merely mention the word do not count.
+unsafe_sites=$(grep -rnE '\bunsafe\b' --include='*.rs' crates/ |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [[ "$(grep -c . <<< "$unsafe_sites")" -ne 1 ||
+  "$unsafe_sites" != crates/cluster/src/poll.rs:* ]]; then
+  printf 'unsafe outside the poll module, or more than one block:\n%s\n' "$unsafe_sites"
+  exit 1
+fi
+unsafe_line=$(cut -d: -f2 <<< "$unsafe_sites")
+sed -n "$((unsafe_line - 1))p" crates/cluster/src/poll.rs | grep -q '^[[:space:]]*// SAFETY:'
+# Above its test module, net.rs starts exactly two kinds of thread: the
+# worker's heartbeat and the driver's redialer. The driver reads its own
+# sockets and each worker session reads and evaluates on one thread.
+net_prod=$(sed '/^#\[cfg(test)\]/q' crates/cluster/src/net.rs)
+[[ "$(grep -c 'thread::spawn' <<< "$net_prod")" -eq 2 ]]
+[[ "$(grep -A3 'thread::spawn' <<< "$net_prod" | grep -cE 'heartbeat_loop|redial_loop')" -eq 2 ]]
+# The thread-per-role shell stays deleted.
+if grep -rnE 'reader''_loop|Job''Queue|stale_epoch''_frames' crates/ README.md DESIGN.md; then
   exit 1
 fi
 
