@@ -21,11 +21,13 @@
 //!
 //! All methods implement the [`method::Method`] trait and are driven by
 //! [`runner::run`] against any [`hypertune_benchmarks::Benchmark`] on a
-//! simulated or real cluster. Failed evaluations (when fault injection is
-//! on) flow through the bounded [`runner::RetryPolicy`] and are
-//! quarantined as `Failed` outcomes after exhausting their retries;
-//! [`runner::run_checkpointed`] and [`runner::resume`] give long runs
-//! crash-safe, bit-identical restartability.
+//! simulated or real cluster. Every driver suggests and books trials
+//! through one [`tenant::StudyRuntime`], whose ledger sends failed
+//! evaluations (when fault injection is on) through the bounded
+//! [`runner::RetryPolicy`] and quarantines them as `Failed` outcomes after
+//! their retries run out; [`runner::run_checkpointed`] and
+//! [`runner::resume`] give long runs crash-safe, bit-identical
+//! restartability.
 //!
 //! # Module map
 //!
@@ -43,7 +45,7 @@
 //! | [`ranking`] | Cross-level ranking loss behind θ |
 //! | [`lce`] | Learning-curve extrapolation for the LCE-Stop baseline |
 //! | [`persist`] | Checkpoints and write-ahead run snapshots |
-//! | [`tenant`] | Per-study runtime state: one study's history, pending set and RNG |
+//! | [`tenant`] | Per-study runtime and trial ledger: history, pending set, RNG; retry, quarantine, breaker, counts |
 //! | [`breaker`] | Quarantine-storm circuit breaker (graceful degradation) |
 //! | [`diagnostics`] | θ history, bracket starts/promotions/failures |
 //!
@@ -83,6 +85,6 @@ pub use runner::{
     RunResult, SpeculationConfig,
 };
 pub use runner_threaded::{
-    booked_status, run_distributed, run_threaded, ThreadedJob, ThreadedRunConfig, ThreadedRunResult,
+    run_distributed, run_threaded, ThreadedJob, ThreadedRunConfig, ThreadedRunResult,
 };
-pub use tenant::StudyRuntime;
+pub use tenant::{Booked, StudyRuntime};

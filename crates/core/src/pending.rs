@@ -81,6 +81,14 @@ impl PendingSet {
         self.jobs.push(spec);
     }
 
+    /// `true` when a job equal to `spec` (every field but the dispatch
+    /// id) is pending.
+    pub fn contains(&self, spec: &JobSpec) -> bool {
+        self.index
+            .get(&content_key(spec))
+            .is_some_and(|slots| slots.iter().any(|&s| same_job(&self.jobs[s], spec)))
+    }
+
     /// Removes and returns the lowest-slot pending job equal to `spec`
     /// (`swap_remove`, so one other element may move into its slot).
     ///
@@ -182,8 +190,11 @@ mod tests {
     fn dispatch_id_does_not_affect_matching() {
         let mut p = PendingSet::new();
         p.insert(job(5, 0.25));
+        assert!(p.contains(&job(99, 0.25)));
+        assert!(!p.contains(&job(5, 0.5)));
         assert_eq!(p.remove(&job(99, 0.25)).id, 5);
         assert!(p.as_slice().is_empty());
+        assert!(!p.contains(&job(5, 0.25)));
     }
 
     #[test]

@@ -13,13 +13,16 @@
 //!
 //! With [`RunConfig::faults`] set, the cluster injects worker crashes,
 //! evaluation errors, hangs, and corrupt results (see
-//! [`hypertune_cluster::FaultModel`]). The runner reacts with a bounded
-//! [`RetryPolicy`]: a failed job is resubmitted on the freed worker with
-//! an exponential backoff added to its duration (modelling requeue and
-//! worker re-provisioning delay), and after `max_retries` failures the
-//! config is *quarantined* — delivered to the method as a `Failed`
-//! [`Outcome`] with `value = ∞` so schedulers release the slot it
-//! occupied, and never recorded into the [`History`].
+//! [`hypertune_cluster::FaultModel`]). Trials are suggested and booked
+//! through the study's [`StudyRuntime`], whose ledger applies the bounded
+//! [`RetryPolicy`]: a failed job is retried, and after `max_retries`
+//! failures the config is *quarantined* — delivered to the method as a
+//! `Failed` [`Outcome`](crate::method::Outcome) with `value = ∞` so
+//! schedulers release the slot it occupied, and never recorded into the
+//! [`History`](crate::History). The simulator resubmits a retry on the
+//! freed worker with an exponential backoff added to its duration
+//! (modelling requeue and worker re-provisioning delay); the backoff is
+//! its own, since only it has a virtual clock.
 //!
 //! # Checkpoint and resume
 //!
@@ -29,29 +32,27 @@
 //! results instead of calling the benchmark, and verifying the replayed
 //! measurement stream matches the snapshot bit-for-bit — then continues
 //! live. Because the whole run is a deterministic function of the seed,
-//! the resumed run's final [`History`] equals the uninterrupted run's
-//! exactly.
+//! the resumed run's final [`History`](crate::History) equals the
+//! uninterrupted run's exactly.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
 
-use hypertune_benchmarks::Benchmark;
+use hypertune_benchmarks::{Benchmark, Eval};
 use hypertune_cluster::{
     FaultModel, FaultSpec, JobStatus, MembershipPlan, SimCluster, StragglerModel, Trace,
 };
 use hypertune_space::Config;
 use hypertune_telemetry::{Event, TelemetryHandle};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::breaker::{Breaker, BreakerConfig, BreakerTransition};
-use crate::diagnostics::{failure_kind, FailureCounts};
-use crate::history::{History, Measurement};
+use crate::breaker::BreakerConfig;
+use crate::diagnostics::FailureCounts;
+use crate::history::Measurement;
 use crate::levels::ResourceLevels;
-use crate::method::{JobSpec, Method, MethodContext, Outcome, OutcomeStatus};
-use crate::pending::PendingSet;
+use crate::method::{JobSpec, Method};
 use crate::persist::{RunSnapshot, SubmissionRecord};
+use crate::tenant::{Booked, StudyRuntime};
 
 /// Bounded-retry policy for failed jobs.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -99,7 +100,7 @@ impl RetryPolicy {
 /// **succeeds** first wins and the loser is cancelled; a copy that fails
 /// while its twin is still running is simply discarded (the twin is the
 /// retry). Backups reuse the original dispatch's id, so the trial still
-/// completes exactly once in the [`History`].
+/// completes exactly once in the [`History`](crate::History).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpeculationConfig {
     /// Straggler threshold: elapsed > `multiple` × median completed
@@ -154,16 +155,8 @@ pub struct RunConfig {
     pub eta: usize,
     /// Optional `(probability, max_slowdown)` straggler model.
     pub straggler: Option<(f64, f64)>,
-    /// Probability that a worker crashes mid-evaluation. Failed attempts
-    /// waste a random fraction of the job's cost and are retried
-    /// transparently (the fault-tolerance policy of production tuners);
-    /// methods never observe the failure, only the longer completion.
-    /// This older model predates [`RunConfig::faults`] and is kept for
-    /// duration-only failure studies.
-    pub failure_prob: f64,
-    /// Fault injection rates, or `None` for a fault-free cluster. When
-    /// set, failed jobs surface through the [`RetryPolicy`] instead of
-    /// being silently absorbed into durations.
+    /// Fault injection rates, or `None` for a fault-free cluster. Failed
+    /// jobs surface through the [`RetryPolicy`].
     pub faults: Option<FaultSpec>,
     /// Retry policy for jobs failed by the fault model.
     pub retry: RetryPolicy,
@@ -203,7 +196,6 @@ impl RunConfig {
             seed,
             eta: 3,
             straggler: None,
-            failure_prob: 0.0,
             faults: None,
             retry: RetryPolicy::default_policy(),
             job_timeout: None,
@@ -365,11 +357,9 @@ impl RunResult {
 #[derive(Debug, Clone, PartialEq)]
 struct InFlight {
     spec: JobSpec,
-    value: f64,
-    test_value: f64,
-    /// Duration of a clean attempt (after the legacy failure-prob
-    /// inflation), reused when the job is resubmitted.
-    duration: f64,
+    /// The evaluation every attempt reports; its `cost` is the duration
+    /// of a clean attempt.
+    eval: Eval,
     /// 0 for the first attempt, incremented per retry.
     attempt: usize,
 }
@@ -410,34 +400,6 @@ pub fn resume(
     run_impl(method, benchmark, config, policy, Some(snapshot))
 }
 
-/// Feeds one terminal trial outcome (`failed` = quarantined) to the
-/// breaker and walks the degradation ladder on a transition. Shared by
-/// the simulated and the real-executor driver; `now` is on the caller's
-/// clock.
-pub(crate) fn feed_breaker(
-    breaker: &mut Option<Breaker>,
-    failed: bool,
-    now: f64,
-    method: &mut dyn Method,
-    telemetry: &TelemetryHandle,
-    n_breaker_trips: &mut usize,
-) {
-    let Some(br) = breaker.as_mut() else { return };
-    match br.record(failed) {
-        Some(BreakerTransition::Opened(failure_rate)) => {
-            *n_breaker_trips += 1;
-            method.set_degraded(true);
-            telemetry.emit_with(now, || Event::BreakerOpened { failure_rate });
-            telemetry.counter_add("breaker.opened", 1);
-        }
-        Some(BreakerTransition::Closed) => {
-            method.set_degraded(false);
-            telemetry.emit_with(now, || Event::BreakerClosed);
-        }
-        None => {}
-    }
-}
-
 fn run_impl(
     method: &mut dyn Method,
     benchmark: &dyn Benchmark,
@@ -458,8 +420,6 @@ fn run_impl(
         }
     }
     let levels = ResourceLevels::new(benchmark.max_resource(), config.eta);
-    let mut history = History::new(levels.clone());
-    let mut rng = StdRng::seed_from_u64(config.seed);
     let straggler = match config.straggler {
         Some((p, s)) => StragglerModel::new(p, s, config.seed ^ 0x57a6),
         None => StragglerModel::none(),
@@ -477,25 +437,23 @@ fn run_impl(
     let telemetry = &config.telemetry;
     cluster.set_telemetry(telemetry.clone());
     method.set_telemetry(telemetry.clone());
-    let mut pending = PendingSet::new();
-    let mut next_job_id: u64 = 1;
+    let mut study = StudyRuntime::new(
+        benchmark.space().clone(),
+        levels.clone(),
+        config.seed,
+        config.n_workers,
+        config.retry,
+        config.breaker.clone(),
+        telemetry.clone(),
+    );
     let mut curve: Vec<CurvePoint> = Vec::new();
-    let mut evals_per_level = vec![0usize; levels.k()];
-    let mut measurements: Vec<Measurement> = Vec::new();
     let mut submission_log: Vec<SubmissionRecord> = Vec::new();
-    let mut n_failed_attempts = 0usize;
-    let mut n_retries = 0usize;
-    let mut n_quarantined = 0usize;
-    let mut failure_counts = FailureCounts::default();
     // Elastic/self-healing state. All of it is driver-side bookkeeping
     // that consumes no run RNG, so when churn never strikes, no straggler
     // crosses the speculation threshold, and the breaker never opens, the
     // run is bit-identical to one with the features disabled.
-    let mut n_orphaned = 0usize;
     let mut n_speculations = 0usize;
     let mut n_backup_wins = 0usize;
-    let mut n_breaker_trips = 0usize;
-    let mut breaker = config.breaker.clone().map(Breaker::new);
     // Jobs orphaned by a worker crash wait here for the next idle slot: a
     // crash frees no worker, so the freed-worker resubmit of the plain
     // retry path cannot apply.
@@ -510,7 +468,6 @@ fn run_impl(
     let mut twins: HashMap<u64, (u64, u64)> = HashMap::new();
     // Dispatch ids that already received a backup (at most one each).
     let mut speculated: HashSet<u64> = HashSet::new();
-    let space = benchmark.space();
 
     loop {
         // Re-dispatch orphaned jobs first: recovery takes priority over
@@ -557,104 +514,66 @@ fn run_impl(
                 telemetry.emit_with(now, || Event::SpeculationLaunched { level });
                 telemetry.counter_add("trials.speculated", 1);
                 let receipt = cluster
-                    .submit_full(job.clone(), job.duration, format!("{level}s"))
+                    .submit_full(job.clone(), job.eval.cost, format!("{level}s"))
                     .expect("idle worker was available");
                 twins.insert(job.spec.id, (primary, receipt.token));
                 running.insert(receipt.token, (now, job));
             }
         }
-        // Fill idle workers.
+        // Fill idle workers. The sim runner dispatches through the batch
+        // API with k = 1: bit-identical to the sequential `next_job` path
+        // (the paper figures depend on that), while sharing the
+        // runner-facing contract with the threaded runner's real batching.
         while cluster.idle_workers() > 0 {
-            let mut ctx = MethodContext {
-                space,
-                levels: &levels,
-                history: &history,
-                pending: pending.as_slice(),
-                rng: &mut rng,
-                n_workers: config.n_workers,
-                now: cluster.now(),
+            let Some(spec) = study
+                .suggest(method, 1, cluster.now(), "scheduler_step")
+                .pop()
+            else {
+                assert!(
+                    !cluster.is_quiescent(),
+                    "method {} stalled: no job and no running evaluations",
+                    method.name()
+                );
+                break;
             };
-            // The sim runner dispatches through the batch API with k = 1:
-            // bit-identical to the sequential `next_job` path (the paper
-            // figures depend on that), while sharing the runner-facing
-            // contract with the threaded runner's real batching.
-            let next = {
-                let step = telemetry.span("scheduler_step");
-                let next = method.next_jobs(&mut ctx, 1).pop();
-                drop(step);
-                next
+            // Replay: the recorded result substitutes for the evaluation,
+            // after checking the method issued the same dispatch it did
+            // originally.
+            let idx = submission_log.len();
+            let eval = match replay {
+                Some(s) if idx < s.submissions.len() => {
+                    let rec = &s.submissions[idx];
+                    if rec.spec != spec {
+                        return Err(ResumeError::Diverged {
+                            stream: "submission",
+                            index: idx,
+                        });
+                    }
+                    Eval {
+                        value: rec.value,
+                        test_value: rec.test_value,
+                        cost: rec.cost,
+                    }
+                }
+                _ => benchmark.evaluate(&spec.config, spec.resource, config.seed),
             };
-            match next {
-                Some(mut spec) => {
-                    spec.id = next_job_id;
-                    next_job_id += 1;
-                    // Replay: the recorded result substitutes for the
-                    // evaluation, after checking the method issued the
-                    // same dispatch it did originally.
-                    let idx = submission_log.len();
-                    let (value, test_value, cost) = match replay {
-                        Some(s) if idx < s.submissions.len() => {
-                            let rec = &s.submissions[idx];
-                            if rec.spec != spec {
-                                return Err(ResumeError::Diverged {
-                                    stream: "submission",
-                                    index: idx,
-                                });
-                            }
-                            (rec.value, rec.test_value, rec.cost)
-                        }
-                        _ => {
-                            let eval = benchmark.evaluate(&spec.config, spec.resource, config.seed);
-                            (eval.value, eval.test_value, eval.cost)
-                        }
-                    };
-                    submission_log.push(SubmissionRecord {
-                        spec: spec.clone(),
-                        value,
-                        test_value,
-                        cost,
-                    });
-                    // Worker-failure model: each crash wastes a random
-                    // fraction of the evaluation before the transparent
-                    // retry; the job's effective duration grows but its
-                    // result is unchanged.
-                    let mut duration = cost;
-                    if config.failure_prob > 0.0 {
-                        use rand::Rng;
-                        while rng.gen::<f64>() < config.failure_prob {
-                            duration += rng.gen::<f64>() * cost;
-                        }
-                    }
-                    telemetry.emit_with(cluster.now(), || Event::TrialDispatched {
-                        level: spec.level,
-                        bracket: spec.bracket,
-                        attempt: 0,
-                    });
-                    telemetry.counter_add("trials.dispatched", 1);
-                    let label = format!("{}", spec.level);
-                    let flight = InFlight {
-                        spec: spec.clone(),
-                        value,
-                        test_value,
-                        duration,
-                        attempt: 0,
-                    };
-                    let receipt = cluster
-                        .submit_full(flight.clone(), duration, label)
-                        .expect("idle worker was available");
-                    if config.speculation.is_some() {
-                        running.insert(receipt.token, (cluster.now(), flight));
-                    }
-                    pending.insert(spec);
-                }
-                None => {
-                    assert!(
-                        !cluster.is_quiescent(),
-                        "method {} stalled: no job and no running evaluations",
-                        method.name()
-                    );
-                    break;
-                }
+            submission_log.push(SubmissionRecord {
+                spec: spec.clone(),
+                value: eval.value,
+                test_value: eval.test_value,
+                cost: eval.cost,
+            });
+            let label = format!("{}", spec.level);
+            let flight = InFlight {
+                spec,
+                eval,
+                attempt: 0,
+            };
+            let receipt = cluster
+                .submit_full(flight.clone(), eval.cost, label)
+                .expect("idle worker was available");
+            if config.speculation.is_some() {
+                running.insert(receipt.token, (cluster.now(), flight));
             }
         }
 
@@ -664,82 +583,52 @@ fn run_impl(
         if done.finished > config.budget {
             break;
         }
-        let job = done.job;
+        let InFlight {
+            spec,
+            eval,
+            attempt,
+        } = done.job;
+        let (now, level) = (done.finished, spec.level);
         if config.speculation.is_some() {
             running.remove(&done.token);
         }
         // Twin resolution: the first copy to *succeed* wins and cancels
         // its sibling; a copy that fails while its twin is still running
-        // is dropped silently — the twin is its retry, so the trial still
-        // terminates exactly once.
-        if let Some(&(primary, backup)) = twins.get(&job.spec.id) {
-            if done.status == JobStatus::Succeeded {
-                let loser = if done.token == backup {
-                    primary
-                } else {
-                    backup
-                };
-                cluster.cancel(loser);
-                running.remove(&loser);
-                twins.remove(&job.spec.id);
-                let backup_won = done.token == backup;
-                if backup_won {
-                    n_backup_wins += 1;
-                }
-                telemetry.emit_with(done.finished, || Event::SpeculationResolved {
-                    level: job.spec.level,
-                    backup_won,
-                });
-                // Falls through to the normal success path below.
-            } else {
-                twins.remove(&job.spec.id);
-                n_failed_attempts += 1;
-                failure_counts.record(done.status);
-                telemetry.counter_add("trials.failed_attempts", 1);
-                if done.status == JobStatus::Orphaned {
-                    n_orphaned += 1;
-                    telemetry.emit_with(done.finished, || Event::LeaseExpired {
-                        level: job.spec.level,
-                        attempt: job.attempt,
-                    });
-                    telemetry.counter_add("trials.orphaned", 1);
-                }
+        // counts as a failed attempt and nothing else — the twin is its
+        // retry, so the trial still terminates exactly once.
+        if let Some((primary, backup)) = twins.remove(&spec.id) {
+            if done.status != JobStatus::Succeeded {
+                study.book_twin_failure(&spec, attempt, done.status, now);
                 continue;
             }
+            let backup_won = done.token == backup;
+            let loser = if backup_won { primary } else { backup };
+            cluster.cancel(loser);
+            running.remove(&loser);
+            n_backup_wins += usize::from(backup_won);
+            telemetry.emit_with(now, || Event::SpeculationResolved { level, backup_won });
         }
-        if done.status.is_failure() {
-            n_failed_attempts += 1;
-            failure_counts.record(done.status);
-            telemetry.counter_add("trials.failed_attempts", 1);
-            let orphaned = done.status == JobStatus::Orphaned;
-            if orphaned {
-                n_orphaned += 1;
-                telemetry.emit_with(done.finished, || Event::LeaseExpired {
-                    level: job.spec.level,
-                    attempt: job.attempt,
-                });
-                telemetry.counter_add("trials.orphaned", 1);
-            }
-            if job.attempt < config.retry.max_retries {
-                // Bounded retry: the worker that just freed re-runs the
-                // job. The backoff rides on the duration — the simulator's
-                // clock only moves via completions, so requeue delay is
-                // modelled as occupied worker time.
-                n_retries += 1;
-                telemetry.emit_with(done.finished, || Event::TrialRetried {
-                    level: job.spec.level,
-                    attempt: job.attempt + 1,
-                    kind: failure_kind(done.status).expect("status is a failure"),
-                });
-                telemetry.counter_add("trials.retried", 1);
-                let backoff = config.retry.backoff(job.attempt);
-                let duration = job.duration + backoff;
-                let label = format!("{}r{}", job.spec.level, job.attempt + 1);
+        let cost = done.finished - done.started;
+        let output = Eval { cost, ..eval };
+        match study
+            .book(method, spec, attempt, done.status, Some(output), now)
+            .expect("the simulator completes only outstanding trials")
+        {
+            Booked::Completed => {}
+            Booked::Quarantined => continue,
+            Booked::Retry(spec) => {
+                // The worker that just freed re-runs the job. The backoff
+                // rides on the duration — the simulator's clock only moves
+                // via completions, so requeue delay is modelled as
+                // occupied worker time.
+                let duration = eval.cost + config.retry.backoff(attempt);
+                let label = format!("{}r{}", level, attempt + 1);
                 let resubmit = InFlight {
-                    attempt: job.attempt + 1,
-                    ..job
+                    spec,
+                    eval,
+                    attempt: attempt + 1,
                 };
-                if orphaned {
+                if done.status == JobStatus::Orphaned {
                     // The dead worker freed no slot; queue the requeue
                     // until one opens up.
                     orphan_queue.push_back((resubmit, duration, label));
@@ -753,94 +642,19 @@ fn run_impl(
                 }
                 continue;
             }
-            // Retries exhausted: quarantine. The method sees a Failed
-            // outcome (value = ∞) so it releases whatever slot the job
-            // held; the history never records it.
-            n_quarantined += 1;
-            telemetry.emit_with(done.finished, || Event::TrialQuarantined {
-                level: job.spec.level,
-                bracket: job.spec.bracket,
-                kind: failure_kind(done.status).expect("status is a failure"),
-            });
-            telemetry.counter_add("trials.quarantined", 1);
-            feed_breaker(
-                &mut breaker,
-                true,
-                done.finished,
-                method,
-                telemetry,
-                &mut n_breaker_trips,
-            );
-            pending.remove(&job.spec);
-            let outcome = Outcome {
-                spec: job.spec,
-                value: f64::INFINITY,
-                test_value: f64::INFINITY,
-                cost: done.finished - done.started,
-                finished_at: done.finished,
-                status: OutcomeStatus::Failed,
-                fail_status: Some(done.status),
-            };
-            let mut ctx = MethodContext {
-                space,
-                levels: &levels,
-                history: &history,
-                pending: pending.as_slice(),
-                rng: &mut rng,
-                n_workers: config.n_workers,
-                now: cluster.now(),
-            };
-            method.on_result(&outcome, &mut ctx);
-            continue;
         }
-        let InFlight {
-            spec,
-            value,
-            test_value,
-            ..
-        } = job;
-        pending.remove(&spec);
-        evals_per_level[spec.level] += 1;
         if config.speculation.is_some() {
-            let durations = &mut level_durations[spec.level];
-            let d = done.finished - done.started;
-            let pos = durations.partition_point(|&x| x <= d);
-            durations.insert(pos, d);
+            let durations = &mut level_durations[level];
+            let pos = durations.partition_point(|&x| x <= cost);
+            durations.insert(pos, cost);
         }
-        feed_breaker(
-            &mut breaker,
-            false,
-            done.finished,
-            method,
-            telemetry,
-            &mut n_breaker_trips,
-        );
-        telemetry.emit_with(done.finished, || Event::TrialCompleted {
-            level: spec.level,
-            bracket: spec.bracket,
-            value,
-            cost: done.finished - done.started,
-        });
-        telemetry.counter_add("trials.completed", 1);
-        telemetry.histogram_record("trial.cost", done.finished - done.started);
-
-        let measurement = Measurement {
-            config: spec.config.clone(),
-            level: spec.level,
-            resource: spec.resource,
-            value,
-            test_value,
-            cost: done.finished - done.started,
-            finished_at: done.finished,
-        };
-        measurements.push(measurement.clone());
-        history.record(measurement);
+        let booked = study.measurements();
         // Replay verification: the replayed measurement stream must match
         // the snapshot bit-for-bit, or the resumed run would silently be
         // a different run.
         if let Some(s) = replay {
-            let i = measurements.len() - 1;
-            if i < s.measurements.len() && s.measurements[i] != measurements[i] {
+            let i = booked.len() - 1;
+            if i < s.measurements.len() && s.measurements[i] != booked[i] {
                 return Err(ResumeError::Diverged {
                     stream: "measurement",
                     index: i,
@@ -850,60 +664,38 @@ fn run_impl(
         // The anytime curve tracks the complete-evaluation incumbent (the
         // paper's "lowest validation performance"), which is monotone;
         // partial evaluations only influence it indirectly via promotion.
-        if let Some(inc) = history.incumbent_full() {
-            let point = CurvePoint {
-                time: done.finished,
-                value: inc.value,
-                test_value: inc.test_value,
-            };
-            if curve.last().map(|p| p.value != point.value).unwrap_or(true) {
-                curve.push(point);
+        if let Some(inc) = study.history().incumbent_full() {
+            if curve.last().is_none_or(|p| p.value != inc.value) {
+                curve.push(CurvePoint {
+                    time: now,
+                    value: inc.value,
+                    test_value: inc.test_value,
+                });
             }
         }
-
-        let outcome = Outcome {
-            spec,
-            value,
-            test_value,
-            cost: done.finished - done.started,
-            finished_at: done.finished,
-            status: OutcomeStatus::Success,
-            fail_status: None,
-        };
-        let mut ctx = MethodContext {
-            space,
-            levels: &levels,
-            history: &history,
-            pending: pending.as_slice(),
-            rng: &mut rng,
-            n_workers: config.n_workers,
-            now: cluster.now(),
-        };
-        method.on_result(&outcome, &mut ctx);
-
         if let Some(cp) = checkpoint {
-            if measurements.len().is_multiple_of(cp.every_completions) {
+            if booked.len().is_multiple_of(cp.every_completions) {
                 RunSnapshot {
                     seed: config.seed,
                     submissions: submission_log.clone(),
-                    measurements: measurements.clone(),
+                    measurements: booked.to_vec(),
                 }
                 .save(&cp.path)?;
-                telemetry.emit_with(done.finished, || Event::CheckpointWritten {
-                    completions: measurements.len(),
+                telemetry.emit_with(now, || Event::CheckpointWritten {
+                    completions: booked.len(),
                     path: cp.path.display().to_string(),
                 });
             }
         }
-
-        let total: usize = evals_per_level.iter().sum();
-        if config.max_evals > 0 && total >= config.max_evals {
+        if config.max_evals > 0 && booked.len() >= config.max_evals {
             break;
         }
     }
 
     telemetry.flush();
     let horizon = cluster.now().min(config.budget).max(f64::MIN_POSITIVE);
+    let counts = study.counts();
+    let history = study.history();
     let (best_value, best_test, best_config, best_resource) = match history.incumbent() {
         Some(m) => (
             m.value,
@@ -920,19 +712,19 @@ fn run_impl(
         best_test,
         best_config,
         best_resource,
-        total_evals: evals_per_level.iter().sum(),
-        evals_per_level,
+        total_evals: counts.completed,
+        evals_per_level: (0..levels.k()).map(|l| history.len_at(l)).collect(),
         utilization: cluster.trace().utilization(horizon),
         trace: cluster.trace().clone(),
-        measurements,
-        n_failed_attempts,
-        n_retries,
-        n_quarantined,
-        failure_counts,
-        n_orphaned,
+        measurements: study.into_measurements(),
+        n_failed_attempts: counts.failures.total(),
+        n_retries: counts.retried,
+        n_quarantined: counts.quarantined,
+        failure_counts: counts.failures,
+        n_orphaned: counts.failures.orphaned,
         n_speculations,
         n_backup_wins,
-        n_breaker_trips,
+        n_breaker_trips: counts.breaker_trips,
     })
 }
 
@@ -1038,32 +830,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_failures_slow_but_do_not_break_runs() {
-        let bench = CountingOnes::new(4, 4, 7);
-        let levels = ResourceLevels::new(bench.max_resource(), 3);
-        let run_with = |p: f64| {
-            let mut m = MethodKind::Asha.build(&levels, 3);
-            let mut cfg = RunConfig::new(4, 2000.0, 3);
-            cfg.failure_prob = p;
-            run(m.as_mut(), &bench, &cfg)
-        };
-        let clean = run_with(0.0);
-        let flaky = run_with(0.3);
-        assert!(flaky.total_evals > 0);
-        // Retries consume budget: fewer completions under failures.
-        assert!(
-            flaky.total_evals < clean.total_evals,
-            "flaky {} vs clean {}",
-            flaky.total_evals,
-            clean.total_evals
-        );
-        // All recorded measurements are still valid results.
-        for m in &flaky.measurements {
-            assert!(m.value.is_finite());
-        }
-    }
-
-    #[test]
     fn stragglers_hurt_sync_more_than_async() {
         let mut cfg = RunConfig::new(8, 3000.0, 7);
         cfg.straggler = Some((0.15, 4.0));
@@ -1146,6 +912,48 @@ mod tests {
         // jobs whose second attempt was still running at the budget.
         assert!(r.n_retries >= r.n_quarantined);
         assert!(r.best_config.is_none());
+    }
+
+    #[test]
+    fn nan_objective_is_quarantined_as_corrupt() {
+        // A user benchmark whose first configuration diverges: the NaN
+        // must walk the retry ladder instead of reaching the rung, where
+        // ordering it panicked the run. A retry re-runs the same
+        // precomputed value, so the trial ends quarantined.
+        struct Diverging {
+            inner: CountingOnes,
+            poisoned: std::sync::Mutex<Option<Config>>,
+        }
+        impl Benchmark for Diverging {
+            fn name(&self) -> &str {
+                "diverging"
+            }
+            fn space(&self) -> &hypertune_space::ConfigSpace {
+                self.inner.space()
+            }
+            fn max_resource(&self) -> f64 {
+                self.inner.max_resource()
+            }
+            fn evaluate(&self, config: &Config, resource: f64, seed: u64) -> Eval {
+                let mut eval = self.inner.evaluate(config, resource, seed);
+                let mut poisoned = self.poisoned.lock().unwrap();
+                if poisoned.get_or_insert_with(|| config.clone()) == config {
+                    eval.value = f64::NAN;
+                }
+                eval
+            }
+        }
+        let bench = Diverging {
+            inner: CountingOnes::new(4, 4, 7),
+            poisoned: std::sync::Mutex::new(None),
+        };
+        let levels = ResourceLevels::new(bench.max_resource(), 3);
+        let mut m = MethodKind::Asha.build(&levels, 3);
+        let r = run(m.as_mut(), &bench, &RunConfig::new(4, 2000.0, 3));
+        assert!(r.total_evals > 0);
+        assert!(r.failure_counts.corrupt >= 1, "{}", r.failure_counts);
+        assert!(r.n_quarantined >= 1);
+        assert!(r.measurements.iter().all(|m| !m.value.is_nan()));
     }
 
     #[test]

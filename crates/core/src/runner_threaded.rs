@@ -18,38 +18,37 @@
 //! Idle workers are filled with *one* [`Method::next_jobs`] call per
 //! round, so a method that fits a surrogate pays one fit for the whole
 //! batch instead of one per worker. The method is called inline on the
-//! driver thread — the thread that owns the study's
-//! [`StudyRuntime`] (history, pending set, RNG), the same type the
-//! multi-tenant service books trials through. Every suggestion round
-//! runs under a `suggest_batch` span.
+//! driver thread, which owns the study's [`StudyRuntime`]. Every
+//! suggestion round runs under a `suggest_batch` span, and every
+//! completion is booked through the runtime's ledger, one per round.
 //!
-//! Fault tolerance mirrors the simulator's: with
-//! [`ThreadedRunConfig::faults`] set, the pool marks jobs crashed /
-//! errored / corrupt (drawn deterministically in submission order) and
-//! the runner applies the same bounded [`RetryPolicy`] — resubmit up to
-//! `max_retries` times, then quarantine the config as a `Failed`
-//! [`Outcome`](crate::method::Outcome). Backoff is a virtual-time
-//! concept and does not apply here: a real scheduler's requeue delay is
-//! wall-clock, which this runner does not model.
+//! Fault tolerance is the ledger's, shared with the simulator and the
+//! service: with [`ThreadedRunConfig::faults`] set, the pool marks jobs
+//! crashed / errored / corrupt (drawn deterministically in submission
+//! order), and a failed attempt is resubmitted up to the
+//! [`RetryPolicy`]'s `max_retries` times, then quarantined as a `Failed`
+//! [`Outcome`](crate::method::Outcome). What this driver keeps is the
+//! orphan queue (an orphan's dead worker freed no slot, so it waits for
+//! one) and a quarantine cap. Backoff is a virtual-time concept and does
+//! not apply here: a real scheduler's requeue delay is wall-clock, which
+//! this runner does not model.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
 use hypertune_benchmarks::{Benchmark, Eval};
-use hypertune_cluster::{
-    Executor, FaultModel, FaultSpec, JobStatus, MembershipPlan, PoolResult, ThreadPool,
-};
+use hypertune_cluster::{Executor, FaultModel, FaultSpec, JobStatus, MembershipPlan, ThreadPool};
 use hypertune_space::{Config, ConfigSpace};
-use hypertune_telemetry::{Event, TelemetryHandle};
+use hypertune_telemetry::TelemetryHandle;
 
-use crate::breaker::{Breaker, BreakerConfig};
-use crate::diagnostics::{failure_kind, FailureCounts};
-use crate::history::{History, Measurement};
+use crate::breaker::BreakerConfig;
+use crate::diagnostics::FailureCounts;
+use crate::history::Measurement;
 use crate::levels::ResourceLevels;
 use crate::method::{JobSpec, Method};
-use crate::runner::{feed_breaker, RetryPolicy};
-use crate::tenant::StudyRuntime;
+use crate::runner::RetryPolicy;
+use crate::tenant::{Booked, StudyRuntime};
 
 /// Parameters for a threaded run. Budgets are counted in evaluations
 /// (wall-clock budgets belong to the caller's deployment logic).
@@ -212,51 +211,6 @@ pub fn run_distributed<E: Executor<ThreadedJob, Eval>>(
     drive(method, space, config, levels, executor)
 }
 
-/// Run accounting, folded into the final result.
-#[derive(Default)]
-struct Tally {
-    evals_per_level: Vec<usize>,
-    measurements: Vec<Measurement>,
-    n_failed_attempts: usize,
-    n_retries: usize,
-    n_quarantined: usize,
-    failure_counts: FailureCounts,
-    n_orphaned: usize,
-    n_breaker_trips: usize,
-}
-
-impl Tally {
-    fn new(levels: &ResourceLevels) -> Self {
-        Self {
-            evals_per_level: vec![0; levels.k()],
-            ..Self::default()
-        }
-    }
-
-    fn into_result(self, method: String, history: &History, wall_secs: f64) -> ThreadedRunResult {
-        let (best_value, best_test, best_config) = match history.incumbent() {
-            Some(m) => (m.value, m.test_value, Some(m.config.clone())),
-            None => (f64::INFINITY, f64::INFINITY, None),
-        };
-        ThreadedRunResult {
-            method,
-            best_value,
-            best_test,
-            best_config,
-            total_evals: self.evals_per_level.iter().sum(),
-            evals_per_level: self.evals_per_level,
-            wall_secs,
-            measurements: self.measurements,
-            n_failed_attempts: self.n_failed_attempts,
-            n_retries: self.n_retries,
-            n_quarantined: self.n_quarantined,
-            failure_counts: self.failure_counts,
-            n_orphaned: self.n_orphaned,
-            n_breaker_trips: self.n_breaker_trips,
-        }
-    }
-}
-
 /// Submits, or parks the job in the wait queue: membership events apply
 /// lazily inside `submit`, so a slot seen idle a moment ago can vanish by
 /// the time the job lands.
@@ -279,25 +233,23 @@ fn drive<E: Executor<ThreadedJob, Eval>>(
     levels: &ResourceLevels,
     mut pool: E,
 ) -> ThreadedRunResult {
-    let telemetry = &config.telemetry;
     let started = Instant::now();
-    let mut tally = Tally::new(levels);
-    let mut breaker = config.breaker.clone().map(Breaker::new);
     let mut orphan_queue: VecDeque<ThreadedJob> = VecDeque::new();
     let mut study = StudyRuntime::new(
         space.clone(),
         levels.clone(),
         config.seed,
         config.n_workers,
-        telemetry.clone(),
+        config.retry,
+        config.breaker.clone(),
+        config.telemetry.clone(),
     );
-    let mut completed = 0usize;
-    let mut dispatched = 0usize;
     // At 100% failure rate no job ever completes and every dispatch
     // quarantines; this cap turns that pathological case into a clean
     // early exit instead of an infinite loop.
     let quarantine_cap = 10 * config.max_evals;
-    while completed < config.max_evals && tally.n_quarantined < quarantine_cap {
+    while study.counts().completed < config.max_evals && study.counts().quarantined < quarantine_cap
+    {
         // Requeue recovered orphans first: their worker died, so they
         // wait for the next free slot rather than resubmitting in place.
         while pool.idle_workers() > 0 {
@@ -310,11 +262,13 @@ fn drive<E: Executor<ThreadedJob, Eval>>(
             }
         }
         // Fill idle workers from one suggestion round (stop dispatching
-        // once the cap is reachable).
-        while pool.idle_workers() > 0 && dispatched < config.max_evals {
-            let k = pool.idle_workers().min(config.max_evals - dispatched);
+        // once the cap is reachable; a quarantine gives its slot back).
+        while pool.idle_workers() > 0 && study.counts().charged() < config.max_evals {
+            let k = pool
+                .idle_workers()
+                .min(config.max_evals - study.counts().charged());
             let now = started.elapsed().as_secs_f64();
-            let batch = study.suggest(method, k, now);
+            let batch = study.suggest(method, k, now, "suggest_batch");
             if batch.is_empty() {
                 assert!(
                     pool.in_flight() > 0 || !orphan_queue.is_empty(),
@@ -325,18 +279,11 @@ fn drive<E: Executor<ThreadedJob, Eval>>(
             }
             let short = batch.len() < k;
             for spec in batch {
-                telemetry.emit_with(started.elapsed().as_secs_f64(), || Event::TrialDispatched {
-                    level: spec.level,
-                    bracket: spec.bracket,
-                    attempt: 0,
-                });
-                telemetry.counter_add("trials.dispatched", 1);
                 submit_or_park(
                     &mut pool,
                     &mut orphan_queue,
                     ThreadedJob { spec, attempt: 0 },
                 );
-                dispatched += 1;
             }
             if short {
                 // Barrier mid-batch: wait for a completion.
@@ -357,123 +304,48 @@ fn drive<E: Executor<ThreadedJob, Eval>>(
                 break;
             }
         };
-        let status = booked_status(&done);
-        let job = done.job;
+        let ThreadedJob { spec, attempt } = done.job;
         let now = started.elapsed().as_secs_f64();
-        let eval = match done.output {
-            Some(eval) if !status.is_failure() => eval,
-            _ => {
-                if handle_failure(status, &job, config, now, &mut tally) {
-                    let retry = ThreadedJob {
-                        attempt: job.attempt + 1,
-                        ..job
-                    };
-                    if status == JobStatus::Orphaned {
-                        // The dead worker freed no slot; wait for one.
-                        orphan_queue.push_back(retry);
-                    } else {
-                        submit_or_park(&mut pool, &mut orphan_queue, retry);
-                    }
-                    continue;
-                }
-                feed_breaker(
-                    &mut breaker,
-                    true,
-                    now,
-                    method,
-                    telemetry,
-                    &mut tally.n_breaker_trips,
-                );
-                // Release the budget slot so a replacement config dispatches.
-                dispatched -= 1;
-                study.complete_quarantine(method, job.spec, status, now);
-                continue;
+        // A completion for a trial this study is not waiting on is not
+        // booked (the ledger refuses it).
+        if let Ok(Booked::Retry(spec)) =
+            study.book(method, spec, attempt, done.status, done.output, now)
+        {
+            let retry = ThreadedJob {
+                spec,
+                attempt: attempt + 1,
+            };
+            if done.status == JobStatus::Orphaned {
+                // The dead worker freed no slot; wait for one.
+                orphan_queue.push_back(retry);
+            } else {
+                submit_or_park(&mut pool, &mut orphan_queue, retry);
             }
-        };
-        let spec = job.spec;
-        completed += 1;
-        feed_breaker(
-            &mut breaker,
-            false,
-            now,
-            method,
-            telemetry,
-            &mut tally.n_breaker_trips,
-        );
-        let m = study.complete_success(method, &spec, &eval, now);
-        tally.evals_per_level[spec.level] += 1;
-        telemetry.emit_with(now, || Event::TrialCompleted {
-            level: spec.level,
-            bracket: spec.bracket,
-            value: eval.value,
-            cost: eval.cost,
-        });
-        telemetry.counter_add("trials.completed", 1);
-        telemetry.histogram_record("trial.cost", eval.cost);
-        tally.measurements.push(m);
+        }
     }
-    telemetry.flush();
-    let wall = started.elapsed().as_secs_f64();
-    tally.into_result(method.name().to_string(), study.history(), wall)
-}
-
-/// The status a fleet completion is booked under: the executor's own,
-/// except that a "success" nothing can be booked from is
-/// [`JobStatus::Corrupt`] and walks the retry/quarantine ladder. Any
-/// remote worker can send either kind: a NaN objective (neither the
-/// history nor a rung can order one) or a result frame with no output at
-/// all.
-pub fn booked_status<J>(done: &PoolResult<J, Eval>) -> JobStatus {
-    if done.status.is_failure() {
-        return done.status;
+    config.telemetry.flush();
+    let counts = study.counts();
+    let history = study.history();
+    let (best_value, best_test, best_config) = match history.incumbent() {
+        Some(m) => (m.value, m.test_value, Some(m.config.clone())),
+        None => (f64::INFINITY, f64::INFINITY, None),
+    };
+    ThreadedRunResult {
+        method: method.name().to_string(),
+        best_value,
+        best_test,
+        best_config,
+        evals_per_level: (0..levels.k()).map(|l| history.len_at(l)).collect(),
+        total_evals: counts.completed,
+        wall_secs: started.elapsed().as_secs_f64(),
+        measurements: study.into_measurements(),
+        n_failed_attempts: counts.failures.total(),
+        n_retries: counts.retried,
+        n_quarantined: counts.quarantined,
+        failure_counts: counts.failures,
+        n_orphaned: counts.failures.orphaned,
+        n_breaker_trips: counts.breaker_trips,
     }
-    match &done.output {
-        Some(eval) if !eval.value.is_nan() => done.status,
-        _ => JobStatus::Corrupt,
-    }
-}
-
-/// Books a failed attempt; returns `true` when the job should be
-/// resubmitted (the caller owns the actual resubmission) and `false`
-/// when it is quarantined.
-fn handle_failure(
-    status: JobStatus,
-    job: &ThreadedJob,
-    config: &ThreadedRunConfig,
-    now: f64,
-    tally: &mut Tally,
-) -> bool {
-    let telemetry = &config.telemetry;
-    let (level, attempt) = (job.spec.level, job.attempt);
-    let kind = failure_kind(status).expect("status is a failure");
-    // Corrupt results carry an output but it is untrusted and discarded;
-    // every failure kind goes through the same retry-or-quarantine path.
-    tally.n_failed_attempts += 1;
-    tally.failure_counts.record(status);
-    telemetry.counter_add("trials.failed_attempts", 1);
-    if status == JobStatus::Orphaned {
-        tally.n_orphaned += 1;
-        telemetry.emit_with(now, || Event::LeaseExpired { level, attempt });
-        telemetry.counter_add("trials.orphaned", 1);
-    }
-    if attempt < config.retry.max_retries {
-        tally.n_retries += 1;
-        telemetry.emit_with(now, || Event::TrialRetried {
-            level,
-            attempt: attempt + 1,
-            kind,
-        });
-        telemetry.counter_add("trials.retried", 1);
-        return true;
-    }
-    tally.n_quarantined += 1;
-    telemetry.emit_with(now, || Event::TrialQuarantined {
-        level,
-        bracket: job.spec.bracket,
-        kind,
-    });
-    telemetry.counter_add("trials.quarantined", 1);
-    false
 }
 
 #[cfg(test)]

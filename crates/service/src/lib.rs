@@ -11,9 +11,9 @@
 //! - [`StudyHandle`] lifecycle API ([`TuningService::create_study`] /
 //!   [`TuningService::suggest`] / [`TuningService::report`] /
 //!   [`TuningService::stop_study`]): each study owns an isolated
-//!   [`hypertune_core::StudyRuntime`] — its method, RNG, history, and
-//!   pending set — so tenants are structurally incapable of perturbing
-//!   each other's suggestion streams.
+//!   [`hypertune_core::StudyRuntime`] — its method, RNG, history,
+//!   pending set and trial ledger — so tenants are structurally
+//!   incapable of perturbing each other's suggestion streams.
 //! - [`FairShare`]: a weighted stride scheduler granting idle fleet
 //!   slots across live studies, with per-study in-flight quotas.
 //!   Proportional share with an O(#studies) error bound, and

@@ -5,7 +5,7 @@
 //! threads or a [`TcpCluster`](hypertune_cluster::TcpCluster) of worker
 //! processes; the service is substrate-agnostic, exactly like the
 //! single-study driver. Each study owns its method and an isolated
-//! [`StudyRuntime`] (RNG, history, pending set), so tenants
+//! [`StudyRuntime`] (RNG, history, pending set, trial ledger), so tenants
 //! cannot perturb each other's suggestion streams no matter how the
 //! fleet interleaves them; the service owns everything *between* the
 //! runtimes and the fleet:
@@ -32,15 +32,16 @@
 //!   mid-round loses only results that were not booked yet, which
 //!   re-run and never double-book; lifecycle sidecar writes always
 //!   flush the WAL first.
-//! - **Retries and quarantine**: failed attempts are re-dispatched up
-//!   to the configured [`RetryPolicy`] budget, then quarantined and fed
-//!   back to the study's method as a failed outcome — the same ladder
-//!   as the single-study drivers, tracked per tenant.
+//! - **Retries and quarantine**: every completion is booked through the
+//!   study's runtime, whose ledger retries a failed attempt up to the
+//!   configured [`RetryPolicy`] budget and then quarantines it — the
+//!   same ladder, counts and events as the single-study drivers. The
+//!   service only parks the retries until a slot frees up.
 //! - **Telemetry**: every study emits through a tenant-stamped
 //!   [`TelemetryHandle`] (see [`TelemetryHandle::with_tenant`]), so one
 //!   trace carries all tenants and
-//!   `TraceSummary::per_tenant` splits it back apart. Counters are
-//!   namespaced `study.<id>.*`.
+//!   `TraceSummary::per_tenant` splits it back apart. The ledger's
+//!   counters are namespaced `study.<id>.trials.*`.
 //!
 //! A scheduler round is one drain: park-queue requeues first, then
 //! fair-share fill, then block for the first completion, take every
@@ -58,8 +59,8 @@ use hypertune_benchmarks::{Benchmark, Eval};
 use hypertune_cluster::{ClusterError, Executor, JobStatus, PoolResult};
 use hypertune_core::persist::{RunSnapshot, SubmissionRecord, WalWriter};
 use hypertune_core::{
-    booked_status, failure_kind, FailureCounts, JobSpec, Measurement, Method, ResourceLevels,
-    RetryPolicy, StudyRuntime, ThreadedJob,
+    Booked, FailureCounts, JobSpec, Measurement, Method, ResourceLevels, RetryPolicy, StudyRuntime,
+    ThreadedJob,
 };
 use hypertune_telemetry::{Event, TelemetryHandle};
 
@@ -184,8 +185,9 @@ pub fn pool_eval(resolver: BenchResolver) -> impl Fn(&ServiceJob) -> Eval + Send
     }
 }
 
-/// Per-study bookkeeping the service owns (the method-visible state
-/// lives in the [`StudyRuntime`], which borrows `method` per call).
+/// Per-study bookkeeping the service owns. The method-visible state and
+/// the trial ledger live in the [`StudyRuntime`], which borrows `method`
+/// per call and emits through the study's tenant-stamped handle.
 struct Study {
     spec: StudySpec,
     status: StudyStatus,
@@ -193,36 +195,20 @@ struct Study {
     method: Box<dyn Method>,
     runtime: StudyRuntime,
     wal: Option<WalWriter>,
-    /// Tenant-stamped handle; every event this study causes carries its
-    /// id.
-    telemetry: TelemetryHandle,
-    /// The study's scoped counter names, built once.
-    counters: StudyCounters,
-    /// Completed measurements in completion order (the WAL's in-memory
-    /// twin; what the equivalence tests fingerprint).
-    measurements: Vec<Measurement>,
-    /// Trials charged against `max_evals`: incremented at dispatch,
-    /// decremented on quarantine, so `dispatched == completed` once the
-    /// study drains.
-    dispatched: usize,
-    completed: usize,
-    quarantined: usize,
-    /// Dispatched but not yet booked (on the fleet or in the park
-    /// queue). Bounded by the `max_in_flight` quota.
-    outstanding: usize,
-    failures: FailureCounts,
 }
 
 impl Study {
     /// How many fresh dispatches the study can absorb right now:
-    /// remaining budget capped by the in-flight quota. Zero for
-    /// anything not `Running`.
+    /// remaining budget (a quarantine gives its slot back) capped by the
+    /// in-flight quota (trials on the fleet or in the park queue). Zero
+    /// for anything not `Running`.
     fn wants(&self) -> usize {
         if self.status != StudyStatus::Running {
             return 0;
         }
-        let budget = self.spec.max_evals.saturating_sub(self.dispatched);
-        let quota = self.spec.max_in_flight.saturating_sub(self.outstanding);
+        let counts = self.runtime.counts();
+        let budget = self.spec.max_evals.saturating_sub(counts.charged());
+        let quota = self.spec.max_in_flight.saturating_sub(counts.outstanding());
         budget.min(quota)
     }
 }
@@ -258,7 +244,8 @@ pub struct StudyStats {
     /// Trials charged against the budget (suggested and not
     /// quarantined).
     pub dispatched: usize,
-    /// Dispatched but unbooked trials.
+    /// Dispatched but unbooked trials (for a stopped study: the ones it
+    /// abandoned).
     pub outstanding: usize,
     /// Trials quarantined after exhausting retries.
     pub quarantined: usize,
@@ -288,30 +275,6 @@ fn write_sidecar(dir: &Path, record: &StudyRecord) -> io::Result<()> {
         serde_json::to_string(&serde::Serialize::to_value(record))?,
     )?;
     std::fs::rename(&tmp, path)
-}
-
-/// A study's `study.<id>.trials.*` counter names. Built when the study
-/// is, so the per-trial paths never format a key — least of all for a
-/// telemetry handle that is disabled.
-struct StudyCounters {
-    dispatched: String,
-    completed: String,
-    orphaned: String,
-    retried: String,
-    quarantined: String,
-}
-
-impl StudyCounters {
-    fn new(id: u64) -> Self {
-        let scoped = |name: &str| format!("study.{id}.trials.{name}");
-        Self {
-            dispatched: scoped("dispatched"),
-            completed: scoped("completed"),
-            orphaned: scoped("orphaned"),
-            retried: scoped("retried"),
-            quarantined: scoped("quarantined"),
-        }
-    }
 }
 
 /// The multi-tenant tuning service; see the module docs for the
@@ -430,6 +393,8 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
             levels,
             spec.seed,
             quota,
+            self.config.retry,
+            None,
             telemetry.clone(),
         );
         let wal = match &self.config.state_dir {
@@ -463,14 +428,6 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
                 method,
                 runtime,
                 wal,
-                telemetry,
-                counters: StudyCounters::new(id),
-                measurements: Vec::new(),
-                dispatched: 0,
-                completed: 0,
-                quarantined: 0,
-                outstanding: 0,
-                failures: FailureCounts::default(),
             },
         );
         self.update_live_gauge();
@@ -499,11 +456,10 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
             wal.flush()?;
         }
         self.sched.unregister(id);
-        let before = self.parked.len();
         self.parked.retain(|j| j.study != id);
-        study.outstanding = study.outstanding.saturating_sub(before - self.parked.len());
         study
-            .telemetry
+            .runtime
+            .telemetry()
             .emit_with(now, || Event::StudyStopped { study: id });
         if let Some(dir) = &self.config.state_dir {
             let record = StudyRecord {
@@ -536,7 +492,9 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
             return Ok(Vec::new());
         }
         let t0 = Instant::now();
-        let batch = study.runtime.suggest(study.method.as_mut(), k, now);
+        let batch = study
+            .runtime
+            .suggest(study.method.as_mut(), k, now, "suggest_batch");
         let latency = t0.elapsed().as_secs_f64();
         if self.suggest_latencies.len() < LATENCY_CAP {
             self.suggest_latencies.push(latency);
@@ -545,31 +503,17 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
             self.suggest_latencies[slot] = latency;
             self.latency_cursor = self.latency_cursor.wrapping_add(1);
         }
-        for job in &batch {
-            study.dispatched += 1;
-            study.outstanding += 1;
-            let (level, bracket) = (job.level, job.bracket);
-            study.telemetry.emit_with(now, || Event::TrialDispatched {
-                level,
-                bracket,
-                attempt: 0,
-            });
-        }
-        if !batch.is_empty() {
-            study
-                .telemetry
-                .counter_add(&study.counters.dispatched, batch.len() as u64);
-        }
         Ok(batch)
     }
 
     /// Books a successful evaluation for a suggested job — the other
-    /// half of the lifecycle API and the internal success path. Appends
-    /// to the study's WAL, feeds the method, and completes the study
-    /// when its budget is exhausted.
+    /// half of the lifecycle API. Appends to the study's WAL, feeds the
+    /// method, and completes the study when its budget is exhausted.
     ///
-    /// A NaN objective is `InvalidInput`: nothing is booked, the trial
-    /// stays outstanding, and the caller may report again.
+    /// `InvalidInput`, with nothing booked, for a NaN objective (the
+    /// trial stays outstanding and the caller may report again) and for
+    /// a job the study is not waiting on: one it never suggested, or one
+    /// already reported.
     pub fn report(&mut self, handle: StudyHandle, spec: &JobSpec, eval: &Eval) -> io::Result<()> {
         if eval.value.is_nan() {
             return Err(io::Error::new(
@@ -577,45 +521,54 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
                 "objective value is NaN",
             ));
         }
-        let id = handle.id();
+        let (id, spec) = (handle.id(), spec.clone());
+        self.book(id, spec, 0, JobStatus::Succeeded, Some(*eval))
+            .map(drop)
+    }
+
+    /// Books one finished attempt through the study's ledger; a
+    /// completion is appended to the WAL and may complete the study.
+    fn book(
+        &mut self,
+        id: u64,
+        spec: JobSpec,
+        attempt: usize,
+        status: JobStatus,
+        output: Option<Eval>,
+    ) -> io::Result<Booked> {
         let now = self.now();
         let study = self
             .studies
             .get_mut(&id)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no study {id}")))?;
-        let m = study
-            .runtime
-            .complete_success(study.method.as_mut(), spec, eval, now);
-        if let Some(wal) = &mut study.wal {
+        // The WAL's submission record needs the spec the ledger consumes.
+        let logged = study.wal.is_some().then(|| spec.clone());
+        let booked =
+            study
+                .runtime
+                .book(study.method.as_mut(), spec, attempt, status, output, now)?;
+        if booked != Booked::Completed {
+            return Ok(booked);
+        }
+        let measurements = study.runtime.measurements();
+        if let (Some(wal), Some(spec), Some(m)) = (&mut study.wal, logged, measurements.last()) {
             if wal.dirty() == 0 {
                 self.dirty_wals.push(id);
             }
             wal.append_submission(&SubmissionRecord {
-                spec: spec.clone(),
-                value: eval.value,
-                test_value: eval.test_value,
-                cost: eval.cost,
+                spec,
+                value: m.value,
+                test_value: m.test_value,
+                cost: m.cost,
             })?;
-            wal.append_measurement(&m)?;
+            wal.append_measurement(m)?;
         }
-        study.measurements.push(m.clone());
-        study.completed += 1;
-        study.outstanding = study.outstanding.saturating_sub(1);
-        let (level, bracket, value, cost) = (spec.level, spec.bracket, eval.value, eval.cost);
-        study
-            .telemetry
-            .emit_with(m.finished_at, || Event::TrialCompleted {
-                level,
-                bracket,
-                value,
-                cost,
-            });
-        study.telemetry.counter_add(&study.counters.completed, 1);
-        study.telemetry.histogram_record("trial.cost", cost);
-        if study.status == StudyStatus::Running && study.completed >= study.spec.max_evals {
+        if study.status == StudyStatus::Running
+            && study.runtime.counts().completed >= study.spec.max_evals
+        {
             self.finish_study(id)?;
         }
-        Ok(())
+        Ok(booked)
     }
 
     /// Marks a study's budget exhausted: `Completed`, out of the
@@ -633,9 +586,10 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
         if let Some(wal) = &mut study.wal {
             wal.flush()?;
         }
-        let trials = study.completed;
+        let trials = study.runtime.counts().completed;
         study
-            .telemetry
+            .runtime
+            .telemetry()
             .emit_with(now, || Event::StudyCompleted { study: id, trials });
         if let Some(dir) = &self.config.state_dir {
             let record = StudyRecord {
@@ -683,9 +637,6 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
                 .get(&job.study)
                 .is_some_and(|s| s.status == StudyStatus::Running);
             if !running {
-                if let Some(s) = self.studies.get_mut(&job.study) {
-                    s.outstanding = s.outstanding.saturating_sub(1);
-                }
                 continue;
             }
             if self.executor.submit(job.clone()).is_err() {
@@ -728,61 +679,36 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
         }
     }
 
-    /// Routes one fleet completion home by tenant id. Results for
-    /// stopped or unknown studies are dropped; failures walk the
-    /// retry/quarantine ladder.
+    /// Routes one fleet completion home by tenant id and books it. Results
+    /// for stopped or unknown studies, and results the study is not
+    /// waiting on, are dropped; a retry waits in the park queue.
     fn handle_completion(&mut self, result: PoolResult<ServiceJob, Eval>) -> io::Result<()> {
-        let now = self.now();
-        let status = booked_status(&result);
-        let job = result.job;
-        let id = job.study;
-        let Some(study) = self.studies.get_mut(&id) else {
+        let ServiceJob {
+            study: id,
+            bench,
+            bench_seed,
+            job: ThreadedJob { spec, attempt },
+        } = result.job;
+        if self
+            .studies
+            .get(&id)
+            .is_none_or(|s| s.status != StudyStatus::Running)
+        {
             return Ok(());
-        };
-        if study.status != StudyStatus::Running {
-            study.outstanding = study.outstanding.saturating_sub(1);
-            return Ok(());
         }
-        // `booked_status` turns a success without an output into a
-        // failure, so a hostile result frame walks the ladder below.
-        if let Some(eval) = result.output.filter(|_| !status.is_failure()) {
-            return self.report(StudyHandle::from_id(id), &job.job.spec, &eval);
-        }
-        study.failures.record(status);
-        let level = job.job.spec.level;
-        let attempt = job.job.attempt;
-        if status == JobStatus::Orphaned {
-            study
-                .telemetry
-                .emit_with(now, || Event::LeaseExpired { level, attempt });
-            study.telemetry.counter_add(&study.counters.orphaned, 1);
-        }
-        let kind = failure_kind(status).expect("failure statuses map to a kind");
-        if attempt < self.config.retry.max_retries {
-            let next = attempt + 1;
-            study.telemetry.emit_with(now, || Event::TrialRetried {
-                level,
-                attempt: next,
-                kind,
-            });
-            study.telemetry.counter_add(&study.counters.retried, 1);
-            let mut retry = job;
-            retry.job.attempt = next;
-            self.parked.push_back(retry);
-        } else {
-            let bracket = job.job.spec.bracket;
-            study.telemetry.emit_with(now, || Event::TrialQuarantined {
-                level,
-                bracket,
-                kind,
-            });
-            study.telemetry.counter_add(&study.counters.quarantined, 1);
-            study.dispatched = study.dispatched.saturating_sub(1);
-            study.quarantined += 1;
-            study.outstanding = study.outstanding.saturating_sub(1);
-            study
-                .runtime
-                .complete_quarantine(study.method.as_mut(), job.job.spec, status, now);
+        match self.book(id, spec, attempt, result.status, result.output) {
+            Ok(Booked::Retry(spec)) => self.parked.push_back(ServiceJob {
+                study: id,
+                bench,
+                bench_seed,
+                job: ThreadedJob {
+                    spec,
+                    attempt: attempt + 1,
+                },
+            }),
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::InvalidInput => {}
+            Err(e) => return Err(e),
         }
         Ok(())
     }
@@ -945,21 +871,19 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
                 levels,
                 seed,
                 quota,
-                telemetry.clone(),
+                self.config.retry,
+                None,
+                telemetry,
             );
-            runtime.restore(&snapshot.measurements);
-            let completed = snapshot.measurements.len();
             let mut status = record.status;
-            if status == StudyStatus::Running && completed >= spec.max_evals {
+            if status == StudyStatus::Running && snapshot.measurements.len() >= spec.max_evals {
                 // Killed after the last booking but before the sidecar
                 // flip: the budget is spent, finish it now.
                 status = StudyStatus::Completed;
             }
-            let wal = {
-                let mut w = WalWriter::create_from(&path, &snapshot)?;
-                self.config.configure_wal(&mut w);
-                Some(w)
-            };
+            let mut wal = WalWriter::create_from(&path, &snapshot)?;
+            self.config.configure_wal(&mut wal);
+            runtime.restore(snapshot.measurements);
             write_sidecar(
                 &dir,
                 &StudyRecord {
@@ -980,15 +904,7 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
                     generation,
                     method,
                     runtime,
-                    wal,
-                    telemetry,
-                    counters: StudyCounters::new(id),
-                    measurements: snapshot.measurements,
-                    dispatched: completed,
-                    completed,
-                    quarantined: 0,
-                    outstanding: 0,
-                    failures: FailureCounts::default(),
+                    wal: Some(wal),
                 },
             );
             self.next_study_id = self.next_study_id.max(id + 1);
@@ -1006,7 +922,9 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
     /// Successful trials booked for the study (this incarnation plus
     /// anything recovered from its WAL).
     pub fn completed(&self, handle: StudyHandle) -> usize {
-        self.studies.get(&handle.id()).map_or(0, |s| s.completed)
+        self.studies
+            .get(&handle.id())
+            .map_or(0, |s| s.runtime.counts().completed)
     }
 
     /// The study's measurement stream in completion order (recovered
@@ -1014,7 +932,7 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
     pub fn measurements(&self, handle: StudyHandle) -> &[Measurement] {
         self.studies
             .get(&handle.id())
-            .map_or(&[], |s| s.measurements.as_slice())
+            .map_or(&[], |s| s.runtime.measurements())
     }
 
     /// The study's incumbent (best complete evaluation).
@@ -1047,18 +965,21 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
         let studies: Vec<StudyStats> = self
             .studies
             .iter()
-            .map(|(&id, s)| StudyStats {
-                id,
-                name: s.spec.name.clone(),
-                method: s.method.name().to_string(),
-                status: s.status,
-                completed: s.completed,
-                dispatched: s.dispatched,
-                outstanding: s.outstanding,
-                quarantined: s.quarantined,
-                best: s.runtime.history().incumbent().map(|m| m.value),
-                failures: s.failures,
-                generation: s.generation,
+            .map(|(&id, s)| {
+                let counts = s.runtime.counts();
+                StudyStats {
+                    id,
+                    name: s.spec.name.clone(),
+                    method: s.method.name().to_string(),
+                    status: s.status,
+                    completed: counts.completed,
+                    dispatched: counts.charged(),
+                    outstanding: counts.outstanding(),
+                    quarantined: counts.quarantined,
+                    best: s.runtime.history().incumbent().map(|m| m.value),
+                    failures: counts.failures,
+                    generation: s.generation,
+                }
             })
             .collect();
         ServiceStats {
@@ -1236,6 +1157,37 @@ mod tests {
         let err = svc.report(h, &job, &nan).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert_eq!(svc.completed(h), 0);
+    }
+
+    #[test]
+    fn reporting_a_trial_that_is_not_outstanding_books_nothing() {
+        // A client that reports one job twice, or reports a job to a
+        // study that never suggested it, must get an error back — not
+        // panic the thread every tenant shares.
+        let dir = unique_dir("not-outstanding");
+        let config = ServiceConfig::new().with_state_dir(&dir);
+        let mut svc = TuningService::new(pool(1), resolver(), config).unwrap();
+        let a = svc.create_study(spec("a", 41)).unwrap();
+        let b = svc.create_study(spec("b", 42)).unwrap();
+        let job = svc.suggest(a, 1).unwrap().remove(0);
+        assert_eq!(svc.suggest(b, 1).unwrap().len(), 1);
+        let eval = CountingOnes::new(4, 4, 41).evaluate(&job.config, job.resource, 41);
+        svc.report(a, &job, &eval).unwrap();
+
+        let twice = svc.report(a, &job, &eval).unwrap_err();
+        assert_eq!(twice.kind(), io::ErrorKind::InvalidInput);
+        let stranger = svc.report(b, &job, &eval).unwrap_err();
+        assert_eq!(stranger.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!((svc.completed(a), svc.completed(b)), (1, 0));
+        drop(svc);
+        for (h, booked) in [(a, 1), (b, 0)] {
+            let wal = RunSnapshot::load(&wal_path(&dir, h.id())).unwrap();
+            assert_eq!(
+                (wal.submissions.len(), wal.measurements.len()),
+                (booked, booked)
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

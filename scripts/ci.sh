@@ -37,10 +37,12 @@ step "cargo test --release -p hypertune-cluster (the workspace's one unsafe bloc
 # the way the product is built.
 cargo test --release -q -p hypertune-cluster --offline
 
-step "dispatch fingerprints (all 24 methods x 2 seeds, bit for bit)"
+step "dispatch fingerprints (all 24 methods x 2 seeds, plus 5 x 2 under every fault, bit for bit)"
 # results/dispatch_probe.txt is what the probe printed before the forest
-# kernel was rewritten. A change that alters which configurations any
-# method proposes, or any value it books, changes a line here; a change
+# kernel was rewritten, plus the fault-path lines recorded before the
+# trial ledger moved into StudyRuntime. A change that alters which
+# configurations any method proposes, any value it books, or how a
+# failed attempt is retried or quarantined changes a line here; a change
 # that means to regenerates the file and says why.
 cargo run --release -q -p hypertune-bench --offline --bin dispatch_probe \
   | diff results/dispatch_probe.txt -
@@ -220,6 +222,27 @@ dead+='|Shared''History|Sharded''Pending|History''View'
 # (`if`, not `! grep`: errexit ignores a negated command.)
 if grep -rnE "$dead" README.md DESIGN.md EXPERIMENTS.md scripts/ crates/ examples/ ||
   grep -rni 'pre''fetch' README.md scripts/ crates/ examples/; then
+  exit 1
+fi
+
+step "one trial ledger (trial events are built only in core's tenant.rs)"
+# Every driver (the simulator, the threaded/TCP driver, the service)
+# suggests and books through StudyRuntime, so the trial lifecycle
+# events are constructed in one production module. Test modules may
+# build events of their own.
+# (The quote pairs keep this file from matching its own patterns.)
+trial_events='Event::(Trial''(Dispatched|Completed|Retried|Quarantined)|Lease''Expired)\b'
+ledger_sites=$(
+  for f in $(grep -rlE "$trial_events" crates/core/src crates/service/src); do
+    sed '/^#\[cfg(test)\]/q' "$f" | grep -nE "$trial_events" | sed "s|^|$f:|"
+  done | grep -v '^crates/core/src/tenant\.rs:' || true
+)
+if [[ -n "$ledger_sites" ]]; then
+  printf 'trial events built outside the ledger:\n%s\n' "$ledger_sites"
+  exit 1
+fi
+# The per-driver copies of the retry ladder stay deleted.
+if grep -rnwE 'Tal''ly|handle''_failure|Study''Counters' crates/; then
   exit 1
 fi
 
