@@ -39,7 +39,7 @@
 //! |---|---|
 //! | [`sim`] | [`SimCluster`], [`JobResult`], [`JobStatus`], [`ClusterError`] — the discrete-event simulator and the submit/complete contract |
 //! | [`executor`] | [`Executor`], [`ThreadPool`], [`PoolResult`] — the driver-facing trait and the same contract on real OS threads |
-//! | [`proto`] | [`proto::Frame`], [`proto::ProtoError`], [`proto::Codec`] — the length-prefixed wire protocol with JSON and binary payload codecs (normative spec: DESIGN.md §16) |
+//! | [`proto`] | [`proto::Frame`], [`proto::FrameEncoder`], [`proto::FrameDecoder`], [`proto::ProtoError`] — the length-prefixed binary wire protocol (normative spec: DESIGN.md §16) |
 //! | [`net`] | [`TcpCluster`], [`serve_worker`] — the driver/worker TCP substrate built on [`proto`]; Unix-only, since both sides wait in `poll(2)` |
 //! | [`fault`] | [`Fault`], [`FaultSpec`], [`FaultModel`] — dispatch-time failure injection |
 //! | [`membership`] | [`MembershipPlan`], [`MembershipEvent`] — elastic worker churn: scheduled joins/leaves, worker crashes that orphan jobs, lease-based recovery |
@@ -77,8 +77,7 @@ pub use net::{
     CONNECT_RETRY_PAUSE,
 };
 pub use proto::{
-    Codec, Frame, FrameDecoder, FrameEncoder, ProtoError, MAX_FRAME, WIRE_VERSION,
-    WIRE_VERSION_BINARY,
+    Codec, Frame, FrameDecoder, FrameEncoder, ProtoError, MAX_FRAME, MAX_SLOTS, WIRE_VERSION,
 };
 pub use sim::{ClusterError, JobResult, JobStatus, SimCluster, SubmitReceipt};
 pub use straggler::StragglerModel;

@@ -27,22 +27,13 @@
 //! flight per connection — capacity is the sum of slots across live
 //! workers, and `submit` picks the least-loaded live worker. At one slot
 //! per worker this degenerates to the old strictly synchronous
-//! one-round-trip-per-eval scheme.
+//! one-round-trip-per-eval scheme. A worker may advertise at most
+//! [`proto::MAX_SLOTS`]; a larger count fails the handshake.
 //!
-//! ## Codec negotiation
-//!
-//! The `Hello` frame is always written as JSON (every peer speaks
-//! version 1). When the driver wants the binary codec
-//! ([`TcpClusterOptions::codec`], the default) and the hello payload is
-//! an object, it adds a `"_codec": 2` key. A binary-capable worker that
-//! sees the offer switches its write half to binary *before* answering,
-//! so the `HelloAck`'s own encoding is the acknowledgement: the driver
-//! inspects [`proto::FrameDecoder::last_codec`] on the ack and mirrors
-//! it for everything it sends that worker from then on. Old JSON workers
-//! ignore the unknown key and answer in JSON; old drivers never offer;
-//! either way the pair settles on JSON with no extra round trip. Readers
-//! on both sides accept both codecs on every frame regardless of what
-//! was negotiated for writes.
+//! Every frame, the handshake's included, uses the one encoding of
+//! [`crate::proto`]; there is nothing to negotiate. A peer that sends a
+//! frame of another protocol version is refused on that frame with
+//! [`ProtoError::BadVersion`].
 //!
 //! Failure semantics, mirroring the in-process substrates:
 //!
@@ -118,8 +109,7 @@
 //! With a handle attached ([`TcpCluster::set_telemetry`]) the driver
 //! emits `net.*` counters (`dispatches`, `results`, `stale_results`,
 //! `heartbeats`, `cancels`, `cancel_acks`, `disconnects`, `read_errors`,
-//! `protocol_violations`, `bad_outputs`, `reconnects`, `redial_gaveup`,
-//! `codec.binary`/`codec.json` per negotiated connection), latency
+//! `protocol_violations`, `bad_outputs`, `reconnects`, `redial_gaveup`), latency
 //! histograms (`net.job_rtt_ms` dispatch→result, `net.heartbeat_gap_ms`
 //! between liveness signals, `net.batch_size` dispatches per scheduler
 //! round), per-worker completion gauges, and the same
@@ -154,11 +144,6 @@ pub struct TcpClusterOptions {
     /// no heartbeat) before the driver cancels and orphans them.
     /// Must comfortably exceed the worker heartbeat interval.
     pub lease_timeout: Duration,
-    /// Preferred wire codec. [`Codec::Binary`] (the default) offers the
-    /// binary codec in the handshake and uses it per-connection when the
-    /// worker accepts; [`Codec::Json`] never offers, pinning every
-    /// connection to the version-1 JSON framing.
-    pub codec: Codec,
     /// Redial behaviour after a worker connection drops. The default
     /// ([`ReconnectPolicy::disabled`]) keeps the historical semantics:
     /// disconnect = permanent Leave.
@@ -169,8 +154,9 @@ pub struct TcpClusterOptions {
     pub connect_timeout: Option<Duration>,
     /// Extra initial-dial attempts per address in [`TcpCluster::connect`]
     /// beyond the first, paced [`CONNECT_RETRY_PAUSE`] apart. Only
-    /// connection-level failures retry; a handshake *rejection* is a
-    /// definitive answer and still fails fast. 0 (the default) keeps the
+    /// connection-level failures retry; a handshake *rejection* (or a
+    /// peer speaking another protocol) is a definitive answer and still
+    /// fails fast. 0 (the default) keeps the
     /// historical fail-fast startup.
     pub connect_retries: u32,
 }
@@ -179,7 +165,6 @@ impl Default for TcpClusterOptions {
     fn default() -> Self {
         Self {
             lease_timeout: Duration::from_secs(10),
-            codec: Codec::Binary,
             reconnect: ReconnectPolicy::disabled(),
             connect_timeout: None,
             connect_retries: 0,
@@ -255,10 +240,8 @@ enum NetEvent {
 /// A connection fresh out of the Hello/HelloAck handshake.
 struct Session {
     stream: TcpStream,
-    /// Slot count from the `HelloAck` (at least 1).
+    /// Slot count from the `HelloAck` (1 to [`proto::MAX_SLOTS`]).
     slots: usize,
-    /// The codec the pair settled on.
-    codec: Codec,
     /// The decoder that read the `HelloAck`. It may already hold bytes
     /// that arrived behind the ack, so the connection keeps reading
     /// with it rather than a fresh one.
@@ -299,8 +282,6 @@ struct WorkerConn<J> {
     pending: Vec<Pending<J>>,
     /// Concurrent dispatch capacity advertised in the `HelloAck`.
     slots: usize,
-    /// Negotiated write codec for this connection.
-    codec: Codec,
     /// Encoded driver→worker frames not yet written. Every outgoing
     /// frame passes through here, so wire order is enqueue order.
     out: Vec<u8>,
@@ -320,7 +301,6 @@ impl<J> WorkerConn<J> {
     /// (`Dispatch`, `Cancel`, `Shutdown`) takes this path, so the bytes
     /// reach the wire in the order the frames were produced.
     fn enqueue(&mut self, enc: &mut FrameEncoder, frame: &Frame) {
-        enc.set_codec(self.codec);
         self.out.extend_from_slice(enc.encode(frame));
     }
 
@@ -364,10 +344,8 @@ pub struct TcpCluster<J, O> {
     telemetry: TelemetryHandle,
     joins_emitted: bool,
     /// The caller's hello payload, undecorated — redials re-decorate it
-    /// with fresh `_codec`/`_epoch` keys per dial.
+    /// with a fresh `_epoch` key per dial.
     hello: Value,
-    /// The codec preference offered in every handshake.
-    offer_codec: Codec,
     reconnect: ReconnectPolicy,
     connect_timeout: Option<Duration>,
     /// Redialer threads still working an address. Quiescence waits for
@@ -389,13 +367,12 @@ where
     /// error, unlike churn later. [`TcpClusterOptions::connect_timeout`]
     /// bounds each dial (and its handshake reads), and
     /// [`TcpClusterOptions::connect_retries`] retries connection-level
-    /// failures a bounded number of times; rejections never retry.
+    /// failures a bounded number of times; rejections, a worker
+    /// advertising more than [`proto::MAX_SLOTS`] and a peer speaking
+    /// another protocol version never retry.
     ///
-    /// When `opts.codec` is [`Codec::Binary`] and `hello` is an object,
-    /// a `"_codec": 2` offer is added to the handshake payload; the
-    /// codec each connection settles on is whatever the worker answered
-    /// in (see the module docs). Object hellos also carry the session
-    /// epoch as `"_epoch"` (0 at startup, bumped per redial).
+    /// Object hellos carry the session epoch as `"_epoch"` (0 at
+    /// startup, bumped per redial).
     ///
     /// # Panics
     ///
@@ -417,11 +394,13 @@ where
             let addr = addr.to_string();
             let mut attempt = 0u32;
             let session = loop {
-                match dial_worker(&addr, &hello, opts.codec, 0, opts.connect_timeout) {
+                match dial_worker(&addr, &hello, 0, opts.connect_timeout) {
                     Ok(ok) => break ok,
                     // A handshake rejection (or a peer speaking
                     // something else) is a definitive answer.
-                    Err(e @ ProtoError::Garbage(_)) => return Err(e),
+                    Err(e @ (ProtoError::Garbage(_) | ProtoError::BadVersion { .. })) => {
+                        return Err(e)
+                    }
                     Err(e) => {
                         attempt += 1;
                         if attempt > opts.connect_retries {
@@ -439,7 +418,6 @@ where
                 alive: true,
                 pending: Vec::with_capacity(session.slots),
                 slots: session.slots,
-                codec: session.codec,
                 out: Vec::new(),
                 last_seen: Instant::now(),
                 completed: 0,
@@ -462,12 +440,11 @@ where
             in_flight: 0,
             capacity,
             orphans: VecDeque::new(),
-            enc: FrameEncoder::new(opts.codec),
+            enc: FrameEncoder::new(Codec::Binary),
             batch: 0,
             telemetry: TelemetryHandle::disabled(),
             joins_emitted: false,
             hello,
-            offer_codec: opts.codec,
             reconnect: opts.reconnect,
             connect_timeout: opts.connect_timeout,
             redialing: 0,
@@ -478,8 +455,7 @@ where
 
     /// Attaches a telemetry handle. The first attachment replays one
     /// `WorkerJoined` per live connection (connect = Join happened
-    /// before any handle existed) and counts each connection's
-    /// negotiated codec under `net.codec.binary` / `net.codec.json`.
+    /// before any handle existed).
     pub fn set_telemetry(&mut self, telemetry: TelemetryHandle) {
         self.telemetry = telemetry;
         if !self.joins_emitted {
@@ -492,7 +468,6 @@ where
                         worker: idx,
                         n_alive,
                     });
-                    self.telemetry.counter_add(codec_key(w.codec), 1);
                 }
             }
             self.telemetry
@@ -518,11 +493,6 @@ where
     /// Address of worker `idx` as given at connect time (for logs).
     pub fn worker_addr(&self, idx: usize) -> &str {
         &self.workers[idx].addr
-    }
-
-    /// The write codec connection `idx` settled on in the handshake.
-    pub fn worker_codec(&self, idx: usize) -> Codec {
-        self.workers[idx].codec
     }
 
     /// Submits a job to the least-loaded live worker with a free slot;
@@ -606,23 +576,12 @@ where
         let addr = w.addr.clone();
         let epoch = w.epoch + 1;
         let hello = self.hello.clone();
-        let offer = self.offer_codec;
         let policy = self.reconnect.clone();
         let connect_timeout = self.connect_timeout;
         let post = self.post.clone();
         let stop = Arc::clone(&self.stop_redial);
         self.redial_handles.push(std::thread::spawn(move || {
-            redial_loop(
-                idx,
-                addr,
-                hello,
-                offer,
-                epoch,
-                policy,
-                connect_timeout,
-                post,
-                stop,
-            )
+            redial_loop(idx, addr, hello, epoch, policy, connect_timeout, post, stop)
         }));
     }
 
@@ -856,13 +815,11 @@ where
                 w.dec = session.dec;
                 w.alive = true;
                 w.slots = session.slots;
-                w.codec = session.codec;
                 w.epoch = epoch;
                 w.last_seen = Instant::now();
                 self.capacity += session.slots;
                 let n_alive = self.capacity;
                 self.telemetry.counter_add("net.reconnects", 1);
-                self.telemetry.counter_add(codec_key(session.codec), 1);
                 self.telemetry
                     .gauge_set("net.workers_alive", n_alive as f64);
                 self.telemetry.emit_now_with(|| Event::WorkerReconnected {
@@ -1033,27 +990,12 @@ impl<J, O> Drop for TcpCluster<J, O> {
     }
 }
 
-/// The counter a connection's negotiated codec is counted under.
-fn codec_key(codec: Codec) -> &'static str {
-    match codec {
-        Codec::Binary => "net.codec.binary",
-        Codec::Json => "net.codec.json",
-    }
-}
-
 /// Builds the on-the-wire hello for a session: the caller's payload plus
-/// the `"_codec"` offer (when the driver prefers binary) and the
-/// `"_epoch"` session tag. Non-object hellos are sent as-is — they can
-/// carry neither key, which a worker treats as JSON + epoch 0.
-fn decorate_hello(hello: &Value, offer: Codec, epoch: u64) -> Value {
+/// the `"_epoch"` session tag. Non-object hellos are sent as-is — they
+/// cannot carry the key, which a worker treats as epoch 0.
+fn decorate_hello(hello: &Value, epoch: u64) -> Value {
     let mut decorated = hello.clone();
     if let Value::Object(map) = &mut decorated {
-        if offer == Codec::Binary {
-            map.insert(
-                "_codec".to_string(),
-                Value::Number(Number::PosInt(u64::from(proto::WIRE_VERSION_BINARY))),
-            );
-        }
         map.insert("_epoch".to_string(), Value::Number(Number::PosInt(epoch)));
     }
     decorated
@@ -1061,16 +1003,17 @@ fn decorate_hello(hello: &Value, offer: Codec, epoch: u64) -> Value {
 
 /// Dials one worker and runs the Hello/HelloAck handshake for session
 /// `epoch`. Returns the connected [`Session`]: stream, the worker's
-/// advertised slot count, the codec the pair settled on, and the decoder
-/// the connection must keep reading with. `timeout` bounds both the
-/// TCP connect and the handshake reads (cleared before returning);
-/// `None` blocks on OS defaults. A handshake rejection, a mismatched epoch echo, or an
-/// unexpected first frame all come back as [`ProtoError::Garbage`] —
-/// definitive answers the caller must not retry.
+/// advertised slot count, and the decoder the connection must keep
+/// reading with. `timeout` bounds both the TCP connect and the handshake
+/// reads (cleared before returning); `None` blocks on OS defaults. A
+/// handshake rejection, a mismatched epoch echo, a slot count above
+/// [`proto::MAX_SLOTS`], or an unexpected first frame all come back as
+/// [`ProtoError::Garbage`], and an ack of another protocol version as
+/// [`ProtoError::BadVersion`] — definitive answers the caller must not
+/// retry.
 fn dial_worker(
     addr: &str,
     hello: &Value,
-    offer: Codec,
     epoch: u64,
     timeout: Option<Duration>,
 ) -> Result<Session, ProtoError> {
@@ -1105,11 +1048,10 @@ fn dial_worker(
     };
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(timeout).ok();
-    let mut enc = FrameEncoder::new(Codec::Json);
     let frame = Frame::Hello {
-        payload: decorate_hello(hello, offer, epoch),
+        payload: decorate_hello(hello, epoch),
     };
-    stream.write_all(enc.encode(&frame))?;
+    proto::write_frame(&mut stream, &frame)?;
     let mut dec = FrameDecoder::new();
     let ack = dec.read_ahead(&mut stream)?;
     let slots = match ack {
@@ -1124,6 +1066,12 @@ fn dial_worker(
                         "{addr}: handshake echoed epoch {acked}, offered {epoch}"
                     )));
                 }
+            }
+            if slots > proto::MAX_SLOTS {
+                return Err(ProtoError::Garbage(format!(
+                    "{addr}: handshake offered {slots} slots, more than {}",
+                    proto::MAX_SLOTS
+                )));
             }
             slots.max(1)
         }
@@ -1141,12 +1089,7 @@ fn dial_worker(
         }
     };
     stream.set_read_timeout(None).ok();
-    Ok(Session {
-        stream,
-        slots,
-        codec: dec.last_codec(),
-        dec,
-    })
+    Ok(Session { stream, slots, dec })
 }
 
 /// Sleeps up to `dur` in small slices, returning `false` early if `stop`
@@ -1176,7 +1119,6 @@ fn redial_loop(
     worker: usize,
     addr: String,
     hello: Value,
-    offer: Codec,
     epoch: u64,
     policy: ReconnectPolicy,
     connect_timeout: Option<Duration>,
@@ -1199,7 +1141,7 @@ fn redial_loop(
         if !sleep_unless_stopped(&stop, pause) {
             return;
         }
-        match dial_worker(&addr, &hello, offer, epoch, connect_timeout) {
+        match dial_worker(&addr, &hello, epoch, connect_timeout) {
             Ok(session) => {
                 post.send(NetEvent::Redialed {
                     worker,
@@ -1234,13 +1176,9 @@ pub struct WorkerOptions {
     /// How many `Dispatch` frames the session accepts in flight,
     /// advertised to the driver via `HelloAck::slots`. Evaluation stays
     /// on a single thread serving the queue in FIFO order; extra slots
-    /// hide dispatch round-trips, they do not add parallelism.
+    /// hide dispatch round-trips, they do not add parallelism. The
+    /// driver refuses more than [`proto::MAX_SLOTS`].
     pub slots: usize,
-    /// Preferred wire codec. [`Codec::Binary`] (the default) upgrades
-    /// the session when the driver's hello carries a `"_codec"` offer;
-    /// [`Codec::Json`] never upgrades, behaving exactly like a
-    /// version-1 peer.
-    pub codec: Codec,
 }
 
 impl Default for WorkerOptions {
@@ -1249,7 +1187,6 @@ impl Default for WorkerOptions {
             heartbeat_interval: Duration::from_millis(250),
             once: false,
             slots: 1,
-            codec: Codec::Binary,
         }
     }
 }
@@ -1277,8 +1214,8 @@ impl FrameWriter {
 /// [`WorkerOptions::once`]). Per session, `make_eval` interprets the
 /// `Hello` payload and builds the evaluator — returning `Err(reason)`
 /// rejects the session via `HelloAck` without dropping the accept loop.
-/// (The hello passed through may carry the protocol's `"_codec"`
-/// negotiation key; factories should ignore unknown keys.)
+/// (The hello passed through may carry the protocol's `"_epoch"` session
+/// key; factories should ignore unknown keys.)
 ///
 /// Session errors (protocol violations, mid-stream disconnects) are
 /// logged to stderr and do not kill the worker; the next driver can
@@ -1316,7 +1253,7 @@ where
     let mut dec = FrameDecoder::new();
     let writer = Arc::new(Mutex::new(FrameWriter {
         stream,
-        enc: FrameEncoder::new(Codec::Json),
+        enc: FrameEncoder::new(Codec::Binary),
     }));
     let hello = match dec.read_ahead(&mut reader)? {
         Frame::Hello { payload } => payload,
@@ -1326,25 +1263,10 @@ where
             )))
         }
     };
-    // Codec negotiation: switch the write half to binary *before* the
-    // HelloAck goes out, so the ack's own encoding is the answer the
-    // driver is waiting for.
-    let offered = hello
-        .as_object()
-        .and_then(|m| m.get("_codec"))
-        .and_then(|v| v.as_u64())
-        .unwrap_or(u64::from(proto::WIRE_VERSION));
-    if opts.codec == Codec::Binary && offered >= u64::from(proto::WIRE_VERSION_BINARY) {
-        writer
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .enc
-            .set_codec(Codec::Binary);
-    }
     // Session epoch: echo whatever the driver offered (`"_epoch"` in the
     // hello) so its redial handshake can verify it reached a fresh
-    // session. Absent on old drivers and non-object hellos → None, which
-    // the driver treats as epoch 0.
+    // session. Absent on non-object hellos → None, which the driver
+    // treats as epoch 0.
     let epoch = hello
         .as_object()
         .and_then(|m| m.get("_epoch"))
@@ -1789,10 +1711,6 @@ mod tests {
             TcpCluster::connect(&[a, b], json!({"test": true}), TcpClusterOptions::default())
                 .unwrap();
         assert_eq!(cluster.n_workers(), 2);
-        // Both sides default to binary and the hello is an object, so
-        // the offer goes out and both workers take it.
-        assert_eq!(cluster.worker_codec(0), Codec::Binary);
-        assert_eq!(cluster.worker_codec(1), Codec::Binary);
         let mut outs = Vec::new();
         let mut next = 0u64;
         while outs.len() < 10 {
@@ -1814,65 +1732,11 @@ mod tests {
     }
 
     #[test]
-    fn non_object_hello_pins_the_session_to_json() {
-        // A hello with nowhere to carry the `_codec` offer must leave
-        // the connection on the version-1 JSON framing.
-        let (a, h) = spawn_doubler(true);
-        let mut cluster: TcpCluster<u64, u64> =
-            TcpCluster::connect(&[a], json!(null), TcpClusterOptions::default()).unwrap();
-        assert_eq!(cluster.worker_codec(0), Codec::Json);
-        cluster.submit(3).unwrap();
-        assert_eq!(cluster.next_completion().unwrap().output, Some(6));
-        drop(cluster);
-        h.join().unwrap().unwrap();
-    }
-
-    #[test]
-    fn mixed_codec_fleet_interops() {
-        // One binary-capable worker, one deliberately stuck on JSON
-        // (a "v1 peer"): the driver must speak to each in its own
-        // codec within a single fleet.
-        let (a, ha) = spawn_doubler_with(WorkerOptions {
-            heartbeat_interval: Duration::from_millis(20),
-            once: true,
-            ..WorkerOptions::default()
-        });
-        let (b, hb) = spawn_doubler_with(WorkerOptions {
-            heartbeat_interval: Duration::from_millis(20),
-            once: true,
-            codec: Codec::Json,
-            ..WorkerOptions::default()
-        });
-        let mut cluster: TcpCluster<u64, u64> =
-            TcpCluster::connect(&[a, b], json!({"test": true}), TcpClusterOptions::default())
-                .unwrap();
-        assert_eq!(cluster.worker_codec(0), Codec::Binary);
-        assert_eq!(cluster.worker_codec(1), Codec::Json);
-        let mut outs = Vec::new();
-        let mut next = 0u64;
-        while outs.len() < 10 {
-            while next < 10 && cluster.submit(next).is_ok() {
-                next += 1;
-            }
-            let r = cluster.next_completion().unwrap();
-            assert_eq!(r.status, JobStatus::Succeeded);
-            assert_eq!(r.output, Some(r.job * 2));
-            outs.push(r.job);
-        }
-        outs.sort_unstable();
-        assert_eq!(outs, (0..10).collect::<Vec<_>>());
-        drop(cluster);
-        ha.join().unwrap().unwrap();
-        hb.join().unwrap().unwrap();
-    }
-
-    #[test]
     fn multi_slot_worker_pipelines_in_fifo_order() {
         let (addr, h) = spawn_doubler_with(WorkerOptions {
             heartbeat_interval: Duration::from_millis(20),
             once: true,
             slots: 4,
-            ..WorkerOptions::default()
         });
         let mut cluster: TcpCluster<u64, u64> =
             TcpCluster::connect(&[addr], json!({"test": true}), TcpClusterOptions::default())
@@ -1915,7 +1779,6 @@ mod tests {
             heartbeat_interval: Duration::from_millis(20),
             once: true,
             slots: 4,
-            ..WorkerOptions::default()
         };
         let h = std::thread::spawn(move || {
             serve_worker(listener, opts, |_| {
@@ -2151,6 +2014,99 @@ mod tests {
             ProtoError::Garbage(msg) => assert!(msg.contains("rejected")),
             other => panic!("expected Garbage, got {other:?}"),
         }
+        h.join().unwrap().unwrap();
+    }
+
+    /// A hand-rolled worker that reads the `Hello`, answers with `ack`
+    /// written byte for byte, and lingers until the driver hangs up. It
+    /// accepts one connection only, so a retried dial is refused.
+    fn spawn_raw_acker(ack: Vec<u8>) -> (String, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let handle = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            drop(listener);
+            let _ = proto::read_frame(&mut s).unwrap(); // Hello
+            s.write_all(&ack).unwrap();
+            let _ = proto::read_frame(&mut s);
+        });
+        (addr, handle)
+    }
+
+    /// Bounded dials with retries to spare: a definitive answer must not
+    /// use them, and a regression fails instead of hanging.
+    fn opts_with_retries() -> TcpClusterOptions {
+        TcpClusterOptions {
+            connect_timeout: Some(Duration::from_secs(5)),
+            connect_retries: 2,
+            ..TcpClusterOptions::default()
+        }
+    }
+
+    #[test]
+    fn a_slot_count_above_max_slots_is_refused_not_trusted() {
+        for (slots, accepted) in [
+            (usize::MAX, false),
+            (proto::MAX_SLOTS + 1, false),
+            (proto::MAX_SLOTS, true),
+        ] {
+            let ack = proto::encode_frame(&Frame::HelloAck {
+                slots,
+                error: None,
+                epoch: None,
+            });
+            let (addr, h) = spawn_raw_acker(ack);
+            match TcpCluster::<u64, u64>::connect(&[addr], json!(null), opts_with_retries()) {
+                Ok(cluster) => {
+                    assert!(accepted, "{slots} slots were trusted");
+                    assert_eq!(cluster.n_workers(), proto::MAX_SLOTS);
+                }
+                Err(e) => {
+                    assert!(!accepted, "{slots} slots were refused: {e}");
+                    assert!(matches!(e, ProtoError::Garbage(_)), "got {e:?}");
+                }
+            }
+            h.join().unwrap();
+        }
+    }
+
+    /// A version-1 frame: length, version byte 1, JSON text. Written by
+    /// hand because the encoder can no longer produce one.
+    fn v1_frame(json: &str) -> Vec<u8> {
+        let mut buf = ((json.len() + 1) as u32).to_be_bytes().to_vec();
+        buf.push(1);
+        buf.extend_from_slice(json.as_bytes());
+        buf
+    }
+
+    #[test]
+    fn a_v1_worker_is_refused_at_once() {
+        let ack = v1_frame(r#"{"HelloAck": {"slots": 1, "error": null, "epoch": 0}}"#);
+        let (addr, h) = spawn_raw_acker(ack);
+        // With retries allowed, a retried dial would end in a refused
+        // connection instead of the version error.
+        let err = match TcpCluster::<u64, u64>::connect(
+            &[addr],
+            json!({"test": true}),
+            opts_with_retries(),
+        ) {
+            Ok(_) => panic!("a v1 HelloAck was accepted"),
+            Err(e) => e,
+        };
+        assert_eq!(err, ProtoError::BadVersion { got: 1 });
+        h.join().unwrap();
+    }
+
+    #[test]
+    fn a_v1_driver_gets_no_hello_ack() {
+        let (addr, h) = spawn_doubler(true);
+        let mut s = TcpStream::connect(&addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        s.write_all(&v1_frame(r#"{"Hello": {"payload": {"_epoch": 0}}}"#))
+            .unwrap();
+        // The worker refuses the first frame and hangs up unanswered;
+        // a read timeout here would be an Io error, not Closed.
+        assert_eq!(proto::read_frame(&mut s).unwrap_err(), ProtoError::Closed);
         h.join().unwrap().unwrap();
     }
 

@@ -1,6 +1,5 @@
 //! The distributed substrate's wire protocol: length-prefixed frames
-//! over TCP, in one of two codecs — self-describing JSON (version 1) or
-//! a compact binary encoding (version 2).
+//! over TCP in one compact binary encoding.
 //!
 //! This module is the *normative implementation* of DESIGN.md §16 — the
 //! frame grammar here and the prose spec there must stay in lockstep.
@@ -13,10 +12,8 @@
 //! frame   := length body
 //! length  := u32, big-endian — byte length of `body` (≥ 1, ≤ MAX_FRAME)
 //! body    := version payload
-//! version := u8 — WIRE_VERSION (1, JSON) or WIRE_VERSION_BINARY (2)
-//! payload := version 1: UTF-8 JSON encoding of one `Frame` value
-//!            (externally tagged: {"Dispatch": {...}}, "Shutdown", …)
-//!            version 2: binary encoding, see below
+//! version := u8 — WIRE_VERSION (2); anything else is `BadVersion`
+//! payload := binary encoding, see below
 //! ```
 //!
 //! The length prefix covers the version byte, so `payload` is exactly
@@ -24,11 +21,12 @@
 //! an unparseable payload reports a typed [`ProtoError`] and the
 //! connection is torn down — frames are never resynchronized mid-stream,
 //! mirroring how the WAL refuses interior-tampered records rather than
-//! guessing. Readers accept *both* codecs on every frame (the version
-//! byte is per-frame); writers send binary only after the Hello/HelloAck
-//! handshake proves the peer can read it (see `net`).
+//! guessing. Every frame carries the version byte, the handshake's
+//! included, so a peer speaking another version — the retired JSON
+//! frames of version 1, say — is refused with `BadVersion { got }` on
+//! its first frame.
 //!
-//! # Binary payload grammar (version 2)
+//! # Payload grammar
 //!
 //! All multi-byte integers are LEB128 varints (`varint`); `f64` is 8
 //! bytes little-endian (exact bit pattern, so float round-trips are
@@ -39,7 +37,7 @@
 //! tag      := u8 — 0 Hello · 1 HelloAck · 2 Dispatch · 3 Result
 //!                  4 Cancel · 5 Heartbeat · 6 Shutdown
 //! Hello    := value
-//! HelloAck := varint(slots) opt_str(error) [opt_u64(epoch)]
+//! HelloAck := varint(slots) opt_str(error) opt_u64(epoch)
 //! Dispatch := varint(job_id) value
 //! Result   := varint(job_id) status value
 //! Cancel   := varint(job_id)
@@ -66,13 +64,9 @@
 //! `Value` tree, so the two array encodings are interchangeable on the
 //! wire and bit-identical after decode.
 //!
-//! The `HelloAck` epoch is the one *optional tail*: writers always emit
-//! it, but a decoder that reaches the end of the payload before it
-//! treats it as absent (`None`). That keeps frames from peers predating
-//! session epochs decodable — the only place the "no trailing bytes"
-//! rule is deliberately relaxed. On the JSON side the same compatibility
-//! falls out of object semantics (a missing `"epoch"` key decodes as
-//! `None`).
+//! Every field is required: a payload that ends early, or carries bytes
+//! past its last field, is `Garbage`. The golden frames in this module's
+//! tests pin the exact bytes of each frame shape.
 //!
 //! # Message set
 //!
@@ -93,17 +87,14 @@
 
 use std::io::{Read, Write};
 
-use serde::{Deserialize, Number, Serialize, Value};
+use serde::{Number, Value};
 
 use crate::sim::JobStatus;
 
-/// Protocol version byte for JSON-encoded frames. Bump on any
-/// incompatible change to the frame grammar or message set.
-pub const WIRE_VERSION: u8 = 1;
-
-/// Protocol version byte for binary-encoded frames (same message set as
-/// version 1, different payload encoding).
-pub const WIRE_VERSION_BINARY: u8 = 2;
+/// Protocol version byte, the first byte of every frame body. Bump on
+/// any incompatible change to the frame grammar or message set. (1 was
+/// the retired JSON encoding.)
+pub const WIRE_VERSION: u8 = 2;
 
 /// Upper bound on a frame body (version byte + payload). Large enough
 /// for any config/eval in this workspace with orders of magnitude to
@@ -111,33 +102,28 @@ pub const WIRE_VERSION_BINARY: u8 = 2;
 /// reader allocate gigabytes.
 pub const MAX_FRAME: usize = 1 << 20;
 
+/// Upper bound on the slot count a worker may advertise in its
+/// `HelloAck`. The driver sizes per-connection buffers from that count,
+/// so a larger one is refused as `Garbage` instead of trusted.
+pub const MAX_SLOTS: usize = 1024;
+
 /// Nesting depth limit for binary `value` decoding, so a malicious peer
 /// cannot overflow the stack with a deeply nested array/object tree.
 const MAX_VALUE_DEPTH: usize = 128;
 
-/// Which payload encoding a frame (or a connection's write half) uses.
-/// Readers accept both unconditionally; writers negotiate via the
-/// `Hello`/`HelloAck` handshake (DESIGN.md §16.1).
+/// The argument of [`FrameEncoder::new`]. The wire has one payload
+/// encoding, so this type has one variant; it remains only because the
+/// benchmark package calls `FrameEncoder::new(Codec::Binary)`, and goes
+/// with that call in the next change to the benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Codec {
-    /// Version-1 frames: UTF-8 JSON payloads. Every peer speaks this.
-    Json,
-    /// Version-2 frames: compact binary payloads (varints, raw `f64`).
+    /// Compact binary payloads (varints, raw `f64`).
     Binary,
-}
-
-impl std::fmt::Display for Codec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Codec::Json => write!(f, "json"),
-            Codec::Binary => write!(f, "binary"),
-        }
-    }
 }
 
 /// One protocol message. See the module docs for the frame grammar and
 /// the direction/purpose of each variant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Session open (driver → worker). `payload` is application data the
     /// worker's session factory interprets (e.g. benchmark name + seed).
@@ -157,8 +143,8 @@ pub enum Frame {
         /// Echo of the session epoch the driver offered via the
         /// `"_epoch"` key in its `Hello` payload (see `net`): 0 for a
         /// first connection, incremented per redial. `None` when the
-        /// hello carried no epoch or the worker predates epochs — the
-        /// driver treats both as epoch 0.
+        /// hello carried no epoch (a non-object payload); the driver
+        /// treats that as epoch 0.
         epoch: Option<u64>,
     },
     /// One unit of work (driver → worker).
@@ -218,15 +204,13 @@ pub enum ProtoError {
         /// The declared body length.
         len: usize,
     },
-    /// The version byte is neither [`WIRE_VERSION`] nor
-    /// [`WIRE_VERSION_BINARY`].
+    /// The version byte is not [`WIRE_VERSION`].
     BadVersion {
         /// The version byte received.
         got: u8,
     },
-    /// The payload does not decode as a [`Frame`] in the codec named by
-    /// its version byte (includes the empty body: a frame has at least a
-    /// version byte and one payload byte).
+    /// The payload does not decode as a [`Frame`] (includes the empty
+    /// body: a frame has at least a version byte and one payload byte).
     Garbage(String),
     /// An underlying socket error.
     Io(String),
@@ -243,10 +227,7 @@ impl std::fmt::Display for ProtoError {
                 write!(f, "oversized frame: {len} bytes exceeds {MAX_FRAME}")
             }
             ProtoError::BadVersion { got } => {
-                write!(
-                    f,
-                    "bad protocol version {got} (want {WIRE_VERSION} or {WIRE_VERSION_BINARY})"
-                )
+                write!(f, "bad protocol version {got} (want {WIRE_VERSION})")
             }
             ProtoError::Garbage(msg) => write!(f, "garbage frame: {msg}"),
             ProtoError::Io(msg) => write!(f, "socket error: {msg}"),
@@ -512,7 +493,7 @@ fn status_from_byte(b: u8) -> Result<JobStatus, ProtoError> {
     })
 }
 
-fn put_binary_payload(buf: &mut Vec<u8>, frame: &Frame) {
+fn put_payload(buf: &mut Vec<u8>, frame: &Frame) {
     match frame {
         Frame::Hello { payload } => {
             buf.push(TAG_HELLO);
@@ -567,7 +548,7 @@ fn put_binary_payload(buf: &mut Vec<u8>, frame: &Frame) {
     }
 }
 
-fn decode_binary_payload(payload: &[u8]) -> Result<Frame, ProtoError> {
+fn decode_payload(payload: &[u8]) -> Result<Frame, ProtoError> {
     let mut r = BinReader::new(payload);
     let frame = match r.u8()? {
         TAG_HELLO => Frame::Hello {
@@ -580,16 +561,10 @@ fn decode_binary_payload(payload: &[u8]) -> Result<Frame, ProtoError> {
                 1 => Some(r.string()?),
                 b => return Err(garbage(format!("bad option byte {b}"))),
             };
-            // Optional tail (see the module docs): a peer predating
-            // session epochs ends the payload here.
-            let epoch = if r.done() {
-                None
-            } else {
-                match r.u8()? {
-                    0 => None,
-                    1 => Some(r.varint()?),
-                    b => return Err(garbage(format!("bad option byte {b}"))),
-                }
+            let epoch = match r.u8()? {
+                0 => None,
+                1 => Some(r.varint()?),
+                b => return Err(garbage(format!("bad option byte {b}"))),
             };
             Frame::HelloAck {
                 slots,
@@ -624,33 +599,21 @@ fn decode_binary_payload(payload: &[u8]) -> Result<Frame, ProtoError> {
 // ---------------------------------------------------------------------------
 
 /// Encodes frames into a reused scratch buffer, so steady-state framing
-/// is allocation-free in either codec. One encoder per connection write
-/// half: encoding into one buffer keeps concurrent writers (the worker's
-/// result and heartbeat threads) atomic per frame — each frame is one
+/// is allocation-free. One encoder per connection write half: encoding
+/// into one buffer keeps concurrent writers (the worker's result and
+/// heartbeat threads) atomic per frame — each frame is one
 /// syscall-sized `write_all` under the writer lock.
 #[derive(Debug)]
 pub struct FrameEncoder {
-    codec: Codec,
     buf: Vec<u8>,
 }
 
 impl FrameEncoder {
-    /// A new encoder writing frames in `codec`.
-    pub fn new(codec: Codec) -> Self {
+    /// A new encoder (see [`Codec`] for why it takes one).
+    pub fn new(_: Codec) -> Self {
         FrameEncoder {
-            codec,
             buf: Vec::with_capacity(256),
         }
-    }
-
-    /// The codec this encoder currently writes.
-    pub fn codec(&self) -> Codec {
-        self.codec
-    }
-
-    /// Switches the write codec (used once, after handshake negotiation).
-    pub fn set_codec(&mut self, codec: Codec) {
-        self.codec = codec;
     }
 
     /// Encodes `frame` into the scratch buffer and returns the full wire
@@ -658,17 +621,8 @@ impl FrameEncoder {
     pub fn encode(&mut self, frame: &Frame) -> &[u8] {
         self.buf.clear();
         self.buf.extend_from_slice(&[0u8; 4]);
-        match self.codec {
-            Codec::Json => {
-                self.buf.push(WIRE_VERSION);
-                serde_json::to_writer(&mut self.buf, frame)
-                    .expect("frame serialization is infallible");
-            }
-            Codec::Binary => {
-                self.buf.push(WIRE_VERSION_BINARY);
-                put_binary_payload(&mut self.buf, frame);
-            }
-        }
+        self.buf.push(WIRE_VERSION);
+        put_payload(&mut self.buf, frame);
         let body_len = self.buf.len() - 4;
         assert!(body_len <= MAX_FRAME, "frame exceeds MAX_FRAME");
         self.buf[..4].copy_from_slice(&(body_len as u32).to_be_bytes());
@@ -687,9 +641,7 @@ impl FrameEncoder {
 /// per `read`: room for a burst of small frames in one syscall.
 const READ_AHEAD: usize = 8 * 1024;
 
-/// Decodes frames from a stream through one reused buffer. Accepts both
-/// codecs on every frame and remembers which one the last frame used, so
-/// the handshake can detect what the peer speaks.
+/// Decodes frames from a stream through one reused buffer.
 ///
 /// Three ways to pull frames, over the same buffer and the same error
 /// rules:
@@ -713,7 +665,6 @@ pub struct FrameDecoder {
     buf: Vec<u8>,
     start: usize,
     end: usize,
-    last_codec: Codec,
 }
 
 impl Default for FrameDecoder {
@@ -723,19 +674,13 @@ impl Default for FrameDecoder {
 }
 
 impl FrameDecoder {
-    /// A new decoder; `last_codec` starts as [`Codec::Json`].
+    /// A new, empty decoder.
     pub fn new() -> Self {
         FrameDecoder {
             buf: Vec::new(),
             start: 0,
             end: 0,
-            last_codec: Codec::Json,
         }
-    }
-
-    /// The codec of the most recently decoded frame.
-    pub fn last_codec(&self) -> Codec {
-        self.last_codec
     }
 
     /// Reads one frame from `r`, taking no byte past its end. Returns
@@ -767,18 +712,7 @@ impl FrameDecoder {
         let body = &self.buf[self.start + 4..self.start + 4 + body_len];
         self.start += 4 + body_len;
         match body[0] {
-            WIRE_VERSION => {
-                self.last_codec = Codec::Json;
-                let payload =
-                    std::str::from_utf8(&body[1..]).map_err(|_| garbage("payload is not UTF-8"))?;
-                serde_json::from_str::<Frame>(payload)
-                    .map(Some)
-                    .map_err(|e| garbage(e.to_string()))
-            }
-            WIRE_VERSION_BINARY => {
-                self.last_codec = Codec::Binary;
-                decode_binary_payload(&body[1..]).map(Some)
-            }
+            WIRE_VERSION => decode_payload(&body[1..]).map(Some),
             got => Err(ProtoError::BadVersion { got }),
         }
     }
@@ -880,26 +814,21 @@ impl FrameDecoder {
 /// Encodes one frame into its full wire representation (length prefix
 /// included), ready for a single `write_all`. Allocates a fresh buffer;
 /// steady-state paths hold a [`FrameEncoder`] instead.
-pub fn encode_frame_as(frame: &Frame, codec: Codec) -> Vec<u8> {
-    let mut enc = FrameEncoder::new(codec);
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+    let mut enc = FrameEncoder::new(Codec::Binary);
     enc.encode(frame);
     enc.buf
 }
 
-/// JSON-codec [`encode_frame_as`], kept for handshake paths and tests.
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    encode_frame_as(frame, Codec::Json)
-}
-
-/// Writes one JSON-codec frame to `w` (single `write_all`).
+/// Writes one frame to `w` (single `write_all`), allocating like
+/// [`encode_frame`].
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), ProtoError> {
     w.write_all(&encode_frame(frame))?;
     Ok(())
 }
 
-/// Reads one frame from `r` in either codec. Returns
-/// [`ProtoError::Closed`] on a clean EOF at a frame boundary; every
-/// other failure names what went wrong. Steady-state paths hold a
+/// Reads one frame from `r`. Returns [`ProtoError::Closed`] on a clean
+/// EOF at a frame boundary; every other failure names what went wrong. Steady-state paths hold a
 /// [`FrameDecoder`] to reuse the body buffer.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, ProtoError> {
     FrameDecoder::new().read_from(r)
@@ -953,43 +882,122 @@ mod tests {
         ]
     }
 
+    /// The grammar's pin: one frame per shape, next to the exact bytes
+    /// the binary encoder wrote for it while the JSON codec still existed
+    /// beside it. Any difference here is a wire-format break.
+    fn golden_frames() -> Vec<(Frame, &'static str)> {
+        // A nested object and a negative int, once per status byte.
+        let result = |job_id: u64, status: JobStatus| Frame::Result {
+            job_id,
+            status,
+            output: json!({"value": 0.25, "meta": json!({"rung": -2})}),
+        };
+        vec![
+            (
+                Frame::Hello {
+                    payload: json!({"bench": "counting-ones", "seed": 7}),
+                },
+                "00 00 00 20 02 00 09 02 05 62 65 6e 63 68 06 0d 63 6f 75 6e 74 69 6e 67 \
+                 2d 6f 6e 65 73 04 73 65 65 64 03 07",
+            ),
+            (
+                Frame::HelloAck {
+                    slots: 4,
+                    error: None,
+                    epoch: Some(3),
+                },
+                "00 00 00 06 02 01 04 00 01 03",
+            ),
+            (
+                Frame::HelloAck {
+                    slots: 0,
+                    error: Some("no".to_string()),
+                    epoch: None,
+                },
+                "00 00 00 08 02 01 00 01 02 6e 6f 00",
+            ),
+            (
+                // `config` takes the raw-f64 array fast path (tag 0x08).
+                Frame::Dispatch {
+                    job_id: 300,
+                    payload: json!({"config": vec![0.5, -1.25], "resource": 27}),
+                },
+                "00 00 00 2a 02 02 ac 02 09 02 06 63 6f 6e 66 69 67 08 02 \
+                 00 00 00 00 00 00 e0 3f 00 00 00 00 00 00 f4 bf \
+                 08 72 65 73 6f 75 72 63 65 03 1b",
+            ),
+            (
+                result(7, JobStatus::Succeeded),
+                "00 00 00 23 02 03 07 00 09 02 04 6d 65 74 61 09 01 04 72 75 6e 67 04 03 \
+                 05 76 61 6c 75 65 05 00 00 00 00 00 00 d0 3f",
+            ),
+            (
+                result(8, JobStatus::Crashed),
+                "00 00 00 23 02 03 08 01 09 02 04 6d 65 74 61 09 01 04 72 75 6e 67 04 03 \
+                 05 76 61 6c 75 65 05 00 00 00 00 00 00 d0 3f",
+            ),
+            (
+                result(9, JobStatus::Errored),
+                "00 00 00 23 02 03 09 02 09 02 04 6d 65 74 61 09 01 04 72 75 6e 67 04 03 \
+                 05 76 61 6c 75 65 05 00 00 00 00 00 00 d0 3f",
+            ),
+            (
+                result(10, JobStatus::TimedOut),
+                "00 00 00 23 02 03 0a 03 09 02 04 6d 65 74 61 09 01 04 72 75 6e 67 04 03 \
+                 05 76 61 6c 75 65 05 00 00 00 00 00 00 d0 3f",
+            ),
+            (
+                result(11, JobStatus::Orphaned),
+                "00 00 00 23 02 03 0b 04 09 02 04 6d 65 74 61 09 01 04 72 75 6e 67 04 03 \
+                 05 76 61 6c 75 65 05 00 00 00 00 00 00 d0 3f",
+            ),
+            (
+                result(12, JobStatus::Corrupt),
+                "00 00 00 23 02 03 0c 05 09 02 04 6d 65 74 61 09 01 04 72 75 6e 67 04 03 \
+                 05 76 61 6c 75 65 05 00 00 00 00 00 00 d0 3f",
+            ),
+            (Frame::Cancel { job_id: 42 }, "00 00 00 03 02 04 2a"),
+            (Frame::Heartbeat { seq: 9001 }, "00 00 00 04 02 05 a9 46"),
+            (Frame::Shutdown, "00 00 00 02 02 06"),
+        ]
+    }
+
+    #[test]
+    fn golden_frames_encode_and_decode_byte_for_byte() {
+        let mut enc = FrameEncoder::new(Codec::Binary);
+        for (frame, hex) in golden_frames() {
+            let bytes: Vec<u8> = hex
+                .split_whitespace()
+                .map(|b| u8::from_str_radix(b, 16).unwrap())
+                .collect();
+            assert_eq!(enc.encode(&frame), &bytes[..], "encode {frame:?}");
+            assert_eq!(
+                read_frame(&mut Cursor::new(&bytes)).unwrap(),
+                frame,
+                "decode {hex}"
+            );
+        }
+    }
+
     #[test]
     fn every_variant_round_trips() {
-        for codec in [Codec::Json, Codec::Binary] {
-            for frame in all_variants() {
-                let buf = encode_frame_as(&frame, codec);
-                let mut cur = Cursor::new(buf);
-                let back = read_frame(&mut cur).unwrap();
-                assert_eq!(back, frame, "{codec} codec");
-            }
+        for frame in all_variants() {
+            let mut cur = Cursor::new(encode_frame(&frame));
+            assert_eq!(read_frame(&mut cur).unwrap(), frame);
         }
     }
 
     #[test]
     fn frames_round_trip_back_to_back_on_one_stream() {
-        // Alternate codecs on one stream: the decoder dispatches on the
-        // per-frame version byte, so a mixed stream is legal.
         let mut buf = Vec::new();
-        let mut enc_json = FrameEncoder::new(Codec::Json);
-        let mut enc_bin = FrameEncoder::new(Codec::Binary);
-        for (i, frame) in all_variants().iter().enumerate() {
-            let enc = if i % 2 == 0 {
-                &mut enc_json
-            } else {
-                &mut enc_bin
-            };
-            enc.write_to(&mut buf, frame).unwrap();
+        let mut enc = FrameEncoder::new(Codec::Binary);
+        for frame in all_variants() {
+            enc.write_to(&mut buf, &frame).unwrap();
         }
         let mut cur = Cursor::new(buf);
         let mut dec = FrameDecoder::new();
-        for (i, frame) in all_variants().iter().enumerate() {
-            assert_eq!(&dec.read_from(&mut cur).unwrap(), frame);
-            let want = if i % 2 == 0 {
-                Codec::Json
-            } else {
-                Codec::Binary
-            };
-            assert_eq!(dec.last_codec(), want);
+        for frame in all_variants() {
+            assert_eq!(dec.read_from(&mut cur).unwrap(), frame);
         }
         assert_eq!(dec.read_from(&mut cur).unwrap_err(), ProtoError::Closed);
     }
@@ -1003,20 +1011,17 @@ mod tests {
     #[test]
     fn torn_write_is_truncated() {
         // Mirror of the WAL torn-tail tests: cut the encoded frame at
-        // every possible byte boundary, in both codecs, for every frame
-        // type, and demand a typed error — never a bogus frame or a
-        // panic.
-        for codec in [Codec::Json, Codec::Binary] {
-            for frame in all_variants() {
-                let full = encode_frame_as(&frame, codec);
-                for cut in 1..full.len() {
-                    let mut cur = Cursor::new(full[..cut].to_vec());
-                    let err = read_frame(&mut cur).unwrap_err();
-                    assert!(
-                        matches!(err, ProtoError::Truncated { .. }),
-                        "{codec} {frame:?} cut at {cut}: got {err:?}"
-                    );
-                }
+        // every possible byte boundary, for every frame type, and demand
+        // a typed error — never a bogus frame or a panic.
+        for frame in all_variants() {
+            let full = encode_frame(&frame);
+            for cut in 1..full.len() {
+                let mut cur = Cursor::new(full[..cut].to_vec());
+                let err = read_frame(&mut cur).unwrap_err();
+                assert!(
+                    matches!(err, ProtoError::Truncated { .. }),
+                    "{frame:?} cut at {cut}: got {err:?}"
+                );
             }
         }
     }
@@ -1046,44 +1051,16 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        let mut buf = encode_frame(&Frame::Shutdown);
-        buf[4] = WIRE_VERSION_BINARY + 1;
-        let mut cur = Cursor::new(buf);
-        assert_eq!(
-            read_frame(&mut cur).unwrap_err(),
-            ProtoError::BadVersion {
-                got: WIRE_VERSION_BINARY + 1
-            }
-        );
-    }
-
-    #[test]
-    fn garbage_payload_is_rejected() {
-        for payload in ["not json at all", "{}", "{\"NoSuchFrame\": 1}", "[1,2]"] {
-            let body_len = 1 + payload.len();
-            let mut buf = Vec::new();
-            buf.extend_from_slice(&(body_len as u32).to_be_bytes());
-            buf.push(WIRE_VERSION);
-            buf.extend_from_slice(payload.as_bytes());
+        // Version 1 is the retired JSON encoding: refused like any other.
+        for got in [1, WIRE_VERSION + 1] {
+            let mut buf = encode_frame(&Frame::Shutdown);
+            buf[4] = got;
             let mut cur = Cursor::new(buf);
-            assert!(
-                matches!(read_frame(&mut cur).unwrap_err(), ProtoError::Garbage(_)),
-                "payload {payload:?} should be garbage"
+            assert_eq!(
+                read_frame(&mut cur).unwrap_err(),
+                ProtoError::BadVersion { got }
             );
         }
-    }
-
-    #[test]
-    fn non_utf8_payload_is_garbage() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&3u32.to_be_bytes());
-        buf.push(WIRE_VERSION);
-        buf.extend_from_slice(&[0xff, 0xfe]);
-        let mut cur = Cursor::new(buf);
-        assert!(matches!(
-            read_frame(&mut cur).unwrap_err(),
-            ProtoError::Garbage(_)
-        ));
     }
 
     #[test]
@@ -1107,7 +1084,7 @@ mod tests {
             status: JobStatus::Corrupt,
             output: Value::Object(obj),
         };
-        let full = encode_frame_as(&frame, Codec::Binary);
+        let full = encode_frame(&frame);
         for pos in 4..full.len() {
             for bit in 0..8 {
                 let mut buf = full.clone();
@@ -1132,7 +1109,7 @@ mod tests {
 
     #[test]
     fn binary_trailing_bytes_are_garbage() {
-        let mut buf = encode_frame_as(&Frame::Heartbeat { seq: 7 }, Codec::Binary);
+        let mut buf = encode_frame(&Frame::Heartbeat { seq: 7 });
         buf.push(0);
         let body_len = (buf.len() - 4) as u32;
         buf[..4].copy_from_slice(&body_len.to_be_bytes());
@@ -1150,7 +1127,7 @@ mod tests {
             job_id: 1,
             payload: json!({"config": floats.clone()}),
         };
-        let buf = encode_frame_as(&frame, Codec::Binary);
+        let buf = encode_frame(&frame);
         // The fast path ships 8 bytes per element with no per-element
         // tag: length prefix (4) + version + frame tag + job_id varint
         // + object tag + entry count + "config" key (1 + 6) + array tag
@@ -1184,7 +1161,7 @@ mod tests {
             u64::MAX,
         ] {
             let frame = Frame::Heartbeat { seq: v };
-            let buf = encode_frame_as(&frame, Codec::Binary);
+            let buf = encode_frame(&frame);
             let mut cur = Cursor::new(buf);
             assert_eq!(read_frame(&mut cur).unwrap(), frame);
         }
@@ -1205,12 +1182,8 @@ mod tests {
         assert_eq!(enc.buf.capacity(), cap, "scratch buffer was reallocated");
     }
 
-    /// A finite, non-integral float: odd mantissa times a negative power
-    /// of two is never a whole number, so the JSON text keeps a fraction
-    /// and parses back as a float. (JSON renders integral floats as bare
-    /// integers and non-finite floats as null — both are documented
-    /// JSON-side collapses the binary codec does not share, so the
-    /// equivalence property is stated over the common domain.)
+    /// A finite float (odd mantissa times a negative power of two), so a
+    /// decoded frame compares equal to the one encoded (`NaN != NaN`).
     fn arb_float(rng: &mut StdRng) -> f64 {
         let mantissa: i64 = rng.gen_range(-(1i64 << 52)..(1i64 << 52)) | 1;
         let exp: i32 = rng.gen_range(-60..0);
@@ -1295,31 +1268,6 @@ mod tests {
         }
     }
 
-    proptest::proptest! {
-        /// JSON↔binary equivalence: any frame decodes to the same value
-        /// through either codec, and a JSON-encoded frame re-encoded in
-        /// binary (and vice versa) survives unchanged. This is the
-        /// contract that lets a mixed-version fleet interoperate.
-        #[test]
-        fn json_and_binary_codecs_are_equivalent(seed in proptest::prelude::any::<u64>()) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            for _ in 0..8 {
-                let frame = arb_frame(&mut rng);
-                let via_json = read_frame(&mut Cursor::new(encode_frame_as(&frame, Codec::Json)))
-                    .expect("json decode");
-                let via_bin = read_frame(&mut Cursor::new(encode_frame_as(&frame, Codec::Binary)))
-                    .expect("binary decode");
-                proptest::prop_assert_eq!(&via_json, &frame);
-                proptest::prop_assert_eq!(&via_bin, &frame);
-                // Cross-transcode: decode from one codec, re-encode in
-                // the other, decode again.
-                let cross = read_frame(&mut Cursor::new(encode_frame_as(&via_json, Codec::Binary)))
-                    .expect("cross decode");
-                proptest::prop_assert_eq!(&cross, &frame);
-            }
-        }
-    }
-
     /// A stream that hands its bytes out in scheduled pieces: the
     /// `i`-th `read` returns at most `chunks[i]` bytes (then whatever is
     /// asked for once the schedule runs out), the way a socket delivers
@@ -1385,7 +1333,7 @@ mod tests {
     proptest::proptest! {
         /// The read-ahead reader, and the same reader split into
         /// `buffered` + `read_some`, are the exact reader with fewer
-        /// syscalls: over any mixed-codec stream — whole, cut short
+        /// syscalls: over any stream of frames — whole, cut short
         /// mid-frame, or ending in an oversized header — delivered in
         /// any pieces, they yield the same frames and the same final
         /// `Closed` / `Truncated{expected, got}` / `Oversized`.
@@ -1396,8 +1344,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut stream = Vec::new();
             for _ in 0..rng.gen_range(1..8usize) {
-                let codec = if rng.gen_range(0..2) == 0 { Codec::Json } else { Codec::Binary };
-                stream.extend_from_slice(&encode_frame_as(&arb_frame(&mut rng), codec));
+                stream.extend_from_slice(&encode_frame(&arb_frame(&mut rng)));
             }
             match rng.gen_range(0..3) {
                 0 => {}
@@ -1441,13 +1388,13 @@ mod tests {
         // they must leave the stream at the next frame boundary.
         let mut buf = Vec::new();
         for frame in all_variants() {
-            buf.extend_from_slice(&encode_frame_as(&frame, Codec::Binary));
+            buf.extend_from_slice(&encode_frame(&frame));
         }
         let mut cur = Cursor::new(buf);
         for frame in all_variants() {
             let at = cur.position() as usize;
             assert_eq!(read_frame(&mut cur).unwrap(), frame);
-            let len = encode_frame_as(&frame, Codec::Binary).len();
+            let len = encode_frame(&frame).len();
             assert_eq!(cur.position() as usize, at + len, "over-read {frame:?}");
         }
         assert_eq!(read_frame(&mut cur).unwrap_err(), ProtoError::Closed);
@@ -1462,52 +1409,34 @@ mod tests {
         };
         let beat = Frame::Heartbeat { seq: 1 };
         let mut buf = encode_frame(&ack);
-        buf.extend_from_slice(&encode_frame_as(&beat, Codec::Binary));
+        buf.extend_from_slice(&encode_frame(&beat));
         buf.extend_from_slice(&encode_frame(&Frame::Shutdown));
         let mut cur = Cursor::new(buf);
         let mut dec = FrameDecoder::new();
         // The handshake-handover case: both frames arrive in one read.
         assert_eq!(dec.read_ahead(&mut cur).unwrap(), ack);
-        assert_eq!(dec.last_codec(), Codec::Json);
         assert_eq!(cur.position() as usize, cur.get_ref().len(), "read ahead");
         assert_eq!(dec.read_from(&mut cur).unwrap(), beat);
-        assert_eq!(dec.last_codec(), Codec::Binary);
         assert_eq!(dec.read_ahead(&mut cur).unwrap(), Frame::Shutdown);
         assert_eq!(dec.read_from(&mut cur).unwrap_err(), ProtoError::Closed);
     }
 
     #[test]
-    fn helloack_without_epoch_tail_decodes_as_none() {
-        // A binary HelloAck from a peer predating session epochs ends
-        // right after opt_str(error); the decoder must accept it.
-        let mut body = vec![WIRE_VERSION_BINARY, TAG_HELLO_ACK];
-        put_varint(&mut body, 2); // slots
-        body.push(0); // error: None
-        let mut buf = (body.len() as u32).to_be_bytes().to_vec();
-        buf.extend_from_slice(&body);
-        let frame = read_frame(&mut Cursor::new(buf)).unwrap();
-        assert_eq!(
-            frame,
-            Frame::HelloAck {
-                slots: 2,
-                error: None,
-                epoch: None,
-            }
-        );
-        // Same story in JSON: a missing "epoch" key is None.
-        let payload = r#"{"HelloAck": {"slots": 2, "error": null}}"#;
-        let mut buf = ((payload.len() + 1) as u32).to_be_bytes().to_vec();
-        buf.push(WIRE_VERSION);
-        buf.extend_from_slice(payload.as_bytes());
-        let frame = read_frame(&mut Cursor::new(buf)).unwrap();
-        assert_eq!(
-            frame,
-            Frame::HelloAck {
-                slots: 2,
-                error: None,
-                epoch: None,
-            }
-        );
+    fn helloack_without_its_epoch_is_garbage() {
+        // The epoch is a required field: an ack that ends right after
+        // opt_str(error) is malformed, not an epoch-less peer.
+        let mut buf = encode_frame(&Frame::HelloAck {
+            slots: 2,
+            error: None,
+            epoch: None,
+        });
+        buf.pop();
+        let body_len = (buf.len() - 4) as u32;
+        buf[..4].copy_from_slice(&body_len.to_be_bytes());
+        assert!(matches!(
+            read_frame(&mut Cursor::new(buf)).unwrap_err(),
+            ProtoError::Garbage(_)
+        ));
     }
 
     proptest::proptest! {
@@ -1541,35 +1470,26 @@ mod tests {
 
         /// Same hostility aimed past the framing layer: random payload
         /// bytes wrapped in a *valid* length prefix and version byte, so
-        /// the JSON and binary payload decoders themselves absorb the
-        /// garbage.
+        /// the payload decoder itself absorbs the garbage.
         #[test]
-        fn random_payloads_fail_typed_in_both_codecs(seed in proptest::prelude::any::<u64>()) {
+        fn random_payloads_fail_typed(seed in proptest::prelude::any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
-            for version in [WIRE_VERSION, WIRE_VERSION_BINARY] {
-                let n = rng.gen_range(1..128usize);
-                let mut body = vec![version];
-                for _ in 0..n {
-                    body.push(rng.gen_range(0..=255u64) as u8);
-                }
-                let mut buf = (body.len() as u32).to_be_bytes().to_vec();
-                buf.extend_from_slice(&body);
-                let mut cur = Cursor::new(buf);
-                match read_frame(&mut cur) {
-                    // Random bytes occasionally spell a real frame
-                    // (e.g. a binary Heartbeat is 2 meaningful bytes);
-                    // that is fine — the property is "no panic, typed
-                    // error otherwise".
-                    Ok(_) => {}
-                    Err(ProtoError::Garbage(_)) => {}
-                    Err(other) => {
-                        proptest::prop_assert!(
-                            false,
-                            "version {} payload should fail as Garbage, got {:?}",
-                            version,
-                            other
-                        );
-                    }
+            let n = rng.gen_range(1..128usize);
+            let mut body = vec![WIRE_VERSION];
+            for _ in 0..n {
+                body.push(rng.gen_range(0..=255u64) as u8);
+            }
+            let mut buf = (body.len() as u32).to_be_bytes().to_vec();
+            buf.extend_from_slice(&body);
+            let mut cur = Cursor::new(buf);
+            match read_frame(&mut cur) {
+                // Random bytes occasionally spell a real frame (e.g. a
+                // Heartbeat is 2 meaningful bytes); that is fine — the
+                // property is "no panic, typed error otherwise".
+                Ok(_) => {}
+                Err(ProtoError::Garbage(_)) => {}
+                Err(other) => {
+                    proptest::prop_assert!(false, "payload should fail as Garbage, got {:?}", other);
                 }
             }
         }
@@ -1583,7 +1503,5 @@ mod tests {
         assert!(ProtoError::BadVersion { got: 9 }.to_string().contains('9'));
         let src: &dyn std::error::Error = &ProtoError::Oversized { len: 1 };
         assert!(src.to_string().contains("oversized"));
-        assert_eq!(Codec::Json.to_string(), "json");
-        assert_eq!(Codec::Binary.to_string(), "binary");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! USAGE:
-//!   hypertune-worker [--listen ADDR] [--once] [--slots N] [--codec C]
+//!   hypertune-worker [--listen ADDR] [--once] [--slots N]
 //!
 //! FLAGS:
 //!   --listen ADDR   Bind address (default 127.0.0.1:0 — an OS-assigned
@@ -13,10 +13,8 @@
 //!   --slots N       Accept up to N pipelined dispatches per session
 //!                   (default 1). Evaluation stays on one thread in
 //!                   FIFO order; slots hide round-trips, they do not
-//!                   add parallelism.
-//!   --codec C       `binary` (default) upgrades the wire codec when
-//!                   the driver offers it; `json` pins the session to
-//!                   the version-1 JSON framing (a v1 peer).
+//!                   add parallelism. At most 1024 (the protocol's
+//!                   MAX_SLOTS).
 //!
 //! EXAMPLE (one driver, two workers, all on localhost):
 //!   hypertune-worker --listen 127.0.0.1:7101 &
@@ -40,7 +38,7 @@
 //! different objectives.
 
 use hypertune::benchmarks::Benchmark;
-use hypertune::cluster::{serve_worker, Codec, EvalFn, JobStatus, WorkerOptions};
+use hypertune::cluster::{serve_worker, EvalFn, JobStatus, WorkerOptions, MAX_SLOTS};
 use hypertune::core::ThreadedJob;
 use hypertune::registry;
 use hypertune::service::ServiceJob;
@@ -50,7 +48,7 @@ use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
 
 fn usage() -> ! {
-    eprintln!("usage: hypertune-worker [--listen ADDR] [--once] [--slots N] [--codec json|binary]");
+    eprintln!("usage: hypertune-worker [--listen ADDR] [--once] [--slots N]");
     std::process::exit(2);
 }
 
@@ -58,7 +56,6 @@ fn main() {
     let mut listen = "127.0.0.1:0".to_string();
     let mut once = false;
     let mut slots = 1usize;
-    let mut codec = Codec::Binary;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -77,21 +74,11 @@ fn main() {
                 slots = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
+                    .filter(|&n| (1..=MAX_SLOTS).contains(&n))
                     .unwrap_or_else(|| {
-                        eprintln!("--slots needs a positive integer");
+                        eprintln!("--slots needs an integer from 1 to {MAX_SLOTS}");
                         usage()
                     })
-            }
-            "--codec" => {
-                codec = match it.next().map(String::as_str) {
-                    Some("json") => Codec::Json,
-                    Some("binary") => Codec::Binary,
-                    _ => {
-                        eprintln!("--codec must be `json` or `binary`");
-                        usage()
-                    }
-                }
             }
             other => {
                 eprintln!("unknown flag {other}");
@@ -112,7 +99,6 @@ fn main() {
     let opts = WorkerOptions {
         once,
         slots,
-        codec,
         ..WorkerOptions::default()
     };
     let outcome = serve_worker(listener, opts, |hello: &Value| {

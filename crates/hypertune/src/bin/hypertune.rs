@@ -6,15 +6,14 @@
 //!                 [--budget-hours H] [--seed S] [--eta E] [--trace]
 //!   hypertune cluster --workers ADDR[,ADDR...] [--bench NAME] [--method NAME]
 //!                 [--max-evals N] [--seed S] [--eta E] [--lease-secs F]
-//!                 [--eval-sleep-ms MS] [--codec json|binary]
-//!                 [--connect-timeout-ms MS] [--connect-retries N]
-//!                 [--redial-attempts N] [--redial-backoff-ms MS]
-//!                 [--chaos FILE] [--trace FILE]
+//!                 [--eval-sleep-ms MS] [--connect-timeout-ms MS]
+//!                 [--connect-retries N] [--redial-attempts N]
+//!                 [--redial-backoff-ms MS] [--chaos FILE] [--trace FILE]
 //!   hypertune serve [--pool N | --workers ADDR[,ADDR...]] [--state-dir DIR]
 //!                 [--script FILE] [--resume] [--lease-secs F]
-//!                 [--codec json|binary] [--connect-timeout-ms MS]
-//!                 [--connect-retries N] [--redial-attempts N]
-//!                 [--redial-backoff-ms MS] [--trace FILE]
+//!                 [--connect-timeout-ms MS] [--connect-retries N]
+//!                 [--redial-attempts N] [--redial-backoff-ms MS]
+//!                 [--trace FILE]
 //!   hypertune list
 //!
 //! EXAMPLES:
@@ -30,9 +29,6 @@
 //! drives real `hypertune-worker` processes over TCP (wall-clock time,
 //! see DESIGN.md §16 and the README's "Running a real cluster"). Start
 //! the workers first — `--workers` takes their listen addresses.
-//! `--codec binary` (the default) offers the compact binary wire codec
-//! in the handshake; binary-capable workers take it per-connection,
-//! JSON-only workers keep speaking version-1 JSON in the same fleet.
 //!
 //! Partition tolerance (DESIGN.md §16.4): `--connect-timeout-ms` and
 //! `--connect-retries` bound the initial dial; `--redial-attempts` with
@@ -72,20 +68,9 @@ use serde_json::json;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  hypertune run [--bench NAME] [--method NAME] [--workers N]\n                [--budget-hours H] [--seed S] [--eta E] [--trace]\n  hypertune cluster --workers ADDR[,ADDR...] [--bench NAME] [--method NAME]\n                [--max-evals N] [--seed S] [--eta E] [--lease-secs F]\n                [--eval-sleep-ms MS] [--codec json|binary]\n                [--connect-timeout-ms MS] [--connect-retries N]\n                [--redial-attempts N] [--redial-backoff-ms MS]\n                [--chaos FILE] [--trace FILE]\n  hypertune serve [--pool N | --workers ADDR[,ADDR...]] [--state-dir DIR]\n                [--script FILE] [--resume] [--lease-secs F]\n                [--codec json|binary] [--connect-timeout-ms MS]\n                [--connect-retries N] [--redial-attempts N]\n                [--redial-backoff-ms MS] [--trace FILE]\n  hypertune list"
+        "usage:\n  hypertune run [--bench NAME] [--method NAME] [--workers N]\n                [--budget-hours H] [--seed S] [--eta E] [--trace]\n  hypertune cluster --workers ADDR[,ADDR...] [--bench NAME] [--method NAME]\n                [--max-evals N] [--seed S] [--eta E] [--lease-secs F]\n                [--eval-sleep-ms MS] [--connect-timeout-ms MS]\n                [--connect-retries N] [--redial-attempts N]\n                [--redial-backoff-ms MS] [--chaos FILE] [--trace FILE]\n  hypertune serve [--pool N | --workers ADDR[,ADDR...]] [--state-dir DIR]\n                [--script FILE] [--resume] [--lease-secs F]\n                [--connect-timeout-ms MS] [--connect-retries N]\n                [--redial-attempts N] [--redial-backoff-ms MS]\n                [--trace FILE]\n  hypertune list"
     );
     std::process::exit(2);
-}
-
-fn parse_codec(s: &str) -> Codec {
-    match s {
-        "json" => Codec::Json,
-        "binary" => Codec::Binary,
-        _ => {
-            eprintln!("--codec must be `json` or `binary`");
-            usage()
-        }
-    }
 }
 
 /// Builds the driver's redial policy from the CLI knobs: 0 attempts
@@ -222,7 +207,6 @@ fn cluster_command(args: &[String]) {
     let mut eta = 3usize;
     let mut lease_secs = 10.0f64;
     let mut eval_sleep_ms = 0u64;
-    let mut codec = Codec::Binary;
     let mut trace_path: Option<String> = None;
     let mut connect_timeout_ms: Option<u64> = None;
     let mut connect_retries = 0u32;
@@ -259,7 +243,6 @@ fn cluster_command(args: &[String]) {
             "--eval-sleep-ms" => {
                 eval_sleep_ms = value("--eval-sleep-ms").parse().unwrap_or_else(|_| usage())
             }
-            "--codec" => codec = parse_codec(&value("--codec")),
             "--connect-timeout-ms" => {
                 connect_timeout_ms = Some(
                     value("--connect-timeout-ms")
@@ -356,7 +339,6 @@ fn cluster_command(args: &[String]) {
     });
     let opts = TcpClusterOptions {
         lease_timeout: std::time::Duration::from_secs_f64(lease_secs),
-        codec,
         reconnect: reconnect_policy(redial_attempts, redial_backoff_ms, seed),
         connect_timeout: connect_timeout_ms.map(std::time::Duration::from_millis),
         connect_retries,
@@ -415,7 +397,6 @@ fn serve_command(args: &[String]) {
     let mut script: Option<String> = None;
     let mut resume = false;
     let mut lease_secs = 10.0f64;
-    let mut codec = Codec::Binary;
     let mut trace_path: Option<String> = None;
     let mut connect_timeout_ms: Option<u64> = None;
     let mut connect_retries = 0u32;
@@ -447,7 +428,6 @@ fn serve_command(args: &[String]) {
             "--lease-secs" => {
                 lease_secs = value("--lease-secs").parse().unwrap_or_else(|_| usage())
             }
-            "--codec" => codec = parse_codec(&value("--codec")),
             "--connect-timeout-ms" => {
                 connect_timeout_ms = Some(
                     value("--connect-timeout-ms")
@@ -508,7 +488,6 @@ fn serve_command(args: &[String]) {
         let hello = json!({ "multi_study": true });
         let opts = TcpClusterOptions {
             lease_timeout: std::time::Duration::from_secs_f64(lease_secs),
-            codec,
             reconnect: reconnect_policy(redial_attempts, redial_backoff_ms, 0),
             connect_timeout: connect_timeout_ms.map(std::time::Duration::from_millis),
             connect_retries,

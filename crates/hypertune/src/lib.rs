@@ -86,7 +86,7 @@ pub mod prelude {
         tasks, Benchmark, CountingOnes, Eval, SyntheticBenchmark, SyntheticSpec, TabularNasBench,
     };
     pub use hypertune_cluster::{
-        serve_worker, ChaosFault, ChaosPlan, ChaosProxy, Codec, Executor, FaultSpec, JobStatus,
+        serve_worker, ChaosFault, ChaosPlan, ChaosProxy, Executor, FaultSpec, JobStatus,
         MembershipEvent, MembershipPlan, ReconnectPolicy, ScheduledFault, SimCluster,
         StragglerModel, TcpCluster, TcpClusterOptions, ThreadPool, WorkerOptions,
     };

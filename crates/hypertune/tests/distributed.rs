@@ -27,15 +27,10 @@ use serde_json::json;
 /// `hypertune-worker` binary's evaluator (same registry, same seed
 /// plumbing) without the process-spawn overhead.
 fn spawn_inproc_worker(bench_name: &'static str, seed: u64) -> String {
-    spawn_inproc_worker_with(bench_name, seed, 1, Codec::Binary)
+    spawn_inproc_worker_with(bench_name, seed, 1)
 }
 
-fn spawn_inproc_worker_with(
-    bench_name: &'static str,
-    seed: u64,
-    slots: usize,
-    codec: Codec,
-) -> String {
+fn spawn_inproc_worker_with(bench_name: &'static str, seed: u64, slots: usize) -> String {
     use hypertune::cluster::EvalFn;
     use serde::{Deserialize, Value};
 
@@ -45,7 +40,6 @@ fn spawn_inproc_worker_with(
         heartbeat_interval: Duration::from_millis(50),
         once: true,
         slots,
-        codec,
     };
     std::thread::spawn(move || {
         serve_worker(listener, opts, move |_hello: &Value| {
@@ -61,17 +55,10 @@ fn spawn_inproc_worker_with(
 }
 
 fn connect_one(addr: String, seed: u64) -> TcpCluster<ThreadedJob, Eval> {
-    connect_fleet(vec![addr], seed, Codec::Binary)
-}
-
-fn connect_fleet(addrs: Vec<String>, seed: u64, codec: Codec) -> TcpCluster<ThreadedJob, Eval> {
     TcpCluster::connect(
-        &addrs,
+        &[addr],
         json!({"bench": "counting-ones-small", "seed": seed}),
-        TcpClusterOptions {
-            codec,
-            ..TcpClusterOptions::default()
-        },
+        TcpClusterOptions::default(),
     )
     .expect("loopback connect")
 }
@@ -161,13 +148,13 @@ fn tcp_matches_sim_stream_and_best_config_at_one_worker() {
     assert_eq!(sim_best.value.to_bits(), tcp.best_value.to_bits());
 }
 
-/// Runs one width-1 Hyper-Tune study over loopback with the given worker
-/// slots and negotiated codec, returning its measurement stream.
-fn run_study(seed: u64, slots: usize, codec: Codec) -> ThreadedRunResult {
+/// Runs one Hyper-Tune study over loopback on one worker with the given
+/// slots, returning its measurement stream.
+fn run_study(seed: u64, slots: usize) -> ThreadedRunResult {
     let bench: Box<dyn Benchmark> = Box::new(CountingOnes::new(4, 4, seed));
     let levels = ResourceLevels::new(bench.max_resource(), 3);
-    let addr = spawn_inproc_worker_with("counting-ones-small", seed, slots, codec);
-    let cluster = connect_fleet(vec![addr], seed, codec);
+    let addr = spawn_inproc_worker_with("counting-ones-small", seed, slots);
+    let cluster = connect_one(addr, seed);
     let mut method = MethodKind::HyperTune.build(&levels, seed);
     // A slots=N worker gives the driver N units of in-flight capacity,
     // so the config's width is the fleet's total slot count.
@@ -176,44 +163,20 @@ fn run_study(seed: u64, slots: usize, codec: Codec) -> ThreadedRunResult {
 }
 
 #[test]
-fn binary_codec_stream_is_bit_identical_to_json() {
-    // The ISSUE acceptance bar: the codec is transport, not policy.
-    // The same study over JSON framing and over the binary codec must
-    // produce byte-for-byte identical measurement streams — f64s cross
-    // the wire bit-exact in both encodings.
-    const SEED: u64 = 17;
-    let json_run = run_study(SEED, 1, Codec::Json);
-    let bin_run = run_study(SEED, 1, Codec::Binary);
-    assert_eq!(
-        keys(&json_run.measurements),
-        keys(&bin_run.measurements),
-        "codec must not change the study"
-    );
-    assert_eq!(json_run.best_value.to_bits(), bin_run.best_value.to_bits());
-    assert_eq!(json_run.best_config, bin_run.best_config);
-}
-
-#[test]
-fn multi_slot_pipeline_is_deterministic_and_codec_invariant() {
+fn multi_slot_pipeline_is_deterministic() {
     // Pipelining changes *when* the driver sees results relative to its
     // own dispatching (a slots=4 worker acks four dispatches before the
     // first completes), so a history-conditioned method like Hyper-Tune
     // legitimately explores a different (but deterministic) trajectory
     // than at slots=1. Pin what must hold: the slots=4 stream is
-    // reproducible run-over-run, and invariant to the wire codec.
+    // reproducible run-over-run.
     const SEED: u64 = 23;
-    let a = run_study(SEED, 4, Codec::Binary);
-    let b = run_study(SEED, 4, Codec::Binary);
+    let a = run_study(SEED, 4);
+    let b = run_study(SEED, 4);
     assert_eq!(
         keys(&a.measurements),
         keys(&b.measurements),
         "slots=4 must be deterministic"
-    );
-    let j = run_study(SEED, 4, Codec::Json);
-    assert_eq!(
-        keys(&a.measurements),
-        keys(&j.measurements),
-        "slots=4 must be codec-invariant"
     );
 }
 
@@ -227,50 +190,14 @@ fn pending_insensitive_method_is_slot_invariant() {
     let levels = ResourceLevels::new(bench.max_resource(), 3);
     let mut streams = Vec::new();
     for slots in [1usize, 4] {
-        let addr = spawn_inproc_worker_with("counting-ones-small", SEED, slots, Codec::Binary);
-        let cluster = connect_fleet(vec![addr], SEED, Codec::Binary);
+        let addr = spawn_inproc_worker_with("counting-ones-small", SEED, slots);
+        let cluster = connect_one(addr, SEED);
         let mut method = MethodKind::ARandom.build(&levels, SEED);
         let cfg = ThreadedRunConfig::new(slots, 30, SEED);
         let run = run_distributed(method.as_mut(), bench.space(), &levels, cluster, &cfg);
         streams.push(keys(&run.measurements));
     }
     assert_eq!(streams[0], streams[1], "slots must be invisible to ARandom");
-}
-
-#[test]
-fn mixed_version_fleet_matches_uniform_fleets() {
-    // The mixed-version drill: a fleet with one v1 (JSON-pinned) worker
-    // and one binary worker must evaluate exactly the same trials as a
-    // uniform fleet of either codec. With ARandom the suggestion
-    // sequence is completion-independent, so the *multiset* of
-    // measurements is pinned even though two real workers race; compare
-    // sorted fingerprints.
-    const SEED: u64 = 37;
-    let bench: Box<dyn Benchmark> = Box::new(CountingOnes::new(4, 4, SEED));
-    let levels = ResourceLevels::new(bench.max_resource(), 3);
-    let fleet = |worker_codecs: [Codec; 2]| {
-        let addrs: Vec<String> = worker_codecs
-            .iter()
-            .map(|&c| spawn_inproc_worker_with("counting-ones-small", SEED, 1, c))
-            .collect();
-        let cluster = connect_fleet(addrs, SEED, Codec::Binary);
-        let mut method = MethodKind::ARandom.build(&levels, SEED);
-        let cfg = ThreadedRunConfig::new(2, 30, SEED);
-        let run = run_distributed(method.as_mut(), bench.space(), &levels, cluster, &cfg);
-        // Config is not Ord; a Debug rendering is a faithful stand-in
-        // for sorting (it shows every value bit-exactly).
-        let mut ks: Vec<String> = keys(&run.measurements)
-            .into_iter()
-            .map(|k| format!("{k:?}"))
-            .collect();
-        ks.sort();
-        ks
-    };
-    let mixed = fleet([Codec::Json, Codec::Binary]);
-    let all_binary = fleet([Codec::Binary, Codec::Binary]);
-    let all_json = fleet([Codec::Json, Codec::Json]);
-    assert_eq!(mixed, all_binary, "mixed fleet must match all-binary");
-    assert_eq!(mixed, all_json, "mixed fleet must match all-json");
 }
 
 /// Spawns a real `hypertune-worker` process and parses its bound address
@@ -473,9 +400,9 @@ fn chaos_free_proxy_and_armed_redial_are_bit_identical_to_plain_tcp() {
     // the measurement stream stays bit-identical to a plain TCP run
     // with the defaults (redial disabled, no proxy).
     const SEED: u64 = 43;
-    let plain = run_study(SEED, 1, Codec::Binary);
+    let plain = run_study(SEED, 1);
 
-    let addr = spawn_inproc_worker_with("counting-ones-small", SEED, 1, Codec::Binary);
+    let addr = spawn_inproc_worker("counting-ones-small", SEED);
     let proxy = ChaosProxy::launch(
         addr.as_str(),
         ChaosPlan::none(),

@@ -78,7 +78,6 @@ fn spawn_fleet_worker_with_slots(slots: usize) -> String {
         heartbeat_interval: Duration::from_millis(50),
         once: true,
         slots,
-        ..WorkerOptions::default()
     };
     std::thread::spawn(move || {
         serve_worker(listener, opts, move |_hello: &Value| {

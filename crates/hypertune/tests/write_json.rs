@@ -1,16 +1,15 @@
 //! `Serialize::write_json` is the tree printer without the tree: for
-//! every type whose JSON reaches a disk or a socket, streaming it must
-//! give byte for byte what printing `to_value()` gives — the WAL
-//! checksums, the JSON wire codec and every recorded fixture depend on
-//! it. Checked over generated values (non-finite floats, negative
-//! ints, `None`s, empty configs, strings that need escaping) for the
-//! WAL records, the service's dispatch payload and sidecar, wire frames
-//! and telemetry events, and over local types covering every shape the
-//! derive handles (`#[serde(skip)]` / `#[serde(default)]` included).
+//! every type whose JSON text is written out, streaming it must give byte
+//! for byte what printing `to_value()` gives — the WAL checksums and
+//! every recorded fixture depend on it. Checked over generated values
+//! (non-finite floats, negative ints, `None`s, empty configs, strings
+//! that need escaping) for the WAL records, the service's dispatch
+//! payload and sidecar, and telemetry events, and over local types
+//! covering every shape the derive handles (`#[serde(skip)]` /
+//! `#[serde(default)]` included).
 
 use std::collections::BTreeMap;
 
-use hypertune::cluster::proto::Frame;
 use hypertune::core::persist::SubmissionRecord;
 use hypertune::core::{JobSpec, ThreadedJob};
 use hypertune::prelude::*;
@@ -20,7 +19,7 @@ use hypertune::telemetry::{Event, EventRecord, FailureKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// The streamed text and the printed tree of one value.
 fn both<T: Serialize + ?Sized>(x: &T) -> (String, String) {
@@ -88,67 +87,6 @@ fn arb_measurement(rng: &mut StdRng) -> Measurement {
         test_value: arb_f64(rng),
         cost: arb_f64(rng),
         finished_at: arb_f64(rng),
-    }
-}
-
-fn arb_value(rng: &mut StdRng, depth: usize) -> Value {
-    match rng.gen_range(0..if depth < 3 { 8 } else { 6 }) {
-        0 => Value::Null,
-        1 => coin(rng).to_value(),
-        2 => rng.gen::<u64>().to_value(),
-        3 => rng.gen_range(-1_000_000..0i64).to_value(),
-        4 => arb_f64(rng).to_value(),
-        5 => arb_string(rng).to_value(),
-        6 => Value::Array(
-            (0..rng.gen_range(0..4usize))
-                .map(|_| arb_value(rng, depth + 1))
-                .collect(),
-        ),
-        _ => Value::Object(
-            (0..rng.gen_range(0..4usize))
-                .map(|_| (arb_string(rng), arb_value(rng, depth + 1)))
-                .collect(),
-        ),
-    }
-}
-
-fn arb_status(rng: &mut StdRng) -> JobStatus {
-    [
-        JobStatus::Succeeded,
-        JobStatus::Crashed,
-        JobStatus::Errored,
-        JobStatus::TimedOut,
-        JobStatus::Orphaned,
-        JobStatus::Corrupt,
-    ][rng.gen_range(0..6usize)]
-}
-
-fn arb_frame(rng: &mut StdRng) -> Frame {
-    match rng.gen_range(0..7) {
-        0 => Frame::Hello {
-            payload: arb_value(rng, 0),
-        },
-        1 => Frame::HelloAck {
-            slots: rng.gen_range(0..64usize),
-            error: coin(rng).then(|| arb_string(rng)),
-            epoch: coin(rng).then(|| rng.gen::<u64>()),
-        },
-        2 => Frame::Dispatch {
-            job_id: rng.gen::<u64>(),
-            payload: arb_value(rng, 0),
-        },
-        3 => Frame::Result {
-            job_id: rng.gen::<u64>(),
-            status: arb_status(rng),
-            output: arb_value(rng, 0),
-        },
-        4 => Frame::Cancel {
-            job_id: rng.gen::<u64>(),
-        },
-        5 => Frame::Heartbeat {
-            seq: rng.gen::<u64>(),
-        },
-        _ => Frame::Shutdown,
     }
 }
 
@@ -249,8 +187,6 @@ proptest! {
     fn frames_and_events_stream_what_the_tree_prints(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..8 {
-            let (streamed, printed) = both(&arb_frame(&mut rng));
-            prop_assert_eq!(streamed, printed);
             let event = arb_event(&mut rng);
             let (streamed, printed) = both(&event);
             prop_assert_eq!(streamed, printed);

@@ -100,7 +100,7 @@ step "dispatch op-count guard (liar re-scoring stays O(pool x k))"
 cargo test -q -p hypertune-surrogate --offline rescore_ops_is_linear_in_k
 cargo test -q -p hypertune-core --offline batch_rescore_ops_counter_is_linear_in_k
 
-step "TCP loopback smoke (real workers, kill -9 mid-run, exactly-once, both codecs)"
+step "TCP loopback smoke (real workers, kill -9 mid-run, exactly-once, 1 and 4 slots)"
 # A real distributed study over localhost: two hypertune-worker
 # processes on OS-assigned ports, one SIGKILLed mid-evaluation. The run
 # must complete on the survivor, and replaying the JSONL trace must
@@ -108,21 +108,17 @@ step "TCP loopback smoke (real workers, kill -9 mid-run, exactly-once, both code
 # integration tests (crates/hypertune/tests/distributed.rs) cover the
 # same path plus sim/ThreadPool bit-equivalence; this step exercises
 # the shipped binaries end to end, the way an operator would run them.
-# Run once per wire codec: the JSON pass is the v1 plane, the binary
-# pass also pipelines with --slots 4 (the driver sizes its in-flight
-# window from the negotiated slot counts), so the kill -9 drill covers
+# Run once per slot count: one slot is the strict one-round-trip-per-eval
+# plane, and four slots pipeline (the driver sizes its in-flight window
+# from the advertised slot counts), so the kill -9 drill also covers
 # orphaning a *multi-slot* worker's whole pending queue.
 cargo build --release -q -p hypertune --offline --bins
 WORKER=target/release/hypertune-worker
-for CODEC in json binary; do
-  SLOTS=1
-  [[ "$CODEC" == binary ]] && SLOTS=4
+for SLOTS in 1 4; do
   mkfifo target/worker-a.fifo target/worker-b.fifo 2>/dev/null || true
-  "$WORKER" --listen 127.0.0.1:0 --once --codec "$CODEC" --slots "$SLOTS" \
-    > target/worker-a.fifo &
+  "$WORKER" --listen 127.0.0.1:0 --once --slots "$SLOTS" > target/worker-a.fifo &
   WORKER_A_PID=$!
-  "$WORKER" --listen 127.0.0.1:0 --once --codec "$CODEC" --slots "$SLOTS" \
-    > target/worker-b.fifo &
+  "$WORKER" --listen 127.0.0.1:0 --once --slots "$SLOTS" > target/worker-b.fifo &
   WORKER_B_PID=$!
   read -r _ _ ADDR_A < target/worker-a.fifo
   read -r _ _ ADDR_B < target/worker-b.fifo
@@ -131,17 +127,17 @@ for CODEC in json binary; do
   target/release/hypertune cluster \
     --workers "$ADDR_A,$ADDR_B" --bench counting-ones-small \
     --method hyper-tune --max-evals 30 --seed 7 --lease-secs 2 \
-    --codec "$CODEC" --eval-sleep-ms 40 \
-    --trace "target/loopback-trace-$CODEC.jsonl" \
-    > "target/loopback-$CODEC.out"
+    --eval-sleep-ms 40 \
+    --trace "target/loopback-trace-slots$SLOTS.jsonl" \
+    > "target/loopback-slots$SLOTS.out"
   wait "$KILLER_PID"
   kill "$WORKER_B_PID" 2>/dev/null || true
   wait "$WORKER_B_PID" 2>/dev/null || true
   rm -f target/worker-a.fifo target/worker-b.fifo
-  grep -q "evaluations:  30" "target/loopback-$CODEC.out"
+  grep -q "evaluations:  30" "target/loopback-slots$SLOTS.out"
   cargo run --release -q -p hypertune-bench --offline --bin trace-report -- \
-    "target/loopback-trace-$CODEC.jsonl" > "target/loopback-report-$CODEC.out"
-  grep -q "; 0 duplicated" "target/loopback-report-$CODEC.out"
+    "target/loopback-trace-slots$SLOTS.jsonl" > "target/loopback-report-slots$SLOTS.out"
+  grep -q "; 0 duplicated" "target/loopback-report-slots$SLOTS.out"
 done
 
 step "partition drill smoke (chaos proxy, mid-run blackhole, redial + exactly-once)"
@@ -269,5 +265,20 @@ net_prod=$(sed '/^#\[cfg(test)\]/q' crates/cluster/src/net.rs)
 if grep -rnE 'reader''_loop|Job''Queue|stale_epoch''_frames' crates/ README.md DESIGN.md; then
   exit 1
 fi
+
+step "one wire codec (JSON frames, codec negotiation and the codec flag stay deleted)"
+# Every frame is binary from the first byte of the handshake (DESIGN.md
+# §16.1). proto::Codec survives as a one-variant type only because
+# perf/src/replay.rs calls FrameEncoder::new(Codec::Binary); the
+# perf/ci-smoke.sh step above is what proves perf/ still compiles
+# against it.
+# (The quote pairs keep this file from matching its own patterns.)
+codec_dead='Codec::''Json|--''codec|_''codec|last_''codec|set_''codec|worker_''codec'
+codec_dead+='|net\.''codec\.|WIRE_VERSION_''BINARY|encode_frame''_as'
+if grep -rnE "$codec_dead" crates/ scripts/ README.md DESIGN.md; then
+  exit 1
+fi
+[[ "$(sed -n '/^pub enum Codec {/,/^}/p' crates/cluster/src/proto.rs |
+  grep -cE '^    [A-Z][A-Za-z]*,$')" -eq 1 ]]
 
 step "OK"
