@@ -12,6 +12,8 @@
 //! submission (so the fault sequence is deterministic in submission order,
 //! independent of thread scheduling), and the verdict travels with the job
 //! to surface in [`PoolResult::status`]. Failed jobs carry no output.
+//! An evaluation that panics is caught on its thread and reported as
+//! [`JobStatus::Crashed`], so the slot frees and the thread keeps serving.
 //! Since OS threads cannot be safely preempted, a
 //! [`Hang`](crate::fault::Fault::Hang) here behaves as a crash: the job is
 //! abandoned rather than stretched.
@@ -218,13 +220,22 @@ where
         let result_tx = self.result_tx.clone();
         let eval = Arc::clone(&self.eval);
         self.handles.push(std::thread::spawn(move || {
-            while let Ok(Message::Run(job, status)) = job_rx.recv() {
+            while let Ok(Message::Run(job, mut status)) = job_rx.recv() {
                 // Doomed jobs are abandoned without evaluating:
                 // the real work died with the (simulated) worker.
                 // Corrupt jobs evaluate — the output exists, it
                 // just must be discarded by the driver.
                 let output = match status {
-                    JobStatus::Succeeded | JobStatus::Corrupt => Some(eval(&job)),
+                    JobStatus::Succeeded | JobStatus::Corrupt => {
+                        // A panic must not take the thread down with its
+                        // job unreported: the driver would wait forever.
+                        let run = std::panic::AssertUnwindSafe(|| eval(&job));
+                        let out = std::panic::catch_unwind(run).ok();
+                        if out.is_none() {
+                            status = JobStatus::Crashed;
+                        }
+                        out
+                    }
                     _ => None,
                 };
                 // The receiver may be gone during shutdown; that's

@@ -27,7 +27,7 @@
 //! [`runner::RetryPolicy`] and quarantines them as `Failed` outcomes after
 //! their retries run out; [`runner::run_checkpointed`] and
 //! [`runner::resume`] give long runs crash-safe, bit-identical
-//! restartability.
+//! restartability from one append-only log ([`persist`]).
 //!
 //! # Module map
 //!
@@ -44,7 +44,7 @@
 //! | [`sampler`] | Random / BO / MFES configuration samplers (§4.3) |
 //! | [`ranking`] | Cross-level ranking loss behind θ |
 //! | [`lce`] | Learning-curve extrapolation for the LCE-Stop baseline |
-//! | [`persist`] | Checkpoints and write-ahead run snapshots |
+//! | [`persist`] | The durable log: one checksummed append-only WAL format, its writer and its reader |
 //! | [`tenant`] | Per-study runtime and trial ledger: history, pending set, RNG; retry, quarantine, breaker, counts |
 //! | [`breaker`] | Quarantine-storm circuit breaker (graceful degradation) |
 //! | [`diagnostics`] | θ history, bracket starts/promotions/failures |
@@ -79,7 +79,7 @@ pub use history::{top_indices_uncached, History, Measurement};
 pub use levels::ResourceLevels;
 pub use method::{JobSpec, Method, MethodContext, Outcome, OutcomeStatus};
 pub use methods::MethodKind;
-pub use persist::{Checkpoint, RunRecord, RunSnapshot, SubmissionRecord, WalWriter};
+pub use persist::{RunSnapshot, SubmissionRecord, WalWriter};
 pub use runner::{
     resume, run, run_checkpointed, CheckpointPolicy, ResumeError, RetryPolicy, RunConfig,
     RunResult, SpeculationConfig,

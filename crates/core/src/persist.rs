@@ -1,34 +1,26 @@
-//! Checkpointing: save and restore tuning state across process restarts.
+//! The durable log: one checksummed write-ahead log per run or study,
+//! one writer that only appends, one reader.
 //!
-//! Long tuning runs (the paper's span days) must survive crashes and
-//! redeployments. Two snapshot granularities live here:
+//! Every derived component — base surrogates, `θ`, the bracket weights,
+//! the incumbent — is a pure function of the measurement history, so the
+//! log of what was dispatched and measured is a run's only durable state.
+//! [`RunSnapshot`] is that log read back: one [`SubmissionRecord`] per
+//! dispatched job (in dispatch order, with the evaluation's result), plus
+//! the completed measurements in completion order. Because every run is a
+//! deterministic function of its seed, [`crate::runner::resume`]
+//! *replays* the run from virtual time zero using the recorded results
+//! instead of re-evaluating, verifies the replayed measurements match the
+//! log exactly, and then continues live — producing a final
+//! [`History`](crate::History) bit-identical to the uninterrupted run's.
+//! The multi-tenant service restores each study's history from its log.
 //!
-//! - [`Checkpoint`] — the measurement history alone. Every derived
-//!   component — base surrogates, `θ`, the bracket weights, the
-//!   incumbent — is a pure function of it, so a restarted run refits them
-//!   from the restored history and continues with *fresh* scheduler
-//!   state. Cheap and robust, but the continuation is not bit-identical
-//!   to the uninterrupted run.
-//! - [`RunSnapshot`] — a write-ahead submission log: one
-//!   [`SubmissionRecord`] per dispatched job (in dispatch order, with the
-//!   evaluation's result), plus the completed measurements. Because every
-//!   run is a deterministic function of its seed, [`crate::runner::resume`]
-//!   *replays* the run from virtual time zero using the recorded results
-//!   instead of re-evaluating, verifies the replayed measurements match
-//!   the snapshot exactly, and then continues live — producing a final
-//!   [`History`] bit-identical to the uninterrupted run's.
+//! # Format
 //!
-//! Both serialize as JSON. The serializer emits `f64`s in
-//! shortest-roundtrip form, so save → load preserves every value exactly
-//! — which is what makes the snapshot equality check sound.
-//!
-//! # WAL durability
-//!
-//! [`RunSnapshot`] is stored as a **line-oriented write-ahead log**
-//! rather than a single JSON blob: a header line carrying the seed,
-//! then one record line per submission and per measurement. Every line
-//! is prefixed with an FNV-1a checksum of its payload, so [`RunSnapshot::load`]
-//! can distinguish the two real-world corruption modes:
+//! A header line carrying the format version and the seed, then one
+//! record line per submission and per measurement, in append order.
+//! Every line is prefixed with an FNV-1a checksum of its JSON payload, so
+//! [`RunSnapshot::load`] can distinguish the two real-world corruption
+//! modes:
 //!
 //! - a **truncated final line** (the process died mid-`write`) is
 //!   expected — the loader drops it and recovers to the last good
@@ -36,73 +28,18 @@
 //! - a **damaged interior line** (bit rot, manual editing) is not —
 //!   the loader refuses the file instead of silently replaying a hole.
 //!
-//! Snapshots written by older builds as a single JSON object are still
-//! readable: the loader sniffs the first byte and falls back to the
-//! legacy blob parser.
+//! The serializer emits `f64`s in shortest-roundtrip form, so append →
+//! load preserves every value exactly — which is what makes the replay's
+//! equality check sound. [`WalWriter::create`] starts a log and
+//! [`WalWriter::open`] continues one in place; nothing rewrites a log.
 
-use std::io::{BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::io::{self, BufWriter, Read, Write};
+use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use crate::history::{History, Measurement};
-use crate::levels::ResourceLevels;
+use crate::history::Measurement;
 use crate::method::JobSpec;
-use crate::runner::{CurvePoint, RunResult};
-
-/// Serializable snapshot of a tuning run's durable state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Checkpoint {
-    /// The level ladder the measurements are grouped under.
-    pub levels: ResourceLevels,
-    /// All measurements, in completion order.
-    pub measurements: Vec<Measurement>,
-}
-
-impl Checkpoint {
-    /// Snapshots a history.
-    pub fn from_history(history: &History) -> Self {
-        let mut measurements: Vec<Measurement> = (0..history.levels().k())
-            .flat_map(|l| history.group(l).iter().cloned())
-            .collect();
-        measurements.sort_by(|a, b| {
-            a.finished_at
-                .partial_cmp(&b.finished_at)
-                .expect("finite times")
-        });
-        Self {
-            levels: history.levels().clone(),
-            measurements,
-        }
-    }
-
-    /// Rebuilds the history (incumbents and totals are recomputed by
-    /// replaying the measurements).
-    pub fn into_history(self) -> History {
-        let mut h = History::new(self.levels);
-        for m in self.measurements {
-            h.record(m);
-        }
-        h
-    }
-
-    /// Writes the checkpoint as JSON.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let file = std::fs::File::create(path)?;
-        let mut w = BufWriter::new(file);
-        serde_json::to_writer(&mut w, self)?;
-        w.flush()
-    }
-
-    /// Reads a checkpoint from JSON.
-    pub fn load(path: &Path) -> std::io::Result<Self> {
-        let file = std::fs::File::open(path)?;
-        Ok(serde_json::from_reader(BufReader::new(file))?)
-    }
-}
 
 /// One dispatched job in a [`RunSnapshot`]'s write-ahead log: the spec
 /// the method produced plus the evaluation result it received (recorded
@@ -121,16 +58,16 @@ pub struct SubmissionRecord {
     pub cost: f64,
 }
 
-/// A mid-run snapshot that supports bit-identical resume; see the module
-/// docs and [`crate::runner::resume`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A write-ahead log as read back; see the module docs and
+/// [`crate::runner::resume`].
+#[derive(Debug, Clone, Serialize)]
 pub struct RunSnapshot {
-    /// Seed of the run this snapshot belongs to (resume refuses a
-    /// mismatched seed up front — the replay could never match).
+    /// Seed of the run this log belongs to (resume refuses a mismatched
+    /// seed up front — the replay could never match).
     pub seed: u64,
-    /// Every dispatch so far, in dispatch order.
+    /// Every dispatch logged, in dispatch order.
     pub submissions: Vec<SubmissionRecord>,
-    /// Every completed measurement so far, in completion order (the
+    /// Every completed measurement logged, in completion order (the
     /// prefix the replay is verified against).
     pub measurements: Vec<Measurement>,
 }
@@ -151,8 +88,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-fn corrupt(msg: String) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+fn corrupt(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// The header line's payload: format version plus the run's seed.
@@ -162,9 +99,9 @@ struct WalHeader {
     seed: u64,
 }
 
-/// One line of the snapshot WAL, as read back. The write path prints
-/// the same externally-tagged shape around a *borrowed* payload (see
-/// [`write_record`]), so no record is cloned on save.
+/// One line of the WAL, as read back. The write path prints the same
+/// externally-tagged shape around a *borrowed* payload (see
+/// [`write_record`]), so no record is cloned on append.
 #[derive(Deserialize)]
 enum WalRecord {
     Header(WalHeader),
@@ -180,7 +117,7 @@ fn write_record(
     scratch: &mut String,
     tag: &str,
     payload: &impl Serialize,
-) -> std::io::Result<()> {
+) -> io::Result<()> {
     scratch.clear();
     scratch.push_str("{\"");
     scratch.push_str(tag);
@@ -190,59 +127,11 @@ fn write_record(
     writeln!(w, "{:016x}\t{scratch}", fnv1a(scratch.as_bytes()))
 }
 
-/// Writes the header line every WAL starts with.
-fn write_header(w: &mut impl Write, scratch: &mut String, seed: u64) -> std::io::Result<()> {
-    let header = WalHeader {
-        version: WAL_VERSION,
-        seed,
-    };
-    write_record(w, scratch, "Header", &header)
-}
-
-/// Writes a whole snapshot in WAL order: header, submissions in
-/// dispatch order, measurements in completion order.
-fn write_snapshot(w: &mut impl Write, snapshot: &RunSnapshot) -> std::io::Result<()> {
-    let mut scratch = String::new();
-    write_header(w, &mut scratch, snapshot.seed)?;
-    for s in &snapshot.submissions {
-        write_record(w, &mut scratch, "Submission", s)?;
-    }
-    for m in &snapshot.measurements {
-        write_record(w, &mut scratch, "Measurement", m)?;
-    }
-    Ok(())
-}
-
-/// Where [`replace_wal`] stages the rewritten log before the rename.
-fn staging_path(path: &Path) -> PathBuf {
-    let mut name = path.as_os_str().to_owned();
-    name.push(".tmp");
-    PathBuf::from(name)
-}
-
-/// Replaces the WAL at `path` with `snapshot` without ever exposing a
-/// state in which records `path` held are gone: the new log is written
-/// beside it (`<path>.tmp`, through `sink`), flushed, and renamed over
-/// the original. A failure or a kill part-way leaves `path` untouched
-/// and at most a torn `.tmp`, which nothing reads and the next rewrite
-/// overwrites.
-fn replace_wal<W: Write>(
-    path: &Path,
-    snapshot: &RunSnapshot,
-    sink: impl FnOnce(std::fs::File) -> W,
-) -> std::io::Result<()> {
-    let staged = staging_path(path);
-    let mut w = sink(std::fs::File::create(&staged)?);
-    write_snapshot(&mut w, snapshot)?;
-    w.flush()?;
-    drop(w);
-    std::fs::rename(&staged, path)
-}
-
 /// Parses one WAL line: verifies the checksum prefix, then decodes the
 /// JSON payload. Any failure is reported as `Err` — the caller decides
 /// whether the position in the file makes it recoverable.
-fn parse_line(line: &str) -> Result<WalRecord, String> {
+fn parse_line(line: &[u8]) -> Result<WalRecord, String> {
+    let line = std::str::from_utf8(line).map_err(|_| "line is not UTF-8".to_string())?;
     let (sum, payload) = line
         .split_once('\t')
         .ok_or_else(|| "missing checksum separator".to_string())?;
@@ -257,21 +146,65 @@ fn parse_line(line: &str) -> Result<WalRecord, String> {
     serde_json::from_str(payload).map_err(|e| format!("undecodable payload: {e}"))
 }
 
-impl RunSnapshot {
-    /// Writes the snapshot as a checksummed line-oriented WAL: a header
-    /// line (format version + seed), one line per submission in
-    /// dispatch order, then one line per measurement in completion
-    /// order. See the module docs for the corruption-recovery contract.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
+/// Reads a WAL image under [`RunSnapshot::load`]'s rules. Also returns
+/// where the last good record's payload ends — the byte before its
+/// newline, which a tear may have taken on its own.
+fn scan(bytes: &[u8]) -> io::Result<(RunSnapshot, usize)> {
+    let mut lines = Vec::new();
+    let mut start = 0;
+    for line in bytes.split(|&b| b == b'\n') {
+        if !line.is_empty() {
+            lines.push(start..start + line.len());
         }
-        let mut w = BufWriter::new(std::fs::File::create(path)?);
-        write_snapshot(&mut w, self)?;
-        w.flush()
+        start += line.len() + 1;
     }
+    let mut snapshot: Option<RunSnapshot> = None;
+    let mut end = 0;
+    for (i, line) in lines.iter().enumerate() {
+        let record = match parse_line(&bytes[line.clone()]) {
+            Ok(r) => r,
+            // Torn tail: drop the final line, keep the good prefix.
+            Err(_) if i + 1 == lines.len() => break,
+            Err(e) => {
+                return Err(corrupt(format!(
+                    "snapshot WAL corrupt at line {}: {e}",
+                    i + 1
+                )))
+            }
+        };
+        end = line.end;
+        let Some(snapshot) = snapshot.as_mut() else {
+            snapshot = Some(match record {
+                WalRecord::Header(h) if h.version == WAL_VERSION => RunSnapshot {
+                    seed: h.seed,
+                    submissions: Vec::new(),
+                    measurements: Vec::new(),
+                },
+                WalRecord::Header(h) => {
+                    return Err(corrupt(format!(
+                        "snapshot WAL version {} not supported (expected {WAL_VERSION})",
+                        h.version
+                    )))
+                }
+                _ => break,
+            });
+            continue;
+        };
+        match record {
+            WalRecord::Header(_) => {
+                return Err(corrupt("snapshot WAL has a duplicate header".into()))
+            }
+            WalRecord::Submission(s) => snapshot.submissions.push(s),
+            WalRecord::Measurement(m) => snapshot.measurements.push(m),
+        }
+    }
+    let snapshot =
+        snapshot.ok_or_else(|| corrupt("snapshot WAL has no valid header line".into()))?;
+    Ok((snapshot, end))
+}
 
-    /// Reads a snapshot, recovering from a torn tail.
+impl RunSnapshot {
+    /// Reads a WAL, recovering from a torn tail.
     ///
     /// - A damaged or incomplete **final** line is dropped: the process
     ///   that wrote the WAL died mid-write, and everything before the
@@ -279,61 +212,13 @@ impl RunSnapshot {
     /// - A damaged line **before** the end is an error: the file was
     ///   corrupted after the fact, and replaying around a hole would
     ///   silently produce a different run.
-    /// - Files written by older builds as one JSON blob (first byte
-    ///   `{`) load through the legacy parser unchanged.
-    pub fn load(path: &Path) -> std::io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        if text.trim_start().starts_with('{') {
-            // Legacy single-blob snapshot (pre-WAL builds).
-            return Ok(serde_json::from_str(&text)?);
-        }
-        let lines: Vec<&str> = text.lines().filter(|l| !l.is_empty()).collect();
-        let mut records = Vec::with_capacity(lines.len());
-        for (i, line) in lines.iter().enumerate() {
-            match parse_line(line) {
-                Ok(r) => records.push(r),
-                // Torn tail: drop the final line, keep the good prefix.
-                Err(_) if i + 1 == lines.len() => break,
-                Err(e) => {
-                    return Err(corrupt(format!(
-                        "snapshot WAL corrupt at line {}: {e}",
-                        i + 1
-                    )))
-                }
-            }
-        }
-        let mut records = records.into_iter();
-        let seed = match records.next() {
-            Some(WalRecord::Header(h)) if h.version == WAL_VERSION => h.seed,
-            Some(WalRecord::Header(h)) => {
-                return Err(corrupt(format!(
-                    "snapshot WAL version {} not supported (expected {WAL_VERSION})",
-                    h.version
-                )))
-            }
-            _ => return Err(corrupt("snapshot WAL has no valid header line".into())),
-        };
-        let mut snapshot = Self {
-            seed,
-            submissions: Vec::new(),
-            measurements: Vec::new(),
-        };
-        for record in records {
-            match record {
-                WalRecord::Header(_) => {
-                    return Err(corrupt("snapshot WAL has a duplicate header".into()))
-                }
-                WalRecord::Submission(s) => snapshot.submissions.push(s),
-                WalRecord::Measurement(m) => snapshot.measurements.push(m),
-            }
-        }
-        Ok(snapshot)
+    pub fn load(path: &Path) -> io::Result<Self> {
+        Ok(scan(&std::fs::read(path)?)?.0)
     }
 }
 
-/// An incremental writer over the [`RunSnapshot`] WAL format, for
-/// drivers that learn results one at a time instead of saving a whole
-/// snapshot at once — the multi-tenant service keeps one per study.
+/// The one writer of the WAL format, for every driver: the simulated
+/// runner's checkpoints and each of the multi-tenant service's studies.
 ///
 /// Records append in arrival order. By default each append flushes to
 /// the OS, so a killed driver loses at most the line it was writing —
@@ -341,11 +226,11 @@ impl RunSnapshot {
 /// [`set_auto_flush`](WalWriter::set_auto_flush)`(false)` appends only
 /// buffer, and the caller group-commits by calling
 /// [`flush`](WalWriter::flush) at its own cadence (the service does
-/// this once per scheduler round); a crash then loses at most the
-/// records since the last flush — every one of them a whole line, so
-/// recovery semantics are unchanged, only the durability window widens.
-/// Dropping the writer flushes whatever is buffered (via `BufWriter`),
-/// so a clean exit never loses records.
+/// this once per scheduler round, the runner once per checkpoint); a
+/// crash then loses at most the records since the last flush — every one
+/// of them a whole line, so recovery semantics are unchanged, only the
+/// durability window widens. Dropping the writer flushes whatever is
+/// buffered (via `BufWriter`), so a clean exit never loses records.
 pub struct WalWriter {
     w: BufWriter<std::fs::File>,
     /// Reused line buffer: a record is streamed into it, checksummed and
@@ -379,33 +264,44 @@ impl WalWriter {
 
     /// Creates (truncating) the WAL at `path` and writes the header
     /// line for `seed`.
-    pub fn create(path: &Path, seed: u64) -> std::io::Result<Self> {
+    pub fn create(path: &Path, seed: u64) -> io::Result<Self> {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
         let mut wal = Self::over(std::fs::File::create(path)?);
-        write_header(&mut wal.w, &mut wal.scratch, seed)?;
+        let header = WalHeader {
+            version: WAL_VERSION,
+            seed,
+        };
+        write_record(&mut wal.w, &mut wal.scratch, "Header", &header)?;
         wal.w.flush()?;
         Ok(wal)
     }
 
-    /// Opens the WAL at `path` holding exactly `snapshot`'s records —
-    /// compaction for a recovered study: rewrite what was loaded, then
-    /// keep appending. The rewrite goes through a staging file and a
-    /// rename, so the records `path` already held stay on disk until
-    /// the compacted log has replaced them whole; a kill in between
-    /// loses nothing. An empty snapshot has nothing to protect and
-    /// takes [`WalWriter::create`]'s direct path.
-    pub fn create_from(path: &Path, snapshot: &RunSnapshot) -> std::io::Result<Self> {
-        if snapshot.submissions.is_empty() && snapshot.measurements.is_empty() {
-            return Self::create(path, snapshot.seed);
+    /// Continues the WAL at `path` in place: reads it under
+    /// [`RunSnapshot::load`]'s rules, cuts a torn final line off, and
+    /// returns what it holds with a writer that appends after it.
+    /// Nothing before the cut is rewritten. When a tear took only the
+    /// last record's newline, the newline is written back instead of
+    /// the record being dropped, so the snapshot returned is always what
+    /// `load` reads from the same bytes.
+    pub fn open(path: &Path) -> io::Result<(RunSnapshot, Self)> {
+        let mut file = std::fs::OpenOptions::new()
+            .read(true)
+            .append(true)
+            .open(path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let (snapshot, end) = scan(&bytes)?;
+        let terminated = bytes.get(end) == Some(&b'\n');
+        let keep = end + usize::from(terminated);
+        if keep < bytes.len() {
+            file.set_len(keep as u64)?;
         }
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
+        if !terminated {
+            file.write_all(b"\n")?;
         }
-        replace_wal(path, snapshot, BufWriter::new)?;
-        let file = std::fs::OpenOptions::new().append(true).open(path)?;
-        Ok(Self::over(file))
+        Ok((snapshot, Self::over(file)))
     }
 
     /// Chooses between flush-per-append (`true`, the default) and
@@ -432,7 +328,7 @@ impl WalWriter {
     /// [`set_sync_on_flush`](WalWriter::set_sync_on_flush)); a no-op
     /// when nothing is dirty, so callers may group-commit
     /// unconditionally each round.
-    pub fn flush(&mut self) -> std::io::Result<()> {
+    pub fn flush(&mut self) -> io::Result<()> {
         if self.dirty == 0 {
             return Ok(());
         }
@@ -445,16 +341,16 @@ impl WalWriter {
     }
 
     /// Appends one submission line (flushing under auto-flush).
-    pub fn append_submission(&mut self, s: &SubmissionRecord) -> std::io::Result<()> {
+    pub fn append_submission(&mut self, s: &SubmissionRecord) -> io::Result<()> {
         self.append("Submission", s)
     }
 
     /// Appends one measurement line (flushing under auto-flush).
-    pub fn append_measurement(&mut self, m: &Measurement) -> std::io::Result<()> {
+    pub fn append_measurement(&mut self, m: &Measurement) -> io::Result<()> {
         self.append("Measurement", m)
     }
 
-    fn append(&mut self, tag: &str, payload: &impl Serialize) -> std::io::Result<()> {
+    fn append(&mut self, tag: &str, payload: &impl Serialize) -> io::Result<()> {
         write_record(&mut self.w, &mut self.scratch, tag, payload)?;
         self.dirty += 1;
         if self.auto_flush {
@@ -464,43 +360,11 @@ impl WalWriter {
     }
 }
 
-/// Serializable summary of a finished run (everything in [`RunResult`]
-/// except the in-memory trace), for experiment archival.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RunRecord {
-    /// Method display name.
-    pub method: String,
-    /// Anytime incumbent curve.
-    pub curve: Vec<CurvePoint>,
-    /// Best validation value.
-    pub best_value: f64,
-    /// Test value of the best configuration.
-    pub best_test: f64,
-    /// Evaluations per resource level.
-    pub evals_per_level: Vec<usize>,
-    /// Total evaluations.
-    pub total_evals: usize,
-    /// Mean worker utilization.
-    pub utilization: f64,
-}
-
-impl From<&RunResult> for RunRecord {
-    fn from(r: &RunResult) -> Self {
-        Self {
-            method: r.method.clone(),
-            curve: r.curve.clone(),
-            best_value: r.best_value,
-            best_test: r.best_test,
-            evals_per_level: r.evals_per_level.clone(),
-            total_evals: r.total_evals,
-            utilization: r.utilization,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::History;
+    use crate::levels::ResourceLevels;
     use hypertune_space::{Config, ParamValue};
 
     fn measurement(level: usize, value: f64, t: f64) -> Measurement {
@@ -515,20 +379,39 @@ mod tests {
         }
     }
 
+    /// Writes `snapshot` through [`WalWriter`]: header, submissions in
+    /// dispatch order, then measurements in completion order.
+    fn save(snapshot: &RunSnapshot, path: &Path) {
+        let mut w = WalWriter::create(path, snapshot.seed).unwrap();
+        for s in &snapshot.submissions {
+            w.append_submission(s).unwrap();
+        }
+        for m in &snapshot.measurements {
+            w.append_measurement(m).unwrap();
+        }
+    }
+
+    /// A history rebuilt from what a log holds — how a restart restores
+    /// one.
+    fn history_from(levels: ResourceLevels, measurements: Vec<Measurement>) -> History {
+        let mut h = History::new(levels);
+        for m in measurements {
+            h.record(m);
+        }
+        h
+    }
+
     #[test]
     fn checkpoint_roundtrip_preserves_history() {
         let levels = ResourceLevels::new(27.0, 3);
-        let mut h = History::new(levels);
-        h.record(measurement(0, 0.5, 1.0));
-        h.record(measurement(3, 0.3, 2.0));
-        h.record(measurement(0, 0.2, 3.0));
-
-        let cp = Checkpoint::from_history(&h);
-        let dir = std::env::temp_dir().join("hypertune-persist-test");
-        let path = dir.join("cp.json");
-        cp.save(&path).unwrap();
-        let restored = Checkpoint::load(&path).unwrap().into_history();
-        std::fs::remove_dir_all(&dir).ok();
+        let path = temp_wal("history");
+        let mut w = WalWriter::create(&path, 1).unwrap();
+        for (level, value, t) in [(0, 0.5, 1.0), (3, 0.3, 2.0), (0, 0.2, 3.0)] {
+            w.append_measurement(&measurement(level, value, t)).unwrap();
+        }
+        drop(w);
+        let restored = history_from(levels, RunSnapshot::load(&path).unwrap().measurements);
+        cleanup(&path);
 
         assert_eq!(restored.len(), 3);
         assert_eq!(restored.len_at(0), 2);
@@ -539,30 +422,20 @@ mod tests {
 
     #[test]
     fn checkpoint_orders_measurements_by_time() {
-        let levels = ResourceLevels::new(27.0, 3);
-        let mut h = History::new(levels);
-        h.record(measurement(3, 0.1, 5.0));
-        h.record(measurement(0, 0.9, 1.0));
-        let cp = Checkpoint::from_history(&h);
-        assert!(cp.measurements[0].finished_at < cp.measurements[1].finished_at);
-    }
-
-    #[test]
-    fn run_record_captures_summary() {
         use hypertune_benchmarks::{Benchmark, CountingOnes};
         let bench = CountingOnes::new(2, 2, 0);
         let levels = ResourceLevels::new(bench.max_resource(), 3);
-        let mut m = crate::methods::MethodKind::ARandom.build(&levels, 0);
-        let r = crate::runner::run(
-            m.as_mut(),
-            &bench,
-            &crate::runner::RunConfig::new(2, 300.0, 0),
-        );
-        let rec = RunRecord::from(&r);
-        assert_eq!(rec.total_evals, r.total_evals);
-        let json = serde_json::to_string(&rec).unwrap();
-        let back: RunRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.best_value, r.best_value);
+        let mut m = crate::methods::MethodKind::Asha.build(&levels, 0);
+        let path = temp_wal("ordered");
+        let policy = crate::runner::CheckpointPolicy::new(&path, 1);
+        let cfg = crate::runner::RunConfig::new(4, 300.0, 0);
+        crate::runner::run_checkpointed(m.as_mut(), &bench, &cfg, &policy).unwrap();
+        let logged = RunSnapshot::load(&path).unwrap().measurements;
+        cleanup(&path);
+        assert!(logged.len() > 1);
+        assert!(logged
+            .windows(2)
+            .all(|w| w[0].finished_at <= w[1].finished_at));
     }
 
     fn snapshot_fixture(n: usize) -> RunSnapshot {
@@ -604,7 +477,7 @@ mod tests {
     fn wal_roundtrip_preserves_snapshot_exactly() {
         let snap = snapshot_fixture(6);
         let path = temp_wal("roundtrip");
-        snap.save(&path).unwrap();
+        save(&snap, &path);
         let back = RunSnapshot::load(&path).unwrap();
         cleanup(&path);
         assert_eq!(back.seed, snap.seed);
@@ -620,7 +493,7 @@ mod tests {
     fn wal_recovers_from_truncated_final_line() {
         let snap = snapshot_fixture(5);
         let path = temp_wal("truncate");
-        snap.save(&path).unwrap();
+        save(&snap, &path);
         // Tear the file mid-way through the last record, as a crash
         // during `write` would.
         let text = std::fs::read_to_string(&path).unwrap();
@@ -637,7 +510,7 @@ mod tests {
     fn wal_rejects_midfile_tampering() {
         let snap = snapshot_fixture(5);
         let path = temp_wal("tamper");
-        snap.save(&path).unwrap();
+        save(&snap, &path);
         // Flip one byte inside an interior record's payload.
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -648,7 +521,7 @@ mod tests {
         std::fs::write(&path, bad.join("\n")).unwrap();
         let err = RunSnapshot::load(&path).unwrap_err();
         cleanup(&path);
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(
             err.to_string().contains("line 3"),
             "error names the damaged line: {err}"
@@ -659,7 +532,7 @@ mod tests {
     fn wal_rejects_truncation_that_reaches_interior_records() {
         let snap = snapshot_fixture(4);
         let path = temp_wal("deep-truncate");
-        snap.save(&path).unwrap();
+        save(&snap, &path);
         // Cut the file down to half of line 2: line 2 is now damaged
         // AND final, so the loader recovers to just the header's seed
         // with the prefix of records before it.
@@ -682,23 +555,22 @@ mod tests {
         std::fs::write(&path, "not a wal at all\n").unwrap();
         let err = RunSnapshot::load(&path).unwrap_err();
         cleanup(&path);
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
-    fn legacy_json_blob_snapshot_still_loads() {
+    fn legacy_json_blob_snapshot_is_refused() {
         let snap = snapshot_fixture(3);
         let path = temp_wal("legacy");
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir).unwrap();
         }
-        // Pre-WAL builds wrote the snapshot as one JSON object.
+        // Pre-WAL builds wrote the snapshot as one JSON object; it has
+        // no checksummed header line, so it is not a log.
         std::fs::write(&path, serde_json::to_string(&snap).unwrap()).unwrap();
-        let back = RunSnapshot::load(&path).unwrap();
+        let err = RunSnapshot::load(&path).unwrap_err();
         cleanup(&path);
-        assert_eq!(back.seed, snap.seed);
-        assert_eq!(back.submissions, snap.submissions);
-        assert_eq!(back.measurements.len(), 3);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -721,79 +593,39 @@ mod tests {
     }
 
     #[test]
-    fn wal_writer_create_from_compacts_then_extends() {
+    fn wal_writer_open_carries_what_load_reads_at_every_cut() {
         let fixture = snapshot_fixture(3);
-        let path = temp_wal("compact");
-        fixture.save(&path).unwrap();
-        let recovered = RunSnapshot::load(&path).unwrap();
-        {
-            let mut w = WalWriter::create_from(&path, &recovered).unwrap();
+        let path = temp_wal("every-cut");
+        save(&fixture, &path);
+        let whole = std::fs::read(&path).unwrap();
+        let header_len = whole.iter().position(|&b| b == b'\n').unwrap();
+        for cut in 0..=whole.len() {
+            std::fs::write(&path, &whole[..cut]).unwrap();
+            let Ok(loaded) = RunSnapshot::load(&path) else {
+                assert!(cut < header_len, "only a torn header fails, cut {cut}");
+                assert!(WalWriter::open(&path).is_err());
+                continue;
+            };
+            let (opened, mut w) = WalWriter::open(&path).unwrap();
+            assert_eq!(opened.submissions, loaded.submissions, "cut {cut}");
+            assert_eq!(opened.measurements, loaded.measurements, "cut {cut}");
+            // Kept: the lines the cut left whole, plus the last one if
+            // the cut took only its newline (written back).
+            let kept = std::fs::read(&path).unwrap();
+            let whole_lines = whole[..cut].iter().rposition(|&b| b == b'\n');
+            let whole_lines = whole_lines.map_or(0, |i| i + 1);
+            assert!(whole.starts_with(&kept), "cut {cut}");
+            assert!(
+                kept.len() == whole_lines || kept.len() == cut + 1,
+                "cut {cut}"
+            );
             w.append_measurement(&measurement(1, 0.33, 99.0)).unwrap();
+            drop(w);
+            let back = RunSnapshot::load(&path).unwrap();
+            assert_eq!(back.submissions, loaded.submissions, "cut {cut}");
+            assert_eq!(back.measurements.len(), loaded.measurements.len() + 1);
         }
-        let back = RunSnapshot::load(&path).unwrap();
         cleanup(&path);
-        assert_eq!(back.submissions, fixture.submissions);
-        assert_eq!(back.measurements.len(), 4);
-        assert_eq!(back.measurements[3].finished_at, 99.0);
-    }
-
-    /// A sink that takes `budget` bytes and then fails — a disk filling
-    /// up, or a kill, part-way through a rewrite.
-    struct FailAfter<W> {
-        inner: W,
-        budget: usize,
-    }
-
-    impl<W: Write> Write for FailAfter<W> {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            if self.budget == 0 {
-                return Err(std::io::Error::other("sink failed mid-rewrite"));
-            }
-            let n = self.inner.write(&buf[..buf.len().min(self.budget)])?;
-            self.budget -= n;
-            Ok(n)
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            self.inner.flush()
-        }
-    }
-
-    #[test]
-    fn a_failed_compaction_leaves_the_wal_it_was_compacting_intact() {
-        let fixture = snapshot_fixture(6);
-        let path = temp_wal("torn-compaction");
-        fixture.save(&path).unwrap();
-        let original = std::fs::read(&path).unwrap();
-        let recovered = RunSnapshot::load(&path).unwrap();
-        // The rewrite dies half-way: the booked records must still be
-        // where recovery found them, byte for byte.
-        let err = replace_wal(&path, &recovered, |file| FailAfter {
-            inner: file,
-            budget: original.len() / 2,
-        })
-        .unwrap_err();
-        assert!(err.to_string().contains("mid-rewrite"), "{err}");
-        assert!(
-            std::fs::read(&path).unwrap() == original,
-            "the WAL being compacted changed"
-        );
-        let torn = std::fs::read(staging_path(&path)).unwrap();
-        assert_eq!(torn.len(), original.len() / 2, "only the staging file tore");
-        // The next compaction overwrites the torn staging file and
-        // renames it away; the log it leaves is the same log.
-        let mut w = WalWriter::create_from(&path, &recovered).unwrap();
-        assert!(!staging_path(&path).exists());
-        assert!(
-            std::fs::read(&path).unwrap() == original,
-            "compacting a compact log rewrites the same bytes"
-        );
-        w.append_measurement(&measurement(1, 0.33, 99.0)).unwrap();
-        drop(w);
-        let back = RunSnapshot::load(&path).unwrap();
-        cleanup(&path);
-        assert_eq!(back.submissions, fixture.submissions);
-        assert_eq!(back.measurements.len(), 7, "appends land behind the rename");
     }
 
     #[test]
@@ -848,12 +680,15 @@ mod tests {
 
     #[test]
     fn resumed_run_continues_from_checkpoint() {
-        // Simulate resume: record into restored history and confirm the
-        // incumbent bookkeeping keeps working.
+        // Simulate resume: record into a history restored from the log
+        // and confirm the incumbent bookkeeping keeps working.
         let levels = ResourceLevels::new(27.0, 3);
-        let mut h = History::new(levels);
-        h.record(measurement(3, 0.4, 1.0));
-        let mut restored = Checkpoint::from_history(&h).into_history();
+        let path = temp_wal("continue");
+        let mut w = WalWriter::create(&path, 1).unwrap();
+        w.append_measurement(&measurement(3, 0.4, 1.0)).unwrap();
+        drop(w);
+        let mut restored = history_from(levels, RunSnapshot::load(&path).unwrap().measurements);
+        cleanup(&path);
         restored.record(measurement(3, 0.2, 10.0));
         assert_eq!(restored.incumbent_full().unwrap().value, 0.2);
     }

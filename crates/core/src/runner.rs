@@ -26,9 +26,9 @@
 //!
 //! # Checkpoint and resume
 //!
-//! [`run_checkpointed`] snapshots the run's write-ahead submission log
-//! every N completions ([`CheckpointPolicy`]); [`resume`] replays the run
-//! from virtual time zero against that log — reusing recorded evaluation
+//! [`run_checkpointed`] appends to the run's write-ahead submission log
+//! every N completions ([`CheckpointPolicy`]); [`resume`] reads it and
+//! replays the run from virtual time zero — reusing recorded evaluation
 //! results instead of calling the benchmark, and verifying the replayed
 //! measurement stream matches the snapshot bit-for-bit — then continues
 //! live. Because the whole run is a deterministic function of the seed,
@@ -51,7 +51,7 @@ use crate::diagnostics::FailureCounts;
 use crate::history::Measurement;
 use crate::levels::ResourceLevels;
 use crate::method::{JobSpec, Method};
-use crate::persist::{RunSnapshot, SubmissionRecord};
+use crate::persist::{RunSnapshot, SubmissionRecord, WalWriter};
 use crate::tenant::{Booked, StudyRuntime};
 
 /// Bounded-retry policy for failed jobs.
@@ -208,17 +208,17 @@ impl RunConfig {
     }
 }
 
-/// When and where [`run_checkpointed`] (and [`resume`]) write snapshots.
+/// When and where [`run_checkpointed`] writes its log.
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
-    /// Snapshot file (overwritten on each checkpoint).
+    /// Log file, created at the first checkpoint and appended to after.
     pub path: PathBuf,
-    /// Snapshot after every this many completed evaluations.
+    /// Checkpoint after every this many completed evaluations.
     pub every_completions: usize,
 }
 
 impl CheckpointPolicy {
-    /// A policy snapshotting to `path` every `every_completions`
+    /// A policy checkpointing to `path` every `every_completions`
     /// completions.
     ///
     /// # Panics
@@ -253,7 +253,7 @@ pub enum ResumeError {
         /// Index of the first mismatching entry.
         index: usize,
     },
-    /// Reading or writing a snapshot failed.
+    /// Writing the log failed.
     Io(std::io::Error),
 }
 
@@ -370,9 +370,9 @@ pub fn run(method: &mut dyn Method, benchmark: &dyn Benchmark, config: &RunConfi
         .expect("without checkpointing or replay the runner is infallible")
 }
 
-/// Like [`run`], writing a [`RunSnapshot`] every
-/// `policy.every_completions` completions so the run can be [`resume`]d
-/// after an interruption.
+/// Like [`run`], appending the submissions and measurements since the
+/// previous checkpoint to `policy.path` every `policy.every_completions`
+/// completions, so the run can be [`resume`]d after an interruption.
 pub fn run_checkpointed(
     method: &mut dyn Method,
     benchmark: &dyn Benchmark,
@@ -385,19 +385,18 @@ pub fn run_checkpointed(
 /// Resumes a run from `snapshot`: replays the recorded prefix (reusing
 /// logged evaluation results, verifying each replayed dispatch and
 /// measurement against the log) and continues live to the end of the
-/// budget. The caller must supply the *same* method state (freshly
-/// built), benchmark, and config as the original run; any drift is
-/// reported as [`ResumeError::Diverged`]. On success the result — and in
-/// particular its measurement stream — is bit-identical to an
+/// budget, logging nothing. The caller must supply the *same* method
+/// state (freshly built), benchmark, and config as the original run; any
+/// drift is reported as [`ResumeError::Diverged`]. On success the result
+/// — and in particular its measurement stream — is bit-identical to an
 /// uninterrupted run.
 pub fn resume(
     method: &mut dyn Method,
     benchmark: &dyn Benchmark,
     config: &RunConfig,
     snapshot: &RunSnapshot,
-    policy: Option<&CheckpointPolicy>,
 ) -> Result<RunResult, ResumeError> {
-    run_impl(method, benchmark, config, policy, Some(snapshot))
+    run_impl(method, benchmark, config, None, Some(snapshot))
 }
 
 fn run_impl(
@@ -448,6 +447,10 @@ fn run_impl(
     );
     let mut curve: Vec<CurvePoint> = Vec::new();
     let mut submission_log: Vec<SubmissionRecord> = Vec::new();
+    // The checkpoint log, created at the first checkpoint, and how many
+    // submissions and measurements it holds.
+    let mut wal: Option<WalWriter> = None;
+    let mut logged = (0, 0);
     // Elastic/self-healing state. All of it is driver-side bookkeeping
     // that consumes no run RNG, so when churn never strikes, no straggler
     // crosses the speculation threshold, and the breaker never opens, the
@@ -675,12 +678,19 @@ fn run_impl(
         }
         if let Some(cp) = checkpoint {
             if booked.len().is_multiple_of(cp.every_completions) {
-                RunSnapshot {
-                    seed: config.seed,
-                    submissions: submission_log.clone(),
-                    measurements: booked.to_vec(),
+                let wal = match &mut wal {
+                    Some(wal) => wal,
+                    None => wal.insert(WalWriter::create(&cp.path, config.seed)?),
+                };
+                wal.set_auto_flush(false);
+                for s in &submission_log[logged.0..] {
+                    wal.append_submission(s)?;
                 }
-                .save(&cp.path)?;
+                for m in &booked[logged.1..] {
+                    wal.append_measurement(m)?;
+                }
+                wal.flush()?;
+                logged = (submission_log.len(), booked.len());
                 telemetry.emit_with(now, || Event::CheckpointWritten {
                     completions: booked.len(),
                     path: cp.path.display().to_string(),
@@ -1017,7 +1027,7 @@ mod tests {
         assert!(!snapshot.measurements.is_empty());
         assert!(snapshot.measurements.len() < full.measurements.len());
         let mut m_resumed = MethodKind::HyperTune.build(&levels, 11);
-        let resumed = resume(m_resumed.as_mut(), &bench, &cfg, &snapshot, None).unwrap();
+        let resumed = resume(m_resumed.as_mut(), &bench, &cfg, &snapshot).unwrap();
         std::fs::remove_dir_all(&dir).ok();
 
         assert_eq!(resumed.measurements, full.measurements);
@@ -1042,7 +1052,7 @@ mod tests {
         let mut wrong_cfg = cfg.clone();
         wrong_cfg.seed = 3;
         let mut m2 = MethodKind::Asha.build(&levels, 3);
-        match resume(m2.as_mut(), &bench, &wrong_cfg, &snapshot, None) {
+        match resume(m2.as_mut(), &bench, &wrong_cfg, &snapshot) {
             Err(ResumeError::SeedMismatch { .. }) => {}
             other => panic!("expected SeedMismatch, got {other:?}"),
         }
@@ -1050,9 +1060,46 @@ mod tests {
         // A tampered measurement is caught by replay verification.
         snapshot.measurements[0].value += 1.0;
         let mut m3 = MethodKind::Asha.build(&levels, 2);
-        match resume(m3.as_mut(), &bench, &cfg, &snapshot, None) {
+        match resume(m3.as_mut(), &bench, &cfg, &snapshot) {
             Err(ResumeError::Diverged { stream, .. }) => assert_eq!(stream, "measurement"),
             other => panic!("expected Diverged, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn checkpoints_only_append_to_the_log() {
+        // Sinks run inside `emit`, so this one copies the file exactly as
+        // each checkpoint left it.
+        type Copies = std::sync::Arc<std::sync::Mutex<Vec<Vec<u8>>>>;
+        struct CopyAtCheckpoint(Copies);
+        impl hypertune_telemetry::EventSink for CopyAtCheckpoint {
+            fn record(&self, rec: &hypertune_telemetry::EventRecord) {
+                if let Event::CheckpointWritten { path, .. } = &rec.event {
+                    self.0.lock().unwrap().push(std::fs::read(path).unwrap());
+                }
+            }
+        }
+        let copies = Copies::default();
+        let bench = CountingOnes::new(4, 4, 7);
+        let levels = ResourceLevels::new(bench.max_resource(), 3);
+        let mut cfg = RunConfig::new(4, 1200.0, 11);
+        let sink = CopyAtCheckpoint(std::sync::Arc::clone(&copies));
+        cfg.telemetry = hypertune_telemetry::Telemetry::new()
+            .with_sink(sink)
+            .build();
+        let dir = std::env::temp_dir().join(format!("hypertune-append-{}", std::process::id()));
+        let policy = CheckpointPolicy::new(dir.join("run.wal"), 3);
+        let mut m = MethodKind::HyperTune.build(&levels, 11);
+        run_checkpointed(m.as_mut(), &bench, &cfg, &policy).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+
+        let copies = copies.lock().unwrap();
+        assert!(copies.len() > 2, "{} checkpoints", copies.len());
+        for (i, pair) in copies.windows(2).enumerate() {
+            assert!(
+                pair[1].starts_with(&pair[0]),
+                "checkpoint {i} was rewritten"
+            );
         }
     }
 

@@ -455,6 +455,44 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_evaluation_is_retried_instead_of_hanging_the_run() {
+        // The benchmark panics on its first call only. The run is on a
+        // helper thread, so a driver stuck on the lost job fails the test
+        // instead of hanging it.
+        struct PanicsOnce(CountingOnes, std::sync::atomic::AtomicBool);
+        impl Benchmark for PanicsOnce {
+            fn name(&self) -> &str {
+                "panics-once"
+            }
+            fn space(&self) -> &ConfigSpace {
+                self.0.space()
+            }
+            fn max_resource(&self) -> f64 {
+                self.0.max_resource()
+            }
+            fn evaluate(&self, config: &Config, resource: f64, seed: u64) -> Eval {
+                let fired = self.1.swap(true, std::sync::atomic::Ordering::SeqCst);
+                assert!(fired, "benchmark blew up");
+                self.0.evaluate(config, resource, seed)
+            }
+        }
+        let (verdict_tx, verdict_rx) = std::sync::mpsc::channel();
+        let driver = std::thread::spawn(move || {
+            let bench = PanicsOnce(CountingOnes::new(4, 4, 7), Default::default());
+            let levels = ResourceLevels::new(bench.max_resource(), 3);
+            let mut method = MethodKind::Asha.build(&levels, 3);
+            let cfg = ThreadedRunConfig::new(2, 20, 3);
+            let _ = verdict_tx.send(run_threaded(method.as_mut(), Arc::new(bench), &cfg));
+        });
+        let r = verdict_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the run hung on the panicked evaluation");
+        driver.join().expect("the run returned after its verdict");
+        assert_eq!(r.total_evals, 20);
+        assert_eq!((r.failure_counts.crashed, r.n_retries), (1, 1));
+    }
+
+    #[test]
     fn total_failure_terminates_via_quarantine_cap() {
         let bench: Arc<dyn Benchmark> = Arc::new(CountingOnes::new(4, 4, 7));
         let levels = ResourceLevels::new(bench.max_resource(), 3);

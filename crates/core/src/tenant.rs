@@ -189,11 +189,11 @@ impl StudyRuntime {
         }
     }
 
-    /// Replays recovered measurements into the history without touching
-    /// the method — [`crate::persist::Checkpoint`] semantics: derived
-    /// state (surrogates, θ, incumbents) refits from the restored
-    /// history as the method runs fresh rounds against it. Each counts
-    /// as a suggested and completed trial.
+    /// Replays measurements recovered from a study's log
+    /// ([`crate::persist`]) into the history without touching the
+    /// method: derived state (surrogates, θ, incumbents) refits from the
+    /// restored history as the method runs fresh rounds against it. Each
+    /// counts as a suggested and completed trial.
     pub fn restore(&mut self, measurements: Vec<Measurement>) {
         for m in &measurements {
             self.history.record(m.clone());

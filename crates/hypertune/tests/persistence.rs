@@ -1,30 +1,44 @@
 //! Integration tests for checkpoint/resume across the full stack.
 
-use hypertune::core::persist::{Checkpoint, RunRecord};
 use hypertune::core::History;
 use hypertune::prelude::*;
 
+/// Runs `kind` with a checkpoint after every completion, so the log
+/// holds the whole measurement stream. Returns the live history and the
+/// one rebuilt from the log alone.
+fn live_and_restored(bench: &dyn Benchmark, kind: MethodKind, cfg: &RunConfig) -> [History; 2] {
+    let levels = ResourceLevels::new(bench.max_resource(), 3);
+    let dir = std::env::temp_dir().join(format!(
+        "hypertune-it-log-{}-{}",
+        cfg.seed,
+        std::process::id()
+    ));
+    let path = dir.join("run.wal");
+    let mut method = kind.build(&levels, cfg.seed);
+    let r = run_checkpointed(
+        method.as_mut(),
+        bench,
+        cfg,
+        &CheckpointPolicy::new(&path, 1),
+    )
+    .unwrap();
+    let logged = RunSnapshot::load(&path).unwrap().measurements;
+    std::fs::remove_dir_all(&dir).ok();
+    [r.measurements, logged].map(|ms| {
+        let mut h = History::new(levels.clone());
+        ms.into_iter().for_each(|m| h.record(m));
+        h
+    })
+}
+
 #[test]
 fn checkpoint_roundtrips_a_real_run_history() {
-    // Run Hyper-Tune, snapshot its measurements via RunResult, rebuild a
-    // history, and verify the incumbent matches.
+    // Run Hyper-Tune with its log on, rebuild a history from the log
+    // alone, and verify it matches the live run.
     let bench = tasks::nas_cifar10_valid(0);
-    let levels = ResourceLevels::new(bench.max_resource(), 3);
-    let mut method = MethodKind::HyperTune.build(&levels, 5);
-    let r = run(method.as_mut(), &bench, &RunConfig::new(4, 5000.0, 5));
-
-    let mut history = History::new(levels.clone());
-    for m in &r.measurements {
-        history.record(m.clone());
-    }
-    let cp = Checkpoint::from_history(&history);
-    let dir = std::env::temp_dir().join("hypertune-it-persist");
-    let path = dir.join("run.json");
-    cp.save(&path).unwrap();
-    let restored = Checkpoint::load(&path).unwrap().into_history();
-    std::fs::remove_dir_all(&dir).ok();
-
-    assert_eq!(restored.len(), r.total_evals);
+    let cfg = RunConfig::new(4, 5000.0, 5);
+    let [history, restored] = live_and_restored(&bench, MethodKind::HyperTune, &cfg);
+    assert_eq!(restored.len(), history.len());
     assert_eq!(
         restored.incumbent().map(|m| m.value),
         history.incumbent().map(|m| m.value)
@@ -33,42 +47,15 @@ fn checkpoint_roundtrips_a_real_run_history() {
 
 #[test]
 fn resumed_theta_matches_uninterrupted_theta() {
-    // θ is a pure function of the history, so computing it on a restored
-    // checkpoint must give the same weights as on the live history.
+    // θ is a pure function of the history, so computing it on a history
+    // restored from the log must give the same weights as on the live one.
     use hypertune::core::ranking::compute_theta;
     let bench = tasks::xgboost_covertype(0);
-    let levels = ResourceLevels::new(bench.max_resource(), 3);
-    let mut method = MethodKind::AHyperband.build(&levels, 9);
-    let r = run(method.as_mut(), &bench, &RunConfig::new(8, 2.0 * 3600.0, 9));
-
-    let mut live = History::new(levels.clone());
-    for m in &r.measurements {
-        live.record(m.clone());
-    }
-    let restored = Checkpoint::from_history(&live).into_history();
+    let cfg = RunConfig::new(8, 2.0 * 3600.0, 9);
+    let [live, restored] = live_and_restored(&bench, MethodKind::AHyperband, &cfg);
     let a = compute_theta(&live, bench.space(), 3);
     let b = compute_theta(&restored, bench.space(), 3);
     assert_eq!(a, b);
-}
-
-#[test]
-fn run_records_archive_a_figure_worth_of_runs() {
-    let bench = CountingOnes::new(4, 4, 0);
-    let levels = ResourceLevels::new(bench.max_resource(), 3);
-    let mut records = Vec::new();
-    for kind in [MethodKind::ARandom, MethodKind::Asha, MethodKind::HyperTune] {
-        let mut m = kind.build(&levels, 3);
-        let r = run(m.as_mut(), &bench, &RunConfig::new(4, 800.0, 3));
-        records.push(RunRecord::from(&r));
-    }
-    let json = serde_json::to_string(&records).unwrap();
-    let back: Vec<RunRecord> = serde_json::from_str(&json).unwrap();
-    assert_eq!(back.len(), 3);
-    assert_eq!(back[2].method, "Hyper-Tune");
-    for rec in &back {
-        assert!(rec.total_evals > 0);
-        assert!(rec.curve.windows(2).all(|w| w[1].value <= w[0].value));
-    }
 }
 
 #[test]
@@ -114,7 +101,7 @@ fn snapshot_resume_is_bit_identical_on_a_real_task() {
     assert!(!snapshot.submissions.is_empty());
 
     let mut m_res = MethodKind::HyperTune.build(&levels, 17);
-    let resumed = resume(m_res.as_mut(), &bench, &cfg, &snapshot, None).unwrap();
+    let resumed = resume(m_res.as_mut(), &bench, &cfg, &snapshot).unwrap();
     assert_eq!(resumed.measurements, full.measurements);
     assert_eq!(resumed.curve, full.curve);
     assert_eq!(resumed.n_quarantined, full.n_quarantined);
@@ -137,7 +124,7 @@ fn resume_with_wrong_method_diverges() {
     std::fs::remove_dir_all(&dir).ok();
 
     let mut wrong = MethodKind::ARandom.build(&levels, 3);
-    match resume(wrong.as_mut(), &bench, &cfg, &snapshot, None) {
+    match resume(wrong.as_mut(), &bench, &cfg, &snapshot) {
         Err(ResumeError::Diverged { .. }) => {}
         other => panic!("expected Diverged, got {other:?}"),
     }

@@ -166,7 +166,7 @@ proptest! {
         if path.exists() {
             let snapshot = RunSnapshot::load(&path).unwrap();
             let mut m_res = kind.build(&levels, seed);
-            let resumed = resume(m_res.as_mut(), &bench, &cfg, &snapshot, None).unwrap();
+            let resumed = resume(m_res.as_mut(), &bench, &cfg, &snapshot).unwrap();
             prop_assert_eq!(&resumed.measurements, &full.measurements);
             prop_assert_eq!(resumed.best_value, full.best_value);
             prop_assert_eq!(resumed.n_quarantined, full.n_quarantined);

@@ -16,13 +16,13 @@
 //!   starve a light one, and a stopped or parked (weight 0) study never
 //!   receives a slot.
 //! - **Durability**: with a `state_dir` configured, every study gets an
-//!   appending checksummed WAL (`study-<id>.wal`, the
-//!   [`RunSnapshot`] line format) plus a sidecar (`study-<id>.json`)
-//!   recording spec and lifecycle state. [`TuningService::recover`]
-//!   scans the directory and rebuilds every study found there.
-//!   Recovery follows the checkpoint semantics documented in
-//!   [`hypertune_core::persist`]: the restored history is exact, and
-//!   the method refits its derived state from it with a
+//!   appending checksummed WAL (`study-<id>.wal`, the one
+//!   [`hypertune_core::persist`] format) plus a sidecar
+//!   (`study-<id>.json`) recording spec and lifecycle state.
+//!   [`TuningService::recover`] scans the directory and rebuilds every
+//!   study found there, opening each WAL in place and appending after
+//!   it — recovery rewrites no record. The restored history is exact,
+//!   and the method refits its derived state from it with a
 //!   generation-mixed RNG — trials in flight at the kill were never
 //!   logged, so they re-run fresh and **no trial is ever booked
 //!   twice** (the restart drill asserts
@@ -57,7 +57,7 @@ use std::time::Instant;
 
 use hypertune_benchmarks::{Benchmark, Eval};
 use hypertune_cluster::{ClusterError, Executor, JobStatus, PoolResult};
-use hypertune_core::persist::{RunSnapshot, SubmissionRecord, WalWriter};
+use hypertune_core::persist::{SubmissionRecord, WalWriter};
 use hypertune_core::{
     Booked, FailureCounts, JobSpec, Measurement, Method, ResourceLevels, RetryPolicy, StudyRuntime,
     ThreadedJob,
@@ -807,11 +807,11 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
     }
 
     /// Rebuilds studies from a state directory: for every sidecar not
-    /// already loaded, restores the history from the study's WAL,
-    /// compacts the WAL, bumps the recovery generation, and re-registers
-    /// still-running studies with the scheduler. Terminal studies load
-    /// for inspection only. Returns handles of everything recovered, by
-    /// id.
+    /// already loaded, restores the history from the study's WAL, opened
+    /// in place ([`WalWriter::open`] cuts a torn tail, nothing else), bumps
+    /// the recovery generation, and re-registers still-running studies
+    /// with the scheduler. Terminal studies load for inspection only.
+    /// Returns handles of everything recovered, by id.
     ///
     /// Recovery is checkpoint-semantics (see the module docs): trials
     /// in flight at the kill were never logged, so they re-run fresh —
@@ -854,16 +854,9 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
             let telemetry = self.config.telemetry.with_tenant(id);
             let levels = ResourceLevels::new(bench.max_resource(), spec.eta);
             let quota = spec.max_in_flight.min(self.executor.n_workers().max(1));
-            let path = wal_path(&dir, id);
-            let snapshot = if path.exists() {
-                RunSnapshot::load(&path)?
-            } else {
-                RunSnapshot {
-                    seed: spec.seed,
-                    submissions: Vec::new(),
-                    measurements: Vec::new(),
-                }
-            };
+            // The WAL is created before the sidecar, so it exists.
+            let (snapshot, mut wal) = WalWriter::open(&wal_path(&dir, id))?;
+            self.config.configure_wal(&mut wal);
             let mut method = spec.method.build(&levels, seed);
             method.set_telemetry(telemetry.clone());
             let mut runtime = StudyRuntime::new(
@@ -881,8 +874,6 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
                 // flip: the budget is spent, finish it now.
                 status = StudyStatus::Completed;
             }
-            let mut wal = WalWriter::create_from(&path, &snapshot)?;
-            self.config.configure_wal(&mut wal);
             runtime.restore(snapshot.measurements);
             write_sidecar(
                 &dir,
@@ -1000,6 +991,7 @@ mod tests {
     use super::*;
     use hypertune_benchmarks::CountingOnes;
     use hypertune_cluster::ThreadPool;
+    use hypertune_core::persist::RunSnapshot;
     use hypertune_core::MethodKind;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -1008,6 +1000,8 @@ mod tests {
             "counting-ones-small" => {
                 Some(Box::new(CountingOnes::new(4, 4, seed)) as Box<dyn Benchmark>)
             }
+            // Short WAL lines, for sweeps over every byte of a log.
+            "counting-ones-tiny" => Some(Box::new(CountingOnes::new(1, 1, seed))),
             _ => None,
         })
     }
@@ -1286,10 +1280,9 @@ mod tests {
 
     #[test]
     fn recover_ignores_a_torn_staging_file_beside_an_intact_wal() {
-        // A previous recovery was killed while compacting study `a`'s
-        // WAL: the staging file is half-written, the WAL itself was
-        // never touched (persist::replace_wal). The next recovery must
-        // read the WAL, not the leftovers, and clean them up.
+        // A torn `.wal.tmp` beside a study's WAL, as builds that
+        // rewrote the WAL on recovery could leave behind. Recovery must
+        // read the WAL and nothing else.
         let dir = unique_dir("torn-staging");
         let config = ServiceConfig::new().with_state_dir(&dir);
         let a;
@@ -1306,7 +1299,6 @@ mod tests {
         let mut svc = TuningService::new(pool(2), resolver(), config).unwrap();
         assert_eq!(svc.recover().unwrap().len(), 1);
         assert_eq!(svc.completed(a), 4, "carried == booked");
-        assert!(!staging.exists(), "the compaction replaced the leftovers");
         let compacted = RunSnapshot::load(&wal).unwrap();
         assert_eq!(compacted.measurements.len(), 4);
         assert_eq!(compacted.submissions.len(), 4);
@@ -1433,6 +1425,95 @@ mod tests {
             .studies
             .iter()
             .all(|s| s.dispatched == s.completed && s.outstanding == 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovery_only_appends_to_each_wal() {
+        // Each WAL interleaves every trial's submission and measurement
+        // lines; recovery reads them and appends after them.
+        let dir = unique_dir("append-only");
+        let config = ServiceConfig::new().with_state_dir(&dir);
+        let (fleet, _) = ReadyPool::new(4);
+        let mut svc = TuningService::new(fleet, resolver(), config.clone()).unwrap();
+        let handles = [spec("a", 61), spec("b", 62)].map(|s| svc.create_study(s).unwrap());
+        assert_eq!(svc.run_completions(5).unwrap(), 5);
+        drop(svc);
+        let wal = |h: StudyHandle| std::fs::read(wal_path(&dir, h.id())).unwrap();
+        let before = handles.map(wal);
+        let (fleet, _) = ReadyPool::new(4);
+        let mut svc = TuningService::new(fleet, resolver(), config).unwrap();
+        svc.recover().unwrap();
+        svc.drain().unwrap();
+        for (h, before) in handles.into_iter().zip(before) {
+            assert_eq!(svc.status(h), Some(StudyStatus::Completed));
+            assert!(
+                wal(h).starts_with(&before),
+                "study {}'s WAL was rewritten",
+                h.id()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovery_survives_a_cut_at_every_byte_of_the_last_flush_group() {
+        // Every slot of the fleet is ready at every drain, so a round
+        // commits four trials across both studies with one flush: the
+        // last flush group spans both WALs. Each WAL is cut at every byte
+        // of that group, then the service recovers and drains.
+        let budget = 6;
+        let study = |name: &str, seed| {
+            StudySpec::new(name, "counting-ones-tiny", MethodKind::ARandom)
+                .with_seed(seed)
+                .with_max_evals(budget)
+                .with_max_in_flight(2)
+        };
+        let dir = unique_dir("cut-fuzz");
+        let config = ServiceConfig::new().with_state_dir(&dir);
+        let wal = |h: StudyHandle| wal_path(&dir, h.id());
+        let (fleet, _) = ReadyPool::new(4);
+        let mut svc = TuningService::new(fleet, resolver(), config.clone()).unwrap();
+        let handles = [study("a", 71), study("b", 72)].map(|s| svc.create_study(s).unwrap());
+        assert_eq!(svc.run_completions(4).unwrap(), 4);
+        let group_starts = handles.map(|h| std::fs::metadata(wal(h)).unwrap().len() as usize);
+        assert_eq!(svc.run_completions(4).unwrap(), 4);
+        drop(svc);
+        // The state directory as the kill left it: WALs and sidecars.
+        let killed: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|path| (path.clone(), std::fs::read(path).unwrap()))
+            .collect();
+        for (victim, start) in handles.into_iter().zip(group_starts) {
+            let whole = std::fs::read(wal(victim)).unwrap();
+            assert!(start < whole.len(), "the last group reached every WAL");
+            for cut in start..whole.len() {
+                for (path, bytes) in &killed {
+                    std::fs::write(path, bytes).unwrap();
+                }
+                std::fs::write(wal(victim), &whole[..cut]).unwrap();
+                let logged = handles.map(|h| RunSnapshot::load(&wal(h)).unwrap().measurements);
+                let (fleet, _) = ReadyPool::new(4);
+                let mut svc = TuningService::new(fleet, resolver(), config.clone()).unwrap();
+                svc.recover().unwrap();
+                for (h, logged) in handles.into_iter().zip(&logged) {
+                    assert_eq!(svc.measurements(h), &logged[..], "carried, cut {cut}");
+                }
+                svc.drain().unwrap();
+                let booked = handles.map(|h| svc.measurements(h).to_vec());
+                for s in svc.stats().studies {
+                    assert_eq!(s.status, StudyStatus::Completed, "cut {cut}");
+                    let counts = (s.completed, s.dispatched, s.outstanding);
+                    assert_eq!(counts, (budget, budget, 0), "booked once each, cut {cut}");
+                }
+                drop(svc);
+                for (h, booked) in handles.into_iter().zip(booked) {
+                    let reread = RunSnapshot::load(&wal(h)).unwrap().measurements;
+                    assert_eq!(reread, booked, "final WAL, cut {cut}");
+                }
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

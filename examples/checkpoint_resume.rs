@@ -1,77 +1,60 @@
 //! Checkpointing and resuming a tuning run.
 //!
-//! Long tuning jobs must survive restarts. The durable state of a run is
-//! its measurement history (`D_1..D_K`): every other component — the
+//! Long tuning jobs must survive restarts. A run's durable state is its
+//! write-ahead log: every dispatched job with its evaluation result, and
+//! every completed measurement (`D_1..D_K`). Everything else — the
 //! surrogates, the precision weights θ, the bracket distribution, the
-//! incumbent — is recomputed from it. This example runs Hyper-Tune for a
-//! while, snapshots the history to JSON, simulates a crash, restores the
-//! checkpoint in a fresh process state, and verifies the restored
-//! incumbent and θ match the live ones.
+//! incumbent — is recomputed from it. This example runs Hyper-Tune with a
+//! checkpoint every 10 completions, simulates a crash by dropping every
+//! in-memory object, reads the log back, and resumes: the replay reuses
+//! the logged results instead of re-evaluating, then continues live, and
+//! the resumed run's measurement stream is bit-identical to an
+//! uninterrupted one.
 //!
 //! Run with: `cargo run --release --example checkpoint_resume`
 
-use hypertune::core::persist::Checkpoint;
-use hypertune::core::ranking;
-use hypertune::core::History;
 use hypertune::prelude::*;
 
 fn main() {
     let bench = tasks::nas_cifar10_valid(0);
     let levels = ResourceLevels::new(bench.max_resource(), 3);
+    let cfg = RunConfig::new(8, 4.0 * 3600.0, 7);
+    let path =
+        std::env::temp_dir().join(format!("hypertune-checkpoint-{}.wal", std::process::id()));
 
-    // Phase 1: tune for a few virtual hours.
+    // The reference: the same run, never interrupted.
     let mut method = MethodKind::HyperTune.build(&levels, 7);
-    let result = run(method.as_mut(), &bench, &RunConfig::new(8, 4.0 * 3600.0, 7));
+    let uninterrupted = run(method.as_mut(), &bench, &cfg);
     println!(
-        "phase 1: {} evaluations, incumbent {:.4}",
-        result.total_evals, result.best_value
+        "uninterrupted: {} evaluations, incumbent {:.4}",
+        uninterrupted.total_evals, uninterrupted.best_value
     );
 
-    // Snapshot the durable state.
-    let mut history = History::new(levels.clone());
-    for m in &result.measurements {
-        history.record(m.clone());
+    // Phase 1: tune with a checkpoint every 10 completions. Each
+    // checkpoint appends what happened since the previous one.
+    {
+        let mut method = MethodKind::HyperTune.build(&levels, 7);
+        let policy = CheckpointPolicy::new(&path, 10);
+        run_checkpointed(method.as_mut(), &bench, &cfg, &policy).expect("write checkpoints");
+        // --- simulated crash: the method and the run are dropped here ---
     }
-    let path = std::env::temp_dir().join("hypertune-checkpoint.json");
-    Checkpoint::from_history(&history)
-        .save(&path)
-        .expect("write checkpoint");
-    println!("checkpoint written to {}", path.display());
 
-    // --- simulated crash: everything in memory is gone ---
-
-    // Phase 2: restore and verify the state is equivalent.
-    let restored = Checkpoint::load(&path)
-        .expect("read checkpoint")
-        .into_history();
-    assert_eq!(restored.len(), result.total_evals);
-    assert_eq!(
-        restored.incumbent().map(|m| m.value),
-        history.incumbent().map(|m| m.value)
-    );
-    let theta_live = ranking::compute_theta(&history, bench.space(), 1);
-    let theta_restored = ranking::compute_theta(&restored, bench.space(), 1);
-    assert_eq!(theta_live, theta_restored);
+    // Phase 2: read the log back and resume from it.
+    let snapshot = RunSnapshot::load(&path).expect("read the log");
     println!(
-        "restored {} measurements; incumbent {:.4}; theta identical: {:?}",
-        restored.len(),
-        restored.incumbent().map(|m| m.value).unwrap_or(f64::NAN),
-        theta_restored.map(|t| t
-            .iter()
-            .map(|x| (x * 100.0).round() / 100.0)
-            .collect::<Vec<_>>())
+        "log at {}: {} dispatches, {} measurements",
+        path.display(),
+        snapshot.submissions.len(),
+        snapshot.measurements.len()
     );
-
-    // Phase 3: keep tuning from the restored state. The surrogates refit
-    // from the restored history, so the next proposals are informed by
-    // everything learned before the crash.
-    println!("\nresuming tuning with the restored history as warm start...");
-    let warm = restored.incumbent().map(|m| m.value).unwrap_or(f64::NAN);
-    let mut method = MethodKind::HyperTune.build(&levels, 8);
-    let result2 = run(method.as_mut(), &bench, &RunConfig::new(8, 4.0 * 3600.0, 8));
-    println!(
-        "phase 2 run: incumbent {:.4} (warm-start reference was {:.4})",
-        result2.best_value, warm
-    );
+    let mut method = MethodKind::HyperTune.build(&levels, 7);
+    let resumed = resume(method.as_mut(), &bench, &cfg, &snapshot).expect("replay matches the log");
     std::fs::remove_file(&path).ok();
+
+    assert_eq!(resumed.measurements, uninterrupted.measurements);
+    assert_eq!(resumed.curve, uninterrupted.curve);
+    println!(
+        "resumed: {} evaluations, incumbent {:.4} — measurement stream bit-identical",
+        resumed.total_evals, resumed.best_value
+    );
 }

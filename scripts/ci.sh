@@ -192,8 +192,17 @@ target/release/hypertune serve --pool 4 --state-dir target/service-state \
   --script target/service-studies.jsonl --trace target/service-trace-1.jsonl \
   > target/service-1.out
 grep -q "stopped study 3" target/service-1.out
+# Recovery opens each WAL in place and appends after it, so every WAL
+# the first lifetime left must be a byte prefix of the same WAL after
+# the second (DESIGN.md §17.3).
+rm -rf target/service-state-killed
+mkdir -p target/service-state-killed
+cp target/service-state/*.wal target/service-state-killed/
 target/release/hypertune serve --pool 4 --state-dir target/service-state \
   --resume --trace target/service-trace-2.jsonl > target/service-2.out
+for killed in target/service-state-killed/*.wal; do
+  cmp -n "$(stat -c %s "$killed")" "$killed" "target/service-state/${killed##*/}"
+done
 grep -q "recovered study 1" target/service-2.out
 grep -qE '^study 3 \(tenant-3\): status=Stopped' target/service-2.out
 # all 7 surviving tenants finish their full budget after the restart
@@ -280,5 +289,17 @@ if grep -rnE "$codec_dead" crates/ scripts/ README.md DESIGN.md; then
 fi
 [[ "$(sed -n '/^pub enum Codec {/,/^}/p' crates/cluster/src/proto.rs |
   grep -cE '^    [A-Z][A-Za-z]*,$')" -eq 1 ]]
+
+step "one durable log (no WAL rewrite, no legacy blob reader, no side formats)"
+# persist.rs has one line format, one writer that only appends
+# (WalWriter::create / WalWriter::open) and one reader
+# (RunSnapshot::load); the service's sidecar is the only other file
+# (DESIGN.md §9.3, §17.3).
+# (The quote pairs keep this file from matching its own patterns.)
+log_dead='create''_from|replace''_wal|staging''_path|Checkpoint''::|Run''Record'
+log_dead+='|single-''blob|legacy blob ''parser|blob_snapshot_still''_loads'
+if grep -rnE "$log_dead" crates/ examples/ README.md DESIGN.md; then
+  exit 1
+fi
 
 step "OK"

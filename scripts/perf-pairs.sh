@@ -4,8 +4,8 @@
 #
 #   scripts/perf-pairs.sh BASE_REF WORKLOAD [PAIRS=10] [SECONDS=10]
 #
-# Builds the `perf` harness twice — at BASE_REF (a detached `git
-# worktree` under target/perf-pairs/, with its own --target-dir) and at
+# Builds the `perf` harness twice — at BASE_REF (a `git archive` of it
+# unpacked under target/perf-pairs/, with its own --target-dir) and at
 # the working tree — then runs the two binaries PAIRS times each on the
 # same fresh seeds, flipping which one goes first every pair so neither
 # side always gets the warmer (or the noisier) half of a pair. For every
@@ -35,12 +35,9 @@ base_src=$work/base-src
 mkdir -p "$work/bin" "$work/run"
 
 base_rev=$(git rev-parse --verify "$base_ref^{commit}")
-if [[ -e $base_src/.git ]]; then
-  git -C "$base_src" checkout --quiet --detach "$base_rev"
-else
-  git worktree prune
-  git worktree add --quiet --detach "$base_src" "$base_rev"
-fi
+rm -rf "$base_src"
+mkdir -p "$base_src"
+git archive "$base_rev" | tar -x -C "$base_src"
 
 echo "== building perf at $base_ref (${base_rev:0:7})" >&2
 cargo build --release --quiet --offline \
