@@ -17,7 +17,8 @@
 //! socket (plus a wake-up socket the redialer threads ring) until a
 //! frame, a hang-up or the earliest lease deadline arrives; `poll` makes
 //! the substrate Unix-only. Everything the driver sends a worker goes
-//! through that connection's out-buffer,
+//! through that connection's out-buffer — a job is encoded straight into
+//! it, with no `Value` tree in between —
 //! written at once when the worker is idle and otherwise with one
 //! `write_all` at the top of the next
 //! [`drain_completions`](TcpCluster::drain_completions) (DESIGN.md
@@ -71,6 +72,12 @@
 //!   acknowledges each queued-but-unrun dispatch with a `Cancel` frame.
 //!   The driver reclaims the job immediately as an orphan
 //!   (`net.cancel_acks`) instead of waiting for the disconnect or lease.
+//! - **Oversized frames**: a job whose `Dispatch` frame would exceed
+//!   [`proto::MAX_FRAME`] is never written; it completes at once as
+//!   [`JobStatus::Errored`] (`net.oversized_dispatches`). A worker whose
+//!   evaluation output is too large for a `Result` frame answers
+//!   `Errored` with no output instead. Either way one job fails, and
+//!   the connection lives on.
 //!
 //! Orphaned jobs hold no capacity slot, exactly like the other
 //! substrates, so the retry policy can re-dispatch them to surviving
@@ -109,7 +116,8 @@
 //! With a handle attached ([`TcpCluster::set_telemetry`]) the driver
 //! emits `net.*` counters (`dispatches`, `results`, `stale_results`,
 //! `heartbeats`, `cancels`, `cancel_acks`, `disconnects`, `read_errors`,
-//! `protocol_violations`, `bad_outputs`, `reconnects`, `redial_gaveup`), latency
+//! `protocol_violations`, `bad_outputs`, `oversized_dispatches`,
+//! `reconnects`, `redial_gaveup`), latency
 //! histograms (`net.job_rtt_ms` dispatch→result, `net.heartbeat_gap_ms`
 //! between liveness signals, `net.batch_size` dispatches per scheduler
 //! round), per-worker completion gauges, and the same
@@ -297,11 +305,13 @@ struct WorkerConn<J> {
 }
 
 impl<J> WorkerConn<J> {
-    /// Appends `frame` to the out-buffer. Every driver→worker frame
-    /// (`Dispatch`, `Cancel`, `Shutdown`) takes this path, so the bytes
-    /// reach the wire in the order the frames were produced.
-    fn enqueue(&mut self, enc: &mut FrameEncoder, frame: &Frame) {
-        self.out.extend_from_slice(enc.encode(frame));
+    /// Appends a `Cancel` or `Shutdown` to the out-buffer, behind any
+    /// dispatches already there; `submit` appends each `Dispatch` to the
+    /// same buffer, so the bytes reach the wire in the order the frames
+    /// were produced.
+    fn enqueue(&mut self, frame: &Frame) {
+        // A Cancel or Shutdown is a few bytes: it always fits MAX_FRAME.
+        let _ = proto::append_frame(&mut self.out, frame);
     }
 
     /// Writes everything buffered with one `write_all`.
@@ -334,10 +344,9 @@ pub struct TcpCluster<J, O> {
     in_flight: usize,
     /// Total slots across live workers.
     capacity: usize,
-    /// Ready-to-surface orphan results, drained before anything else.
+    /// Completions decided on the driver side, drained before anything
+    /// else: orphans, and jobs too large to dispatch.
     orphans: VecDeque<PoolResult<J, O>>,
-    /// Shared encode scratch buffer for every outgoing frame.
-    enc: FrameEncoder,
     /// Dispatches since the last drain, recorded into the
     /// `net.batch_size` histogram.
     batch: u64,
@@ -440,7 +449,6 @@ where
             in_flight: 0,
             capacity,
             orphans: VecDeque::new(),
-            enc: FrameEncoder::new(Codec::Binary),
             batch: 0,
             telemetry: TelemetryHandle::disabled(),
             joins_emitted: false,
@@ -506,10 +514,16 @@ where
     /// / [`next_completion`](Self::next_completion) — that is, always
     /// before the driver can block.
     ///
+    /// The job is written straight into the connection's out-buffer
+    /// ([`proto::append_dispatch`]); no `Value` tree is built for it.
+    ///
     /// If a write fails the connection is dead: the submit still
     /// succeeds and the job (plus anything else pending there) surfaces
     /// as [`JobStatus::Orphaned`] (mirroring a dispatch onto a crashing
-    /// worker in the other substrates).
+    /// worker in the other substrates). A job whose frame would exceed
+    /// [`proto::MAX_FRAME`] is not written at all: the submit succeeds
+    /// and the job surfaces as [`JobStatus::Errored`], so the caller's
+    /// retry policy decides its fate like any failed evaluation.
     pub fn submit(&mut self, job: J) -> Result<(), ClusterError> {
         let idx = self
             .workers
@@ -520,11 +534,19 @@ where
             .map(|(i, _)| i)
             .ok_or(ClusterError::NoIdleWorker)?;
         let job_id = self.next_job_id;
-        self.next_job_id += 1;
-        let payload = serde_json::to_value(&job);
-        let w = &self.workers[idx];
+        let w = &mut self.workers[idx];
         let idle = w.pending.is_empty() && w.out.is_empty();
-        self.workers[idx].enqueue(&mut self.enc, &Frame::Dispatch { job_id, payload });
+        if proto::append_dispatch(&mut w.out, job_id, &job).is_err() {
+            self.telemetry.counter_add("net.oversized_dispatches", 1);
+            self.orphans.push_back(PoolResult {
+                job,
+                output: None,
+                status: JobStatus::Errored,
+                worker: idx,
+            });
+            return Ok(());
+        }
+        self.next_job_id += 1;
         if idle && self.workers[idx].flush().is_err() {
             self.kill_and_orphan(idx);
             self.maybe_spawn_redialer(idx);
@@ -786,7 +808,7 @@ where
     fn expire_lease(&mut self, idx: usize) {
         let ids: Vec<u64> = self.workers[idx].pending.iter().map(|p| p.job_id).collect();
         for job_id in ids {
-            self.workers[idx].enqueue(&mut self.enc, &Frame::Cancel { job_id });
+            self.workers[idx].enqueue(&Frame::Cancel { job_id });
             self.telemetry.counter_add("net.cancels", 1);
         }
         let _ = self.workers[idx].flush();
@@ -982,7 +1004,7 @@ impl<J, O> Drop for TcpCluster<J, O> {
                 // Polite goodbye — behind whatever dispatches are still
                 // buffered, through the same out-buffer — then force the
                 // socket down either way.
-                w.enqueue(&mut self.enc, &Frame::Shutdown);
+                w.enqueue(&Frame::Shutdown);
                 let _ = w.flush();
                 let _ = w.stream.shutdown(SockShutdown::Both);
             }
@@ -1204,8 +1226,9 @@ struct FrameWriter {
 }
 
 impl FrameWriter {
+    /// Writes `frame`, or nothing when it is [`ProtoError::Oversized`].
     fn write(&mut self, frame: &Frame) -> Result<(), ProtoError> {
-        let buf = self.enc.encode(frame);
+        let buf = self.enc.try_encode(frame)?;
         self.stream.write_all(buf).map_err(ProtoError::from)
     }
 }
@@ -1414,7 +1437,26 @@ fn session_loop(
             status,
             output,
         };
-        if write_locked(writer, &frame).is_err() {
+        let written = match write_locked(writer, &frame) {
+            // An output too large for one frame fails this job, not the
+            // session: the driver gets a plain failure with no output.
+            Err(ProtoError::Oversized { len }) => {
+                eprintln!(
+                    "hypertune-worker: result of job {job_id} is {len} bytes, over the frame \
+                     limit; reporting it Errored"
+                );
+                write_locked(
+                    writer,
+                    &Frame::Result {
+                        job_id,
+                        status: JobStatus::Errored,
+                        output: Value::Null,
+                    },
+                )
+            }
+            other => other,
+        };
+        if written.is_err() {
             // The driver hung up mid-evaluation; not this worker's fault.
             return Ok(());
         }
@@ -2519,6 +2561,181 @@ mod tests {
         cluster.submit(4).unwrap();
         let r = cluster.next_completion().unwrap();
         assert_eq!(r.status, JobStatus::Succeeded, "the worker survived");
+        assert_eq!(r.output, Some(8));
+        drop(cluster);
+        h.join().unwrap().unwrap();
+    }
+
+    /// A hand-rolled worker that acks `slots` and records every byte the
+    /// driver sends after its `Hello`, until the driver hangs up.
+    fn spawn_recorder(slots: usize) -> (String, JoinHandle<Vec<u8>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let handle = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let _ = proto::read_frame(&mut s).unwrap(); // Hello
+            let ack = Frame::HelloAck {
+                slots,
+                error: None,
+                epoch: None,
+            };
+            proto::write_frame(&mut s, &ack).unwrap();
+            let mut wire = Vec::new();
+            s.read_to_end(&mut wire).unwrap();
+            wire
+        });
+        (addr, handle)
+    }
+
+    // The shape of the service's `ServiceJob`, which this crate cannot
+    // name: nested structs, an optional field, and a config that is an
+    // array of one-key variant objects.
+    #[derive(serde::Serialize)]
+    enum Param {
+        Float(f64),
+        Int(i64),
+        Cat(usize),
+    }
+
+    #[derive(serde::Serialize)]
+    struct Config {
+        values: Vec<Param>,
+    }
+
+    #[derive(serde::Serialize)]
+    struct Spec {
+        config: Config,
+        level: usize,
+        resource: f64,
+        bracket: Option<usize>,
+        id: u64,
+    }
+
+    #[derive(serde::Serialize)]
+    struct Trial {
+        spec: Spec,
+        attempt: usize,
+    }
+
+    #[derive(serde::Serialize)]
+    struct ServiceShapedJob {
+        study: u64,
+        bench: String,
+        bench_seed: u64,
+        job: Trial,
+    }
+
+    fn service_shaped_job(i: u64) -> ServiceShapedJob {
+        let floats = [0.25, -0.0, f64::NAN, f64::INFINITY, 1e-300];
+        let values = (0..i as usize * 3)
+            .map(|k| match k % 3 {
+                0 => Param::Float(floats[k % floats.len()]),
+                1 => Param::Int(-(k as i64) * 1000),
+                _ => Param::Cat(k),
+            })
+            .collect();
+        ServiceShapedJob {
+            study: i,
+            bench: ["counting-ones", "", "é\"x\n"][i as usize % 3].to_string(),
+            bench_seed: u64::MAX - i,
+            job: Trial {
+                spec: Spec {
+                    config: Config { values },
+                    level: i as usize,
+                    resource: if i == 2 {
+                        f64::NAN
+                    } else {
+                        3f64.powi(i as i32)
+                    },
+                    bracket: (i % 2 == 1).then_some(i as usize),
+                    id: i * 7,
+                },
+                attempt: i as usize % 2,
+            },
+        }
+    }
+
+    #[test]
+    fn submit_writes_the_frames_of_the_jobs_value_trees() {
+        // Jobs are written straight into the out-buffer; the bytes must
+        // be the frames of their `Value` trees, then the goodbye.
+        let jobs: Vec<ServiceShapedJob> = (0..5).map(service_shaped_job).collect();
+        let mut expected = Vec::new();
+        for (job_id, job) in jobs.iter().enumerate() {
+            expected.extend_from_slice(&proto::encode_frame(&Frame::Dispatch {
+                job_id: job_id as u64,
+                payload: job.to_value(),
+            }));
+        }
+        expected.extend_from_slice(&proto::encode_frame(&Frame::Shutdown));
+        let (addr, h) = spawn_recorder(jobs.len());
+        let mut cluster: TcpCluster<ServiceShapedJob, Value> =
+            TcpCluster::connect(&[addr], json!(null), TcpClusterOptions::default()).unwrap();
+        for job in jobs {
+            cluster.submit(job).unwrap();
+        }
+        drop(cluster);
+        assert_eq!(h.join().unwrap(), expected);
+    }
+
+    #[test]
+    fn an_oversized_dispatch_fails_its_job_and_writes_nothing() {
+        let (addr, h) = spawn_recorder(2);
+        let mut cluster: TcpCluster<String, Value> =
+            TcpCluster::connect(&[addr], json!(null), TcpClusterOptions::default()).unwrap();
+        let big = "x".repeat(proto::MAX_FRAME + 1);
+        cluster.submit(big.clone()).unwrap();
+        assert_eq!(cluster.in_flight(), 0, "the refused job holds no slot");
+        let r = cluster.next_completion().unwrap();
+        assert_eq!(r.status, JobStatus::Errored);
+        assert_eq!(r.output, None);
+        assert_eq!(r.job, big);
+        cluster.submit("small".to_string()).unwrap();
+        assert_eq!(cluster.in_flight(), 1, "the connection lives on");
+        drop(cluster);
+        let mut expected = proto::encode_frame(&Frame::Dispatch {
+            job_id: 0,
+            payload: json!("small"),
+        });
+        expected.extend_from_slice(&proto::encode_frame(&Frame::Shutdown));
+        assert_eq!(
+            h.join().unwrap(),
+            expected,
+            "not one byte of the refused job"
+        );
+    }
+
+    #[test]
+    fn an_oversized_result_fails_its_job_not_the_session() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let opts = WorkerOptions {
+            heartbeat_interval: Duration::from_millis(20),
+            once: true,
+            ..WorkerOptions::default()
+        };
+        let h = std::thread::spawn(move || {
+            serve_worker(listener, opts, |_| {
+                Ok(
+                    Box::new(|payload: &Value| match payload.as_u64().unwrap_or(0) {
+                        1 => (
+                            JobStatus::Succeeded,
+                            json!("y".repeat(proto::MAX_FRAME + 1)),
+                        ),
+                        x => (JobStatus::Succeeded, json!(x * 2)),
+                    }) as EvalFn,
+                )
+            })
+        });
+        let mut cluster: TcpCluster<u64, u64> =
+            TcpCluster::connect(&[addr], json!(null), TcpClusterOptions::default()).unwrap();
+        cluster.submit(1).unwrap();
+        let r = cluster.next_completion().unwrap();
+        assert_eq!(r.status, JobStatus::Errored, "too large to send = errored");
+        assert_eq!(r.output, None);
+        cluster.submit(4).unwrap();
+        let r = cluster.next_completion().unwrap();
+        assert_eq!(r.status, JobStatus::Succeeded, "the session survived");
         assert_eq!(r.output, Some(8));
         drop(cluster);
         h.join().unwrap().unwrap();

@@ -47,22 +47,29 @@
 //! opt_u64  := 0x00 | 0x01 varint
 //! status   := u8 — 0 Succeeded · 1 Crashed · 2 Errored · 3 TimedOut
 //!                  4 Orphaned · 5 Corrupt
-//! value    := 0x00                          null
+//! value    := serde::bin's grammar, whose module defines the tags:
+//!             0x00                          null
 //!           | 0x01 | 0x02                   false | true
 //!           | 0x03 varint                   non-negative integer
 //!           | 0x04 varint(zigzag)           negative integer
 //!           | 0x05 f64-le                   float
 //!           | 0x06 string                   string
 //!           | 0x07 varint(n) value×n        array (generic)
-//!           | 0x08 varint(n) f64-le×n       array of floats (fast path)
-//!           | 0x09 varint(n) (string value)×n  object, keys in map order
+//!           | 0x08 varint(n) f64-le×n       array of floats
+//!           | 0x09 varint(n) (string value)×n  object, keys sorted
 //! ```
 //!
-//! Tag `0x08` is the hot path for configs and results: a non-empty array
-//! whose elements are all floats is shipped as raw little-endian `f64`
-//! words, no per-element tags. Decoding reconstructs the identical
-//! `Value` tree, so the two array encodings are interchangeable on the
-//! wire and bit-identical after decode.
+//! Tag `0x08` ships a non-empty array whose elements are all floats as
+//! raw little-endian `f64` words, with no per-element tags; decoding
+//! rebuilds the same `Value` tree from either array tag. Real payloads
+//! seldom take it. A dispatched config is `{"values":[{"Float":x},
+//! {"Cat":i},…]}`, an array of one-key objects, and an `Eval` is an
+//! object of three floats. So a dispatch is mostly object headers, keys
+//! and tagged scalars. The counting-ones `ServiceJob` that the
+//! benchmark's service workloads dispatch (8 continuous and 8
+//! categorical parameters) is a frame of 318 bytes on average over a
+//! traced `svc_sched_bound` run, and holds no float array at all: its 8
+//! floats ride as 8 one-key objects.
 //!
 //! Every field is required: a payload that ends early, or carries bytes
 //! past its last field, is `Garbage`. The golden frames in this module's
@@ -80,14 +87,21 @@
 //! | [`Frame::Heartbeat`] | worker → driver | liveness beacon, sent every heartbeat interval — including *while evaluating* |
 //! | [`Frame::Shutdown`] | driver → worker | end of session; the worker drains its queue and closes the connection |
 //!
-//! Payloads ride as [`serde::Value`] trees so the protocol stays
-//! non-generic: the driver serializes the job type it owns, the worker
-//! deserializes into whatever its evaluator accepts, and a frame never
-//! needs to know either concrete type.
+//! A [`Frame`] carries [`serde::Value`] payloads, so the protocol stays
+//! non-generic. The driver builds no such tree for a job:
+//! [`append_dispatch`] writes the job type it owns straight into the
+//! connection's out-buffer through `Serialize::write_bin`, byte for byte
+//! the frame of the job's `to_value()`. The worker, and the driver's
+//! result path, decode a payload into a `Value` and deserialize from it.
+//!
+//! A frame whose body would exceed [`MAX_FRAME`] is never written: the
+//! encoder returns [`ProtoError::Oversized`] and appends nothing, and
+//! the caller fails that one job (see `net`).
 
 use std::io::{Read, Write};
 
-use serde::{Number, Value};
+use serde::bin::{self, Reader};
+use serde::{Serialize, Value};
 
 use crate::sim::JobStatus;
 
@@ -106,10 +120,6 @@ pub const MAX_FRAME: usize = 1 << 20;
 /// `HelloAck`. The driver sizes per-connection buffers from that count,
 /// so a larger one is refused as `Garbage` instead of trusted.
 pub const MAX_SLOTS: usize = 1024;
-
-/// Nesting depth limit for binary `value` decoding, so a malicious peer
-/// cannot overflow the stack with a deeply nested array/object tree.
-const MAX_VALUE_DEPTH: usize = 128;
 
 /// The argument of [`FrameEncoder::new`]. The wire has one payload
 /// encoding, so this type has one variant; it remains only because the
@@ -243,223 +253,14 @@ impl From<std::io::Error> for ProtoError {
     }
 }
 
+impl From<serde::Error> for ProtoError {
+    fn from(e: serde::Error) -> Self {
+        ProtoError::Garbage(e.to_string())
+    }
+}
+
 fn garbage(msg: impl Into<String>) -> ProtoError {
     ProtoError::Garbage(msg.into())
-}
-
-// ---------------------------------------------------------------------------
-// Binary primitives
-// ---------------------------------------------------------------------------
-
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Cursor over a fully-read binary frame body. All reads are
-/// bounds-checked: running off the end is `Garbage`, never a panic —
-/// the outer length prefix already guaranteed the body arrived intact,
-/// so an interior overrun means a malformed payload, not a torn write.
-struct BinReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> BinReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        BinReader { buf, pos: 0 }
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or_else(|| garbage("binary payload ends mid-field"))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| garbage("binary payload ends mid-field"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn varint(&mut self) -> Result<u64, ProtoError> {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let byte = self.u8()?;
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                if shift == 63 && byte > 1 {
-                    return Err(garbage("varint overflows u64"));
-                }
-                return Ok(v);
-            }
-        }
-        Err(garbage("varint longer than 10 bytes"))
-    }
-
-    fn len(&mut self) -> Result<usize, ProtoError> {
-        let v = self.varint()?;
-        // A length can never exceed the bytes remaining in the body, and
-        // bounding it here keeps a corrupt varint from pre-allocating.
-        if v > (self.buf.len() - self.pos) as u64 {
-            return Err(garbage("binary length field exceeds payload"));
-        }
-        Ok(v as usize)
-    }
-
-    fn f64(&mut self) -> Result<f64, ProtoError> {
-        let raw = self.bytes(8)?;
-        Ok(f64::from_le_bytes(raw.try_into().expect("8-byte slice")))
-    }
-
-    fn string(&mut self) -> Result<String, ProtoError> {
-        let n = self.len()?;
-        let raw = self.bytes(n)?;
-        std::str::from_utf8(raw)
-            .map(str::to_string)
-            .map_err(|_| garbage("binary string is not UTF-8"))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
-const VAL_NULL: u8 = 0x00;
-const VAL_FALSE: u8 = 0x01;
-const VAL_TRUE: u8 = 0x02;
-const VAL_POS_INT: u8 = 0x03;
-const VAL_NEG_INT: u8 = 0x04;
-const VAL_FLOAT: u8 = 0x05;
-const VAL_STRING: u8 = 0x06;
-const VAL_ARRAY: u8 = 0x07;
-const VAL_F64_ARRAY: u8 = 0x08;
-const VAL_OBJECT: u8 = 0x09;
-
-fn put_string(buf: &mut Vec<u8>, s: &str) {
-    put_varint(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// `true` when every element is a float, so the array qualifies for the
-/// raw-`f64` fast path (tag 0x08). Empty arrays take the generic tag.
-fn all_floats(items: &[Value]) -> bool {
-    !items.is_empty()
-        && items
-            .iter()
-            .all(|v| matches!(v, Value::Number(Number::Float(_))))
-}
-
-fn put_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => buf.push(VAL_NULL),
-        Value::Bool(false) => buf.push(VAL_FALSE),
-        Value::Bool(true) => buf.push(VAL_TRUE),
-        Value::Number(Number::PosInt(n)) => {
-            buf.push(VAL_POS_INT);
-            put_varint(buf, *n);
-        }
-        Value::Number(Number::NegInt(n)) => {
-            buf.push(VAL_NEG_INT);
-            put_varint(buf, zigzag(*n));
-        }
-        Value::Number(Number::Float(f)) => {
-            buf.push(VAL_FLOAT);
-            buf.extend_from_slice(&f.to_le_bytes());
-        }
-        Value::String(s) => {
-            buf.push(VAL_STRING);
-            put_string(buf, s);
-        }
-        Value::Array(items) if all_floats(items) => {
-            buf.push(VAL_F64_ARRAY);
-            put_varint(buf, items.len() as u64);
-            for item in items {
-                if let Value::Number(Number::Float(f)) = item {
-                    buf.extend_from_slice(&f.to_le_bytes());
-                }
-            }
-        }
-        Value::Array(items) => {
-            buf.push(VAL_ARRAY);
-            put_varint(buf, items.len() as u64);
-            for item in items {
-                put_value(buf, item);
-            }
-        }
-        Value::Object(map) => {
-            buf.push(VAL_OBJECT);
-            put_varint(buf, map.len() as u64);
-            for (k, val) in map {
-                put_string(buf, k);
-                put_value(buf, val);
-            }
-        }
-    }
-}
-
-fn get_value(r: &mut BinReader<'_>, depth: usize) -> Result<Value, ProtoError> {
-    if depth > MAX_VALUE_DEPTH {
-        return Err(garbage("binary value nests too deeply"));
-    }
-    match r.u8()? {
-        VAL_NULL => Ok(Value::Null),
-        VAL_FALSE => Ok(Value::Bool(false)),
-        VAL_TRUE => Ok(Value::Bool(true)),
-        VAL_POS_INT => Ok(Value::Number(Number::PosInt(r.varint()?))),
-        VAL_NEG_INT => Ok(Value::Number(Number::NegInt(unzigzag(r.varint()?)))),
-        VAL_FLOAT => Ok(Value::Number(Number::Float(r.f64()?))),
-        VAL_STRING => Ok(Value::String(r.string()?)),
-        VAL_ARRAY => {
-            let n = r.len()?;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(get_value(r, depth + 1)?);
-            }
-            Ok(Value::Array(items))
-        }
-        VAL_F64_ARRAY => {
-            let n = r.len()?;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(Value::Number(Number::Float(r.f64()?)));
-            }
-            Ok(Value::Array(items))
-        }
-        VAL_OBJECT => {
-            let n = r.len()?;
-            let mut map = serde::Map::new();
-            for _ in 0..n {
-                let k = r.string()?;
-                map.insert(k, get_value(r, depth + 1)?);
-            }
-            Ok(Value::Object(map))
-        }
-        tag => Err(garbage(format!("unknown binary value tag {tag:#04x}"))),
-    }
 }
 
 const TAG_HELLO: u8 = 0;
@@ -493,11 +294,19 @@ fn status_from_byte(b: u8) -> Result<JobStatus, ProtoError> {
     })
 }
 
+/// The payload of a `Dispatch` frame: every one, whether its job comes
+/// as a [`Value`] or as the driver's own job type, is written here.
+fn put_dispatch<T: Serialize + ?Sized>(buf: &mut Vec<u8>, job_id: u64, payload: &T) {
+    buf.push(TAG_DISPATCH);
+    bin::put_varint(buf, job_id);
+    payload.write_bin(buf);
+}
+
 fn put_payload(buf: &mut Vec<u8>, frame: &Frame) {
     match frame {
         Frame::Hello { payload } => {
             buf.push(TAG_HELLO);
-            put_value(buf, payload);
+            payload.write_bin(buf);
         }
         Frame::HelloAck {
             slots,
@@ -505,54 +314,50 @@ fn put_payload(buf: &mut Vec<u8>, frame: &Frame) {
             epoch,
         } => {
             buf.push(TAG_HELLO_ACK);
-            put_varint(buf, *slots as u64);
+            bin::put_varint(buf, *slots as u64);
             match error {
                 None => buf.push(0),
                 Some(reason) => {
                     buf.push(1);
-                    put_string(buf, reason);
+                    bin::put_str(buf, reason);
                 }
             }
             match epoch {
                 None => buf.push(0),
                 Some(e) => {
                     buf.push(1);
-                    put_varint(buf, *e);
+                    bin::put_varint(buf, *e);
                 }
             }
         }
-        Frame::Dispatch { job_id, payload } => {
-            buf.push(TAG_DISPATCH);
-            put_varint(buf, *job_id);
-            put_value(buf, payload);
-        }
+        Frame::Dispatch { job_id, payload } => put_dispatch(buf, *job_id, payload),
         Frame::Result {
             job_id,
             status,
             output,
         } => {
             buf.push(TAG_RESULT);
-            put_varint(buf, *job_id);
+            bin::put_varint(buf, *job_id);
             buf.push(status_to_byte(*status));
-            put_value(buf, output);
+            output.write_bin(buf);
         }
         Frame::Cancel { job_id } => {
             buf.push(TAG_CANCEL);
-            put_varint(buf, *job_id);
+            bin::put_varint(buf, *job_id);
         }
         Frame::Heartbeat { seq } => {
             buf.push(TAG_HEARTBEAT);
-            put_varint(buf, *seq);
+            bin::put_varint(buf, *seq);
         }
         Frame::Shutdown => buf.push(TAG_SHUTDOWN),
     }
 }
 
 fn decode_payload(payload: &[u8]) -> Result<Frame, ProtoError> {
-    let mut r = BinReader::new(payload);
+    let mut r = Reader::new(payload);
     let frame = match r.u8()? {
         TAG_HELLO => Frame::Hello {
-            payload: get_value(&mut r, 0)?,
+            payload: r.value()?,
         },
         TAG_HELLO_ACK => {
             let slots = r.varint()? as usize;
@@ -574,12 +379,12 @@ fn decode_payload(payload: &[u8]) -> Result<Frame, ProtoError> {
         }
         TAG_DISPATCH => Frame::Dispatch {
             job_id: r.varint()?,
-            payload: get_value(&mut r, 0)?,
+            payload: r.value()?,
         },
         TAG_RESULT => Frame::Result {
             job_id: r.varint()?,
             status: status_from_byte(r.u8()?)?,
-            output: get_value(&mut r, 0)?,
+            output: r.value()?,
         },
         TAG_CANCEL => Frame::Cancel {
             job_id: r.varint()?,
@@ -597,6 +402,42 @@ fn decode_payload(payload: &[u8]) -> Result<Frame, ProtoError> {
 // ---------------------------------------------------------------------------
 // Encoder / decoder with reusable scratch buffers
 // ---------------------------------------------------------------------------
+
+/// Appends one frame to `out`: length prefix, version byte, then what
+/// `payload` writes. A body over [`MAX_FRAME`] is
+/// [`ProtoError::Oversized`] and leaves `out` as it was.
+fn append(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) -> Result<(), ProtoError> {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; 4]);
+    out.push(WIRE_VERSION);
+    payload(out);
+    let len = out.len() - start - 4;
+    if len > MAX_FRAME {
+        out.truncate(start);
+        out.shrink_to(start);
+        return Err(ProtoError::Oversized { len });
+    }
+    out[start..start + 4].copy_from_slice(&(len as u32).to_be_bytes());
+    Ok(())
+}
+
+/// Appends the full wire bytes of `frame` to `out`; on
+/// [`ProtoError::Oversized`] nothing is appended.
+pub(crate) fn append_frame(out: &mut Vec<u8>, frame: &Frame) -> Result<(), ProtoError> {
+    append(out, |buf| put_payload(buf, frame))
+}
+
+/// Appends the `Dispatch` frame of job `job_id` to `out`, writing
+/// `payload` straight into it with no [`Value`] in between: byte for
+/// byte the frame of `Frame::Dispatch` with `payload.to_value()`. On
+/// [`ProtoError::Oversized`] nothing is appended.
+pub fn append_dispatch<T: Serialize + ?Sized>(
+    out: &mut Vec<u8>,
+    job_id: u64,
+    payload: &T,
+) -> Result<(), ProtoError> {
+    append(out, |buf| put_dispatch(buf, job_id, payload))
+}
 
 /// Encodes frames into a reused scratch buffer, so steady-state framing
 /// is allocation-free. One encoder per connection write half: encoding
@@ -617,22 +458,31 @@ impl FrameEncoder {
     }
 
     /// Encodes `frame` into the scratch buffer and returns the full wire
-    /// bytes (length prefix included), valid until the next call.
-    pub fn encode(&mut self, frame: &Frame) -> &[u8] {
+    /// bytes (length prefix included), valid until the next call; a body
+    /// over [`MAX_FRAME`] is [`ProtoError::Oversized`].
+    pub fn try_encode(&mut self, frame: &Frame) -> Result<&[u8], ProtoError> {
         self.buf.clear();
-        self.buf.extend_from_slice(&[0u8; 4]);
-        self.buf.push(WIRE_VERSION);
-        put_payload(&mut self.buf, frame);
-        let body_len = self.buf.len() - 4;
-        assert!(body_len <= MAX_FRAME, "frame exceeds MAX_FRAME");
-        self.buf[..4].copy_from_slice(&(body_len as u32).to_be_bytes());
-        &self.buf
+        append_frame(&mut self.buf, frame)?;
+        Ok(&self.buf)
+    }
+
+    /// [`try_encode`](Self::try_encode) for a frame known to fit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame's body exceeds [`MAX_FRAME`]. Frames whose
+    /// size depends on a job or an evaluation go through `try_encode` or
+    /// [`append_dispatch`].
+    pub fn encode(&mut self, frame: &Frame) -> &[u8] {
+        match self.try_encode(frame) {
+            Ok(bytes) => bytes,
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// Encodes `frame` and writes it to `w` as a single `write_all`.
     pub fn write_to<W: Write>(&mut self, w: &mut W, frame: &Frame) -> Result<(), ProtoError> {
-        self.encode(frame);
-        w.write_all(&self.buf)?;
+        w.write_all(self.try_encode(frame)?)?;
         Ok(())
     }
 }
@@ -814,6 +664,11 @@ impl FrameDecoder {
 /// Encodes one frame into its full wire representation (length prefix
 /// included), ready for a single `write_all`. Allocates a fresh buffer;
 /// steady-state paths hold a [`FrameEncoder`] instead.
+///
+/// # Panics
+///
+/// Panics, like [`FrameEncoder::encode`], if the body exceeds
+/// [`MAX_FRAME`].
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     let mut enc = FrameEncoder::new(Codec::Binary);
     enc.encode(frame);
@@ -821,9 +676,12 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 }
 
 /// Writes one frame to `w` (single `write_all`), allocating like
-/// [`encode_frame`].
+/// [`encode_frame`]; a body over [`MAX_FRAME`] writes nothing and is
+/// [`ProtoError::Oversized`].
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), ProtoError> {
-    w.write_all(&encode_frame(frame))?;
+    let mut buf = Vec::new();
+    append_frame(&mut buf, frame)?;
+    w.write_all(&buf)?;
     Ok(())
 }
 
@@ -839,6 +697,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use serde::Number;
     use serde_json::json;
     use std::io::Cursor;
 
@@ -1493,6 +1352,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn an_oversized_frame_is_an_error_and_appends_nothing() {
+        let payload = Value::String("z".repeat(MAX_FRAME));
+        let mut out = encode_frame(&Frame::Shutdown);
+        let before = out.clone();
+        let err = append_dispatch(&mut out, 1, &payload).unwrap_err();
+        assert!(matches!(err, ProtoError::Oversized { len } if len > MAX_FRAME));
+        assert_eq!(out, before, "nothing appended");
+        let frame = Frame::Result {
+            job_id: 1,
+            status: JobStatus::Succeeded,
+            output: payload,
+        };
+        let mut enc = FrameEncoder::new(Codec::Binary);
+        assert!(matches!(
+            enc.try_encode(&frame),
+            Err(ProtoError::Oversized { .. })
+        ));
+        let mut sink = Vec::new();
+        assert!(write_frame(&mut sink, &frame).is_err());
+        assert!(sink.is_empty(), "nothing written");
+        // The encoder is fine afterwards.
+        assert_eq!(enc.try_encode(&Frame::Shutdown).unwrap(), &before[..]);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! [`Deserialize`] reads back out of one. [`Serialize::write_json`]
 //! prints the compact JSON text of that tree without building it; the
 //! derive and the impls here override it, a hand-written impl inherits a
-//! default that renders [`Serialize::to_value`]. The `serde_json` shim
+//! default that renders [`Serialize::to_value`]. [`Serialize::write_bin`]
+//! is the same for the compact binary grammar of [`bin`], the encoding
+//! of every wire frame's payload. The `serde_json` shim
 //! supplies the rest of the text layer (pretty-printing, parsing,
 //! `json!`). Derive macros compatible
 //! with `#[derive(Serialize, Deserialize)]` and `#[serde(skip)]` come
@@ -17,6 +19,8 @@ use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
 pub use serde_derive::{Deserialize, Serialize};
+
+pub mod bin;
 
 /// JSON object representation (sorted keys, like default `serde_json`).
 pub type Map = BTreeMap<String, Value>;
@@ -255,6 +259,24 @@ pub trait Serialize {
     fn write_json(&self, out: &mut String) {
         self.to_value().write_json(out);
     }
+
+    /// Appends the [`bin`] encoding of `self` to `out`: byte for byte
+    /// what [`Serialize::to_value`]'s `write_bin` gives. Override it (and
+    /// [`Serialize::bin_float`]) to skip the tree; an override that
+    /// writes anything else is a bug.
+    fn write_bin(&self, out: &mut Vec<u8>) {
+        self.to_value().write_bin(out);
+    }
+
+    /// `Some(x)` exactly when [`Serialize::to_value`] is the float `x`.
+    /// [`bin::write_seq`] asks every element, to choose the raw-`f64`
+    /// array tag.
+    fn bin_float(&self) -> Option<f64> {
+        match self.to_value() {
+            Value::Number(Number::Float(f)) => Some(f),
+            _ => None,
+        }
+    }
 }
 
 /// Reconstructs a value from the JSON [`Value`] tree.
@@ -270,6 +292,14 @@ impl<T: Serialize + ?Sized> Serialize for &T {
 
     fn write_json(&self, out: &mut String) {
         (**self).write_json(out);
+    }
+
+    fn write_bin(&self, out: &mut Vec<u8>) {
+        (**self).write_bin(out);
+    }
+
+    fn bin_float(&self) -> Option<f64> {
+        (**self).bin_float()
     }
 }
 
@@ -301,6 +331,41 @@ impl Serialize for Value {
             }
         }
     }
+
+    fn write_bin(&self, out: &mut Vec<u8>) {
+        match self {
+            Value::Null => out.push(bin::NULL),
+            Value::Bool(b) => b.write_bin(out),
+            Value::Number(Number::PosInt(n)) => {
+                out.push(bin::POS_INT);
+                bin::put_varint(out, *n);
+            }
+            Value::Number(Number::NegInt(n)) => {
+                out.push(bin::NEG_INT);
+                bin::put_varint(out, bin::zigzag(*n));
+            }
+            Value::Number(Number::Float(f)) => {
+                out.push(bin::FLOAT);
+                out.extend_from_slice(&f.to_le_bytes());
+            }
+            Value::String(s) => s.write_bin(out),
+            Value::Array(items) => bin::write_seq(out, items),
+            Value::Object(m) => {
+                bin::put_object(out, m.len());
+                for (k, v) in m {
+                    bin::put_str(out, k);
+                    v.write_bin(out);
+                }
+            }
+        }
+    }
+
+    fn bin_float(&self) -> Option<f64> {
+        match self {
+            Value::Number(Number::Float(f)) => Some(*f),
+            _ => None,
+        }
+    }
 }
 
 impl Deserialize for Value {
@@ -316,6 +381,14 @@ impl Serialize for bool {
 
     fn write_json(&self, out: &mut String) {
         out.push_str(if *self { "true" } else { "false" });
+    }
+
+    fn write_bin(&self, out: &mut Vec<u8>) {
+        out.push(if *self { bin::TRUE } else { bin::FALSE });
+    }
+
+    fn bin_float(&self) -> Option<f64> {
+        None
     }
 }
 
@@ -333,6 +406,14 @@ impl Serialize for String {
     fn write_json(&self, out: &mut String) {
         write_escaped(self, out);
     }
+
+    fn write_bin(&self, out: &mut Vec<u8>) {
+        self.as_str().write_bin(out);
+    }
+
+    fn bin_float(&self) -> Option<f64> {
+        None
+    }
 }
 
 impl Serialize for str {
@@ -342,6 +423,15 @@ impl Serialize for str {
 
     fn write_json(&self, out: &mut String) {
         write_escaped(self, out);
+    }
+
+    fn write_bin(&self, out: &mut Vec<u8>) {
+        out.push(bin::STRING);
+        bin::put_str(out, self);
+    }
+
+    fn bin_float(&self) -> Option<f64> {
+        None
     }
 }
 
@@ -370,6 +460,19 @@ impl Serialize for f64 {
             out.push_str("null");
         }
     }
+
+    fn write_bin(&self, out: &mut Vec<u8>) {
+        if self.is_finite() {
+            out.push(bin::FLOAT);
+            out.extend_from_slice(&self.to_le_bytes());
+        } else {
+            out.push(bin::NULL);
+        }
+    }
+
+    fn bin_float(&self) -> Option<f64> {
+        self.is_finite().then_some(*self)
+    }
 }
 
 impl Deserialize for f64 {
@@ -385,6 +488,14 @@ impl Serialize for f32 {
 
     fn write_json(&self, out: &mut String) {
         (*self as f64).write_json(out);
+    }
+
+    fn write_bin(&self, out: &mut Vec<u8>) {
+        (*self as f64).write_bin(out);
+    }
+
+    fn bin_float(&self) -> Option<f64> {
+        (*self as f64).bin_float()
     }
 }
 
@@ -403,6 +514,15 @@ macro_rules! impl_serde_uint {
 
             fn write_json(&self, out: &mut String) {
                 let _ = write!(out, "{self}");
+            }
+
+            fn write_bin(&self, out: &mut Vec<u8>) {
+                out.push(bin::POS_INT);
+                bin::put_varint(out, *self as u64);
+            }
+
+            fn bin_float(&self) -> Option<f64> {
+                None
             }
         }
         impl Deserialize for $t {
@@ -430,6 +550,14 @@ macro_rules! impl_serde_int {
             fn write_json(&self, out: &mut String) {
                 let _ = write!(out, "{self}");
             }
+
+            fn write_bin(&self, out: &mut Vec<u8>) {
+                bin::put_int(out, *self as i64);
+            }
+
+            fn bin_float(&self) -> Option<f64> {
+                None
+            }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
@@ -449,6 +577,14 @@ impl<T: Serialize> Serialize for Vec<T> {
     fn write_json(&self, out: &mut String) {
         self.as_slice().write_json(out);
     }
+
+    fn write_bin(&self, out: &mut Vec<u8>) {
+        bin::write_seq(out, self);
+    }
+
+    fn bin_float(&self) -> Option<f64> {
+        None
+    }
 }
 
 impl<T: Serialize> Serialize for [T] {
@@ -465,6 +601,14 @@ impl<T: Serialize> Serialize for [T] {
             item.write_json(out);
         }
         out.push(']');
+    }
+
+    fn write_bin(&self, out: &mut Vec<u8>) {
+        bin::write_seq(out, self);
+    }
+
+    fn bin_float(&self) -> Option<f64> {
+        None
     }
 }
 
@@ -492,6 +636,17 @@ impl<T: Serialize> Serialize for Option<T> {
             None => out.push_str("null"),
         }
     }
+
+    fn write_bin(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(x) => x.write_bin(out),
+            None => out.push(bin::NULL),
+        }
+    }
+
+    fn bin_float(&self) -> Option<f64> {
+        self.as_ref().and_then(T::bin_float)
+    }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
@@ -513,26 +668,46 @@ impl<K: ToString, V: Serialize> Serialize for BTreeMap<K, V> {
     }
 
     fn write_json(&self, out: &mut String) {
-        // The tree is keyed by the *printed* key, so that is the order
-        // (and the uniqueness: a later twin replaces an earlier one).
-        let mut entries: Vec<(String, &V)> = self.iter().map(|(k, v)| (k.to_string(), v)).collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
         out.push('{');
-        let mut first = true;
-        for (i, (k, v)) in entries.iter().enumerate() {
-            if entries.get(i + 1).is_some_and(|next| next.0 == *k) {
-                continue;
-            }
-            if !first {
+        for (i, (k, v)) in printed_entries(self).iter().enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            first = false;
             write_escaped(k, out);
             out.push(':');
             v.write_json(out);
         }
         out.push('}');
     }
+
+    fn write_bin(&self, out: &mut Vec<u8>) {
+        let entries = printed_entries(self);
+        bin::put_object(out, entries.len());
+        for (k, v) in entries {
+            bin::put_str(out, &k);
+            v.write_bin(out);
+        }
+    }
+
+    fn bin_float(&self) -> Option<f64> {
+        None
+    }
+}
+
+/// The entries of the object a map prints as. The tree is keyed by the
+/// *printed* key, so that is the order, and the uniqueness: a later twin
+/// replaces an earlier one.
+fn printed_entries<K: ToString, V>(map: &BTreeMap<K, V>) -> Vec<(String, &V)> {
+    let mut entries: Vec<(String, &V)> = map.iter().map(|(k, v)| (k.to_string(), v)).collect();
+    entries.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut unique: Vec<(String, &V)> = Vec::with_capacity(entries.len());
+    for entry in entries {
+        match unique.last_mut() {
+            Some(last) if last.0 == entry.0 => *last = entry,
+            _ => unique.push(entry),
+        }
+    }
+    unique
 }
 
 #[cfg(test)]

@@ -7,9 +7,12 @@
 //! unit) and enums (unit, tuple, struct variants), plus `#[serde(skip)]`
 //! on named struct fields. The JSON layout matches real serde's default
 //! externally-tagged representation so persisted files look conventional.
-//! `Serialize` gets both `to_value` and a streaming `write_json` that
-//! prints the same bytes — object keys sorted here, at expansion time,
-//! the way the `BTreeMap` behind `serde::Map` orders them.
+//! `Serialize` gets `to_value` plus two writers that skip the tree: a
+//! streaming `write_json` that prints the same text, and `write_bin`
+//! that writes the same `serde::bin` bytes (with `bin_float`, the probe
+//! that picks the raw-`f64` array tag). Object keys are sorted here, at
+//! expansion time, the way the `BTreeMap` behind `serde::Map` orders
+//! them.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -295,6 +298,42 @@ fn array_json(exprs: &[String]) -> String {
     body
 }
 
+/// Statements writing the `serde::bin` object of named fields, keys
+/// sorted; `exprs` pairs each field name with the expression borrowing it.
+fn object_bin(exprs: &[(&str, String)]) -> String {
+    let mut sorted: Vec<&(&str, String)> = exprs.iter().collect();
+    sorted.sort_by_key(|(name, _)| *name);
+    let mut body = format!("serde::bin::put_object(out, {});\n", sorted.len());
+    for (name, expr) in sorted {
+        body.push_str(&format!(
+            "serde::bin::put_str(out, \"{name}\");\n\
+             serde::Serialize::write_bin({expr}, out);\n"
+        ));
+    }
+    body
+}
+
+/// A statement writing the given borrow expressions as a `serde::bin`
+/// array, raw `f64` words when every one is a float.
+fn array_bin(exprs: &[String]) -> String {
+    let elems: Vec<String> = exprs
+        .iter()
+        .map(|e| format!("{e} as &dyn serde::Serialize"))
+        .collect();
+    format!(
+        "serde::bin::write_seq::<&dyn serde::Serialize>(out, &[{}]);\n",
+        elems.join(", ")
+    )
+}
+
+/// Statements writing the one-key object `{"variant": payload}`.
+fn variant_bin(variant: &str, payload: &str) -> String {
+    format!(
+        "serde::bin::put_object(out, 1);\n\
+         serde::bin::put_str(out, \"{variant}\");\n{payload}"
+    )
+}
+
 fn gen_serialize(item: &Item) -> String {
     match item {
         Item::NamedStruct { name, fields } => {
@@ -311,37 +350,43 @@ fn gen_serialize(item: &Item) -> String {
                 .iter()
                 .map(|f| (f.name.as_str(), format!("&self.{}", f.name)))
                 .collect();
-            impl_serialize(name, &body, &object_json(&exprs))
+            impl_serialize(
+                name,
+                &body,
+                &object_json(&exprs),
+                &object_bin(&exprs),
+                NOT_FLOAT,
+            )
         }
-        Item::TupleStruct { name, types } => {
-            let (body, json) = match types.len() {
-                0 => (
-                    "serde::Value::Null".to_string(),
-                    "out.push_str(\"null\");".to_string(),
-                ),
-                1 => (
-                    "serde::Serialize::to_value(&self.0)".to_string(),
-                    "serde::Serialize::write_json(&self.0, out);".to_string(),
-                ),
-                n => {
-                    let elems: Vec<String> = (0..n)
-                        .map(|i| format!("serde::Serialize::to_value(&self.{i})"))
-                        .collect();
-                    let exprs: Vec<String> = (0..n).map(|i| format!("&self.{i}")).collect();
-                    (
-                        format!("serde::Value::Array(vec![{}])", elems.join(", ")),
-                        array_json(&exprs),
-                    )
-                }
-            };
-            impl_serialize(name, &body, &json)
-        }
-        Item::UnitStruct { name } => {
-            impl_serialize(name, "serde::Value::Null", "out.push_str(\"null\");")
-        }
+        Item::TupleStruct { name, types } => match types.len() {
+            0 => impl_null(name),
+            // A newtype is its field, float probe included.
+            1 => impl_serialize(
+                name,
+                "serde::Serialize::to_value(&self.0)",
+                "serde::Serialize::write_json(&self.0, out);",
+                "serde::Serialize::write_bin(&self.0, out);",
+                "serde::Serialize::bin_float(&self.0)",
+            ),
+            n => {
+                let elems: Vec<String> = (0..n)
+                    .map(|i| format!("serde::Serialize::to_value(&self.{i})"))
+                    .collect();
+                let exprs: Vec<String> = (0..n).map(|i| format!("&self.{i}")).collect();
+                impl_serialize(
+                    name,
+                    &format!("serde::Value::Array(vec![{}])", elems.join(", ")),
+                    &array_json(&exprs),
+                    &array_bin(&exprs),
+                    NOT_FLOAT,
+                )
+            }
+        },
+        Item::UnitStruct { name } => impl_null(name),
         Item::Enum { name, variants } => {
             let mut arms = String::new();
             let mut json_arms = String::new();
+            let mut bin_arms = String::new();
             for v in variants {
                 let vn = &v.name;
                 match &v.shape {
@@ -352,14 +397,18 @@ fn gen_serialize(item: &Item) -> String {
                         json_arms.push_str(&format!(
                             "{name}::{vn} => out.push_str(\"\\\"{vn}\\\"\"),\n"
                         ));
+                        bin_arms.push_str(&format!(
+                            "{name}::{vn} => serde::Serialize::write_bin(\"{vn}\", out),\n"
+                        ));
                     }
                     VariantShape::Tuple(types) => {
                         let binds: Vec<String> =
                             (0..types.len()).map(|i| format!("f{i}")).collect();
-                        let (payload, payload_json) = if types.len() == 1 {
+                        let (payload, payload_json, payload_bin) = if types.len() == 1 {
                             (
                                 "serde::Serialize::to_value(f0)".to_string(),
                                 "serde::Serialize::write_json(f0, out);\n".to_string(),
+                                "serde::Serialize::write_bin(f0, out);\n".to_string(),
                             )
                         } else {
                             let elems: Vec<String> = binds
@@ -369,6 +418,7 @@ fn gen_serialize(item: &Item) -> String {
                             (
                                 format!("serde::Value::Array(vec![{}])", elems.join(", ")),
                                 array_json(&binds),
+                                array_bin(&binds),
                             )
                         };
                         let binds = binds.join(", ");
@@ -383,6 +433,10 @@ fn gen_serialize(item: &Item) -> String {
                              out.push_str(\"{{\\\"{vn}\\\":\");\n\
                              {payload_json}\
                              out.push('}}');\n}}\n"
+                        ));
+                        bin_arms.push_str(&format!(
+                            "{name}::{vn}({binds}) => {{\n{}}}\n",
+                            variant_bin(vn, &payload_bin)
                         ));
                     }
                     VariantShape::Named(fields) => {
@@ -412,6 +466,10 @@ fn gen_serialize(item: &Item) -> String {
                              out.push('}}');\n}}\n",
                             object_json(&exprs)
                         ));
+                        bin_arms.push_str(&format!(
+                            "{name}::{vn} {{ {binds} }} => {{\n{}}}\n",
+                            variant_bin(vn, &object_bin(&exprs))
+                        ));
                     }
                 }
             }
@@ -419,17 +477,35 @@ fn gen_serialize(item: &Item) -> String {
                 name,
                 &format!("match self {{\n{arms}\n}}"),
                 &format!("match self {{\n{json_arms}\n}}"),
+                &format!("match self {{\n{bin_arms}\n}}"),
+                NOT_FLOAT,
             )
         }
     }
 }
 
-fn impl_serialize(name: &str, body: &str, json: &str) -> String {
+/// The `bin_float` body of a type that never serializes to a float.
+const NOT_FLOAT: &str = "::std::option::Option::None";
+
+/// `Serialize` for a type that is `null` on every path.
+fn impl_null(name: &str) -> String {
+    impl_serialize(
+        name,
+        "serde::Value::Null",
+        "out.push_str(\"null\");",
+        "out.push(serde::bin::NULL);",
+        NOT_FLOAT,
+    )
+}
+
+fn impl_serialize(name: &str, body: &str, json: &str, bin: &str, float: &str) -> String {
     format!(
         "#[automatically_derived]\n\
          impl serde::Serialize for {name} {{\n\
          fn to_value(&self) -> serde::Value {{\n{body}\n}}\n\
-         fn write_json(&self, out: &mut ::std::string::String) {{\n{json}\n}}\n}}\n"
+         fn write_json(&self, out: &mut ::std::string::String) {{\n{json}\n}}\n\
+         fn write_bin(&self, out: &mut ::std::vec::Vec<u8>) {{\n{bin}\n}}\n\
+         fn bin_float(&self) -> ::std::option::Option<f64> {{\n{float}\n}}\n}}\n"
     )
 }
 

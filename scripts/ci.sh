@@ -254,9 +254,16 @@ fi
 step "one TCP shell (one unsafe block; net.rs spawns heartbeat and redialer threads only)"
 # The only unsafe code is the poll(2) call in crates/cluster/src/poll.rs,
 # with its `// SAFETY:` invariant on the line right above it. Comment
-# lines that merely mention the word do not count.
+# lines that merely mention the word do not count. The one exception is
+# test code: crates/hypertune/tests/write_bin.rs hooks the global
+# allocator to count allocations, which takes an `unsafe impl
+# GlobalAlloc` and its two `unsafe fn`s, and nothing else.
+alloc_test=crates/hypertune/tests/write_bin.rs
+alloc_sites=$(grep -nE '\bunsafe\b' "$alloc_test" | grep -vE '^[0-9]+:[[:space:]]*//' || true)
+[[ "$(grep -c . <<< "$alloc_sites")" -eq 3 ]]
+[[ "$(grep -cE 'unsafe impl GlobalAlloc for |unsafe fn (alloc|dealloc)\(' <<< "$alloc_sites")" -eq 3 ]]
 unsafe_sites=$(grep -rnE '\bunsafe\b' --include='*.rs' crates/ |
-  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' | grep -v "^$alloc_test:" || true)
 if [[ "$(grep -c . <<< "$unsafe_sites")" -ne 1 ||
   "$unsafe_sites" != crates/cluster/src/poll.rs:* ]]; then
   printf 'unsafe outside the poll module, or more than one block:\n%s\n' "$unsafe_sites"
@@ -289,6 +296,26 @@ if grep -rnE "$codec_dead" crates/ scripts/ README.md DESIGN.md; then
 fi
 [[ "$(sed -n '/^pub enum Codec {/,/^}/p' crates/cluster/src/proto.rs |
   grep -cE '^    [A-Z][A-Za-z]*,$')" -eq 1 ]]
+
+step "one value grammar (the binary value tags live in serde::bin; the driver builds no job tree)"
+# The tags 0x00-0x09 of a binary value, their writer and their reader are
+# defined once, in the serde shim's bin module (DESIGN.md §16.1): proto.rs
+# frames payloads with it and keeps no value writer of its own, and
+# TcpCluster::submit writes a job straight into the wire buffer instead
+# of building its Value tree first.
+tag_defs=$(grep -rnE 'const [A-Z0-9_]+: u8 = 0x0[0-9];' --include='*.rs' crates/ || true)
+if [[ "$(grep -c . <<< "$tag_defs")" -ne 10 ]] ||
+  grep -v '^crates/shims/serde/src/bin\.rs:' <<< "$tag_defs"; then
+  printf 'value tags defined outside serde::bin, or not all ten there:\n%s\n' "$tag_defs"
+  exit 1
+fi
+if grep -n 'put_value' crates/cluster/src/proto.rs; then
+  exit 1
+fi
+if sed '/^#\[cfg(test)\]/q' crates/cluster/src/net.rs | grep -vE '^[[:space:]]*//' |
+  grep -n 'to_value'; then
+  exit 1
+fi
 
 step "one durable log (no WAL rewrite, no legacy blob reader, no side formats)"
 # persist.rs has one line format, one writer that only appends
