@@ -22,9 +22,7 @@
 //!   level's measurement count, so append-only history growth at other
 //!   levels never triggers a refit — and because each fit's seed depends
 //!   only on `(seed, level)`, a cache hit is bit-identical to a refit;
-//! - level fits and cross-validation folds run on scoped threads when the
-//!   machine has more than one core, and all level predictions go through
-//!   the forest's tree-major batch path.
+//! - all level predictions go through the forest's tree-major batch path.
 
 use std::collections::HashMap;
 
@@ -159,42 +157,6 @@ fn count_strict_inversions(seq: &mut [f64], scratch: &mut [f64]) -> usize {
     }
     seq.copy_from_slice(&scratch[..n]);
     inversions
-}
-
-/// Runs `f(0), .., f(count - 1)` — on scoped worker threads when the
-/// machine has more than one core — returning results in index order.
-/// Shared with the samplers for their per-level surrogate fits.
-pub(crate) fn run_indexed<T, F>(count: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    // Asked on every model-based `sample`, mostly with nothing stale.
-    if count == 0 {
-        return Vec::new();
-    }
-    let threads = hypertune_surrogate::available_threads().min(count);
-    if threads <= 1 {
-        return (0..count).map(f).collect();
-    }
-    let chunk = count.div_ceil(threads);
-    let f = &f;
-    let parts: Vec<Vec<T>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                scope.spawn(move || {
-                    ((w * chunk)..((w + 1) * chunk).min(count))
-                        .map(f)
-                        .collect::<Vec<T>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("level fit worker panicked"))
-            .collect()
-    });
-    parts.into_iter().flatten().collect()
 }
 
 /// Per-level predictions on the `D_K` configurations, the raw material of
@@ -333,30 +295,23 @@ fn level_predictions(
     let ys: Vec<f64> = full.iter().map(|m| m.value).collect();
 
     // Fit the lower levels whose data changed since the cache entry was
-    // made — in parallel when cores allow; seeds depend only on
-    // `(seed, level)` so the result never depends on which levels hit.
+    // made; seeds depend only on `(seed, level)` so the result never
+    // depends on which levels hit.
     let stale: Vec<usize> = (0..top)
         .filter(|&level| {
             history.len_at(level) >= MIN_POINTS_PER_LEVEL
                 && cache.models.get(&level).map(|(n, _)| *n) != Some(history.len_at(level))
         })
         .collect();
-    let refitted: Vec<(usize, Option<RandomForest>)> = run_indexed(stale.len(), |i| {
-        let level = stale[i];
+    for level in stale {
         let (x, y) =
             history.training_data_capped(level, space, crate::sampler::bo::MAX_TRAIN_POINTS);
         let mut rf = RandomForest::new(seed ^ (level as u64) << 8);
         match rf.fit(&x, &y) {
-            Ok(()) => (level, Some(rf)),
-            Err(_) => (level, None),
-        }
-    });
-    for (level, rf) in refitted {
-        match rf {
-            Some(rf) => {
+            Ok(()) => {
                 cache.models.insert(level, (history.len_at(level), rf));
             }
-            None => {
+            Err(_) => {
                 cache.models.remove(&level);
             }
         }
@@ -400,8 +355,7 @@ fn level_predictions(
 }
 
 /// 5-fold cross-validated predictions of the top-level surrogate on its
-/// own training data (the paper's treatment of `M_K` in Eq. 1). Folds are
-/// independent and run on scoped threads when cores allow.
+/// own training data (the paper's treatment of `M_K` in Eq. 1).
 fn cross_val_predictions(rows: &[f64], dim: usize, ys: &[f64], seed: u64) -> Option<Vec<f64>> {
     let n = ys.len();
     if n < MIN_FULL_EVALS {
@@ -409,30 +363,22 @@ fn cross_val_predictions(rows: &[f64], dim: usize, ys: &[f64], seed: u64) -> Opt
     }
     let row = |i: usize| &rows[i * dim..(i + 1) * dim];
     let folds = 5.min(n);
-    let fold_preds: Vec<Option<Vec<(usize, f64)>>> = run_indexed(folds, |fold| {
+    let mut out = vec![0.0; n];
+    let mut ps = Vec::new();
+    for fold in 0..folds {
         let train_idx: Vec<usize> = (0..n).filter(|i| i % folds != fold).collect();
         let test_idx: Vec<usize> = (0..n).filter(|i| i % folds == fold).collect();
         if train_idx.is_empty() || test_idx.is_empty() {
-            return Some(Vec::new());
+            continue;
         }
         let tx: Vec<Vec<f64>> = train_idx.iter().map(|&i| row(i).to_vec()).collect();
         let ty: Vec<f64> = train_idx.iter().map(|&i| ys[i]).collect();
         let mut rf = RandomForest::new(seed ^ 0xcf ^ (fold as u64) << 16);
         rf.fit(&tx, &ty).ok()?;
         let test_rows: Vec<f64> = test_idx.iter().flat_map(|&i| row(i)).copied().collect();
-        let mut ps = Vec::new();
         rf.predict_rows(&test_rows, dim, &mut ps).ok()?;
-        Some(
-            test_idx
-                .into_iter()
-                .zip(ps.into_iter().map(|p| p.mean))
-                .collect(),
-        )
-    });
-    let mut out = vec![0.0; n];
-    for fp in fold_preds {
-        for (i, mean) in fp? {
-            out[i] = mean;
+        for (i, p) in test_idx.into_iter().zip(&ps) {
+            out[i] = p.mean;
         }
     }
     Some(out)

@@ -15,10 +15,7 @@
 //!   construction touches one contiguous buffer instead of chasing
 //!   per-row `Vec` pointers;
 //! - every tree derives its own RNG seed from `(forest seed, tree
-//!   index)`, making trees independent of construction order — the
-//!   parallel and serial paths produce bit-identical forests;
-//! - trees build on a scoped thread pool when the machine has more than
-//!   one core and the problem is big enough to amortize thread spawns;
+//!   index)`, so no tree's stream depends on the trees built before it;
 //! - leaf statistics are computed in place over the index slice, with no
 //!   per-leaf target buffer.
 //!
@@ -27,8 +24,6 @@
 //! written as splits that lead back to themselves — and a block of
 //! `LANES` (8) query rows walks a tree together for exactly as many steps as
 //! the tree is deep, with no data-dependent branch (DESIGN.md §10).
-
-use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -63,10 +58,6 @@ impl Default for RandomForestConfig {
         }
     }
 }
-
-/// Minimum `n_trees * n_points` before `fit` reaches for threads; below
-/// this the spawn cost dwarfs the tree-building work.
-const PARALLEL_FIT_THRESHOLD: usize = 2048;
 
 /// A probabilistic random-forest regressor implementing
 /// [`SurrogateModel`].
@@ -108,18 +99,39 @@ impl RandomForest {
         self.skipped_nonfinite
     }
 
-    /// Fits with an explicit worker-thread count.
-    ///
-    /// `threads == 1` forces the serial path; any count yields the same
-    /// forest bit for bit, because each tree's RNG seed depends only on
-    /// `(forest seed, tree index)`. [`SurrogateModel::fit`] calls this
-    /// with the detected core count.
-    pub fn fit_with_threads(
-        &mut self,
-        x: &[Vec<f64>],
-        y: &[f64],
-        threads: usize,
-    ) -> Result<(), SurrogateError> {
+    /// The real fit, on rows already known to be finite: the trees are
+    /// built in index order on the calling thread.
+    fn fit_finite(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), SurrogateError> {
+        self.dim = validate_training_set(x, y)?;
+        let mut flat = Vec::with_capacity(x.len() * self.dim);
+        for row in x {
+            flat.extend_from_slice(row);
+        }
+        let matrix = Matrix {
+            data: &flat,
+            dim: self.dim,
+            n: x.len(),
+        };
+        let config = self.config;
+        self.trees = (0..config.n_trees)
+            .map(|t| build_tree(&matrix, y, &config, derive_tree_seed(self.seed, t)))
+            .collect();
+        Ok(())
+    }
+}
+
+/// Mixes `(forest seed, tree index)` into an independent per-tree seed
+/// (SplitMix64 finalizer), so no tree's stream depends on the trees built
+/// before it.
+fn derive_tree_seed(seed: u64, tree_index: usize) -> u64 {
+    let mut z = seed ^ (tree_index as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+impl SurrogateModel for RandomForest {
+    fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), SurrogateError> {
         // A crashed or diverged trial can leave NaN/Inf in the training
         // set; one such row would poison every split bound it touches.
         // Drop those rows (recording how many via
@@ -136,7 +148,7 @@ impl RandomForest {
         };
         if x.iter().zip(y).all(row_ok) {
             self.skipped_nonfinite = 0;
-            return self.fit_finite(x, y, threads);
+            return self.fit_finite(x, y);
         }
         let (fx, fy): (Vec<Vec<f64>>, Vec<f64>) = x
             .iter()
@@ -148,90 +160,7 @@ impl RandomForest {
         if fx.is_empty() {
             return Err(SurrogateError::NonFiniteTarget);
         }
-        self.fit_finite(&fx, &fy, threads)
-    }
-
-    /// The real fit, on rows already known to be finite.
-    fn fit_finite(
-        &mut self,
-        x: &[Vec<f64>],
-        y: &[f64],
-        threads: usize,
-    ) -> Result<(), SurrogateError> {
-        self.dim = validate_training_set(x, y)?;
-        let n = x.len();
-        let mut flat = Vec::with_capacity(n * self.dim);
-        for row in x {
-            flat.extend_from_slice(row);
-        }
-        let matrix = Matrix {
-            data: &flat,
-            dim: self.dim,
-            n,
-        };
-        let config = self.config;
-        let seed = self.seed;
-        let n_trees = config.n_trees;
-        let workers = threads.clamp(1, n_trees.max(1));
-        if workers <= 1 || n_trees * n < PARALLEL_FIT_THRESHOLD {
-            self.trees = (0..n_trees)
-                .map(|t| build_tree(&matrix, y, &config, derive_tree_seed(seed, t)))
-                .collect();
-        } else {
-            let chunk = n_trees.div_ceil(workers);
-            // Chunks are contiguous tree-index ranges, collected in worker
-            // order, so the tree vector matches the serial path exactly.
-            let per_worker: Vec<Vec<Tree>> = std::thread::scope(|scope| {
-                let matrix = &matrix;
-                let config = &config;
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            let start = w * chunk;
-                            let end = ((w + 1) * chunk).min(n_trees);
-                            (start..end)
-                                .map(|t| build_tree(matrix, y, config, derive_tree_seed(seed, t)))
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("tree build worker panicked"))
-                    .collect()
-            });
-            self.trees = per_worker.into_iter().flatten().collect();
-        }
-        Ok(())
-    }
-}
-
-/// Mixes `(forest seed, tree index)` into an independent per-tree seed
-/// (SplitMix64 finalizer), so tree streams never depend on which thread —
-/// or in what order — a tree is built.
-fn derive_tree_seed(seed: u64, tree_index: usize) -> u64 {
-    let mut z = seed ^ (tree_index as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Worker threads a fit may use: the machine's available parallelism,
-/// resolved once per process. `std::thread::available_parallelism`
-/// re-reads the cgroup files on every call, which costs about as much as
-/// fitting a dozen-point forest.
-pub fn available_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
-impl SurrogateModel for RandomForest {
-    fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), SurrogateError> {
-        self.fit_with_threads(x, y, available_threads())
+        self.fit_finite(&fx, &fy)
     }
 
     fn predict(&self, x: &[f64]) -> Result<Prediction, SurrogateError> {
@@ -405,13 +334,17 @@ fn index_u32(i: usize) -> u32 {
 /// Picks a split of `indices` the way extremely-randomized trees do — a
 /// random coordinate with spread, a uniform threshold inside its range —
 /// and partitions `indices` in place (`x[d] <= threshold` first).
-/// `None` when no tried coordinate has spread or one side came out empty.
+/// `None` when the rows have no coordinate, no tried coordinate has
+/// spread, or one side came out empty.
 fn choose_split(
     matrix: &Matrix<'_>,
     indices: &mut [usize],
     rng: &mut StdRng,
 ) -> Option<(usize, f64, usize)> {
     let dim_count = matrix.dim;
+    if dim_count == 0 {
+        return None;
+    }
     // Try a few random dimensions looking for one with spread.
     let (d, threshold) = (0..dim_count.max(4)).find_map(|_| {
         let d = rng.gen_range(0..dim_count);
@@ -717,6 +650,29 @@ mod tests {
     }
 
     #[test]
+    fn zero_width_rows_fit_to_one_leaf() {
+        // With no coordinate to split on, every tree is one leaf holding
+        // the targets' mean and variance.
+        let x = vec![Vec::new(); 5];
+        let y = [1.0, 2.0, 3.0, 4.0, 5.0];
+        let mut rf = RandomForest::with_config(
+            RandomForestConfig {
+                bootstrap: false,
+                ..RandomForestConfig::default()
+            },
+            9,
+        );
+        rf.fit(&x, &y).unwrap();
+        let p = rf.predict(&[]).unwrap();
+        assert!((p.mean - 3.0).abs() < 1e-12, "mean {}", p.mean);
+        assert!((p.var - 2.0).abs() < 1e-12, "var {}", p.var);
+        // The default, bootstrapped forest fits the same rows too.
+        let mut boot = RandomForest::new(9);
+        boot.fit(&x, &y).unwrap();
+        assert!(boot.predict(&[]).unwrap().mean.is_finite());
+    }
+
+    #[test]
     fn constant_targets_predict_constant() {
         let x = grid_2d(5);
         let y = vec![2.5; x.len()];
@@ -753,22 +709,6 @@ mod tests {
         b.fit(&x, &y).unwrap();
         for q in &x {
             assert_eq!(a.predict(q).unwrap(), b.predict(q).unwrap());
-        }
-    }
-
-    #[test]
-    fn parallel_fit_matches_serial_fit() {
-        let x = grid_2d(10);
-        let y: Vec<f64> = x
-            .iter()
-            .map(|p| (p[0] - 0.4).powi(2) + 0.3 * p[1])
-            .collect();
-        let mut serial = RandomForest::new(7);
-        let mut parallel = RandomForest::new(7);
-        serial.fit_with_threads(&x, &y, 1).unwrap();
-        parallel.fit_with_threads(&x, &y, 4).unwrap();
-        for q in &x {
-            assert_eq!(serial.predict(q).unwrap(), parallel.predict(q).unwrap());
         }
     }
 

@@ -1,11 +1,11 @@
-//! End-to-end determinism contract for the parallel/batched hot path.
+//! End-to-end determinism contract for the batched hot path.
 //!
-//! A forest fitted on N worker threads must be bit-identical to one
-//! fitted serially (per-tree seeds are derived from the forest seed and
-//! the tree index, never from thread scheduling), and `predict_batch`
-//! must return exactly the per-point `predict` results — these are the
-//! invariants that make the samplers' model caches and the batched
-//! acquisition maximizer observationally transparent.
+//! Two forests fitted with the same seed on the same data must be
+//! bit-identical (per-tree seeds are derived from the forest seed and
+//! the tree index), and `predict_batch` must return exactly the
+//! per-point `predict` results — these are the invariants that make the
+//! samplers' model caches and the batched acquisition maximizer
+//! observationally transparent.
 
 use hypertune_surrogate::ensemble::MfEnsemble;
 use hypertune_surrogate::{Predictor, RandomForest, SurrogateModel};
@@ -26,23 +26,23 @@ fn dataset(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
 }
 
 #[test]
-fn parallel_fit_and_batch_predict_match_serial_per_point() {
+fn batch_predict_matches_per_point_across_same_seed_fits() {
     let (xs, ys) = dataset(120);
     let queries: Vec<Vec<f64>> = (0..40)
         .map(|i| vec![(i as f64 * 0.0613) % 1.0, (i as f64 * 0.1543) % 1.0])
         .collect();
 
     for seed in [0u64, 7, 0xdead_beef] {
-        let mut serial = RandomForest::new(seed);
-        serial.fit_with_threads(&xs, &ys, 1).unwrap();
-        let mut parallel = RandomForest::new(seed);
-        parallel.fit_with_threads(&xs, &ys, 4).unwrap();
+        let mut first = RandomForest::new(seed);
+        first.fit(&xs, &ys).unwrap();
+        let mut second = RandomForest::new(seed);
+        second.fit(&xs, &ys).unwrap();
 
         let per_point: Vec<_> = queries
             .iter()
-            .map(|q| SurrogateModel::predict(&serial, q).unwrap())
+            .map(|q| SurrogateModel::predict(&first, q).unwrap())
             .collect();
-        let batch = SurrogateModel::predict_batch(&parallel, &queries).unwrap();
+        let batch = SurrogateModel::predict_batch(&second, &queries).unwrap();
         assert_eq!(per_point, batch, "seed {seed}");
     }
 }
@@ -51,9 +51,9 @@ fn parallel_fit_and_batch_predict_match_serial_per_point() {
 fn ensemble_batch_matches_per_point_through_predictor_trait() {
     let (xs, ys) = dataset(80);
     let mut low = RandomForest::new(11);
-    low.fit_with_threads(&xs, &ys, 3).unwrap();
+    low.fit(&xs, &ys).unwrap();
     let mut high = RandomForest::new(13);
-    high.fit_with_threads(&xs[..30], &ys[..30], 1).unwrap();
+    high.fit(&xs[..30], &ys[..30]).unwrap();
     let ens = MfEnsemble::new(vec![
         (&low as &dyn Predictor, 0.7),
         (&high as &dyn Predictor, 0.3),
@@ -69,16 +69,15 @@ fn ensemble_batch_matches_per_point_through_predictor_trait() {
 }
 
 #[test]
-fn refit_after_parallel_fit_is_reproducible() {
-    // Fitting twice with the same seed — regardless of thread count —
-    // must give the same model; this is what lets a cache hit stand in
-    // for a refit.
+fn same_seed_refit_is_reproducible() {
+    // Fitting twice with the same seed must give the same model; this is
+    // what lets a cache hit stand in for a refit.
     let (xs, ys) = dataset(60);
     let queries: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 / 10.0, 0.5]).collect();
     let mut a = RandomForest::new(42);
-    a.fit_with_threads(&xs, &ys, 2).unwrap();
+    a.fit(&xs, &ys).unwrap();
     let mut b = RandomForest::new(42);
-    b.fit_with_threads(&xs, &ys, 8).unwrap();
+    b.fit(&xs, &ys).unwrap();
     assert_eq!(
         SurrogateModel::predict_batch(&a, &queries).unwrap(),
         SurrogateModel::predict_batch(&b, &queries).unwrap()

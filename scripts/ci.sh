@@ -329,4 +329,23 @@ if grep -rnE "$log_dead" crates/ examples/ README.md DESIGN.md; then
   exit 1
 fi
 
+step "no per-call threads (surrogate fits, level refits and θ folds run on the calling thread)"
+# A scoped spawn and join cost more than the forest fit they split, and
+# every spawned thread that allocates adds a malloc arena (DESIGN.md §10).
+# Test modules may start threads of their own.
+# (The quote pairs keep this file from matching its own patterns.)
+spawn_sites=$(
+  for f in $(grep -rlE 'thread::(scope|spawn)' crates/surrogate/src crates/core/src); do
+    sed '/^#\[cfg(test)\]/q' "$f" | grep -nE 'thread::(scope|spawn)' | sed "s|^|$f:|"
+  done || true
+)
+if [[ -n "$spawn_sites" ]]; then
+  printf 'threads started outside test code:\n%s\n' "$spawn_sites"
+  exit 1
+fi
+fanout_dead='fit_with''_threads|available''_threads|run''_indexed|PARALLEL_FIT''_THRESHOLD'
+if grep -rnE "$fanout_dead" crates/ DESIGN.md .claude/skills/verify/SKILL.md; then
+  exit 1
+fi
+
 step "OK"
