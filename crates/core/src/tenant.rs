@@ -502,6 +502,61 @@ mod tests {
     }
 
     #[test]
+    fn every_store_shares_the_one_config_allocation() {
+        let bench = CountingOnes::new(4, 4, 7);
+        let levels = ResourceLevels::new(bench.max_resource(), 3);
+        let mut method = MethodKind::Asha.build(&levels, 7);
+        let mut rt = StudyRuntime::new(
+            bench.space().clone(),
+            levels.clone(),
+            7,
+            1,
+            RetryPolicy::none(),
+            None,
+            TelemetryHandle::disabled(),
+        );
+        let mut dispatched: Vec<JobSpec> = Vec::new();
+        for i in 0..50 {
+            let now = i as f64;
+            let spec = rt
+                .suggest(method.as_mut(), 1, now, "suggest_batch")
+                .remove(0);
+            dispatched.push(spec.clone());
+            let eval = bench.evaluate(&spec.config, spec.resource, 7);
+            let booked = rt.book(
+                method.as_mut(),
+                spec,
+                0,
+                JobStatus::Succeeded,
+                Some(eval),
+                now,
+            );
+            assert_eq!(booked.unwrap(), Booked::Completed);
+        }
+        let ptr = |c: &Config| c.values().as_ptr();
+        let mut seen = vec![0; levels.k()];
+        for (i, (m, job)) in rt.measurements().iter().zip(&dispatched).enumerate() {
+            let entry = &rt.history().group(m.level)[seen[m.level]];
+            seen[m.level] += 1;
+            assert_eq!(ptr(&m.config), ptr(&job.config), "trial {i}: log vs job");
+            assert_eq!(
+                ptr(&m.config),
+                ptr(&entry.config),
+                "trial {i}: log vs history"
+            );
+            // A promotion re-runs the rung's own entry, not a copy of it.
+            if m.level > 0 {
+                let below = rt.history().group(m.level - 1);
+                assert!(
+                    below.iter().any(|b| ptr(&b.config) == ptr(&m.config)),
+                    "trial {i}"
+                );
+            }
+        }
+        assert!(seen[1] > 0, "ASHA promoted within 50 trials");
+    }
+
+    #[test]
     fn restore_rebuilds_incumbent_and_counts() {
         let ms = drive(5, 8);
         let (mut rt, mut method, _) = runtime(5, RetryPolicy::none());

@@ -856,6 +856,20 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
             let quota = spec.max_in_flight.min(self.executor.n_workers().max(1));
             // The WAL is created before the sidecar, so it exists.
             let (snapshot, mut wal) = WalWriter::open(&wal_path(&dir, id))?;
+            // A checksummed record can still come from another ladder or
+            // space, when the resolver now maps the benchmark's name to a
+            // different one; refuse it here rather than panic the history.
+            for (i, m) in snapshot.measurements.iter().enumerate() {
+                if m.level > levels.max_level() || bench.space().check(&m.config).is_err() {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "study {id}'s measurement {i} does not fit benchmark {:?}",
+                            spec.bench
+                        ),
+                    ));
+                }
+            }
             self.config.configure_wal(&mut wal);
             let mut method = spec.method.build(&levels, seed);
             method.set_telemetry(telemetry.clone());
@@ -1306,6 +1320,52 @@ mod tests {
         assert_eq!(svc.status(a), Some(StudyStatus::Completed));
         assert_eq!(svc.completed(a), 6);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Books a few trials of one study, then appends a copy of its first
+    /// measurement, altered by `corrupt`, to its WAL: a well-formed,
+    /// checksummed record the study's benchmark cannot hold. Returns
+    /// what `recover` makes of it.
+    fn recover_with_a_foreign_measurement(
+        tag: &str,
+        corrupt: impl Fn(&mut Measurement),
+    ) -> io::Result<Vec<StudyHandle>> {
+        let dir = unique_dir(tag);
+        let config = ServiceConfig::new().with_state_dir(&dir);
+        let a;
+        {
+            let mut svc = TuningService::new(pool(1), resolver(), config.clone()).unwrap();
+            a = svc.create_study(spec("a", 71)).unwrap();
+            assert_eq!(svc.run_completions(3).unwrap(), 3);
+        }
+        let (snapshot, mut wal) = WalWriter::open(&wal_path(&dir, a.id())).unwrap();
+        let mut m = snapshot.measurements[0].clone();
+        corrupt(&mut m);
+        wal.append_measurement(&m).unwrap();
+        wal.flush().unwrap();
+        drop(wal);
+        let mut svc = TuningService::new(pool(1), resolver(), config).unwrap();
+        let recovered = svc.recover();
+        let _ = std::fs::remove_dir_all(&dir);
+        recovered
+    }
+
+    #[test]
+    fn recovery_refuses_a_measurement_from_another_ladder() {
+        let err = recover_with_a_foreign_measurement("foreign-level", |m| m.level = 9).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("measurement 3"), "{err}");
+    }
+
+    #[test]
+    fn recovery_refuses_a_measurement_from_another_space() {
+        let err = recover_with_a_foreign_measurement("foreign-space", |m| {
+            let short = m.config.values()[1..].to_vec();
+            m.config = hypertune_space::Config::new(short);
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("study 1"), "{err}");
     }
 
     #[test]

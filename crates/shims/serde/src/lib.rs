@@ -17,6 +17,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -622,6 +623,33 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
+/// An `Arc` encodes as what it points to, so a shared slice and the
+/// `Vec` it was built from give the same bytes (real serde's `rc`
+/// feature).
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+
+    fn write_bin(&self, out: &mut Vec<u8>) {
+        (**self).write_bin(out);
+    }
+
+    fn bin_float(&self) -> Option<f64> {
+        (**self).bin_float()
+    }
+}
+
+impl<T: Deserialize> Deserialize for Arc<[T]> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Vec::<T>::from_value(v).map(Arc::from)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {
@@ -747,6 +775,48 @@ mod tests {
     fn nonfinite_floats_become_null() {
         assert!(f64::NAN.to_value().is_null());
         assert!(f64::INFINITY.to_value().is_null());
+    }
+
+    /// `x`'s tree, binary bytes and JSON text.
+    fn encodings<T: Serialize + ?Sized>(x: &T) -> (Value, Vec<u8>, String) {
+        let mut bin = Vec::new();
+        x.write_bin(&mut bin);
+        let mut json = String::new();
+        x.write_json(&mut json);
+        (x.to_value(), bin, json)
+    }
+
+    fn assert_arc_encodes_like_vec<T>(owned: Vec<T>)
+    where
+        T: Serialize + Deserialize + Clone + PartialEq + fmt::Debug,
+    {
+        let shared: Arc<[T]> = Arc::from(owned.clone());
+        let (value, bin, json) = encodings(&shared);
+        assert_eq!(encodings(&owned), (value.clone(), bin.clone(), json));
+        assert_eq!(shared.bin_float(), owned.bin_float());
+        let back = Arc::<[T]>::from_value(&value).unwrap();
+        assert_eq!(&back[..], &owned[..]);
+        let mut reader = bin::Reader::new(&bin);
+        let read = reader.value().unwrap();
+        assert!(reader.done());
+        assert_eq!(&Arc::<[T]>::from_value(&read).unwrap()[..], &owned[..]);
+    }
+
+    #[test]
+    fn an_arc_slice_encodes_like_a_vec_and_round_trips() {
+        // Floats take the raw-f64 array tag, anything else the tagged one.
+        assert_arc_encodes_like_vec(vec![0.5f64, -0.0, 1e300, -3.25]);
+        assert_arc_encodes_like_vec::<f64>(vec![]);
+        assert_arc_encodes_like_vec(vec![3i64, -7, 0]);
+        assert_arc_encodes_like_vec(vec![Some("a\"q".to_string()), None]);
+        assert_arc_encodes_like_vec(vec![vec![1.0f64], vec![]]);
+        // A non-finite float prints as null, as it does inside a `Vec`.
+        let shared: Arc<[f64]> = Arc::from(vec![1.0, f64::NAN]);
+        assert_eq!(encodings(&shared), encodings(&vec![1.0, f64::NAN]));
+        // An `Arc` of a single value is that value, float probe included.
+        let one = Arc::new(2.5f64);
+        assert_eq!(encodings(&one), encodings(&2.5f64));
+        assert_eq!(one.bin_float(), Some(2.5));
     }
 
     #[test]

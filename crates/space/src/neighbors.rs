@@ -5,6 +5,10 @@
 //! SMAC recipe: start from the best observed configurations and hill-climb
 //! through small perturbations. Regularized evolution (the REA baseline)
 //! needs single-parameter mutations. Both come from this module.
+//!
+//! A [`Config`] is immutable and shared, so a neighbour is a new config:
+//! each one is collected straight into its own single allocation, and
+//! the parent it was derived from is never touched.
 
 use rand::Rng;
 
@@ -24,9 +28,13 @@ pub fn mutate_one<R: Rng + ?Sized>(space: &ConfigSpace, config: &Config, rng: &m
         return config.clone();
     }
     let dim = rng.gen_range(0..space.len());
-    let mut values = config.values().to_vec();
-    values[dim] = perturb(space, config, dim, rng);
-    Config::new(values)
+    let next = perturb(space, config, dim, rng);
+    config
+        .values()
+        .iter()
+        .enumerate()
+        .map(|(i, v)| if i == dim { next } else { *v })
+        .collect()
 }
 
 /// Generates `n` neighbours of `config`, each differing in exactly one
@@ -94,13 +102,11 @@ fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// either parent with probability 1/2. Used by evolutionary baselines.
 pub fn crossover<R: Rng + ?Sized>(a: &Config, b: &Config, rng: &mut R) -> Config {
     debug_assert_eq!(a.len(), b.len());
-    let values = a
-        .values()
+    a.values()
         .iter()
         .zip(b.values())
         .map(|(va, vb)| if rng.gen::<bool>() { *va } else { *vb })
-        .collect();
-    Config::new(values)
+        .collect()
 }
 
 #[cfg(test)]

@@ -63,7 +63,7 @@ impl ConfigSpace {
 
     /// Draws one uniform random configuration.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Config {
-        Config::new(self.params.iter().map(|p| p.sample(rng)).collect())
+        self.params.iter().map(|p| p.sample(rng)).collect()
     }
 
     /// Draws `n` independent uniform random configurations.
@@ -93,8 +93,7 @@ impl ConfigSpace {
         }
         (0..n)
             .map(|i| {
-                let values = self
-                    .params
+                self.params
                     .iter()
                     .enumerate()
                     .map(|(j, p)| {
@@ -102,8 +101,7 @@ impl ConfigSpace {
                         let u = (stratum + rng.gen::<f64>()) / n as f64;
                         p.from_unit(u)
                     })
-                    .collect();
-                Config::new(values)
+                    .collect()
             })
             .collect()
     }
@@ -167,13 +165,12 @@ impl ConfigSpace {
                 actual: x.len(),
             });
         }
-        Ok(Config::new(
-            self.params
-                .iter()
-                .zip(x)
-                .map(|(p, &u)| p.from_unit(u))
-                .collect(),
-        ))
+        Ok(self
+            .params
+            .iter()
+            .zip(x)
+            .map(|(p, &u)| p.from_unit(u))
+            .collect())
     }
 
     /// Validates that `config` is a well-typed, in-range assignment.
@@ -205,19 +202,19 @@ impl ConfigSpace {
             .map(|p| p.kind.cardinality().expect("finite"))
             .collect();
         loop {
-            let values = self
-                .params
-                .iter()
-                .zip(&counters)
-                .map(|(p, &c)| match &p.kind {
-                    ParamKind::Int { low, .. } => ParamValue::Int(low + c as i64),
-                    ParamKind::Categorical { .. } | ParamKind::Ordinal { .. } => {
-                        ParamValue::Cat(c as usize)
-                    }
-                    ParamKind::Float { .. } => unreachable!("finite space has no floats"),
-                })
-                .collect();
-            out.push(Config::new(values));
+            out.push(
+                self.params
+                    .iter()
+                    .zip(&counters)
+                    .map(|(p, &c)| match &p.kind {
+                        ParamKind::Int { low, .. } => ParamValue::Int(low + c as i64),
+                        ParamKind::Categorical { .. } | ParamKind::Ordinal { .. } => {
+                            ParamValue::Cat(c as usize)
+                        }
+                        ParamKind::Float { .. } => unreachable!("finite space has no floats"),
+                    })
+                    .collect(),
+            );
             // Odometer increment from the last dimension.
             let mut dim = self.len();
             loop {

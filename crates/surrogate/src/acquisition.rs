@@ -14,7 +14,7 @@ use rand::Rng;
 use hypertune_space::{neighbors, Config, ConfigSpace};
 
 use crate::model::{Prediction, Predictor, SurrogateError};
-use crate::penalized::{penalize, SIGMA};
+use crate::penalized::SIGMA;
 use crate::stats::{norm_cdf, norm_pdf};
 
 /// Which acquisition criterion to maximize.
@@ -210,10 +210,10 @@ pub fn maximize<R: Rng + ?Sized>(
 /// (`w_i ← max(w_i, k(x_i, liar))`) and the subsequent argmax is a pure
 /// O(pool) arithmetic scan over cached weights. Drawing `k` candidates is
 /// O(pool × k) total, where re-deriving every weight from the full liar
-/// list on every pick — the reference path, kept for equivalence tests via
-/// [`BatchMaximizer::use_reference_rescoring`] — is O(pool × k²). The fold
-/// order over liars is identical in both paths, so they agree *bit for
-/// bit* (pinned by proptest in this module's tests).
+/// list on every pick — the reference path, compiled only into this
+/// module's tests — is O(pool × k²). The fold order over liars is
+/// identical in both paths, so they agree *bit for bit* (pinned by
+/// proptest in this module's tests).
 ///
 /// # Struct-of-arrays layout
 ///
@@ -237,8 +237,9 @@ pub struct BatchMaximizer {
     weights: Vec<f64>,
     /// Picked-entry bitset (64 entries per word).
     picked: Vec<u64>,
-    /// Registered liar positions, in registration order. The incremental
-    /// path only reads the latest one; the reference path re-folds all.
+    /// Registered liar positions, in registration order, which the
+    /// reference path re-folds on every pick.
+    #[cfg(test)]
     liars: Vec<Vec<f64>>,
     liar_value: f64,
     acq: Acquisition,
@@ -250,6 +251,7 @@ pub struct BatchMaximizer {
     /// When set, `next_candidate` re-derives every penalty weight from
     /// the full liar list (the original O(pool × liars) arithmetic).
     /// Toggle before the first `push_liar`.
+    #[cfg(test)]
     reference: bool,
 }
 
@@ -277,11 +279,13 @@ impl BatchMaximizer {
             vars: Vec::new(),
             weights: Vec::new(),
             picked: Vec::new(),
+            #[cfg(test)]
             liars: Vec::new(),
             liar_value,
             acq,
             best_y,
             rescore_ops: 0,
+            #[cfg(test)]
             reference: false,
         };
         // One encoding matrix and one prediction buffer serve every
@@ -334,38 +338,6 @@ impl BatchMaximizer {
         Ok(pool)
     }
 
-    /// Builds a maximizer directly from `(config, encoded, base
-    /// prediction)` entries, bypassing candidate generation and the model
-    /// sweep. This is the equivalence-test and bench harness entry point:
-    /// proptests use it to pin incremental re-scoring bit-identical to the
-    /// reference path over arbitrary pools.
-    pub fn from_pool(
-        entries: Vec<(Config, Vec<f64>, Prediction)>,
-        acq: Acquisition,
-        best_y: f64,
-        liar_value: f64,
-    ) -> Self {
-        let mut pool = Self {
-            configs: Vec::with_capacity(entries.len()),
-            dims: 0,
-            encoded: Vec::new(),
-            means: Vec::with_capacity(entries.len()),
-            vars: Vec::with_capacity(entries.len()),
-            weights: Vec::with_capacity(entries.len()),
-            picked: Vec::new(),
-            liars: Vec::new(),
-            liar_value,
-            acq,
-            best_y,
-            rescore_ops: 0,
-            reference: false,
-        };
-        for (config, encoded, base) in entries {
-            pool.push_entry(config, &encoded, base);
-        }
-        pool
-    }
-
     fn push_entry(&mut self, config: Config, encoded: &[f64], base: Prediction) {
         if self.configs.is_empty() {
             self.dims = encoded.len();
@@ -399,19 +371,6 @@ impl BatchMaximizer {
         self.rescore_ops
     }
 
-    /// Switches `next_candidate` to the reference O(pool × liars)
-    /// re-scoring (re-deriving every weight from the full liar list).
-    /// Must be toggled before the first [`Self::push_liar`]; the
-    /// incremental running weights are not maintained while in reference
-    /// mode.
-    pub fn use_reference_rescoring(&mut self, on: bool) {
-        assert!(
-            self.liars.is_empty(),
-            "toggle reference re-scoring before registering liars"
-        );
-        self.reference = on;
-    }
-
     #[inline]
     fn is_picked(&self, i: usize) -> bool {
         self.picked[i / 64] & (1u64 << (i % 64)) != 0
@@ -425,7 +384,12 @@ impl BatchMaximizer {
     /// running max weight here (one contiguous O(pool) sweep); the argmax
     /// in [`Self::next_candidate`] then reads cached weights only.
     pub fn push_liar(&mut self, x: Vec<f64>) {
-        if !self.reference && !self.configs.is_empty() {
+        #[cfg(test)]
+        if self.reference {
+            self.liars.push(x);
+            return;
+        }
+        if !self.configs.is_empty() {
             let dims = self.dims;
             let n = dims.max(1) as f64;
             for i in 0..self.configs.len() {
@@ -444,6 +408,7 @@ impl BatchMaximizer {
             }
             self.rescore_ops += self.configs.len() as u64;
         }
+        #[cfg(test)]
         self.liars.push(x);
     }
 
@@ -452,44 +417,104 @@ impl BatchMaximizer {
     /// fall back to random sampling). Does not register a liar — call
     /// [`Self::push_liar`] with the accepted draw.
     pub fn next_candidate(&mut self) -> Option<Config> {
-        let mut best: Option<(usize, f64)> = None;
+        #[cfg(test)]
         if self.reference {
-            let dims = self.dims;
-            for i in 0..self.configs.len() {
-                if self.is_picked(i) {
-                    continue;
-                }
-                let row = &self.encoded[i * dims..i * dims + dims];
-                let base = Prediction::new(self.means[i], self.vars[i]);
-                let p = penalize(&self.liars, self.liar_value, row, base);
-                self.rescore_ops += self.liars.len() as u64;
-                let s = self.acq.score(p, self.best_y);
-                if best.is_none_or(|(_, bs)| s > bs) {
-                    best = Some((i, s));
-                }
+            let best = self.best_by_reference();
+            return self.pick(best);
+        }
+        let mut best: Option<(usize, f64)> = None;
+        // Tight arithmetic-only scan over the SoA buffers: the blend
+        // below is the same expression `penalize` ends with, applied
+        // to the cached running max weight.
+        for i in 0..self.configs.len() {
+            if self.is_picked(i) {
+                continue;
             }
-        } else {
-            // Tight arithmetic-only scan over the SoA buffers: the blend
-            // below is the same expression `penalize` ends with, applied
-            // to the cached running max weight.
-            for i in 0..self.configs.len() {
-                if self.is_picked(i) {
-                    continue;
-                }
-                let w = self.weights[i];
-                let p = Prediction::new(
-                    w * self.liar_value + (1.0 - w) * self.means[i],
-                    (1.0 - w) * self.vars[i],
-                );
-                let s = self.acq.score(p, self.best_y);
-                if best.is_none_or(|(_, bs)| s > bs) {
-                    best = Some((i, s));
-                }
+            let w = self.weights[i];
+            let p = Prediction::new(
+                w * self.liar_value + (1.0 - w) * self.means[i],
+                (1.0 - w) * self.vars[i],
+            );
+            let s = self.acq.score(p, self.best_y);
+            if best.is_none_or(|(_, bs)| s > bs) {
+                best = Some((i, s));
             }
         }
+        self.pick(best)
+    }
+
+    /// Marks the argmax `best` picked and returns its config.
+    fn pick(&mut self, best: Option<(usize, f64)>) -> Option<Config> {
         let (i, _) = best?;
         self.picked[i / 64] |= 1u64 << (i % 64);
         Some(self.configs[i].clone())
+    }
+}
+
+/// The reference O(pool × liars) re-scoring, the oracle the incremental
+/// path is pinned against bit for bit.
+#[cfg(test)]
+impl BatchMaximizer {
+    /// Builds a maximizer directly from `(config, encoded, base
+    /// prediction)` entries, bypassing candidate generation and the model
+    /// sweep, so proptests can compare both paths over arbitrary pools.
+    fn from_pool(
+        entries: Vec<(Config, Vec<f64>, Prediction)>,
+        acq: Acquisition,
+        best_y: f64,
+        liar_value: f64,
+    ) -> Self {
+        let mut pool = Self {
+            configs: Vec::with_capacity(entries.len()),
+            dims: 0,
+            encoded: Vec::new(),
+            means: Vec::with_capacity(entries.len()),
+            vars: Vec::with_capacity(entries.len()),
+            weights: Vec::with_capacity(entries.len()),
+            picked: Vec::new(),
+            liars: Vec::new(),
+            liar_value,
+            acq,
+            best_y,
+            rescore_ops: 0,
+            reference: false,
+        };
+        for (config, encoded, base) in entries {
+            pool.push_entry(config, &encoded, base);
+        }
+        pool
+    }
+
+    /// Switches `next_candidate` to the reference re-scoring, which
+    /// re-derives every weight from the full liar list. Must be toggled
+    /// before the first [`Self::push_liar`]; the incremental running
+    /// weights are not maintained while in reference mode.
+    fn use_reference_rescoring(&mut self, on: bool) {
+        assert!(
+            self.liars.is_empty(),
+            "toggle reference re-scoring before registering liars"
+        );
+        self.reference = on;
+    }
+
+    /// The unpicked argmax with every weight re-folded from all liars.
+    fn best_by_reference(&mut self) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        let dims = self.dims;
+        for i in 0..self.configs.len() {
+            if self.is_picked(i) {
+                continue;
+            }
+            let row = &self.encoded[i * dims..i * dims + dims];
+            let base = Prediction::new(self.means[i], self.vars[i]);
+            let p = crate::penalized::penalize(&self.liars, self.liar_value, row, base);
+            self.rescore_ops += self.liars.len() as u64;
+            let s = self.acq.score(p, self.best_y);
+            if best.is_none_or(|(_, bs)| s > bs) {
+                best = Some((i, s));
+            }
+        }
+        best
     }
 }
 

@@ -348,4 +348,30 @@ if grep -rnE "$fanout_dead" crates/ DESIGN.md .claude/skills/verify/SKILL.md; th
   exit 1
 fi
 
+step "one allocation per config (Config shares its values; every store holds a handle)"
+# A trial's config is allocated once, when the space proposes it; the
+# pending set, the job, the history, the completion log and the rung
+# heaps hold handles on that one allocation (DESIGN.md §4). A deep copy
+# of a config's values in production code brings the per-store copies
+# back. Test modules may copy what they like.
+grep -qE '^[[:space:]]*values: Arc<\[ParamValue\]>,' crates/space/src/config.rs
+copy_sites=$(
+  for f in $(grep -rl 'values()\.to_vec()' crates/space/src crates/core/src crates/service/src); do
+    sed '/^#\[cfg(test)\]/q' "$f" | grep -n 'values()\.to_vec()' | sed "s|^|$f:|"
+  done || true
+)
+if [[ -n "$copy_sites" ]]; then
+  printf 'config values copied outside test code:\n%s\n' "$copy_sites"
+  exit 1
+fi
+# The sharing itself, by name: a filter that matched nothing would pass.
+shared_run=$(cargo test -q -p hypertune-core --offline --lib -- --exact \
+  tenant::tests::every_store_shares_the_one_config_allocation)
+grep -q '^test result: ok\. 1 passed' <<< "$shared_run"
+# The serde shim sits outside the workspace, so the suite above never runs
+# the test that pins an `Arc<[T]>` to the bytes of a `Vec<T>`.
+arc_run=$(cargo test -q -p serde --offline --lib -- --exact \
+  tests::an_arc_slice_encodes_like_a_vec_and_round_trips)
+grep -q '^test result: ok\. 1 passed' <<< "$arc_run"
+
 step "OK"
