@@ -43,7 +43,6 @@
 //! | [`allocator`] | θ-weighted bracket selection (§4.1) |
 //! | [`sampler`] | Random / BO / MFES configuration samplers (§4.3) |
 //! | [`ranking`] | Cross-level ranking loss behind θ |
-//! | [`lce`] | Learning-curve extrapolation for the LCE-Stop baseline |
 //! | [`persist`] | The durable log: one checksummed append-only WAL format, its writer and its reader |
 //! | [`tenant`] | Per-study runtime and trial ledger: history, pending set, RNG; retry, quarantine, breaker, counts |
 //! | [`breaker`] | Quarantine-storm circuit breaker (graceful degradation) |
@@ -61,7 +60,6 @@ pub mod bracket;
 pub mod breaker;
 pub mod diagnostics;
 pub mod history;
-pub mod lce;
 pub mod levels;
 pub mod method;
 pub mod methods;

@@ -13,14 +13,10 @@
 //! method/ablation in the paper's figures is one enum variant.
 
 mod async_hb;
-mod lce_stop;
-mod median_stop;
 mod simple;
 mod sync_hb;
 
 pub use async_hb::{AsyncHb, BracketPolicy};
-pub use lce_stop::LceStop;
-pub use median_stop::MedianStop;
 pub use simple::{ABo, ARandom, ARea, BatchBo};
 pub use sync_hb::{CyclePolicy, SyncHb};
 
@@ -81,10 +77,6 @@ pub enum MethodKind {
     /// Hyper-Tune with the TPE sampler dropped into the optimizer slot
     /// (extra ablation: demonstrates the generic optimizer abstraction).
     HyperTuneTpe,
-    /// The median stopping rule of Vizier/Ray Tune (related work §2).
-    MedianStop,
-    /// Early stopping by learning-curve extrapolation (related work §2).
-    LceStop,
 }
 
 impl MethodKind {
@@ -113,8 +105,6 @@ impl MethodKind {
             MethodKind::ABohbBs => "A-BOHB + BS",
             MethodKind::BohbTpe => "BOHB (TPE)",
             MethodKind::HyperTuneTpe => "Hyper-Tune (TPE)",
-            MethodKind::MedianStop => "Median-Stop",
-            MethodKind::LceStop => "LCE-Stop",
         }
     }
 
@@ -157,8 +147,6 @@ impl MethodKind {
             MethodKind::ABohbBs,
             MethodKind::BohbTpe,
             MethodKind::HyperTuneTpe,
-            MethodKind::MedianStop,
-            MethodKind::LceStop,
         ]
     }
 
@@ -328,10 +316,6 @@ impl MethodKind {
                 Box::new(TpeSampler::new()),
                 seed,
             )),
-            MethodKind::MedianStop => {
-                Box::new(MedianStop::new(levels.k(), Box::new(RandomSampler)))
-            }
-            MethodKind::LceStop => Box::new(LceStop::new(Box::new(RandomSampler))),
         }
     }
 }
@@ -343,33 +327,8 @@ mod tests {
     #[test]
     fn every_kind_builds() {
         let levels = ResourceLevels::new(27.0, 3);
-        let kinds = [
-            MethodKind::ARandom,
-            MethodKind::BatchBo,
-            MethodKind::ABo,
-            MethodKind::Sha,
-            MethodKind::Asha,
-            MethodKind::Hyperband,
-            MethodKind::AHyperband,
-            MethodKind::Bohb,
-            MethodKind::ABohb,
-            MethodKind::MfesHb,
-            MethodKind::ARea,
-            MethodKind::HyperTune,
-            MethodKind::HyperTuneNoBs,
-            MethodKind::HyperTuneNoDasha,
-            MethodKind::HyperTuneNoMfes,
-            MethodKind::AshaDasha,
-            MethodKind::AHyperbandDasha,
-            MethodKind::ABohbDasha,
-            MethodKind::AHyperbandBs,
-            MethodKind::ABohbBs,
-            MethodKind::BohbTpe,
-            MethodKind::HyperTuneTpe,
-            MethodKind::MedianStop,
-            MethodKind::LceStop,
-        ];
-        for k in kinds {
+        assert_eq!(MethodKind::all().len(), 22);
+        for &k in MethodKind::all() {
             let m = k.build(&levels, 0);
             assert_eq!(m.name(), k.name());
         }

@@ -124,6 +124,14 @@ fn lookup_method(name: &str) -> MethodKind {
     })
 }
 
+/// A resource ladder needs `eta >= 2`; anything else is a usage error.
+fn parse_eta(s: &str) -> usize {
+    match s.parse() {
+        Ok(eta) if eta >= 2 => eta,
+        _ => usage(),
+    }
+}
+
 fn run_command(args: &[String]) {
     let mut bench_name = "counting-ones".to_string();
     let mut method_name = "hyper-tune".to_string();
@@ -151,7 +159,7 @@ fn run_command(args: &[String]) {
                 budget_hours = value("--budget-hours").parse().unwrap_or_else(|_| usage())
             }
             "--seed" => seed = value("--seed").parse().unwrap_or_else(|_| usage()),
-            "--eta" => eta = value("--eta").parse().unwrap_or_else(|_| usage()),
+            "--eta" => eta = parse_eta(&value("--eta")),
             "--trace" => trace = true,
             other => {
                 eprintln!("unknown flag {other}");
@@ -236,7 +244,7 @@ fn cluster_command(args: &[String]) {
             }
             "--max-evals" => max_evals = value("--max-evals").parse().unwrap_or_else(|_| usage()),
             "--seed" => seed = value("--seed").parse().unwrap_or_else(|_| usage()),
-            "--eta" => eta = value("--eta").parse().unwrap_or_else(|_| usage()),
+            "--eta" => eta = parse_eta(&value("--eta")),
             "--lease-secs" => {
                 lease_secs = value("--lease-secs").parse().unwrap_or_else(|_| usage())
             }

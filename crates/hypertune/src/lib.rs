@@ -42,7 +42,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`space`] | configuration spaces, parameters, encodings |
-//! | [`surrogate`] | random forest / GP surrogates, acquisition functions, MFES ensemble |
+//! | [`surrogate`] | random-forest surrogates, acquisition functions, MFES ensemble |
 //! | [`cluster`] | discrete-event cluster simulator + threaded executor |
 //! | [`benchmarks`] | counting-ones, tabular NAS, simulated XGBoost/ResNet/LSTM workloads |
 //! | [`core`] | schedulers (SHA/ASHA/D-ASHA), bracket selection, samplers, all methods, the runner |

@@ -1,6 +1,6 @@
 //! Integration tests for the extensions beyond the paper's core: the TPE
-//! optimizer slot, the median stopping rule, classic multi-fidelity test
-//! functions, GP kernels, and run diagnostics.
+//! optimizer slot, classic multi-fidelity test functions, and run
+//! diagnostics.
 
 use hypertune::benchmarks::{BraninMf, Hartmann6Mf};
 use hypertune::core::methods::{AsyncHb, BracketPolicy};
@@ -24,17 +24,6 @@ fn tpe_variants_run_and_improve_over_time() {
             assert!(r.curve.last().unwrap().value <= r.curve[0].value);
         }
     }
-}
-
-#[test]
-fn median_stop_uses_partial_evaluations() {
-    let bench = tasks::xgboost_covertype(0);
-    let r = run_kind(MethodKind::MedianStop, &bench, 2.0 * 3600.0, 5);
-    assert!(r.total_evals > 0);
-    // It starts everything at the base level, so level 0 dominates.
-    assert!(r.evals_per_level[0] >= r.evals_per_level[3]);
-    // And it is fully asynchronous.
-    assert!(r.utilization > 0.9, "utilization {}", r.utilization);
 }
 
 #[test]
@@ -83,41 +72,6 @@ fn diagnostics_track_theta_and_brackets() {
     // Promotions happened in at least one bracket.
     assert!(d.bracket_promotions.iter().sum::<usize>() > 0);
     assert!(d.report().contains("final theta"));
-}
-
-#[test]
-fn gp_kernel_families_all_fit_benchmark_data() {
-    use hypertune::surrogate::kernel::{Kernel, Matern32, Matern52, Rbf};
-    use hypertune::surrogate::{GaussianProcess, SurrogateModel};
-    use std::sync::Arc;
-    let bench = tasks::resnet_cifar10(0);
-    let mut rng = {
-        use rand::SeedableRng;
-        rand::rngs::StdRng::seed_from_u64(0)
-    };
-    let xs: Vec<Vec<f64>> = (0..25)
-        .map(|_| bench.space().encode(&bench.space().sample(&mut rng)))
-        .collect();
-    let ys: Vec<f64> = xs
-        .iter()
-        .map(|x| {
-            bench
-                .space()
-                .decode(x)
-                .map(|c| bench.evaluate(&c, 27.0, 0).value)
-                .unwrap()
-        })
-        .collect();
-    for kernel in [
-        Arc::new(Rbf) as Arc<dyn Kernel>,
-        Arc::new(Matern32),
-        Arc::new(Matern52),
-    ] {
-        let mut gp = GaussianProcess::with_kernel(kernel);
-        gp.fit(&xs, &ys).unwrap();
-        let p = SurrogateModel::predict(&gp, &xs[0]).unwrap();
-        assert!(p.mean.is_finite() && p.var >= 0.0);
-    }
 }
 
 #[test]

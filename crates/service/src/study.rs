@@ -82,6 +82,19 @@ impl StudySpec {
         self.max_in_flight = max_in_flight;
         self
     }
+
+    /// The first field a service cannot run the study with: an empty
+    /// budget or quota, or an `eta` below 2 (no resource ladder exists
+    /// for it).
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.max_evals == 0 || self.max_in_flight == 0 {
+            return Err("max_evals and max_in_flight must be positive");
+        }
+        if self.eta < 2 {
+            return Err("eta must be at least 2");
+        }
+        Ok(())
+    }
 }
 
 /// Where a study is in its lifecycle. Unit variants serialize as their

@@ -7,8 +7,6 @@
 //!   optimizer abstraction, §4.3),
 //! - a SMAC-style probabilistic random forest ([`rf::RandomForest`], the
 //!   default base surrogate — robust on mixed discrete/continuous spaces),
-//! - a Gaussian process with Matérn-5/2 kernel ([`gp::GaussianProcess`],
-//!   backed by an in-repo Cholesky decomposition in [`linalg`]),
 //! - the multi-fidelity weighted-bagging ensemble of Eq. 3
 //!   ([`ensemble::MfEnsemble`]),
 //! - acquisition functions (EI/PI/LCB) and their maximizer
@@ -23,18 +21,13 @@
 //! | Module | Role |
 //! |---|---|
 //! | [`rf`] | Probabilistic random forest (default base surrogate) |
-//! | [`gp`] | Gaussian process with Matérn-5/2 kernel |
 //! | [`ensemble`] | MFES weighted-bagging ensemble across fidelities (Eq. 3) |
 //! | [`acquisition`] | EI / PI / LCB and the acquisition maximizer |
-//! | [`kernel`] | Covariance kernels shared by the GP |
-//! | [`linalg`] | In-repo Cholesky / triangular solves (no external BLAS) |
-//! | [`stats`] | Normal PDF/CDF and ranking helpers |
+//! | [`penalized`] | Constant-liar penalization for batch acquisition |
+//! | [`stats`] | Normal PDF/CDF and the median |
 
 pub mod acquisition;
 pub mod ensemble;
-pub mod gp;
-pub mod kernel;
-pub mod linalg;
 pub mod penalized;
 pub mod rf;
 pub mod stats;
@@ -42,7 +35,6 @@ pub mod stats;
 mod model;
 
 pub use ensemble::MfEnsemble;
-pub use gp::GaussianProcess;
 pub use model::{Prediction, Predictor, SurrogateError, SurrogateModel};
 pub use penalized::PenalizedPredictor;
 pub use rf::RandomForest;

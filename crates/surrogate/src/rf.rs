@@ -371,8 +371,7 @@ fn choose_split(
 }
 
 /// Two-pass mean/variance straight off the index slice — no target
-/// buffer. Matches `stats::{mean, variance}` semantics (population
-/// variance; zero for fewer than two samples).
+/// buffer. Population variance; zero for fewer than two samples.
 fn leaf_stats(y: &[f64], indices: &[usize]) -> Leaf {
     let k = indices.len();
     if k == 0 {

@@ -1,6 +1,6 @@
-//! Scalar statistics helpers shared by surrogates and acquisition
-//! functions: standard-normal PDF/CDF (via an `erf` approximation),
-//! target standardization, and rank/median utilities.
+//! Scalar statistics helpers shared by acquisition functions and
+//! samplers: standard-normal PDF/CDF (via an `erf` approximation) and
+//! the median.
 
 /// Standard-normal probability density.
 pub fn norm_pdf(z: f64) -> f64 {
@@ -24,32 +24,6 @@ pub fn erf(x: f64) -> f64 {
     sign * (1.0 - poly * (-x * x).exp())
 }
 
-/// Mean of a slice; 0.0 for empty input.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Population variance of a slice; 0.0 for fewer than two elements.
-pub fn variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
-}
-
-/// Sample standard deviation (n-1 denominator); 0.0 for fewer than two.
-pub fn sample_std(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
-}
-
 /// Median of a slice (average of middle two for even lengths);
 /// `None` for empty input.
 pub fn median(xs: &[f64]) -> Option<f64> {
@@ -64,78 +38,6 @@ pub fn median(xs: &[f64]) -> Option<f64> {
     } else {
         0.5 * (v[n / 2 - 1] + v[n / 2])
     })
-}
-
-/// Standardization transform `y -> (y - mean) / std`, remembering the
-/// parameters so predictions can be mapped back.
-#[derive(Debug, Clone, Copy)]
-pub struct Standardizer {
-    /// Mean of the training targets.
-    pub mean: f64,
-    /// Standard deviation of the training targets (floored at a small
-    /// epsilon so constant targets don't divide by zero).
-    pub std: f64,
-}
-
-impl Standardizer {
-    /// Fits the transform to `y`.
-    pub fn fit(y: &[f64]) -> Self {
-        let m = mean(y);
-        let s = sample_std(y).max(1e-12);
-        Self { mean: m, std: s }
-    }
-
-    /// Applies the transform.
-    pub fn transform(&self, y: f64) -> f64 {
-        (y - self.mean) / self.std
-    }
-
-    /// Inverts the transform for a mean prediction.
-    pub fn inverse_mean(&self, z: f64) -> f64 {
-        z * self.std + self.mean
-    }
-
-    /// Inverts the transform for a variance prediction.
-    pub fn inverse_var(&self, v: f64) -> f64 {
-        v * self.std * self.std
-    }
-}
-
-/// Ranks of `xs` (0 = smallest), with ties broken by index order.
-pub fn ranks(xs: &[f64]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..xs.len()).collect();
-    idx.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("finite values"));
-    let mut out = vec![0; xs.len()];
-    for (rank, &i) in idx.iter().enumerate() {
-        out[i] = rank;
-    }
-    out
-}
-
-/// Spearman rank correlation between two equal-length slices;
-/// `None` when undefined (length < 2 or zero rank variance).
-pub fn spearman(a: &[f64], b: &[f64]) -> Option<f64> {
-    if a.len() != b.len() || a.len() < 2 {
-        return None;
-    }
-    let ra: Vec<f64> = ranks(a).into_iter().map(|r| r as f64).collect();
-    let rb: Vec<f64> = ranks(b).into_iter().map(|r| r as f64).collect();
-    let ma = mean(&ra);
-    let mb = mean(&rb);
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for i in 0..ra.len() {
-        let da = ra[i] - ma;
-        let db = rb[i] - mb;
-        cov += da * db;
-        va += da * da;
-        vb += db * db;
-    }
-    if va == 0.0 || vb == 0.0 {
-        return None;
-    }
-    Some(cov / (va.sqrt() * vb.sqrt()))
 }
 
 #[cfg(test)]
@@ -170,43 +72,5 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), Some(2.0));
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), Some(2.5));
         assert_eq!(median(&[]), None);
-    }
-
-    #[test]
-    fn standardizer_roundtrip() {
-        let y = [10.0, 20.0, 30.0, 40.0];
-        let st = Standardizer::fit(&y);
-        for &v in &y {
-            let z = st.transform(v);
-            assert!((st.inverse_mean(z) - v).abs() < 1e-12);
-        }
-        // Standardized mean ≈ 0, sample std ≈ 1.
-        let zs: Vec<f64> = y.iter().map(|&v| st.transform(v)).collect();
-        assert!(mean(&zs).abs() < 1e-12);
-        assert!((sample_std(&zs) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn standardizer_constant_targets() {
-        let st = Standardizer::fit(&[5.0, 5.0, 5.0]);
-        assert_eq!(st.transform(5.0), 0.0);
-        assert_eq!(st.inverse_mean(0.0), 5.0);
-    }
-
-    #[test]
-    fn ranks_and_spearman() {
-        assert_eq!(ranks(&[30.0, 10.0, 20.0]), vec![2, 0, 1]);
-        // Perfect monotone association.
-        assert!((spearman(&[1.0, 2.0, 3.0], &[10.0, 20.0, 30.0]).unwrap() - 1.0).abs() < 1e-12);
-        // Perfect inverse association.
-        assert!((spearman(&[1.0, 2.0, 3.0], &[3.0, 2.0, 1.0]).unwrap() + 1.0).abs() < 1e-12);
-        assert_eq!(spearman(&[1.0], &[1.0]), None);
-    }
-
-    #[test]
-    fn variance_and_mean_edge_cases() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance(&[1.0]), 0.0);
-        assert!((variance(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
     }
 }

@@ -5,8 +5,8 @@
 //! invisible to the debug-profile suite.
 
 use hypertune_surrogate::{
-    GaussianProcess, MfEnsemble, PenalizedPredictor, Prediction, Predictor, RandomForest,
-    SurrogateError, SurrogateModel,
+    MfEnsemble, PenalizedPredictor, Prediction, Predictor, RandomForest, SurrogateError,
+    SurrogateModel,
 };
 use proptest::prelude::*;
 
@@ -43,13 +43,14 @@ proptest! {
         rf.fit(&xs, &ys).unwrap();
         assert_rows_match_per_point(&rf, &rows, 3);
 
-        let mut gp = GaussianProcess::new();
-        gp.fit(&xs, &ys).unwrap();
-        assert_rows_match_per_point(&gp, &rows, 3);
-
+        // Members fitted on different rows with different seeds, like the
+        // per-level surrogates MFES combines.
         let mut low = RandomForest::new(seed ^ 1);
         low.fit(&xs[..4], &ys[..4]).unwrap();
-        let ensemble = MfEnsemble::new(vec![(&low, 0.2), (&gp, 0.3), (&rf, 0.5)]).unwrap();
+        let half = xs.len() / 2;
+        let mut mid = RandomForest::new(seed ^ 2);
+        mid.fit(&xs[..half], &ys[..half]).unwrap();
+        let ensemble = MfEnsemble::new(vec![(&low, 0.2), (&mid, 0.3), (&rf, 0.5)]).unwrap();
         assert_rows_match_per_point(&ensemble, &rows, 3);
 
         let mut penalized = PenalizedPredictor::new(&ensemble, 0.4);

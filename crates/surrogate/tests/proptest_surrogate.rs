@@ -1,8 +1,6 @@
 //! Property-based tests on surrogate-model invariants.
 
-use hypertune_surrogate::{
-    ensemble::MfEnsemble, GaussianProcess, Predictor, RandomForest, SurrogateModel,
-};
+use hypertune_surrogate::{ensemble::MfEnsemble, Predictor, RandomForest, SurrogateModel};
 use proptest::prelude::*;
 
 fn dataset(xs_raw: &[(f64, f64)], f: impl Fn(f64, f64) -> f64) -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -31,21 +29,6 @@ proptest! {
         // Leaf means are averages of targets, so the forest mean is a
         // convex combination of observed values.
         prop_assert!(p.mean >= lo - 1e-9 && p.mean <= hi + 1e-9);
-    }
-
-    /// GP predictions are finite with non-negative variance for benign
-    /// inputs, including duplicates.
-    #[test]
-    fn gp_predictions_well_formed(
-        points in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 2..25),
-        query in (0.0f64..1.0, 0.0f64..1.0),
-    ) {
-        let (xs, ys) = dataset(&points, |a, b| a * a - b);
-        let mut gp = GaussianProcess::new();
-        gp.fit(&xs, &ys).unwrap();
-        let p = SurrogateModel::predict(&gp, &[query.0, query.1]).unwrap();
-        prop_assert!(p.mean.is_finite());
-        prop_assert!(p.var >= 0.0);
     }
 
     /// The MFES ensemble mean is a convex combination of member means and

@@ -37,7 +37,7 @@ step "cargo test --release -p hypertune-cluster (the workspace's one unsafe bloc
 # the way the product is built.
 cargo test --release -q -p hypertune-cluster --offline
 
-step "dispatch fingerprints (all 24 methods x 2 seeds, plus 5 x 2 under every fault, bit for bit)"
+step "dispatch fingerprints (all 22 methods x 2 seeds, plus 5 x 2 under every fault, bit for bit)"
 # results/dispatch_probe.txt is what the probe printed before the forest
 # kernel was rewritten, plus the fault-path lines recorded before the
 # trial ledger moved into StudyRuntime. A change that alters which
@@ -217,13 +217,16 @@ grep -q -- "-- study 8 --" target/service-report.out
 [[ "$(grep -c "^duplicated trials: 0$" target/service-report.out)" -ge 8 ]]
 ! grep -E "^duplicated trials: [1-9]" target/service-report.out
 
-step "dead references (deleted benches, shared stores and the suggester thread stay deleted)"
-# ROADMAP.md and CHANGES.md are history and perf/ is the benchmark's own
+step "dead references (deleted benches, shared stores, the suggester thread, the stopping rules and the GP stay deleted)"
+# ROADMAP.md and CHANGES.md are history, results/ holds the feature
+# ledger that records the deletions, and perf/ is the benchmark's own
 # tree, so none of them is searched; DESIGN.md keeps the one paragraph
 # that records why the suggester thread was removed.
 # (The quote pairs keep this file from matching its own patterns.)
 dead='BENCH_[a-z]*\.json|net-''bench|service-''bench|cargo ''bench'
 dead+='|Shared''History|Sharded''Pending|History''View'
+dead+='|Median''Stop|Lce''Stop|median''_stop|lce''_stop'
+dead+='|Gaussian''Process|Mat''ern|Chol''esky|Standard''izer'
 # (`if`, not `! grep`: errexit ignores a negated command.)
 if grep -rnE "$dead" README.md DESIGN.md EXPERIMENTS.md scripts/ crates/ examples/ ||
   grep -rni 'pre''fetch' README.md scripts/ crates/ examples/; then
