@@ -16,9 +16,9 @@
 //! - **Corrupt** — the job finishes on time but its result is garbage
 //!   (NaN metric, truncated payload) and must be discarded.
 //!
-//! Both execution substrates consume the model the same way: the fault is
-//! drawn on the *driver* thread at submission, so a run is a deterministic
-//! function of the seed regardless of worker scheduling. A disabled model
+//! The simulator is the one substrate that consumes the model: the fault
+//! is drawn at submission, so a run is a deterministic function of the
+//! seed regardless of worker scheduling. A disabled model
 //! ([`FaultModel::none`]) draws no randomness at all, which keeps
 //! fault-free runs bit-identical to builds that predate fault injection.
 

@@ -10,9 +10,10 @@
 //!   straggler slowdowns, and advances time to the next completion. This
 //!   is the substrate every experiment harness uses, mirroring how the
 //!   paper itself uses NAS-Bench-201's *simulated training time*.
-//! - [`executor::ThreadPool`] — a real threaded executor built on
+//! - [`executor::ThreadPool`] — a fixed pool of OS threads fed by
 //!   crossbeam channels, demonstrating that the same scheduling logic
-//!   drives genuinely parallel evaluation (used by the examples).
+//!   drives genuinely parallel evaluation (used by the examples and the
+//!   service's `--pool`).
 //! - [`net::TcpCluster`] — a real *distributed* executor: worker
 //!   processes (the `hypertune-worker` binary) reached over TCP via the
 //!   [`proto`] wire protocol, where a worker crash is an actual process
@@ -23,38 +24,39 @@
 //! runner is written once and runs on either; the simulator keeps its
 //! own richer interface (virtual time, receipts) with the same contract.
 //!
-//! The in-process substrates share one imperfection model: a
+//! The simulator is the one substrate that injects imperfection: a
 //! [`StragglerModel`] stretches durations (the paper's §4.2 motivation
 //! for asynchronous scheduling), and a [`FaultModel`] injects worker
 //! crashes, evaluation errors, hangs, and corrupt results, reported
-//! through each substrate's `next_completion` as a [`JobStatus`]. Faults
-//! are drawn at dispatch on the driver thread, so a run is a
-//! deterministic function of its seeds on either in-process substrate.
-//! The TCP substrate needs no injection — its faults are real: kill the
-//! worker process and the driver sees the disconnect.
+//! through `next_completion` as a [`JobStatus`]. Faults are drawn at
+//! dispatch, so a run is a deterministic function of its seeds. The real
+//! substrates inject nothing: a [`ThreadPool`] thread whose evaluation
+//! panics reports the job as [`JobStatus::Crashed`], and the TCP
+//! substrate's faults are real — kill the worker process and the driver
+//! sees the disconnect.
 //!
 //! # Module map
 //!
 //! | Module | Contents |
 //! |---|---|
 //! | [`sim`] | [`SimCluster`], [`JobResult`], [`JobStatus`], [`ClusterError`] — the discrete-event simulator and the submit/complete contract |
-//! | [`executor`] | [`Executor`], [`ThreadPool`], [`PoolResult`] — the driver-facing trait and the same contract on real OS threads |
+//! | [`executor`] | [`Executor`], [`ThreadPool`], [`PoolResult`] — the driver-facing trait and a fixed pool of OS threads behind it |
 //! | [`proto`] | [`proto::Frame`], [`proto::FrameEncoder`], [`proto::FrameDecoder`], [`proto::ProtoError`] — the length-prefixed binary wire protocol (normative spec: DESIGN.md §16) |
 //! | [`net`] | [`TcpCluster`], [`serve_worker`] — the driver/worker TCP substrate built on [`proto`]; Unix-only, since both sides wait in `poll(2)` |
-//! | [`fault`] | [`Fault`], [`FaultSpec`], [`FaultModel`] — dispatch-time failure injection |
+//! | [`fault`] | [`Fault`], [`FaultSpec`], [`FaultModel`] — the simulator's dispatch-time failure injection |
 //! | [`membership`] | [`MembershipPlan`], [`MembershipEvent`] — elastic worker churn: scheduled joins/leaves, worker crashes that orphan jobs, lease-based recovery |
 //! | `poll` (private) | `poll(2)` through one `extern "C"` declaration — the readiness wait under [`net`], and the workspace's only `unsafe` block |
 //! | `straggler` (private) | [`StragglerModel`] — duration noise |
 //! | [`trace`] | [`Trace`], [`TraceSpan`] — per-worker busy intervals for utilization and Gantt renderings (Figures 1 and 4 of the paper) |
 //!
-//! Beyond job faults, the in-process substrates accept a
-//! [`MembershipPlan`]: workers can join or leave on a schedule, or die
-//! with a per-dispatch probability. A dying worker **orphans** its
-//! in-flight job — the driver only learns of it when the job's lease
-//! expires and the substrate surfaces it as [`JobStatus::Orphaned`] —
-//! which is how a real cluster manager observes preempted machines. The
-//! TCP substrate produces the same `Orphaned` status from real causes:
-//! a dropped connection or a missed-heartbeat lease expiry.
+//! Beyond job faults, the simulator accepts a [`MembershipPlan`]:
+//! workers can join or leave on a schedule, or die with a per-dispatch
+//! probability. A dying worker **orphans** its in-flight job — the driver
+//! only learns of it when the job's lease expires and the substrate
+//! surfaces it as [`JobStatus::Orphaned`] — which is how a real cluster
+//! manager observes preempted machines. The TCP substrate produces the
+//! same `Orphaned` status from real causes: a dropped connection or a
+//! missed-heartbeat lease expiry.
 
 pub mod chaos;
 pub mod executor;

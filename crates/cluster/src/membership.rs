@@ -3,11 +3,11 @@
 //! The fault layer (`crate::fault`) makes *jobs* fail; this module makes
 //! *workers* churn, which is the other half of the paper's §4.2 setting
 //! (a shared production cluster where machines are preempted and
-//! replaced). A [`MembershipPlan`] describes three kinds of churn:
+//! replaced). A [`MembershipPlan`] describes three kinds of churn, which
+//! the simulator plays out in virtual time:
 //!
 //! - **scheduled events** — [`MembershipEvent::Join`] /
-//!   [`MembershipEvent::Leave`] at fixed times (virtual seconds on the
-//!   simulator, wall seconds since run start on the thread pool);
+//!   [`MembershipEvent::Leave`] at fixed virtual times;
 //! - **worker crashes** — an independent per-dispatch probability that
 //!   the worker accepting the job dies partway through it. Unlike a job
 //!   [`Fault::Crash`](crate::fault::Fault::Crash), the worker is *gone*:

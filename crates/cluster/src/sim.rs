@@ -38,7 +38,7 @@ use crate::straggler::StragglerModel;
 use crate::trace::Trace;
 
 /// Maps a drawn [`Fault`] to its telemetry tag.
-pub(crate) fn fault_kind(fault: &Fault) -> FaultKind {
+fn fault_kind(fault: &Fault) -> FaultKind {
     match fault {
         Fault::Crash { .. } => FaultKind::Crash,
         Fault::Error => FaultKind::Error,

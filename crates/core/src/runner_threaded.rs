@@ -23,26 +23,26 @@
 //! completion is booked through the runtime's ledger, one per round.
 //!
 //! Fault tolerance is the ledger's, shared with the simulator and the
-//! service: with [`ThreadedRunConfig::faults`] set, the pool marks jobs
-//! crashed / errored / corrupt (drawn deterministically in submission
-//! order), and a failed attempt is resubmitted up to the
+//! service: a failed attempt — a crashed evaluation, a worker process
+//! lost over TCP, a corrupt result — is resubmitted up to the
 //! [`RetryPolicy`]'s `max_retries` times, then quarantined as a `Failed`
-//! [`Outcome`](crate::method::Outcome). What this driver keeps is the
-//! orphan queue (an orphan's dead worker freed no slot, so it waits for
-//! one) and a quarantine cap. Backoff is a virtual-time concept and does
-//! not apply here: a real scheduler's requeue delay is wall-clock, which
-//! this runner does not model.
+//! [`Outcome`](crate::method::Outcome). This driver injects no faults:
+//! injected faults and churn are the simulator's, and on a real fleet the
+//! fleet supplies them. What it keeps is the orphan queue (an orphan's
+//! dead worker freed no slot, so it waits for one) and a quarantine cap.
+//! Backoff is a virtual-time concept and does not apply here: a real
+//! scheduler's requeue delay is wall-clock, which this runner does not
+//! model.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
 use hypertune_benchmarks::{Benchmark, Eval};
-use hypertune_cluster::{Executor, FaultModel, FaultSpec, JobStatus, MembershipPlan, ThreadPool};
+use hypertune_cluster::{Executor, JobStatus, ThreadPool};
 use hypertune_space::{Config, ConfigSpace};
 use hypertune_telemetry::TelemetryHandle;
 
-use crate::breaker::BreakerConfig;
 use crate::diagnostics::FailureCounts;
 use crate::history::Measurement;
 use crate::levels::ResourceLevels;
@@ -62,23 +62,9 @@ pub struct ThreadedRunConfig {
     pub seed: u64,
     /// Discard proportion η (paper default 3).
     pub eta: usize,
-    /// Fault injection rates, or `None` for a fault-free pool.
-    pub faults: Option<FaultSpec>,
     /// Retry policy for failed jobs (backoff fields are ignored — see
     /// the module docs).
     pub retry: RetryPolicy,
-    /// Elastic membership plan for the pool: scheduled joins/leaves (in
-    /// wall seconds since the run starts) plus stochastic worker crashes
-    /// that orphan in-flight jobs until their lease expires. Orphans are
-    /// requeued through the [`RetryPolicy`] once a worker frees up.
-    /// Speculative re-execution is a simulator-only feature: an OS thread
-    /// cannot be cancelled, so first-result-wins semantics do not
-    /// translate to this substrate.
-    pub membership: Option<MembershipPlan>,
-    /// Quarantine-storm circuit breaker: when the recent terminal-outcome
-    /// failure rate crosses the open threshold the method is degraded
-    /// (random sampling, promotions paused) until the rate recovers.
-    pub breaker: Option<BreakerConfig>,
     /// Telemetry pipeline; disabled by default. Events are stamped with
     /// wall seconds since the run started (this substrate has no virtual
     /// clock).
@@ -86,17 +72,15 @@ pub struct ThreadedRunConfig {
 }
 
 impl ThreadedRunConfig {
-    /// A config with the paper's default η = 3 and no faults.
+    /// A config with the paper's default η = 3 and the default retry
+    /// policy.
     pub fn new(n_workers: usize, max_evals: usize, seed: u64) -> Self {
         Self {
             n_workers,
             max_evals,
             seed,
             eta: 3,
-            faults: None,
             retry: RetryPolicy::default_policy(),
-            membership: None,
-            breaker: None,
             telemetry: TelemetryHandle::disabled(),
         }
     }
@@ -133,8 +117,6 @@ pub struct ThreadedRunResult {
     pub failure_counts: FailureCounts,
     /// Jobs orphaned by worker crashes whose lease expired.
     pub n_orphaned: usize,
-    /// Times the circuit breaker opened.
-    pub n_breaker_trips: usize,
 }
 
 /// The executor payload: a job spec plus its retry attempt counter.
@@ -150,31 +132,21 @@ pub struct ThreadedJob {
     pub attempt: usize,
 }
 
-/// Runs `method` against `benchmark` on `config.n_workers` OS threads.
+/// Runs `method` against `benchmark` on `config.n_workers` OS threads:
+/// builds a [`ThreadPool`] over the benchmark's `evaluate` and hands it to
+/// [`run_distributed`].
 pub fn run_threaded(
     method: &mut dyn Method,
     benchmark: Arc<dyn Benchmark>,
     config: &ThreadedRunConfig,
 ) -> ThreadedRunResult {
-    assert!(config.n_workers > 0 && config.max_evals > 0);
     let levels = ResourceLevels::new(benchmark.max_resource(), config.eta);
-
-    let bench_for_pool = Arc::clone(&benchmark);
+    let eval_bench = Arc::clone(&benchmark);
     let seed = config.seed;
-    let mut pool: ThreadPool<ThreadedJob, Eval> =
-        ThreadPool::new(config.n_workers, move |job: &ThreadedJob| {
-            bench_for_pool.evaluate(&job.spec.config, job.spec.resource, seed)
-        });
-    if let Some(spec) = config.faults {
-        pool = pool.with_faults(FaultModel::new(spec, config.seed ^ 0xfa17));
-    }
-    if let Some(plan) = &config.membership {
-        pool = pool.with_membership(plan.clone());
-    }
-    pool.set_telemetry(config.telemetry.clone());
-    method.set_telemetry(config.telemetry.clone());
-
-    drive(method, benchmark.space(), config, &levels, pool)
+    let pool = ThreadPool::new(config.n_workers, move |job: &ThreadedJob| {
+        eval_bench.evaluate(&job.spec.config, job.spec.resource, seed)
+    });
+    run_distributed(method, benchmark.space(), &levels, pool, config)
 }
 
 /// Runs `method` on an already-connected executor — in practice a
@@ -183,10 +155,6 @@ pub fn run_threaded(
 /// the same function the benchmark's `evaluate` would, or the histories
 /// diverge (the `hypertune-worker` binary guarantees this by building
 /// its evaluator from the same benchmark registry as the driver).
-///
-/// [`ThreadedRunConfig::faults`] and [`ThreadedRunConfig::membership`]
-/// are pool-construction knobs and do not apply here — on a real
-/// cluster, faults and churn are supplied by reality.
 ///
 /// # Panics
 ///
@@ -211,9 +179,9 @@ pub fn run_distributed<E: Executor<ThreadedJob, Eval>>(
     drive(method, space, config, levels, executor)
 }
 
-/// Submits, or parks the job in the wait queue: membership events apply
-/// lazily inside `submit`, so a slot seen idle a moment ago can vanish by
-/// the time the job lands.
+/// Submits, or parks the job in the wait queue: a slot seen idle a moment
+/// ago can vanish by the time the job lands (a TCP worker can drop in
+/// between).
 fn submit_or_park<E: Executor<ThreadedJob, Eval>>(
     pool: &mut E,
     queue: &mut VecDeque<ThreadedJob>,
@@ -241,7 +209,7 @@ fn drive<E: Executor<ThreadedJob, Eval>>(
         config.seed,
         config.n_workers,
         config.retry,
-        config.breaker.clone(),
+        None,
         config.telemetry.clone(),
     );
     // At 100% failure rate no job ever completes and every dispatch
@@ -344,7 +312,6 @@ fn drive<E: Executor<ThreadedJob, Eval>>(
         n_quarantined: counts.quarantined,
         failure_counts: counts.failures,
         n_orphaned: counts.failures.orphaned,
-        n_breaker_trips: counts.breaker_trips,
     }
 }
 
@@ -353,6 +320,8 @@ mod tests {
     use super::*;
     use crate::methods::MethodKind;
     use hypertune_benchmarks::CountingOnes;
+    use hypertune_cluster::{ClusterError, PoolResult};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn threaded(
         kind: MethodKind,
@@ -370,22 +339,39 @@ mod tests {
         )
     }
 
+    /// `n` threads evaluating counting-ones as `run_threaded` does at
+    /// `seed`, each evaluation passed through `tweak` with its call index.
+    fn pool(
+        n: usize,
+        seed: u64,
+        tweak: impl Fn(usize, Eval) -> Eval + Send + Sync + 'static,
+    ) -> ThreadPool<ThreadedJob, Eval> {
+        let bench = CountingOnes::new(4, 4, 7);
+        let calls = AtomicUsize::new(0);
+        ThreadPool::new(n, move |job: &ThreadedJob| {
+            let eval = bench.evaluate(&job.spec.config, job.spec.resource, seed);
+            tweak(calls.fetch_add(1, Ordering::SeqCst), eval)
+        })
+    }
+
+    /// `kind` over counting-ones on `executor`, through `run_distributed`.
+    fn run_on<E: Executor<ThreadedJob, Eval>>(
+        kind: MethodKind,
+        executor: E,
+        cfg: &ThreadedRunConfig,
+    ) -> ThreadedRunResult {
+        let bench = CountingOnes::new(4, 4, 7);
+        let levels = ResourceLevels::new(bench.max_resource(), 3);
+        let mut method = kind.build(&levels, cfg.seed);
+        run_distributed(method.as_mut(), bench.space(), &levels, executor, cfg)
+    }
+
     /// The parallelism-insensitive fingerprint of a measurement stream:
     /// everything but the wall-clock timestamp.
-    fn keys(r: &ThreadedRunResult) -> Vec<(Config, usize, u64, u64, u64, u64)> {
-        r.measurements
-            .iter()
-            .map(|m| {
-                (
-                    m.config.clone(),
-                    m.level,
-                    m.resource.to_bits(),
-                    m.value.to_bits(),
-                    m.test_value.to_bits(),
-                    m.cost.to_bits(),
-                )
-            })
-            .collect()
+    fn keys(r: &ThreadedRunResult) -> Vec<(Config, usize, [u64; 4])> {
+        let bits = |m: &Measurement| [m.resource, m.value, m.test_value, m.cost].map(f64::to_bits);
+        let key = |m: &Measurement| (m.config.clone(), m.level, bits(m));
+        r.measurements.iter().map(key).collect()
     }
 
     #[test]
@@ -399,11 +385,8 @@ mod tests {
 
     #[test]
     fn inline_driver_completes_exactly_max_evals() {
-        let bench: Arc<dyn Benchmark> = Arc::new(CountingOnes::new(4, 4, 7));
-        let levels = ResourceLevels::new(bench.max_resource(), 3);
-        let mut method = MethodKind::Asha.build(&levels, 1);
         let cfg = ThreadedRunConfig::new(4, 50, 1);
-        let r = run_threaded(method.as_mut(), bench, &cfg);
+        let r = run_on(MethodKind::Asha, pool(4, 1, |_, eval| eval), &cfg);
         assert_eq!(r.total_evals, 50);
         assert!(r.best_value.is_finite());
     }
@@ -439,50 +422,18 @@ mod tests {
     }
 
     #[test]
-    fn crash_faults_are_retried_and_run_still_completes() {
-        let bench: Arc<dyn Benchmark> = Arc::new(CountingOnes::new(4, 4, 7));
-        let levels = ResourceLevels::new(bench.max_resource(), 3);
-        let mut method = MethodKind::Asha.build(&levels, 5);
-        let mut cfg = ThreadedRunConfig::new(4, 40, 5);
-        cfg.faults = Some(FaultSpec::crashes(0.2));
-        let r = run_threaded(method.as_mut(), bench, &cfg);
-        assert_eq!(r.total_evals, 40, "retries must preserve the budget");
-        assert!(r.n_failed_attempts > 0, "20% crash rate should fire");
-        assert!(r.n_retries > 0);
-        for m in &r.measurements {
-            assert!(m.value.is_finite());
-        }
-    }
-
-    #[test]
     fn a_panicking_evaluation_is_retried_instead_of_hanging_the_run() {
-        // The benchmark panics on its first call only. The run is on a
+        // The evaluation panics on its first call only. The run is on a
         // helper thread, so a driver stuck on the lost job fails the test
         // instead of hanging it.
-        struct PanicsOnce(CountingOnes, std::sync::atomic::AtomicBool);
-        impl Benchmark for PanicsOnce {
-            fn name(&self) -> &str {
-                "panics-once"
-            }
-            fn space(&self) -> &ConfigSpace {
-                self.0.space()
-            }
-            fn max_resource(&self) -> f64 {
-                self.0.max_resource()
-            }
-            fn evaluate(&self, config: &Config, resource: f64, seed: u64) -> Eval {
-                let fired = self.1.swap(true, std::sync::atomic::Ordering::SeqCst);
-                assert!(fired, "benchmark blew up");
-                self.0.evaluate(config, resource, seed)
-            }
-        }
         let (verdict_tx, verdict_rx) = std::sync::mpsc::channel();
         let driver = std::thread::spawn(move || {
-            let bench = PanicsOnce(CountingOnes::new(4, 4, 7), Default::default());
-            let levels = ResourceLevels::new(bench.max_resource(), 3);
-            let mut method = MethodKind::Asha.build(&levels, 3);
+            let blows_up_once = pool(2, 3, |call, eval| {
+                assert!(call > 0, "evaluation blew up");
+                eval
+            });
             let cfg = ThreadedRunConfig::new(2, 20, 3);
-            let _ = verdict_tx.send(run_threaded(method.as_mut(), Arc::new(bench), &cfg));
+            let _ = verdict_tx.send(run_on(MethodKind::Asha, blows_up_once, &cfg));
         });
         let r = verdict_rx
             .recv_timeout(std::time::Duration::from_secs(30))
@@ -494,94 +445,93 @@ mod tests {
 
     #[test]
     fn total_failure_terminates_via_quarantine_cap() {
-        let bench: Arc<dyn Benchmark> = Arc::new(CountingOnes::new(4, 4, 7));
-        let levels = ResourceLevels::new(bench.max_resource(), 3);
-        let mut method = MethodKind::ARandom.build(&levels, 6);
+        // Every evaluation panics, so every attempt comes back crashed:
+        // the cap must end the run instead of letting it retry forever.
         let mut cfg = ThreadedRunConfig::new(2, 10, 6);
-        cfg.faults = Some(FaultSpec::errors(1.0));
         cfg.retry = RetryPolicy {
             max_retries: 1,
             backoff_base: 0.0,
             backoff_mult: 1.0,
         };
-        let r = run_threaded(method.as_mut(), bench, &cfg);
+        let always_panics = pool(2, 6, |_, _| panic!("evaluation blew up"));
+        let r = run_on(MethodKind::ARandom, always_panics, &cfg);
         assert_eq!(r.total_evals, 0);
         assert!(r.n_quarantined >= 10 * 10, "cap should bound the run");
+        assert_eq!(r.failure_counts.crashed, r.n_failed_attempts);
         assert!(r.best_config.is_none());
+    }
+
+    /// A one-thread pool whose first result comes back as `status`: the
+    /// failures a pool never reports itself, such as a job lost with its
+    /// worker. A corrupt result carries `POISON`, a value no real
+    /// evaluation reports.
+    struct FailsFirst(ThreadPool<ThreadedJob, Eval>, Option<JobStatus>);
+
+    const POISON: f64 = -1e9;
+
+    impl Executor<ThreadedJob, Eval> for FailsFirst {
+        fn submit(&mut self, job: ThreadedJob) -> Result<(), ClusterError> {
+            self.0.submit(job)
+        }
+
+        fn next_completion(&mut self) -> Result<PoolResult<ThreadedJob, Eval>, ClusterError> {
+            let mut done = self.0.next_completion()?;
+            if let Some(status) = self.1.take() {
+                done.output = (status == JobStatus::Corrupt).then_some(Eval {
+                    value: POISON,
+                    ..done.output.expect("the first evaluation succeeds")
+                });
+                done.status = status;
+            }
+            Ok(done)
+        }
+
+        fn n_workers(&self) -> usize {
+            1
+        }
+
+        fn in_flight(&self) -> usize {
+            self.0.in_flight()
+        }
+
+        fn set_telemetry(&mut self, _telemetry: TelemetryHandle) {}
+    }
+
+    /// ASHA for 30 evaluations on a [`FailsFirst`] pool, seed 9. The
+    /// failed attempt is retried once and booked once; at one worker
+    /// nothing else moves meanwhile, so the run books exactly what a run
+    /// that lost nothing books.
+    fn fails_first(status: JobStatus) -> ThreadedRunResult {
+        let executor = FailsFirst(pool(1, 9, |_, eval| eval), Some(status));
+        let r = run_on(
+            MethodKind::Asha,
+            executor,
+            &ThreadedRunConfig::new(1, 30, 9),
+        );
+        assert_eq!(r.total_evals, 30, "a failed attempt must not lose budget");
+        let attempts = (r.n_failed_attempts, r.n_retries, r.n_quarantined);
+        assert_eq!(attempts, (1, 1, 0));
+        assert_eq!(keys(&r), keys(&threaded(MethodKind::Asha, 1, 30, 9)));
+        r
+    }
+
+    #[test]
+    fn crash_faults_are_retried_and_run_still_completes() {
+        assert_eq!(fails_first(JobStatus::Crashed).failure_counts.crashed, 1);
     }
 
     #[test]
     fn worker_churn_run_completes_with_orphan_recovery() {
-        let bench: Arc<dyn Benchmark> = Arc::new(CountingOnes::new(4, 4, 7));
-        let levels = ResourceLevels::new(bench.max_resource(), 3);
-        let mut method = MethodKind::Asha.build(&levels, 9);
-        let mut cfg = ThreadedRunConfig::new(4, 40, 9);
-        // Crash 15% of dispatches; leases expire after 50 ms and crashed
-        // workers rejoin after 20 ms, so the pool heals continuously.
-        cfg.membership =
-            Some(MembershipPlan::worker_crashes(0.15, Some(0.02), 9).with_lease_timeout(0.05));
-        let r = run_threaded(method.as_mut(), bench, &cfg);
-        assert_eq!(r.total_evals, 40, "churn must not lose budget");
-        assert!(r.n_orphaned > 0, "15% crash rate should orphan jobs");
-        assert_eq!(r.failure_counts.orphaned, r.n_orphaned);
-        for m in &r.measurements {
-            assert!(m.value.is_finite(), "orphans must never enter history");
-        }
-    }
-
-    #[test]
-    fn breaker_trips_under_failure_storm() {
-        let bench: Arc<dyn Benchmark> = Arc::new(CountingOnes::new(4, 4, 7));
-        let levels = ResourceLevels::new(bench.max_resource(), 3);
-        let mut method = MethodKind::HyperTune.build(&levels, 10);
-        let mut cfg = ThreadedRunConfig::new(4, 10, 10);
-        cfg.faults = Some(FaultSpec::errors(0.8));
-        cfg.retry = RetryPolicy::none();
-        cfg.breaker = Some(BreakerConfig {
-            window: 10,
-            open_threshold: 0.5,
-            close_threshold: 0.2,
-            min_samples: 5,
-        });
-        let r = run_threaded(method.as_mut(), bench, &cfg);
-        assert!(
-            r.n_breaker_trips >= 1,
-            "an 80% failure rate must trip the breaker"
-        );
-    }
-
-    #[test]
-    fn static_membership_plan_matches_plain_run() {
-        let bench: Arc<dyn Benchmark> = Arc::new(CountingOnes::new(4, 4, 7));
-        let levels = ResourceLevels::new(bench.max_resource(), 3);
-        let mut m1 = MethodKind::Asha.build(&levels, 11);
-        let cfg = ThreadedRunConfig::new(1, 30, 11);
-        let plain = run_threaded(m1.as_mut(), Arc::clone(&bench), &cfg);
-
-        let mut m2 = MethodKind::Asha.build(&levels, 11);
-        let mut cfg2 = cfg.clone();
-        cfg2.membership = Some(MembershipPlan::static_plan());
-        cfg2.breaker = Some(BreakerConfig::default());
-        let elastic = run_threaded(m2.as_mut(), bench, &cfg2);
-
-        assert_eq!(keys(&plain), keys(&elastic));
-        assert_eq!(elastic.n_orphaned, 0);
-        assert_eq!(elastic.n_breaker_trips, 0);
+        // The orphan waits in the driver's queue for a free slot.
+        let r = fails_first(JobStatus::Orphaned);
+        assert_eq!((r.n_orphaned, r.failure_counts.orphaned), (1, 1));
     }
 
     #[test]
     fn corrupt_results_never_enter_history() {
-        let bench: Arc<dyn Benchmark> = Arc::new(CountingOnes::new(4, 4, 7));
-        let levels = ResourceLevels::new(bench.max_resource(), 3);
-        let mut method = MethodKind::Asha.build(&levels, 7);
-        let mut cfg = ThreadedRunConfig::new(4, 30, 7);
-        cfg.faults = Some(FaultSpec::corrupt(0.3));
-        let r = run_threaded(method.as_mut(), bench, &cfg);
-        assert_eq!(r.total_evals, 30);
-        assert!(r.n_failed_attempts > 0, "30% corruption should fire");
-        for m in &r.measurements {
-            assert!(m.value.is_finite());
-        }
+        let r = fails_first(JobStatus::Corrupt);
+        assert_eq!(r.failure_counts.corrupt, 1);
+        assert!(r.measurements.iter().all(|m| m.value != POISON));
     }
 
     #[test]
@@ -589,20 +539,15 @@ mod tests {
         // A worker that reports NaN once (a diverged training run): the
         // result must walk the retry ladder instead of reaching the
         // history and the rung, where ordering it panicked the driver.
-        let bench: Arc<dyn Benchmark> = Arc::new(CountingOnes::new(4, 4, 7));
-        let levels = ResourceLevels::new(bench.max_resource(), 3);
-        let diverged = std::sync::atomic::AtomicBool::new(false);
-        let eval_bench = Arc::clone(&bench);
-        let pool = ThreadPool::new(2, move |job: &ThreadedJob| {
-            let mut eval = eval_bench.evaluate(&job.spec.config, job.spec.resource, 7);
-            if !diverged.swap(true, std::sync::atomic::Ordering::SeqCst) {
-                eval.value = f64::NAN;
-            }
-            eval
+        let diverges_once = pool(2, 7, |call, eval| Eval {
+            value: if call == 0 { f64::NAN } else { eval.value },
+            ..eval
         });
-        let mut method = MethodKind::Asha.build(&levels, 7);
-        let cfg = ThreadedRunConfig::new(2, 30, 7);
-        let r = run_distributed(method.as_mut(), bench.space(), &levels, pool, &cfg);
+        let r = run_on(
+            MethodKind::Asha,
+            diverges_once,
+            &ThreadedRunConfig::new(2, 30, 7),
+        );
         assert_eq!(r.total_evals, 30);
         assert_eq!((r.n_retries, r.n_quarantined), (1, 0));
         assert_eq!(r.failure_counts.corrupt, 1);

@@ -124,12 +124,33 @@ fn lookup_method(name: &str) -> MethodKind {
     })
 }
 
-/// A resource ladder needs `eta >= 2`; anything else is a usage error.
-fn parse_eta(s: &str) -> usize {
+/// Parses a flag's value, which must also satisfy `valid`; anything else
+/// prints the usage and exits with status 2.
+fn parse_flag<T: std::str::FromStr>(s: &str, valid: impl Fn(&T) -> bool) -> T {
     match s.parse() {
-        Ok(eta) if eta >= 2 => eta,
+        Ok(v) if valid(&v) => v,
         _ => usage(),
     }
+}
+
+/// Any value of the flag's type.
+fn parse_any<T: std::str::FromStr>(s: &str) -> T {
+    parse_flag(s, |_| true)
+}
+
+/// A resource ladder needs `eta >= 2`.
+fn parse_eta(s: &str) -> usize {
+    parse_flag(s, |&eta| eta >= 2)
+}
+
+/// A worker, pool or evaluation count must be at least 1.
+fn parse_count(s: &str) -> usize {
+    parse_flag(s, |&n| n >= 1)
+}
+
+/// A budget or a lease must be a finite, positive number.
+fn parse_positive(s: &str) -> f64 {
+    parse_flag(s, |x: &f64| x.is_finite() && *x > 0.0)
 }
 
 fn run_command(args: &[String]) {
@@ -154,11 +175,9 @@ fn run_command(args: &[String]) {
         match flag.as_str() {
             "--bench" => bench_name = value("--bench"),
             "--method" => method_name = value("--method"),
-            "--workers" => workers = value("--workers").parse().unwrap_or_else(|_| usage()),
-            "--budget-hours" => {
-                budget_hours = value("--budget-hours").parse().unwrap_or_else(|_| usage())
-            }
-            "--seed" => seed = value("--seed").parse().unwrap_or_else(|_| usage()),
+            "--workers" => workers = parse_count(&value("--workers")),
+            "--budget-hours" => budget_hours = parse_positive(&value("--budget-hours")),
+            "--seed" => seed = parse_any(&value("--seed")),
             "--eta" => eta = parse_eta(&value("--eta")),
             "--trace" => trace = true,
             other => {
@@ -242,37 +261,17 @@ fn cluster_command(args: &[String]) {
                     .filter(|s| !s.is_empty())
                     .collect()
             }
-            "--max-evals" => max_evals = value("--max-evals").parse().unwrap_or_else(|_| usage()),
-            "--seed" => seed = value("--seed").parse().unwrap_or_else(|_| usage()),
+            "--max-evals" => max_evals = parse_count(&value("--max-evals")),
+            "--seed" => seed = parse_any(&value("--seed")),
             "--eta" => eta = parse_eta(&value("--eta")),
-            "--lease-secs" => {
-                lease_secs = value("--lease-secs").parse().unwrap_or_else(|_| usage())
-            }
-            "--eval-sleep-ms" => {
-                eval_sleep_ms = value("--eval-sleep-ms").parse().unwrap_or_else(|_| usage())
-            }
+            "--lease-secs" => lease_secs = parse_positive(&value("--lease-secs")),
+            "--eval-sleep-ms" => eval_sleep_ms = parse_any(&value("--eval-sleep-ms")),
             "--connect-timeout-ms" => {
-                connect_timeout_ms = Some(
-                    value("--connect-timeout-ms")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                )
+                connect_timeout_ms = Some(parse_any(&value("--connect-timeout-ms")))
             }
-            "--connect-retries" => {
-                connect_retries = value("--connect-retries")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--redial-attempts" => {
-                redial_attempts = value("--redial-attempts")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--redial-backoff-ms" => {
-                redial_backoff_ms = value("--redial-backoff-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
+            "--connect-retries" => connect_retries = parse_any(&value("--connect-retries")),
+            "--redial-attempts" => redial_attempts = parse_any(&value("--redial-attempts")),
+            "--redial-backoff-ms" => redial_backoff_ms = parse_any(&value("--redial-backoff-ms")),
             "--chaos" => chaos_path = Some(value("--chaos")),
             "--trace" => trace_path = Some(value("--trace")),
             other => {
@@ -422,7 +421,7 @@ fn serve_command(args: &[String]) {
                 .clone()
         };
         match flag.as_str() {
-            "--pool" => pool = value("--pool").parse().unwrap_or_else(|_| usage()),
+            "--pool" => pool = parse_count(&value("--pool")),
             "--workers" => {
                 worker_addrs = value("--workers")
                     .split(',')
@@ -433,31 +432,13 @@ fn serve_command(args: &[String]) {
             "--state-dir" => state_dir = Some(value("--state-dir")),
             "--script" => script = Some(value("--script")),
             "--resume" => resume = true,
-            "--lease-secs" => {
-                lease_secs = value("--lease-secs").parse().unwrap_or_else(|_| usage())
-            }
+            "--lease-secs" => lease_secs = parse_positive(&value("--lease-secs")),
             "--connect-timeout-ms" => {
-                connect_timeout_ms = Some(
-                    value("--connect-timeout-ms")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                )
+                connect_timeout_ms = Some(parse_any(&value("--connect-timeout-ms")))
             }
-            "--connect-retries" => {
-                connect_retries = value("--connect-retries")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--redial-attempts" => {
-                redial_attempts = value("--redial-attempts")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--redial-backoff-ms" => {
-                redial_backoff_ms = value("--redial-backoff-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
+            "--connect-retries" => connect_retries = parse_any(&value("--connect-retries")),
+            "--redial-attempts" => redial_attempts = parse_any(&value("--redial-attempts")),
+            "--redial-backoff-ms" => redial_backoff_ms = parse_any(&value("--redial-backoff-ms")),
             "--trace" => trace_path = Some(value("--trace")),
             other => {
                 eprintln!("unknown flag {other}");

@@ -201,9 +201,10 @@ impl Study {
     /// How many fresh dispatches the study can absorb right now:
     /// remaining budget (a quarantine gives its slot back) capped by the
     /// in-flight quota (trials on the fleet or in the park queue). Zero
-    /// for anything not `Running`.
+    /// for anything not `Running`, and for a parked (weight 0) study,
+    /// which the scheduler never grants a slot.
     fn wants(&self) -> usize {
-        if self.status != StudyStatus::Running {
+        if self.status != StudyStatus::Running || self.spec.weight == 0 {
             return 0;
         }
         let counts = self.runtime.counts();
@@ -1128,6 +1129,21 @@ mod tests {
             .create_study(StudySpec::new("x", "no-such-bench", MethodKind::ARandom))
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn a_parked_study_does_not_stall_the_service() {
+        // Weight 0 parks a study: it is never granted a slot, so once the
+        // live study finishes the fleet goes idle with the parked one
+        // still holding budget. That is quiescence, not a stalled method.
+        let mut svc = TuningService::new(pool(2), resolver(), ServiceConfig::new()).unwrap();
+        let parked = svc.create_study(spec("parked", 1).with_weight(0)).unwrap();
+        let live = svc.create_study(spec("live", 2)).unwrap();
+        assert_eq!(svc.run_completions(100).unwrap(), 8, "the live study only");
+        svc.drain().unwrap();
+        assert_eq!(svc.status(live), Some(StudyStatus::Completed));
+        assert_eq!(svc.status(parked), Some(StudyStatus::Running));
+        assert_eq!((svc.completed(live), svc.completed(parked)), (8, 0));
     }
 
     #[test]

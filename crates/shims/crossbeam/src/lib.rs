@@ -1,8 +1,7 @@
 //! Offline stand-in for the `crossbeam::channel` subset this workspace uses:
-//! `unbounded()`, cloneable `Sender`/`Receiver`, blocking `recv` (plus
-//! `recv_timeout` for deadline-driven loops), and disconnect semantics
-//! (recv fails once all senders are gone and the queue is drained; send
-//! fails once all receivers are gone).
+//! `unbounded()`, cloneable `Sender`/`Receiver`, blocking `recv`, and
+//! disconnect semantics (recv fails once all senders are gone and the
+//! queue is drained; send fails once all receivers are gone).
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -69,28 +68,6 @@ pub mod channel {
     }
 
     impl std::error::Error for TryRecvError {}
-
-    /// Error returned by [`Receiver::recv_timeout`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        /// The deadline passed with nothing to receive.
-        Timeout,
-        /// The channel is empty and every sender has been dropped.
-        Disconnected,
-    }
-
-    impl std::fmt::Display for RecvTimeoutError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            match self {
-                RecvTimeoutError::Timeout => write!(f, "timed out waiting on channel"),
-                RecvTimeoutError::Disconnected => {
-                    write!(f, "receiving on an empty and disconnected channel")
-                }
-            }
-        }
-    }
-
-    impl std::error::Error for RecvTimeoutError {}
 
     /// The sending half of an unbounded MPMC channel.
     pub struct Sender<T> {
@@ -161,28 +138,6 @@ pub mod channel {
                     return Err(RecvError);
                 }
                 q = self.shared.ready.wait(q).unwrap();
-            }
-        }
-
-        pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = std::time::Instant::now() + timeout;
-            let mut q = self.shared.queue.lock().unwrap();
-            loop {
-                if let Some(msg) = q.pop_front() {
-                    return Ok(msg);
-                }
-                if self.shared.senders.load(Ordering::Acquire) == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                let now = std::time::Instant::now();
-                let Some(left) = deadline
-                    .checked_duration_since(now)
-                    .filter(|d| !d.is_zero())
-                else {
-                    return Err(RecvTimeoutError::Timeout);
-                };
-                let (guard, _res) = self.shared.ready.wait_timeout(q, left).unwrap();
-                q = guard;
             }
         }
 
@@ -266,22 +221,6 @@ pub mod channel {
             let mut got: Vec<i32> = handles.into_iter().map(|h| h.join().unwrap()).collect();
             got.sort_unstable();
             assert_eq!(got, vec![10, 20]);
-        }
-
-        #[test]
-        fn recv_timeout_times_out_then_delivers() {
-            let (tx, rx) = unbounded();
-            assert_eq!(
-                rx.recv_timeout(std::time::Duration::from_millis(10)),
-                Err(RecvTimeoutError::Timeout)
-            );
-            tx.send(5).unwrap();
-            assert_eq!(rx.recv_timeout(std::time::Duration::from_millis(10)), Ok(5));
-            drop(tx);
-            assert_eq!(
-                rx.recv_timeout(std::time::Duration::from_millis(10)),
-                Err(RecvTimeoutError::Disconnected)
-            );
         }
 
         #[test]

@@ -351,6 +351,25 @@ if grep -rnE "$fanout_dead" crates/ DESIGN.md .claude/skills/verify/SKILL.md; th
   exit 1
 fi
 
+step "one fault injector (faults, churn and leases come only from the simulator)"
+# SimCluster is the one substrate that draws faults, plays out churn and
+# keeps orphan leases (DESIGN.md §9.1, §14). The thread pool, the TCP
+# substrate and the real-executor driver inject nothing: their failures
+# are real, and they take no fault model, membership plan or breaker.
+# Test modules may name those types.
+# (The quote pairs keep this file from matching its own patterns.)
+injector='Fault''Model|Fault''Spec|Membership''Plan|Churn''State|Breaker''Config'
+injector_sites=$(
+  for f in crates/cluster/src/executor.rs crates/cluster/src/net.rs \
+    crates/core/src/runner_threaded.rs; do
+    sed '/^#\[cfg(test)\]/q' "$f" | grep -nE "$injector" | sed "s|^|$f:|"
+  done || true
+)
+if [[ -n "$injector_sites" ]]; then
+  printf 'fault or churn injection outside the simulator:\n%s\n' "$injector_sites"
+  exit 1
+fi
+
 step "one allocation per config (Config shares its values; every store holds a handle)"
 # A trial's config is allocated once, when the space proposes it; the
 # pending set, the job, the history, the completion log and the rung
