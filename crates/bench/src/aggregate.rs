@@ -1,7 +1,6 @@
 //! Curve interpolation and aggregation utilities.
 
 use hypertune::core::runner::CurvePoint;
-use hypertune::prelude::RunResult;
 
 /// Step-interpolates an anytime curve onto `grid`: the value at grid time
 /// `t` is the last incumbent at or before `t` (NaN before the first
@@ -18,11 +17,6 @@ pub fn interp_curve(curve: &[CurvePoint], grid: &[f64]) -> Vec<f64> {
         out.push(last);
     }
     out
-}
-
-/// The final anytime value of a run (its best), or NaN for an empty run.
-pub fn final_value(run: &RunResult) -> f64 {
-    run.curve.last().map(|p| p.value).unwrap_or(f64::NAN)
 }
 
 #[cfg(test)]

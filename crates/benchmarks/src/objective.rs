@@ -15,6 +15,15 @@ pub struct Eval {
     pub cost: f64,
 }
 
+impl Eval {
+    /// Whether all three fields are finite. Nothing else can be booked:
+    /// the WAL and the trace write a non-finite float as `null`, which
+    /// neither reads back as a number.
+    pub fn is_finite(&self) -> bool {
+        self.value.is_finite() && self.test_value.is_finite() && self.cost.is_finite()
+    }
+}
+
 /// A tunable objective with partial-evaluation support.
 ///
 /// `resource` is measured in the paper's abstract units: `1.0` is the

@@ -498,11 +498,6 @@ where
         self.capacity.saturating_sub(self.in_flight)
     }
 
-    /// Address of worker `idx` as given at connect time (for logs).
-    pub fn worker_addr(&self, idx: usize) -> &str {
-        &self.workers[idx].addr
-    }
-
     /// Submits a job to the least-loaded live worker with a free slot;
     /// errors when every slot is busy.
     ///

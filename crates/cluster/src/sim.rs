@@ -326,12 +326,6 @@ impl<T> SimCluster<T> {
         self.idle.len()
     }
 
-    /// Number of jobs currently in flight (including orphans awaiting
-    /// their lease expiry).
-    pub fn running_jobs(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// `true` when nothing is in flight.
     pub fn is_quiescent(&self) -> bool {
         self.jobs.is_empty()

@@ -162,11 +162,6 @@ impl AsyncBracket {
         self.base_level
     }
 
-    /// Whether the delay condition (D-ASHA) is active.
-    pub fn is_delayed(&self) -> bool {
-        self.delay
-    }
-
     /// Completed measurements at absolute `level`.
     pub fn rung_len(&self, level: usize) -> usize {
         self.rungs[level - self.base_level].configs.len()

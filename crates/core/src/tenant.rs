@@ -275,12 +275,13 @@ impl StudyRuntime {
                 "the trial is not outstanding in this study",
             ));
         }
-        if let Some(eval) = output.filter(|eval| !status.is_failure() && !eval.value.is_nan()) {
+        if let Some(eval) = output.filter(|eval| !status.is_failure() && eval.is_finite()) {
             self.complete(method, spec, eval, now);
             return Ok(Booked::Completed);
         }
-        // Neither the history nor a rung can order a NaN, and an
-        // output-less success has nothing to book: both are corrupt.
+        // Neither the history nor a rung can order a NaN, neither the WAL
+        // nor the trace can store a non-finite float, and an output-less
+        // success has nothing to book: all are corrupt.
         let status = if status.is_failure() {
             status
         } else {
@@ -676,6 +677,13 @@ mod tests {
                     ..eval
                 }),
             ),
+            7 => (
+                JobStatus::Succeeded,
+                Some(Eval {
+                    cost: f64::INFINITY,
+                    ..eval
+                }),
+            ),
             _ => (JobStatus::Succeeded, None),
         }
     }
@@ -688,7 +696,7 @@ mod tests {
         /// non-finite reaches the history.
         #[test]
         fn every_suggested_trial_ends_exactly_once(
-            script in collection::vec((0usize..8, 0usize..16), 1..80),
+            script in collection::vec((0usize..9, 0usize..16), 1..80),
             max_retries in 0usize..4,
             breaker_on in any::<bool>(),
         ) {
@@ -725,7 +733,7 @@ mod tests {
                 let i = pick % live.len();
                 let (spec, attempt) = live[i].clone();
                 let (status, output) = attempt_result(code, &spec);
-                let usable = status == JobStatus::Succeeded && output.is_some_and(|e| !e.value.is_nan());
+                let usable = status == JobStatus::Succeeded && output.is_some_and(|e| e.is_finite());
                 failed += usize::from(!usable);
                 match rt.book(&mut method, spec.clone(), attempt, status, output, now) {
                     Ok(Booked::Completed | Booked::Quarantined) => {

@@ -231,6 +231,17 @@ enum Shapes {
     Fields { y: f32, x: BTreeMap<i32, Unit> },
 }
 
+#[derive(Serialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
+enum Tagged {
+    UnitCase,
+    FieldCase {
+        #[serde(skip_serializing_if = "Option::is_none")]
+        a: Option<u8>,
+        z: f64,
+    },
+}
+
 /// The tag byte at the start of an encoded value.
 fn tag<T: Serialize + ?Sized>(x: &T) -> u8 {
     check(x)[0]
@@ -282,6 +293,12 @@ fn every_derive_shape_writes_what_the_tree_encodes() {
     assert_eq!(tag(&Newtype(2.5)), bin::FLOAT, "a newtype is its field");
     assert_eq!(tag(&Newtype(f64::NAN)), bin::NULL);
     assert_eq!(tag(&Mixed("m".into(), Some(-1), 1)), bin::ARRAY);
+    // An internally tagged variant is one object; a skipped key is not
+    // counted.
+    let field = |a| Tagged::FieldCase { a, z: 0.5 };
+    for (x, keys) in [(Tagged::UnitCase, 1), (field(None), 2), (field(Some(1)), 3)] {
+        assert_eq!(check(&x)[..2], [bin::OBJECT, keys]);
+    }
 }
 
 #[test]

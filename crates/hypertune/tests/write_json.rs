@@ -5,8 +5,7 @@
 //! (non-finite floats, negative ints, `None`s, empty configs, strings
 //! that need escaping) for the WAL records, the service's dispatch
 //! payload and sidecar, and telemetry events, and over local types
-//! covering every shape the derive handles (`#[serde(skip)]` /
-//! `#[serde(default)]` included).
+//! covering every shape and attribute the derive handles.
 
 use std::collections::BTreeMap;
 
@@ -282,6 +281,36 @@ fn every_derive_shape_streams_what_the_tree_prints() {
         both(&Pair("p".into(), Some(f64::INFINITY))).0,
         r#"["p",null]"#
     );
+}
+
+#[derive(Serialize, Deserialize, Debug, PartialEq)]
+#[serde(tag = "kind", rename_all = "snake_case")]
+enum Tagged {
+    UnitCase,
+    FieldCase {
+        #[serde(skip_serializing_if = "Option::is_none")]
+        a: Option<u8>,
+        z: f64,
+    },
+}
+
+/// An internally tagged variant is one object, its renamed tag sorted
+/// among its fields; a skipped `None` leaves neither its key nor a
+/// stray comma, even where it sorts first.
+#[test]
+fn tagged_renamed_and_skipped_keys_stream_what_the_tree_prints() {
+    let field = |a| Tagged::FieldCase { a, z: 0.5 };
+    let cases = [
+        (Tagged::UnitCase, r#"{"kind":"unit_case"}"#),
+        (field(None), r#"{"kind":"field_case","z":0.5}"#),
+        (field(Some(1)), r#"{"a":1,"kind":"field_case","z":0.5}"#),
+    ];
+    for (x, want) in cases {
+        assert_eq!(both(&x), (want.to_string(), want.to_string()));
+        assert_eq!(serde_json::from_str::<Tagged>(want).unwrap(), x);
+    }
+    assert!(serde_json::from_str::<Tagged>(r#"{"kind":"nope"}"#).is_err());
+    assert!(serde_json::from_str::<Tagged>(r#"{"z":0.5}"#).is_err());
 }
 
 /// A real `#[serde(skip)]` in the workspace: `ConfigSpace`'s name index.

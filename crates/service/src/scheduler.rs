@@ -80,14 +80,6 @@ impl FairShare {
         self.entries.remove(&id);
     }
 
-    /// Changes a study's weight going forward; its accumulated pass is
-    /// kept. Unknown ids are a no-op.
-    pub fn set_weight(&mut self, id: u64, weight: u64) {
-        if let Some(e) = self.entries.get_mut(&id) {
-            e.weight = weight;
-        }
-    }
-
     /// Whether `id` is registered.
     pub fn contains(&self, id: u64) -> bool {
         self.entries.contains_key(&id)

@@ -116,12 +116,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Sets whether WAL flushes also fsync.
     pub fn with_wal_sync(mut self, sync: bool) -> Self {
         self.wal_sync = sync;
@@ -507,15 +501,15 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
     /// half of the lifecycle API. Appends to the study's WAL, feeds the
     /// method, and completes the study when its budget is exhausted.
     ///
-    /// `InvalidInput`, with nothing booked, for a NaN objective (the
-    /// trial stays outstanding and the caller may report again) and for
-    /// a job the study is not waiting on: one it never suggested, or one
-    /// already reported.
+    /// `InvalidInput`, with nothing booked, for an evaluation with a
+    /// non-finite field (the trial stays outstanding and the caller may
+    /// report again) and for a job the study is not waiting on: one it
+    /// never suggested, or one already reported.
     pub fn report(&mut self, handle: StudyHandle, spec: &JobSpec, eval: &Eval) -> io::Result<()> {
-        if eval.value.is_nan() {
+        if !eval.is_finite() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                "objective value is NaN",
+                "evaluation has a non-finite value, test value or cost",
             ));
         }
         let (id, spec) = (handle.id(), spec.clone());
@@ -1104,6 +1098,27 @@ mod tests {
         fn set_telemetry(&mut self, _telemetry: TelemetryHandle) {}
     }
 
+    /// A two-thread pool whose first evaluations report `values`, in
+    /// order, as their objective.
+    fn diverging_pool(values: &'static [f64]) -> ThreadPool<ServiceJob, Eval> {
+        let calls = AtomicUsize::new(0);
+        let eval = pool_eval(resolver());
+        ThreadPool::new(2, move |job: &ServiceJob| {
+            let mut out = eval(job);
+            if let Some(&value) = values.get(calls.fetch_add(1, Ordering::SeqCst)) {
+                out.value = value;
+            }
+            out
+        })
+    }
+
+    fn asha(max_evals: usize) -> StudySpec {
+        StudySpec::new("asha", "counting-ones-small", MethodKind::Asha)
+            .with_seed(5)
+            .with_max_evals(max_evals)
+            .with_max_in_flight(2)
+    }
+
     fn spec(name: &str, seed: u64) -> StudySpec {
         StudySpec::new(name, "counting-ones-small", MethodKind::HyperTune)
             .with_seed(seed)
@@ -1148,24 +1163,13 @@ mod tests {
 
     #[test]
     fn nan_objective_is_retried_as_corrupt_and_rejected_by_report() {
-        // A fleet worker that reports NaN once: the completion must walk
-        // the retry ladder, not reach the history and the rung (where
-        // ordering it panicked the driver on the next suggestion).
-        let diverged = std::sync::atomic::AtomicBool::new(false);
-        let eval = pool_eval(resolver());
-        let pool = ThreadPool::new(2, move |job: &ServiceJob| {
-            let mut out = eval(job);
-            if !diverged.swap(true, Ordering::SeqCst) {
-                out.value = f64::NAN;
-            }
-            out
-        });
+        // A fleet worker that reports NaN once and then +inf once: each
+        // completion must walk the retry ladder, not reach the history
+        // and the rung (where ordering a NaN panicked the driver on the
+        // next suggestion) nor the WAL (which cannot store +inf).
+        let pool = diverging_pool(&[f64::NAN, f64::INFINITY]);
         let mut svc = TuningService::new(pool, resolver(), ServiceConfig::new()).unwrap();
-        let asha = StudySpec::new("nan", "counting-ones-small", MethodKind::Asha)
-            .with_seed(5)
-            .with_max_evals(30)
-            .with_max_in_flight(2);
-        let h = svc.create_study(asha).unwrap();
+        let h = svc.create_study(asha(30)).unwrap();
         svc.drain().unwrap();
         assert_eq!(svc.status(h), Some(StudyStatus::Completed));
         let stats = svc.stats();
@@ -1174,20 +1178,45 @@ mod tests {
         // The service un-charges quarantined trials, so this is the
         // dispatched = completed + quarantined identity.
         assert_eq!((s.dispatched, s.outstanding), (s.completed, 0));
-        assert_eq!(s.failures.corrupt, 1, "exactly one retry");
-        assert!(svc.measurements(h).iter().all(|m| !m.value.is_nan()));
+        assert_eq!(s.failures.corrupt, 2, "exactly two retries");
+        assert!(svc.measurements(h).iter().all(|m| m.value.is_finite()));
 
-        // The lifecycle API refuses NaN outright and books nothing.
+        // The lifecycle API refuses NaN and +inf outright and books nothing.
         let h = svc.create_study(spec("direct", 6)).unwrap();
         let job = svc.suggest(h, 1).unwrap().remove(0);
-        let nan = Eval {
-            value: f64::NAN,
-            test_value: 0.0,
-            cost: 1.0,
-        };
-        let err = svc.report(h, &job, &nan).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        for value in [f64::NAN, f64::INFINITY] {
+            let eval = Eval {
+                value,
+                test_value: 0.0,
+                cost: 1.0,
+            };
+            let err = svc.report(h, &job, &eval).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        }
         assert_eq!(svc.completed(h), 0);
+    }
+
+    #[test]
+    fn an_infinite_objective_is_not_booked_and_the_study_recovers() {
+        // Booked, +inf would be written to the WAL as `null`, and
+        // recovery would refuse the whole service at that line.
+        let dir = unique_dir("infinite");
+        let config = ServiceConfig::new().with_state_dir(&dir);
+        let h = {
+            let pool = diverging_pool(&[f64::INFINITY]);
+            let mut svc = TuningService::new(pool, resolver(), config.clone()).unwrap();
+            let h = svc.create_study(asha(12)).unwrap();
+            svc.run_completions(6).unwrap();
+            h // killed here, with trials in flight
+        };
+        let mut svc = TuningService::new(pool(2), resolver(), config).unwrap();
+        assert_eq!(svc.recover().unwrap().len(), 1);
+        assert!(
+            svc.completed(h) > 0,
+            "some pre-kill work must have survived"
+        );
+        assert!(svc.measurements(h).iter().all(|m| m.value.is_finite()));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! of every wire frame's payload. The `serde_json` shim
 //! supplies the rest of the text layer (pretty-printing, parsing,
 //! `json!`). Derive macros compatible
-//! with `#[derive(Serialize, Deserialize)]` and `#[serde(skip)]` come
-//! from the sibling `serde_derive` shim and are re-exported here exactly
-//! like the real crate's `derive` feature.
+//! with `#[derive(Serialize, Deserialize)]` come from the sibling
+//! `serde_derive` shim and are re-exported here exactly like the real
+//! crate's `derive` feature. They take real serde's `tag`,
+//! `rename_all = "snake_case"`, `skip`, `skip_serializing_if` and
+//! `default` attributes, and refuse any other.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};

@@ -4,15 +4,23 @@
 //! `quote` available offline) and emits impls of the shim's
 //! `serde::Serialize` / `serde::Deserialize` traits. Supports exactly the
 //! shapes this workspace derives: non-generic structs (named, tuple,
-//! unit) and enums (unit, tuple, struct variants), plus `#[serde(skip)]`
-//! on named struct fields. The JSON layout matches real serde's default
-//! externally-tagged representation so persisted files look conventional.
+//! unit) and enums (unit, tuple, struct variants). The JSON layout is
+//! real serde's (externally tagged enums by default), and so is the
+//! meaning of the attributes it takes: on an enum, `tag = "..."`
+//! (internally tagged: a unit or struct variant is one object, its name
+//! under that key) and `rename_all = "snake_case"`; on a named field,
+//! `skip`, `skip_serializing_if = "path"` and `default` (a no-op: a
+//! missing key reads as `null` anyway). Any other `#[serde(...)]` key,
+//! or one of these in another place, fails the build.
+//!
 //! `Serialize` gets `to_value` plus two writers that skip the tree: a
 //! streaming `write_json` that prints the same text, and `write_bin`
 //! that writes the same `serde::bin` bytes (with `bin_float`, the probe
 //! that picks the raw-`f64` array tag). Object keys are sorted here, at
 //! expansion time, the way the `BTreeMap` behind `serde::Map` orders
 //! them.
+
+use std::collections::BTreeMap;
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -21,6 +29,8 @@ struct Field {
     name: String,
     ty: String,
     skip: bool,
+    /// The `skip_serializing_if` predicate: a path to a `fn(&T) -> bool`.
+    skip_if: Option<String>,
 }
 
 #[derive(Debug)]
@@ -33,6 +43,8 @@ enum VariantShape {
 #[derive(Debug)]
 struct Variant {
     name: String,
+    /// The name it is written under, `rename_all` applied.
+    wire: String,
     shape: VariantShape,
 }
 
@@ -51,6 +63,8 @@ enum Item {
     },
     Enum {
         name: String,
+        /// The key of an internally tagged enum's variant name.
+        tag: Option<String>,
         variants: Vec<Variant>,
     },
 }
@@ -73,39 +87,77 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 
 // ---------------------------------------------------------------- parsing
 
-/// `true` if the bracketed attribute body is `serde(... skip ...)`.
-fn attr_is_serde_skip(group: &proc_macro::Group) -> bool {
+/// The `key` and `key = "value"` items of `#[serde(...)]` attributes.
+type Attrs = BTreeMap<String, Option<String>>;
+
+/// The keys that take a string value; the others are bare flags.
+const VALUED: [&str; 3] = ["tag", "rename_all", "skip_serializing_if"];
+
+/// The items of the bracketed attribute body when it is `serde(...)`;
+/// any other attribute has none.
+fn serde_items(group: &proc_macro::Group) -> Vec<(String, Option<String>)> {
     let mut toks = group.stream().into_iter();
-    match (toks.next(), toks.next()) {
+    let args = match (toks.next(), toks.next()) {
         (Some(TokenTree::Ident(name)), Some(TokenTree::Group(args)))
             if name.to_string() == "serde" =>
         {
-            args.stream()
-                .into_iter()
-                .any(|t| matches!(&t, TokenTree::Ident(i) if i.to_string() == "skip"))
+            args.stream().into_iter().collect::<Vec<_>>()
         }
-        _ => false,
-    }
+        _ => return Vec::new(),
+    };
+    let comma = |t: &TokenTree| matches!(t, TokenTree::Punct(p) if p.as_char() == ',');
+    let items = args.split(comma).filter(|item| !item.is_empty());
+    items
+        .map(|item| {
+            let key = item[0].to_string();
+            let value = match item {
+                [_] => None,
+                [_, TokenTree::Punct(eq), TokenTree::Literal(lit)] if eq.as_char() == '=' => {
+                    Some(lit.to_string().trim_matches('"').to_string())
+                }
+                _ => panic!("unsupported #[serde({key} ...)]"),
+            };
+            (key, value)
+        })
+        .collect()
 }
 
-/// Consumes leading `#[...]` attributes; returns whether any was
-/// `#[serde(skip)]`.
-fn eat_attrs(toks: &mut std::iter::Peekable<impl Iterator<Item = TokenTree>>) -> bool {
-    let mut skip = false;
-    loop {
-        match toks.peek() {
-            Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
-                toks.next();
-                match toks.next() {
-                    Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket => {
-                        skip |= attr_is_serde_skip(&g);
-                    }
-                    other => panic!("expected [...] after #, got {other:?}"),
-                }
+/// Consumes leading `#[...]` attributes and returns their `#[serde]`
+/// items, refusing any key not in `allowed` here.
+fn eat_attrs(
+    toks: &mut std::iter::Peekable<impl Iterator<Item = TokenTree>>,
+    allowed: &[&str],
+) -> Attrs {
+    let mut items = Attrs::new();
+    while matches!(toks.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '#') {
+        toks.next();
+        match toks.next() {
+            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket => {
+                items.extend(serde_items(&g));
             }
-            _ => return skip,
+            other => panic!("expected [...] after #, got {other:?}"),
         }
     }
+    for (key, value) in &items {
+        let key = key.as_str();
+        assert!(
+            allowed.contains(&key),
+            "#[serde({key})] is not supported here (allowed: {allowed:?})"
+        );
+        assert!(
+            value.is_some() == VALUED.contains(&key),
+            "#[serde({key})]: only {VALUED:?} take a value, and they need one"
+        );
+    }
+    items
+}
+
+/// Real serde's `snake_case` renaming of a `CamelCase` variant name.
+fn snake_case(name: &str) -> String {
+    let underscore = |i: usize, c: char| (i > 0 && c.is_uppercase()).then_some('_');
+    (name.char_indices())
+        .flat_map(|(i, c)| underscore(i, c).into_iter().chain([c.to_ascii_lowercase()]))
+        .collect()
 }
 
 /// Consumes `pub` / `pub(...)` if present.
@@ -143,7 +195,7 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     let mut toks = stream.into_iter().peekable();
     let mut fields = Vec::new();
     loop {
-        let skip = eat_attrs(&mut toks);
+        let attrs = eat_attrs(&mut toks, &["skip", "default", "skip_serializing_if"]);
         eat_vis(&mut toks);
         let name = match toks.next() {
             Some(TokenTree::Ident(i)) => i.to_string(),
@@ -155,7 +207,12 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
             other => panic!("expected `:` after field `{name}`, got {other:?}"),
         }
         let ty = eat_type(&mut toks);
-        fields.push(Field { name, ty, skip });
+        fields.push(Field {
+            name,
+            ty,
+            skip: attrs.contains_key("skip"),
+            skip_if: attrs.get("skip_serializing_if").cloned().flatten(),
+        });
         match toks.next() {
             Some(TokenTree::Punct(p)) if p.as_char() == ',' => {}
             None => break,
@@ -169,7 +226,7 @@ fn parse_tuple_types(stream: TokenStream) -> Vec<String> {
     let mut toks = stream.into_iter().peekable();
     let mut types = Vec::new();
     loop {
-        eat_attrs(&mut toks);
+        eat_attrs(&mut toks, &[]);
         eat_vis(&mut toks);
         if toks.peek().is_none() {
             break;
@@ -184,11 +241,11 @@ fn parse_tuple_types(stream: TokenStream) -> Vec<String> {
     types
 }
 
-fn parse_variants(stream: TokenStream) -> Vec<Variant> {
+fn parse_variants(stream: TokenStream, snake: bool) -> Vec<Variant> {
     let mut toks = stream.into_iter().peekable();
     let mut variants = Vec::new();
     loop {
-        eat_attrs(&mut toks);
+        eat_attrs(&mut toks, &[]);
         let name = match toks.next() {
             Some(TokenTree::Ident(i)) => i.to_string(),
             None => break,
@@ -207,7 +264,12 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
             }
             _ => VariantShape::Unit,
         };
-        variants.push(Variant { name, shape });
+        let wire = if snake {
+            snake_case(&name)
+        } else {
+            name.clone()
+        };
+        variants.push(Variant { name, wire, shape });
         match toks.next() {
             Some(TokenTree::Punct(p)) if p.as_char() == ',' => {}
             None => break,
@@ -219,11 +281,12 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
 
 fn parse_item(input: TokenStream) -> Item {
     let mut toks = input.into_iter().peekable();
-    // Skip outer attributes and visibility on the item itself.
+    // Outer attributes and visibility on the item itself.
+    let mut attrs = Attrs::new();
     loop {
         match toks.peek() {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
-                eat_attrs(&mut toks);
+                attrs.extend(eat_attrs(&mut toks, &["tag", "rename_all"]));
             }
             Some(TokenTree::Ident(i)) if i.to_string() == "pub" => eat_vis(&mut toks),
             _ => break,
@@ -241,6 +304,7 @@ fn parse_item(input: TokenStream) -> Item {
         panic!("serde shim derive does not support generic type `{name}`");
     }
     match kind.as_str() {
+        "struct" if !attrs.is_empty() => panic!("`tag` and `rename_all` apply to an enum only"),
         "struct" => match toks.next() {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Item::NamedStruct {
                 name,
@@ -256,10 +320,18 @@ fn parse_item(input: TokenStream) -> Item {
             other => panic!("unsupported struct body for `{name}`: {other:?}"),
         },
         "enum" => match toks.next() {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Item::Enum {
-                name,
-                variants: parse_variants(g.stream()),
-            },
+            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
+                let rename = attrs.get("rename_all").cloned().flatten();
+                assert!(
+                    matches!(rename.as_deref(), None | Some("snake_case")),
+                    "only `rename_all = \"snake_case\"` is supported"
+                );
+                Item::Enum {
+                    name,
+                    tag: attrs.get("tag").cloned().flatten(),
+                    variants: parse_variants(g.stream(), rename.is_some()),
+                }
+            }
             other => panic!("expected enum body for `{name}`, got {other:?}"),
         },
         other => panic!("cannot derive serde impls for `{other} {name}`"),
@@ -268,18 +340,67 @@ fn parse_item(input: TokenStream) -> Item {
 
 // ------------------------------------------------------------- generation
 
-/// Statements streaming `{"k":v,...}` for named fields, keys sorted;
-/// `exprs` pairs each field name with the expression borrowing it.
-fn object_json(exprs: &[(&str, String)]) -> String {
-    let mut sorted: Vec<&(&str, String)> = exprs.iter().collect();
-    sorted.sort_by_key(|(name, _)| *name);
+/// One key of an object: its name, the expression borrowing its value,
+/// and the `skip_serializing_if` predicate that leaves it out.
+struct Entry {
+    key: String,
+    expr: String,
+    skip_if: Option<String>,
+}
+
+/// The entries of the fields `skip` keeps; `prefix` turns a field name
+/// into the borrow of its value.
+fn field_entries(fields: &[Field], prefix: &str) -> Vec<Entry> {
+    let kept = fields.iter().filter(|f| !f.skip);
+    kept.map(|f| Entry {
+        key: f.name.clone(),
+        expr: format!("{prefix}{}", f.name),
+        skip_if: f.skip_if.clone(),
+    })
+    .collect()
+}
+
+/// `stmts`, run only when the entry's predicate keeps it.
+fn guarded(e: &Entry, stmts: String) -> String {
+    match &e.skip_if {
+        Some(path) => format!("if !{path}({}) {{\n{stmts}}}\n", e.expr),
+        None => stmts,
+    }
+}
+
+/// Statements building the `serde::Map` named `var` of the entries.
+fn object_tree(var: &str, entries: &[Entry]) -> String {
+    let mut body = format!("let mut {var} = serde::Map::new();\n");
+    for e in entries {
+        let (key, expr) = (&e.key, &e.expr);
+        let insert =
+            format!("{var}.insert(\"{key}\".to_string(), serde::Serialize::to_value({expr}));\n");
+        body.push_str(&guarded(e, insert));
+    }
+    body
+}
+
+/// Statements streaming `{"k":v,...}` for the entries, keys sorted.
+fn object_json(entries: &[Entry]) -> String {
     let mut body = String::from("out.push('{');\n");
-    for (i, (name, expr)) in sorted.into_iter().enumerate() {
-        let comma = if i > 0 { "," } else { "" };
-        body.push_str(&format!(
-            "out.push_str(\"{comma}\\\"{name}\\\":\");\n\
+    // Whether an earlier key is surely printed; behind skippable keys
+    // only, the comma is decided at run time.
+    let mut printed = false;
+    let mut sorted: Vec<&Entry> = entries.iter().collect();
+    sorted.sort_by(|a, b| a.key.cmp(&b.key));
+    for (i, e) in sorted.into_iter().enumerate() {
+        let check = if printed || i == 0 {
+            ""
+        } else {
+            "if !out.ends_with('{') {\nout.push(',');\n}\n"
+        };
+        let (comma, key, expr) = (if printed { "," } else { "" }, &e.key, &e.expr);
+        let write = format!(
+            "{check}out.push_str(\"{comma}\\\"{key}\\\":\");\n\
              serde::Serialize::write_json({expr}, out);\n"
-        ));
+        );
+        body.push_str(&guarded(e, write));
+        printed |= e.skip_if.is_none();
     }
     body.push_str("out.push('}');\n");
     body
@@ -298,17 +419,24 @@ fn array_json(exprs: &[String]) -> String {
     body
 }
 
-/// Statements writing the `serde::bin` object of named fields, keys
-/// sorted; `exprs` pairs each field name with the expression borrowing it.
-fn object_bin(exprs: &[(&str, String)]) -> String {
-    let mut sorted: Vec<&(&str, String)> = exprs.iter().collect();
-    sorted.sort_by_key(|(name, _)| *name);
-    let mut body = format!("serde::bin::put_object(out, {});\n", sorted.len());
-    for (name, expr) in sorted {
-        body.push_str(&format!(
-            "serde::bin::put_str(out, \"{name}\");\n\
-             serde::Serialize::write_bin({expr}, out);\n"
-        ));
+/// Statements writing the `serde::bin` object of the entries, keys
+/// sorted.
+fn object_bin(entries: &[Entry]) -> String {
+    let mut sorted: Vec<&Entry> = entries.iter().collect();
+    sorted.sort_by(|a, b| a.key.cmp(&b.key));
+    let mut count = sorted.len().to_string();
+    for e in &sorted {
+        if let Some(path) = &e.skip_if {
+            count.push_str(&format!(" - usize::from({path}({}))", e.expr));
+        }
+    }
+    let mut body = format!("serde::bin::put_object(out, {count});\n");
+    for e in sorted {
+        let (key, expr) = (&e.key, &e.expr);
+        let put = format!(
+            "serde::bin::put_str(out, \"{key}\");\nserde::Serialize::write_bin({expr}, out);\n"
+        );
+        body.push_str(&guarded(e, put));
     }
     body
 }
@@ -337,24 +465,12 @@ fn variant_bin(variant: &str, payload: &str) -> String {
 fn gen_serialize(item: &Item) -> String {
     match item {
         Item::NamedStruct { name, fields } => {
-            let kept: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
-            let mut body = String::from("let mut m = serde::Map::new();\n");
-            for f in &kept {
-                body.push_str(&format!(
-                    "m.insert(\"{0}\".to_string(), serde::Serialize::to_value(&self.{0}));\n",
-                    f.name
-                ));
-            }
-            body.push_str("serde::Value::Object(m)");
-            let exprs: Vec<(&str, String)> = kept
-                .iter()
-                .map(|f| (f.name.as_str(), format!("&self.{}", f.name)))
-                .collect();
+            let entries = field_entries(fields, "&self.");
             impl_serialize(
                 name,
-                &body,
-                &object_json(&exprs),
-                &object_bin(&exprs),
+                &format!("{}serde::Value::Object(m)", object_tree("m", &entries)),
+                &object_json(&entries),
+                &object_bin(&entries),
                 NOT_FLOAT,
             )
         }
@@ -383,25 +499,51 @@ fn gen_serialize(item: &Item) -> String {
             }
         },
         Item::UnitStruct { name } => impl_null(name),
-        Item::Enum { name, variants } => {
+        Item::Enum {
+            name,
+            tag,
+            variants,
+        } => {
             let mut arms = String::new();
             let mut json_arms = String::new();
             let mut bin_arms = String::new();
             for v in variants {
-                let vn = &v.name;
-                match &v.shape {
-                    VariantShape::Unit => {
-                        arms.push_str(&format!(
-                            "{name}::{vn} => serde::Value::String(\"{vn}\".to_string()),\n"
-                        ));
-                        json_arms.push_str(&format!(
-                            "{name}::{vn} => out.push_str(\"\\\"{vn}\\\"\"),\n"
-                        ));
-                        bin_arms.push_str(&format!(
-                            "{name}::{vn} => serde::Serialize::write_bin(\"{vn}\", out),\n"
-                        ));
+                let (vn, wire) = (&v.name, &v.wire);
+                let (pattern, tree, json, bin) = match (&v.shape, tag) {
+                    (VariantShape::Tuple(_), Some(_)) => {
+                        panic!("internally tagged `{name}` cannot have tuple variant `{vn}`")
                     }
-                    VariantShape::Tuple(types) => {
+                    // `{"<tag>": "<wire>", fields...}`, one flat object.
+                    (shape, Some(tag)) => {
+                        let (pattern, mut entries) = match shape {
+                            VariantShape::Named(fields) => {
+                                (named_pattern(name, vn, fields), field_entries(fields, ""))
+                            }
+                            _ => (format!("{name}::{vn}"), Vec::new()),
+                        };
+                        assert!(
+                            entries.iter().all(|e| e.key != *tag),
+                            "`{name}::{vn}` has a field named like its tag `{tag}`"
+                        );
+                        entries.push(Entry {
+                            key: tag.clone(),
+                            expr: format!("\"{wire}\""),
+                            skip_if: None,
+                        });
+                        (
+                            pattern,
+                            format!("{}serde::Value::Object(m)", object_tree("m", &entries)),
+                            object_json(&entries),
+                            object_bin(&entries),
+                        )
+                    }
+                    (VariantShape::Unit, None) => (
+                        format!("{name}::{vn}"),
+                        format!("serde::Value::String(\"{wire}\".to_string())"),
+                        format!("out.push_str(\"\\\"{wire}\\\"\");"),
+                        format!("serde::Serialize::write_bin(\"{wire}\", out);"),
+                    ),
+                    (VariantShape::Tuple(types), None) => {
                         let binds: Vec<String> =
                             (0..types.len()).map(|i| format!("f{i}")).collect();
                         let (payload, payload_json, payload_bin) = if types.len() == 1 {
@@ -421,57 +563,41 @@ fn gen_serialize(item: &Item) -> String {
                                 array_bin(&binds),
                             )
                         };
-                        let binds = binds.join(", ");
-                        arms.push_str(&format!(
-                            "{name}::{vn}({binds}) => {{\n\
-                             let mut m = serde::Map::new();\n\
-                             m.insert(\"{vn}\".to_string(), {payload});\n\
-                             serde::Value::Object(m)\n}}\n"
-                        ));
-                        json_arms.push_str(&format!(
-                            "{name}::{vn}({binds}) => {{\n\
-                             out.push_str(\"{{\\\"{vn}\\\":\");\n\
-                             {payload_json}\
-                             out.push('}}');\n}}\n"
-                        ));
-                        bin_arms.push_str(&format!(
-                            "{name}::{vn}({binds}) => {{\n{}}}\n",
-                            variant_bin(vn, &payload_bin)
-                        ));
+                        (
+                            format!("{name}::{vn}({})", binds.join(", ")),
+                            format!(
+                                "let mut m = serde::Map::new();\n\
+                                 m.insert(\"{wire}\".to_string(), {payload});\n\
+                                 serde::Value::Object(m)"
+                            ),
+                            format!(
+                                "out.push_str(\"{{\\\"{wire}\\\":\");\n\
+                                 {payload_json}out.push('}}');"
+                            ),
+                            variant_bin(wire, &payload_bin),
+                        )
                     }
-                    VariantShape::Named(fields) => {
-                        let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
-                        let binds = binds.join(", ");
-                        let mut inner = String::from("let mut inner = serde::Map::new();\n");
-                        for f in fields {
-                            inner.push_str(&format!(
-                                "inner.insert(\"{0}\".to_string(), serde::Serialize::to_value({0}));\n",
-                                f.name
-                            ));
-                        }
-                        arms.push_str(&format!(
-                            "{name}::{vn} {{ {binds} }} => {{\n{inner}\
-                             let mut m = serde::Map::new();\n\
-                             m.insert(\"{vn}\".to_string(), serde::Value::Object(inner));\n\
-                             serde::Value::Object(m)\n}}\n"
-                        ));
-                        let exprs: Vec<(&str, String)> = fields
-                            .iter()
-                            .map(|f| (f.name.as_str(), f.name.clone()))
-                            .collect();
-                        json_arms.push_str(&format!(
-                            "{name}::{vn} {{ {binds} }} => {{\n\
-                             out.push_str(\"{{\\\"{vn}\\\":\");\n\
-                             {}\
-                             out.push('}}');\n}}\n",
-                            object_json(&exprs)
-                        ));
-                        bin_arms.push_str(&format!(
-                            "{name}::{vn} {{ {binds} }} => {{\n{}}}\n",
-                            variant_bin(vn, &object_bin(&exprs))
-                        ));
+                    (VariantShape::Named(fields), None) => {
+                        let entries = field_entries(fields, "");
+                        (
+                            named_pattern(name, vn, fields),
+                            format!(
+                                "{}let mut m = serde::Map::new();\n\
+                                 m.insert(\"{wire}\".to_string(), serde::Value::Object(inner));\n\
+                                 serde::Value::Object(m)",
+                                object_tree("inner", &entries)
+                            ),
+                            format!(
+                                "out.push_str(\"{{\\\"{wire}\\\":\");\n{}out.push('}}');",
+                                object_json(&entries)
+                            ),
+                            variant_bin(wire, &object_bin(&entries)),
+                        )
                     }
-                }
+                };
+                arms.push_str(&format!("{pattern} => {{\n{tree}\n}}\n"));
+                json_arms.push_str(&format!("{pattern} => {{\n{json}\n}}\n"));
+                bin_arms.push_str(&format!("{pattern} => {{\n{bin}\n}}\n"));
             }
             impl_serialize(
                 name,
@@ -482,6 +608,16 @@ fn gen_serialize(item: &Item) -> String {
             )
         }
     }
+}
+
+/// The pattern binding a struct variant's kept fields by reference.
+fn named_pattern(name: &str, vn: &str, fields: &[Field]) -> String {
+    let kept: String = fields
+        .iter()
+        .filter(|f| !f.skip)
+        .map(|f| format!("{}, ", f.name))
+        .collect();
+    format!("{name}::{vn} {{ {kept}.. }}")
 }
 
 /// The `bin_float` body of a type that never serializes to a float.
@@ -509,29 +645,29 @@ fn impl_serialize(name: &str, body: &str, json: &str, bin: &str, float: &str) ->
     )
 }
 
+/// Field initialisers reading the named fields out of the `serde::Map`
+/// named `map`; `ctx` prefixes the errors.
+fn field_inits(fields: &[Field], map: &str, ctx: &str) -> String {
+    let init = |f: &Field| match f.skip {
+        true => format!("{}: ::std::default::Default::default(),\n", f.name),
+        false => format!(
+            "{0}: <{1} as serde::Deserialize>::from_value(\
+             {map}.get(\"{0}\").unwrap_or(&serde::Value::Null))\
+             .map_err(|e| serde::Error::custom(format!(\"{ctx}.{0}: {{e}}\")))?,\n",
+            f.name, f.ty
+        ),
+    };
+    fields.iter().map(init).collect()
+}
+
 fn gen_deserialize(item: &Item) -> String {
     match item {
         Item::NamedStruct { name, fields } => {
-            let mut inits = String::new();
-            for f in fields {
-                if f.skip {
-                    inits.push_str(&format!(
-                        "{}: ::std::default::Default::default(),\n",
-                        f.name
-                    ));
-                } else {
-                    inits.push_str(&format!(
-                        "{0}: <{1} as serde::Deserialize>::from_value(\
-                         obj.get(\"{0}\").unwrap_or(&serde::Value::Null))\
-                         .map_err(|e| serde::Error::custom(format!(\"{name}.{0}: {{e}}\")))?,\n",
-                        f.name, f.ty
-                    ));
-                }
-            }
             let body = format!(
                 "let obj = v.as_object().ok_or_else(|| \
                  serde::Error::custom(\"expected object for `{name}`\"))?;\n\
-                 Ok({name} {{\n{inits}}})"
+                 Ok({name} {{\n{}}})",
+                field_inits(fields, "obj", name)
             );
             impl_deserialize(name, &body)
         }
@@ -542,76 +678,73 @@ fn gen_deserialize(item: &Item) -> String {
                     "Ok({name}(<{} as serde::Deserialize>::from_value(v)?))",
                     types[0]
                 ),
-                n => {
-                    let mut elems = String::new();
-                    for (i, ty) in types.iter().enumerate() {
-                        elems.push_str(&format!(
-                            "<{ty} as serde::Deserialize>::from_value(&arr[{i}])?,\n"
-                        ));
-                    }
-                    format!(
-                        "let arr = v.as_array().ok_or_else(|| \
-                         serde::Error::custom(\"expected array for `{name}`\"))?;\n\
-                         if arr.len() != {n} {{\n\
-                         return Err(serde::Error::custom(\"wrong tuple length for `{name}`\"));\n}}\n\
-                         Ok({name}(\n{elems}))"
-                    )
-                }
+                _ => tuple_from("v", name, types, "tuple length"),
             };
             impl_deserialize(name, &body)
         }
         Item::UnitStruct { name } => impl_deserialize(name, &format!("Ok({name})")),
-        Item::Enum { name, variants } => {
+        Item::Enum {
+            name,
+            tag: Some(tag),
+            variants,
+        } => {
+            let mut arms = String::new();
+            for v in variants {
+                let (vn, wire) = (&v.name, &v.wire);
+                let ctx = format!("{name}::{vn}");
+                let fields = match &v.shape {
+                    VariantShape::Named(fields) => {
+                        format!(" {{\n{}}}", field_inits(fields, "obj", &ctx))
+                    }
+                    _ => String::new(),
+                };
+                arms.push_str(&format!("\"{wire}\" => Ok({name}::{vn}{fields}),\n"));
+            }
+            let body = format!(
+                "let obj = v.as_object().ok_or_else(|| \
+                 serde::Error::custom(\"expected object for `{name}`\"))?;\n\
+                 let tag = obj.get(\"{tag}\").and_then(serde::Value::as_str).ok_or_else(|| \
+                 serde::Error::custom(\"missing `{tag}` for `{name}`\"))?;\n\
+                 match tag {{\n{arms}\
+                 other => Err(serde::Error::custom(format!(\"unknown variant `{{other}}` for `{name}`\"))),\n}}"
+            );
+            impl_deserialize(name, &body)
+        }
+        Item::Enum {
+            name,
+            tag: None,
+            variants,
+        } => {
             let mut unit_arms = String::new();
             let mut keyed_arms = String::new();
             for v in variants {
-                let vn = &v.name;
+                let (vn, wire) = (&v.name, &v.wire);
                 match &v.shape {
                     VariantShape::Unit => {
-                        unit_arms.push_str(&format!("\"{vn}\" => Ok({name}::{vn}),\n"));
+                        unit_arms.push_str(&format!("\"{wire}\" => Ok({name}::{vn}),\n"));
                         // Also accept {"Variant": null}, the keyed form.
-                        keyed_arms.push_str(&format!("\"{vn}\" => Ok({name}::{vn}),\n"));
+                        keyed_arms.push_str(&format!("\"{wire}\" => Ok({name}::{vn}),\n"));
                     }
                     VariantShape::Tuple(types) => {
                         if types.len() == 1 {
                             keyed_arms.push_str(&format!(
-                                "\"{vn}\" => Ok({name}::{vn}(\
+                                "\"{wire}\" => Ok({name}::{vn}(\
                                  <{} as serde::Deserialize>::from_value(payload)?)),\n",
                                 types[0]
                             ));
                         } else {
-                            let mut elems = String::new();
-                            for (i, ty) in types.iter().enumerate() {
-                                elems.push_str(&format!(
-                                    "<{ty} as serde::Deserialize>::from_value(&arr[{i}])?,\n"
-                                ));
-                            }
-                            keyed_arms.push_str(&format!(
-                                "\"{vn}\" => {{\n\
-                                 let arr = payload.as_array().ok_or_else(|| \
-                                 serde::Error::custom(\"expected array for `{name}::{vn}`\"))?;\n\
-                                 if arr.len() != {n} {{\n\
-                                 return Err(serde::Error::custom(\"wrong arity for `{name}::{vn}`\"));\n}}\n\
-                                 Ok({name}::{vn}(\n{elems}))\n}}\n",
-                                n = types.len()
-                            ));
+                            let ctor = format!("{name}::{vn}");
+                            let read = tuple_from("payload", &ctor, types, "arity");
+                            keyed_arms.push_str(&format!("\"{wire}\" => {{\n{read}\n}}\n"));
                         }
                     }
                     VariantShape::Named(fields) => {
-                        let mut inits = String::new();
-                        for f in fields {
-                            inits.push_str(&format!(
-                                "{0}: <{1} as serde::Deserialize>::from_value(\
-                                 inner.get(\"{0}\").unwrap_or(&serde::Value::Null))\
-                                 .map_err(|e| serde::Error::custom(format!(\"{name}::{vn}.{0}: {{e}}\")))?,\n",
-                                f.name, f.ty
-                            ));
-                        }
                         keyed_arms.push_str(&format!(
-                            "\"{vn}\" => {{\n\
+                            "\"{wire}\" => {{\n\
                              let inner = payload.as_object().ok_or_else(|| \
                              serde::Error::custom(\"expected object for `{name}::{vn}`\"))?;\n\
-                             Ok({name}::{vn} {{\n{inits}}})\n}}\n"
+                             Ok({name}::{vn} {{\n{}}})\n}}\n",
+                            field_inits(fields, "inner", &format!("{name}::{vn}"))
                         ));
                     }
                 }
@@ -629,6 +762,22 @@ fn gen_deserialize(item: &Item) -> String {
             impl_deserialize(name, &body)
         }
     }
+}
+
+/// A block reading the array `src` into `ctor(...)` of `types`; `what`
+/// names a length mismatch.
+fn tuple_from(src: &str, ctor: &str, types: &[String], what: &str) -> String {
+    let elems: String = (types.iter().enumerate())
+        .map(|(i, ty)| format!("<{ty} as serde::Deserialize>::from_value(&arr[{i}])?,\n"))
+        .collect();
+    format!(
+        "let arr = {src}.as_array().ok_or_else(|| \
+         serde::Error::custom(\"expected array for `{ctor}`\"))?;\n\
+         if arr.len() != {n} {{\n\
+         return Err(serde::Error::custom(\"wrong {what} for `{ctor}`\"));\n}}\n\
+         Ok({ctor}(\n{elems}))",
+        n = types.len()
+    )
 }
 
 fn impl_deserialize(name: &str, body: &str) -> String {

@@ -1,20 +1,19 @@
 //! The event taxonomy: every internal decision the runtime can narrate.
 //!
 //! Events are plain data — no references into engine state — so a sink
-//! can ship them across a process boundary. Serialization is a tagged
-//! JSON object (`{"type": "trial_dispatched", ...}`) written by hand
-//! against the serde shim's [`Value`] tree, which keeps the JSONL format
-//! stable and greppable.
+//! can ship them across a process boundary. The trace format is derived
+//! from the enum: one JSON object per event, its snake_case variant name
+//! under `"type"` beside its fields (`{"level":1,...,"type":"trial_dispatched"}`),
+//! keys sorted, which keeps the JSONL stable and greppable.
 
-use std::fmt;
-
-use serde::{Error, Map, Value};
+use serde::{Deserialize, Serialize};
 
 /// Why a job attempt failed, as reported by the execution substrate.
 ///
 /// Mirrors the cluster crate's `JobStatus` failure variants without
 /// depending on it (the cluster crate depends on *this* crate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum FailureKind {
     /// The worker died mid-evaluation.
     Crashed,
@@ -29,38 +28,9 @@ pub enum FailureKind {
     Orphaned,
 }
 
-impl FailureKind {
-    /// Stable lowercase tag used in serialized events.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            FailureKind::Crashed => "crashed",
-            FailureKind::Errored => "errored",
-            FailureKind::TimedOut => "timed_out",
-            FailureKind::Corrupt => "corrupt",
-            FailureKind::Orphaned => "orphaned",
-        }
-    }
-
-    fn from_tag(s: &str) -> Result<Self, Error> {
-        match s {
-            "crashed" => Ok(FailureKind::Crashed),
-            "errored" => Ok(FailureKind::Errored),
-            "timed_out" => Ok(FailureKind::TimedOut),
-            "corrupt" => Ok(FailureKind::Corrupt),
-            "orphaned" => Ok(FailureKind::Orphaned),
-            other => Err(Error::custom(format!("unknown failure kind {other:?}"))),
-        }
-    }
-}
-
-impl fmt::Display for FailureKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.tag())
-    }
-}
-
 /// The fault a fault model injected at dispatch time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum FaultKind {
     /// Worker crash partway through the job.
     Crash,
@@ -73,7 +43,8 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Stable lowercase tag used in serialized events.
+    /// The name the trace writes this kind under, which keys
+    /// `TraceSummary`'s fault table.
     pub fn tag(&self) -> &'static str {
         match self {
             FaultKind::Crash => "crash",
@@ -82,27 +53,12 @@ impl FaultKind {
             FaultKind::Corrupt => "corrupt",
         }
     }
-
-    fn from_tag(s: &str) -> Result<Self, Error> {
-        match s {
-            "crash" => Ok(FaultKind::Crash),
-            "error" => Ok(FaultKind::Error),
-            "hang" => Ok(FaultKind::Hang),
-            "corrupt" => Ok(FaultKind::Corrupt),
-            other => Err(Error::custom(format!("unknown fault kind {other:?}"))),
-        }
-    }
-}
-
-impl fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.tag())
-    }
 }
 
 /// A structured event emitted by the runtime; see the variants for the
 /// taxonomy. Times live on the enclosing [`EventRecord`], not here.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "type", rename_all = "snake_case")]
 pub enum Event {
     /// A job was handed to the execution substrate.
     TrialDispatched {
@@ -291,139 +247,12 @@ pub enum Event {
     },
 }
 
-impl Event {
-    /// The serialized `"type"` tag of this event.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Event::TrialDispatched { .. } => "trial_dispatched",
-            Event::TrialCompleted { .. } => "trial_completed",
-            Event::TrialRetried { .. } => "trial_retried",
-            Event::TrialQuarantined { .. } => "trial_quarantined",
-            Event::PromotionMade { .. } => "promotion_made",
-            Event::PromotionDelayed { .. } => "promotion_delayed",
-            Event::BracketWeightsUpdated { .. } => "bracket_weights_updated",
-            Event::SurrogateFit { .. } => "surrogate_fit",
-            Event::SurrogatePredict { .. } => "surrogate_predict",
-            Event::CheckpointWritten { .. } => "checkpoint_written",
-            Event::FaultInjected { .. } => "fault_injected",
-            Event::SpanClosed { .. } => "span_closed",
-            Event::WorkerJoined { .. } => "worker_joined",
-            Event::WorkerLeft { .. } => "worker_left",
-            Event::WorkerReconnected { .. } => "worker_reconnected",
-            Event::RedialGaveUp { .. } => "redial_gave_up",
-            Event::ChaosInjected { .. } => "chaos_injected",
-            Event::LeaseExpired { .. } => "lease_expired",
-            Event::SpeculationLaunched { .. } => "speculation_launched",
-            Event::SpeculationResolved { .. } => "speculation_resolved",
-            Event::BreakerOpened { .. } => "breaker_opened",
-            Event::BreakerClosed => "breaker_closed",
-            Event::StudyCreated { .. } => "study_created",
-            Event::StudyStopped { .. } => "study_stopped",
-            Event::StudyCompleted { .. } => "study_completed",
-        }
-    }
-}
-
-impl fmt::Display for Event {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Event::TrialDispatched {
-                level,
-                bracket,
-                attempt,
-            } => write!(
-                f,
-                "dispatch level {level} bracket {bracket:?} attempt {attempt}"
-            ),
-            Event::TrialCompleted {
-                level, value, cost, ..
-            } => write!(f, "complete level {level} value {value:.5} cost {cost:.2}"),
-            Event::TrialRetried {
-                level,
-                attempt,
-                kind,
-            } => write!(f, "retry level {level} attempt {attempt} after {kind}"),
-            Event::TrialQuarantined { level, kind, .. } => {
-                write!(f, "quarantine level {level} after {kind}")
-            }
-            Event::PromotionMade { bracket, to_level } => {
-                write!(f, "promote bracket {bracket} -> level {to_level}")
-            }
-            Event::PromotionDelayed { bracket, level } => {
-                write!(f, "delay promotion bracket {bracket} rung {level}")
-            }
-            Event::BracketWeightsUpdated {
-                n_full, weights, ..
-            } => {
-                write!(f, "weights updated at |D_K| = {n_full}: {weights:.3?}")
-            }
-            Event::SurrogateFit { level, n_points } => {
-                write!(f, "fit surrogate level {level} on {n_points} points")
-            }
-            Event::SurrogatePredict { level, n_models } => {
-                write!(f, "acquisition over {n_models} models (ref level {level})")
-            }
-            Event::CheckpointWritten { completions, path } => {
-                write!(f, "checkpoint at {completions} completions -> {path}")
-            }
-            Event::FaultInjected { kind } => write!(f, "fault injected: {kind}"),
-            Event::SpanClosed { name, duration } => {
-                write!(f, "span {name} took {duration:.6}s")
-            }
-            Event::WorkerJoined { worker, n_alive } => {
-                write!(f, "worker {worker} joined ({n_alive} alive)")
-            }
-            Event::WorkerLeft { worker, n_alive } => {
-                write!(f, "worker {worker} left ({n_alive} alive)")
-            }
-            Event::WorkerReconnected {
-                worker,
-                epoch,
-                attempts,
-            } => {
-                write!(
-                    f,
-                    "worker {worker} reconnected at epoch {epoch} after {attempts} attempts"
-                )
-            }
-            Event::RedialGaveUp { worker, attempts } => {
-                write!(
-                    f,
-                    "redial of worker {worker} gave up after {attempts} attempts"
-                )
-            }
-            Event::ChaosInjected { kind } => write!(f, "chaos injected: {kind}"),
-            Event::LeaseExpired { level, attempt } => {
-                write!(f, "lease expired on level {level} attempt {attempt}")
-            }
-            Event::SpeculationLaunched { level } => {
-                write!(f, "speculative backup launched at level {level}")
-            }
-            Event::SpeculationResolved { level, backup_won } => {
-                let winner = if *backup_won { "backup" } else { "original" };
-                write!(f, "speculation at level {level} resolved: {winner} won")
-            }
-            Event::BreakerOpened { failure_rate } => {
-                write!(f, "breaker opened at failure rate {failure_rate:.3}")
-            }
-            Event::BreakerClosed => write!(f, "breaker closed"),
-            Event::StudyCreated { study, name } => {
-                write!(f, "study {study} ({name}) created")
-            }
-            Event::StudyStopped { study } => write!(f, "study {study} stopped"),
-            Event::StudyCompleted { study, trials } => {
-                write!(f, "study {study} completed after {trials} trials")
-            }
-        }
-    }
-}
-
 /// One entry of the event log: a monotonically increasing sequence
 /// number, the emitter-supplied timestamp (virtual seconds on the
 /// simulator, wall seconds on the thread pool), the event itself, and —
 /// for events emitted through a tenant-scoped handle — the owning
 /// study id.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EventRecord {
     /// Monotonic sequence number assigned by the telemetry handle.
     pub seq: u64,
@@ -434,350 +263,15 @@ pub struct EventRecord {
     /// Owning study (tenant) id, stamped by
     /// `TelemetryHandle::with_tenant` handles; `None` for service-level
     /// and single-study traces. Omitted from JSON when absent, so
-    /// single-tenant logs are byte-identical to the pre-service format.
+    /// single-tenant logs are byte-identical to the pre-service format;
+    /// a missing key reads back as `None`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub tenant: Option<u64>,
-}
-
-fn num(v: f64) -> Value {
-    v.to_value()
-}
-
-fn opt_usize(v: &Option<usize>) -> Value {
-    match v {
-        Some(n) => n.to_value(),
-        None => Value::Null,
-    }
-}
-
-fn f64s(v: &[f64]) -> Value {
-    Value::Array(v.iter().map(|x| x.to_value()).collect())
-}
-
-use serde::Serialize as _;
-
-impl serde::Serialize for Event {
-    fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("type".into(), Value::String(self.tag().into()));
-        match self {
-            Event::TrialDispatched {
-                level,
-                bracket,
-                attempt,
-            } => {
-                m.insert("level".into(), level.to_value());
-                m.insert("bracket".into(), opt_usize(bracket));
-                m.insert("attempt".into(), attempt.to_value());
-            }
-            Event::TrialCompleted {
-                level,
-                bracket,
-                value,
-                cost,
-            } => {
-                m.insert("level".into(), level.to_value());
-                m.insert("bracket".into(), opt_usize(bracket));
-                m.insert("value".into(), num(*value));
-                m.insert("cost".into(), num(*cost));
-            }
-            Event::TrialRetried {
-                level,
-                attempt,
-                kind,
-            } => {
-                m.insert("level".into(), level.to_value());
-                m.insert("attempt".into(), attempt.to_value());
-                m.insert("kind".into(), Value::String(kind.tag().into()));
-            }
-            Event::TrialQuarantined {
-                level,
-                bracket,
-                kind,
-            } => {
-                m.insert("level".into(), level.to_value());
-                m.insert("bracket".into(), opt_usize(bracket));
-                m.insert("kind".into(), Value::String(kind.tag().into()));
-            }
-            Event::PromotionMade { bracket, to_level } => {
-                m.insert("bracket".into(), bracket.to_value());
-                m.insert("to_level".into(), to_level.to_value());
-            }
-            Event::PromotionDelayed { bracket, level } => {
-                m.insert("bracket".into(), bracket.to_value());
-                m.insert("level".into(), level.to_value());
-            }
-            Event::BracketWeightsUpdated {
-                n_full,
-                theta,
-                weights,
-            } => {
-                m.insert("n_full".into(), n_full.to_value());
-                m.insert("theta".into(), f64s(theta));
-                m.insert("weights".into(), f64s(weights));
-            }
-            Event::SurrogateFit { level, n_points } => {
-                m.insert("level".into(), level.to_value());
-                m.insert("n_points".into(), n_points.to_value());
-            }
-            Event::SurrogatePredict { level, n_models } => {
-                m.insert("level".into(), level.to_value());
-                m.insert("n_models".into(), n_models.to_value());
-            }
-            Event::CheckpointWritten { completions, path } => {
-                m.insert("completions".into(), completions.to_value());
-                m.insert("path".into(), Value::String(path.clone()));
-            }
-            Event::FaultInjected { kind } => {
-                m.insert("kind".into(), Value::String(kind.tag().into()));
-            }
-            Event::SpanClosed { name, duration } => {
-                m.insert("name".into(), Value::String(name.clone()));
-                m.insert("duration".into(), num(*duration));
-            }
-            Event::WorkerJoined { worker, n_alive } | Event::WorkerLeft { worker, n_alive } => {
-                m.insert("worker".into(), worker.to_value());
-                m.insert("n_alive".into(), n_alive.to_value());
-            }
-            Event::WorkerReconnected {
-                worker,
-                epoch,
-                attempts,
-            } => {
-                m.insert("worker".into(), worker.to_value());
-                m.insert("epoch".into(), epoch.to_value());
-                m.insert("attempts".into(), attempts.to_value());
-            }
-            Event::RedialGaveUp { worker, attempts } => {
-                m.insert("worker".into(), worker.to_value());
-                m.insert("attempts".into(), attempts.to_value());
-            }
-            Event::ChaosInjected { kind } => {
-                m.insert("kind".into(), Value::String(kind.clone()));
-            }
-            Event::LeaseExpired { level, attempt } => {
-                m.insert("level".into(), level.to_value());
-                m.insert("attempt".into(), attempt.to_value());
-            }
-            Event::SpeculationLaunched { level } => {
-                m.insert("level".into(), level.to_value());
-            }
-            Event::SpeculationResolved { level, backup_won } => {
-                m.insert("level".into(), level.to_value());
-                m.insert("backup_won".into(), Value::Bool(*backup_won));
-            }
-            Event::BreakerOpened { failure_rate } => {
-                m.insert("failure_rate".into(), num(*failure_rate));
-            }
-            Event::BreakerClosed => {}
-            Event::StudyCreated { study, name } => {
-                m.insert("study".into(), study.to_value());
-                m.insert("name".into(), Value::String(name.clone()));
-            }
-            Event::StudyStopped { study } => {
-                m.insert("study".into(), study.to_value());
-            }
-            Event::StudyCompleted { study, trials } => {
-                m.insert("study".into(), study.to_value());
-                m.insert("trials".into(), trials.to_value());
-            }
-        }
-        Value::Object(m)
-    }
-}
-
-fn get_usize(v: &Value, key: &str) -> Result<usize, Error> {
-    v[key]
-        .as_u64()
-        .map(|n| n as usize)
-        .ok_or_else(|| Error::custom(format!("missing or non-integer field {key:?}")))
-}
-
-fn get_u64(v: &Value, key: &str) -> Result<u64, Error> {
-    v[key]
-        .as_u64()
-        .ok_or_else(|| Error::custom(format!("missing or non-integer field {key:?}")))
-}
-
-fn get_opt_usize(v: &Value, key: &str) -> Result<Option<usize>, Error> {
-    if v[key].is_null() {
-        return Ok(None);
-    }
-    get_usize(v, key).map(Some)
-}
-
-fn get_f64(v: &Value, key: &str) -> Result<f64, Error> {
-    v[key]
-        .as_f64()
-        .ok_or_else(|| Error::custom(format!("missing or non-numeric field {key:?}")))
-}
-
-fn get_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, Error> {
-    v[key]
-        .as_str()
-        .ok_or_else(|| Error::custom(format!("missing or non-string field {key:?}")))
-}
-
-fn get_bool(v: &Value, key: &str) -> Result<bool, Error> {
-    match &v[key] {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(Error::custom(format!(
-            "missing or non-boolean field {key:?}"
-        ))),
-    }
-}
-
-fn get_f64s(v: &Value, key: &str) -> Result<Vec<f64>, Error> {
-    v[key]
-        .as_array()
-        .ok_or_else(|| Error::custom(format!("missing or non-array field {key:?}")))?
-        .iter()
-        .map(|x| {
-            x.as_f64()
-                .ok_or_else(|| Error::custom(format!("non-numeric entry in {key:?}")))
-        })
-        .collect()
-}
-
-impl serde::Deserialize for Event {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let tag = get_str(v, "type")?;
-        match tag {
-            "trial_dispatched" => Ok(Event::TrialDispatched {
-                level: get_usize(v, "level")?,
-                bracket: get_opt_usize(v, "bracket")?,
-                attempt: get_usize(v, "attempt")?,
-            }),
-            "trial_completed" => Ok(Event::TrialCompleted {
-                level: get_usize(v, "level")?,
-                bracket: get_opt_usize(v, "bracket")?,
-                value: get_f64(v, "value")?,
-                cost: get_f64(v, "cost")?,
-            }),
-            "trial_retried" => Ok(Event::TrialRetried {
-                level: get_usize(v, "level")?,
-                attempt: get_usize(v, "attempt")?,
-                kind: FailureKind::from_tag(get_str(v, "kind")?)?,
-            }),
-            "trial_quarantined" => Ok(Event::TrialQuarantined {
-                level: get_usize(v, "level")?,
-                bracket: get_opt_usize(v, "bracket")?,
-                kind: FailureKind::from_tag(get_str(v, "kind")?)?,
-            }),
-            "promotion_made" => Ok(Event::PromotionMade {
-                bracket: get_usize(v, "bracket")?,
-                to_level: get_usize(v, "to_level")?,
-            }),
-            "promotion_delayed" => Ok(Event::PromotionDelayed {
-                bracket: get_usize(v, "bracket")?,
-                level: get_usize(v, "level")?,
-            }),
-            "bracket_weights_updated" => Ok(Event::BracketWeightsUpdated {
-                n_full: get_usize(v, "n_full")?,
-                theta: get_f64s(v, "theta")?,
-                weights: get_f64s(v, "weights")?,
-            }),
-            "surrogate_fit" => Ok(Event::SurrogateFit {
-                level: get_usize(v, "level")?,
-                n_points: get_usize(v, "n_points")?,
-            }),
-            "surrogate_predict" => Ok(Event::SurrogatePredict {
-                level: get_usize(v, "level")?,
-                n_models: get_usize(v, "n_models")?,
-            }),
-            "checkpoint_written" => Ok(Event::CheckpointWritten {
-                completions: get_usize(v, "completions")?,
-                path: get_str(v, "path")?.to_string(),
-            }),
-            "fault_injected" => Ok(Event::FaultInjected {
-                kind: FaultKind::from_tag(get_str(v, "kind")?)?,
-            }),
-            "span_closed" => Ok(Event::SpanClosed {
-                name: get_str(v, "name")?.to_string(),
-                duration: get_f64(v, "duration")?,
-            }),
-            "worker_joined" => Ok(Event::WorkerJoined {
-                worker: get_usize(v, "worker")?,
-                n_alive: get_usize(v, "n_alive")?,
-            }),
-            "worker_left" => Ok(Event::WorkerLeft {
-                worker: get_usize(v, "worker")?,
-                n_alive: get_usize(v, "n_alive")?,
-            }),
-            "worker_reconnected" => Ok(Event::WorkerReconnected {
-                worker: get_usize(v, "worker")?,
-                epoch: get_u64(v, "epoch")?,
-                attempts: get_usize(v, "attempts")?,
-            }),
-            "redial_gave_up" => Ok(Event::RedialGaveUp {
-                worker: get_usize(v, "worker")?,
-                attempts: get_usize(v, "attempts")?,
-            }),
-            "chaos_injected" => Ok(Event::ChaosInjected {
-                kind: get_str(v, "kind")?.to_string(),
-            }),
-            "lease_expired" => Ok(Event::LeaseExpired {
-                level: get_usize(v, "level")?,
-                attempt: get_usize(v, "attempt")?,
-            }),
-            "speculation_launched" => Ok(Event::SpeculationLaunched {
-                level: get_usize(v, "level")?,
-            }),
-            "speculation_resolved" => Ok(Event::SpeculationResolved {
-                level: get_usize(v, "level")?,
-                backup_won: get_bool(v, "backup_won")?,
-            }),
-            "breaker_opened" => Ok(Event::BreakerOpened {
-                failure_rate: get_f64(v, "failure_rate")?,
-            }),
-            "breaker_closed" => Ok(Event::BreakerClosed),
-            "study_created" => Ok(Event::StudyCreated {
-                study: get_u64(v, "study")?,
-                name: get_str(v, "name")?.to_string(),
-            }),
-            "study_stopped" => Ok(Event::StudyStopped {
-                study: get_u64(v, "study")?,
-            }),
-            "study_completed" => Ok(Event::StudyCompleted {
-                study: get_u64(v, "study")?,
-                trials: get_usize(v, "trials")?,
-            }),
-            other => Err(Error::custom(format!("unknown event type {other:?}"))),
-        }
-    }
-}
-
-impl serde::Serialize for EventRecord {
-    fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("seq".into(), self.seq.to_value());
-        m.insert("time".into(), num(self.time));
-        m.insert("event".into(), self.event.to_value());
-        if let Some(tenant) = self.tenant {
-            m.insert("tenant".into(), tenant.to_value());
-        }
-        Value::Object(m)
-    }
-}
-
-impl serde::Deserialize for EventRecord {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(EventRecord {
-            seq: v["seq"]
-                .as_u64()
-                .ok_or_else(|| Error::custom("missing field \"seq\""))?,
-            time: get_f64(v, "time")?,
-            event: Event::from_value(&v["event"])?,
-            // Missing and null both mean "untenanted": logs written
-            // before the service layer existed stay readable.
-            tenant: v["tenant"].as_u64(),
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Deserialize as _;
 
     fn all_events() -> Vec<Event> {
         vec![
@@ -882,18 +376,88 @@ mod tests {
         ]
     }
 
+    /// The `i`th fixture record: untenanted when `i` is even.
+    fn record(i: usize, event: Event) -> EventRecord {
+        let tenant = (i % 2 == 1).then_some(i as u64);
+        let (seq, time) = (i as u64, 1.5 * i as f64);
+        EventRecord {
+            seq,
+            time,
+            event,
+            tenant,
+        }
+    }
+
     #[test]
     fn every_event_roundtrips_through_json() {
         for (i, event) in all_events().into_iter().enumerate() {
-            let rec = EventRecord {
-                seq: i as u64,
-                time: 1.5 * i as f64,
-                event,
-                tenant: if i % 2 == 0 { None } else { Some(i as u64) },
-            };
+            let rec = record(i, event);
             let line = serde_json::to_string(&rec).unwrap();
             let back: EventRecord = serde_json::from_str(&line).unwrap();
             assert_eq!(back, rec, "line: {line}");
+        }
+    }
+
+    #[test]
+    fn every_event_prints_its_golden_line() {
+        // Every fixture, alternately untenanted and tenanted, then three
+        // edge records: non-finite floats, a string that needs escaping,
+        // and -0.0 / 1e300 weights (1e300 prints as its 301 digits).
+        let edges = [
+            Event::TrialCompleted {
+                level: 1,
+                bracket: None,
+                value: f64::INFINITY,
+                cost: f64::NAN,
+            },
+            Event::CheckpointWritten {
+                completions: 1,
+                path: "a\"b\\c\nd\te\u{1}\u{e9}".into(),
+            },
+            Event::BracketWeightsUpdated {
+                n_full: 2,
+                theta: vec![-0.0, 1e300],
+                weights: vec![],
+            },
+        ];
+        let events: Vec<Event> = all_events().into_iter().chain(edges).collect();
+        let golden = [
+            r#"{"event":{"attempt":0,"bracket":2,"level":1,"type":"trial_dispatched"},"seq":0,"time":0.0}"#,
+            r#"{"event":{"attempt":3,"bracket":null,"level":0,"type":"trial_dispatched"},"seq":1,"tenant":1,"time":1.5}"#,
+            r#"{"event":{"bracket":0,"cost":9.0,"level":2,"type":"trial_completed","value":0.125},"seq":2,"time":3.0}"#,
+            r#"{"event":{"attempt":1,"kind":"crashed","level":0,"type":"trial_retried"},"seq":3,"tenant":3,"time":4.5}"#,
+            r#"{"event":{"bracket":1,"kind":"orphaned","level":3,"type":"trial_quarantined"},"seq":4,"time":6.0}"#,
+            r#"{"event":{"bracket":0,"to_level":2,"type":"promotion_made"},"seq":5,"tenant":5,"time":7.5}"#,
+            r#"{"event":{"bracket":1,"level":1,"type":"promotion_delayed"},"seq":6,"time":9.0}"#,
+            r#"{"event":{"n_full":7,"theta":[0.5,0.25,0.25],"type":"bracket_weights_updated","weights":[0.8,0.15,0.05]},"seq":7,"tenant":7,"time":10.5}"#,
+            r#"{"event":{"level":0,"n_points":40,"type":"surrogate_fit"},"seq":8,"time":12.0}"#,
+            r#"{"event":{"level":3,"n_models":4,"type":"surrogate_predict"},"seq":9,"tenant":9,"time":13.5}"#,
+            r#"{"event":{"completions":14,"path":"/tmp/snap.json","type":"checkpoint_written"},"seq":10,"time":15.0}"#,
+            r#"{"event":{"kind":"hang","type":"fault_injected"},"seq":11,"tenant":11,"time":16.5}"#,
+            r#"{"event":{"duration":0.0021,"name":"surrogate_fit","type":"span_closed"},"seq":12,"time":18.0}"#,
+            r#"{"event":{"n_alive":10,"type":"worker_joined","worker":9},"seq":13,"tenant":13,"time":19.5}"#,
+            r#"{"event":{"n_alive":9,"type":"worker_left","worker":3},"seq":14,"time":21.0}"#,
+            r#"{"event":{"attempts":4,"epoch":2,"type":"worker_reconnected","worker":3},"seq":15,"tenant":15,"time":22.5}"#,
+            r#"{"event":{"attempts":6,"type":"redial_gave_up","worker":5},"seq":16,"time":24.0}"#,
+            r#"{"event":{"kind":"blackhole","type":"chaos_injected"},"seq":17,"tenant":17,"time":25.5}"#,
+            r#"{"event":{"attempt":0,"level":1,"type":"lease_expired"},"seq":18,"time":27.0}"#,
+            r#"{"event":{"level":2,"type":"speculation_launched"},"seq":19,"tenant":19,"time":28.5}"#,
+            r#"{"event":{"backup_won":true,"level":2,"type":"speculation_resolved"},"seq":20,"time":30.0}"#,
+            r#"{"event":{"failure_rate":0.75,"type":"breaker_opened"},"seq":21,"tenant":21,"time":31.5}"#,
+            r#"{"event":{"type":"breaker_closed"},"seq":22,"time":33.0}"#,
+            r#"{"event":{"name":"tenant-a","study":3,"type":"study_created"},"seq":23,"tenant":23,"time":34.5}"#,
+            r#"{"event":{"study":3,"type":"study_stopped"},"seq":24,"time":36.0}"#,
+            r#"{"event":{"study":4,"trials":60,"type":"study_completed"},"seq":25,"tenant":25,"time":37.5}"#,
+            r#"{"event":{"bracket":null,"cost":null,"level":1,"type":"trial_completed","value":null},"seq":26,"time":39.0}"#,
+            r#"{"event":{"completions":1,"path":"a\"b\\c\nd\te\u0001é","type":"checkpoint_written"},"seq":27,"tenant":27,"time":40.5}"#,
+            r#"{"event":{"n_full":2,"theta":[-0.0,1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000],"type":"bracket_weights_updated","weights":[]},"seq":28,"time":42.0}"#,
+        ];
+        assert_eq!(events.len(), golden.len());
+        for ((i, event), want) in events.into_iter().enumerate().zip(golden) {
+            let rec = record(i, event);
+            assert_eq!(serde_json::to_string(&rec).unwrap(), want, "streamed");
+            let tree = serde::Serialize::to_value(&rec);
+            assert_eq!(serde_json::to_string(&tree).unwrap(), want, "tree");
         }
     }
 
@@ -914,26 +478,18 @@ mod tests {
 
     #[test]
     fn tags_are_unique() {
-        let tags: Vec<&str> = all_events().iter().map(|e| e.tag()).collect();
-        let mut dedup = tags.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
+        let tag = |e: &Event| e.to_value()["type"].as_str().map(str::to_string);
+        let mut tags: Vec<String> = all_events().iter().filter_map(tag).collect();
+        let n = all_events().len();
+        tags.sort_unstable();
+        tags.dedup();
         // TrialDispatched appears twice in the fixture list.
-        assert_eq!(dedup.len(), tags.len() - 1);
-    }
-
-    #[test]
-    fn display_is_human_readable() {
-        for event in all_events() {
-            let s = event.to_string();
-            assert!(!s.is_empty());
-            assert!(!s.contains("type"), "display is not JSON: {s}");
-        }
+        assert_eq!(tags.len(), n - 1);
     }
 
     #[test]
     fn unknown_type_rejected() {
-        let v: Value = serde_json::from_str(r#"{"type": "nope"}"#).unwrap();
+        let v: serde::Value = serde_json::from_str(r#"{"type": "nope"}"#).unwrap();
         assert!(Event::from_value(&v).is_err());
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`event`] | `Event` taxonomy, `EventRecord`, JSON (de)serialization |
-//! | [`sink`] | `EventSink` trait; ring buffer, JSONL, console sinks |
+//! | [`event`] | `Event` taxonomy, `EventRecord`; their JSON is derived |
+//! | [`sink`] | `EventSink` trait; ring buffer and JSONL sinks |
 //! | [`metrics`] | counters / gauges / histograms with `snapshot()` |
 //! | [`span`] | injected `Clock`s (wall + manual/virtual), used by spans |
 //! | [`replay`] | JSONL reader and `TraceSummary` for `trace-report` |
@@ -54,7 +54,7 @@ pub mod span;
 pub use event::{Event, EventRecord, FailureKind, FaultKind};
 pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use replay::{read_jsonl, TraceSummary};
-pub use sink::{ConsoleSink, EventSink, JsonlSink, RingBufferSink};
+pub use sink::{EventSink, JsonlSink, RingBufferSink};
 pub use span::{Clock, ManualClock, WallClock};
 
 use std::fmt;

@@ -114,23 +114,6 @@ impl Drop for JsonlSink {
     }
 }
 
-/// Prints human-readable event lines to stderr.
-#[derive(Debug, Default)]
-pub struct ConsoleSink;
-
-impl ConsoleSink {
-    /// A console sink.
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl EventSink for ConsoleSink {
-    fn record(&self, rec: &EventRecord) {
-        eprintln!("[{:>6}] t={:>10.3}  {}", rec.seq, rec.time, rec.event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

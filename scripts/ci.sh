@@ -320,6 +320,18 @@ if sed '/^#\[cfg(test)\]/q' crates/cluster/src/net.rs | grep -vE '^[[:space:]]*/
   exit 1
 fi
 
+step "one codec (every Serialize/Deserialize impl outside the serde shims is derived)"
+# The trace format, the WAL records and the wire payloads all come from
+# #[derive] through crates/shims/serde_derive (DESIGN.md §12): a
+# hand-written impl would define a format a second time, beside the type
+# it encodes. The shims themselves implement the traits for std types.
+codec_impls=$(grep -rnE 'impl(<[^>]*>)? +(serde::)?(Serialize|Deserialize) +for' \
+  --include='*.rs' crates/ | grep -v '^crates/shims/' || true)
+if [[ -n "$codec_impls" ]]; then
+  printf 'hand-written serde impls:\n%s\n' "$codec_impls"
+  exit 1
+fi
+
 step "one durable log (no WAL rewrite, no legacy blob reader, no side formats)"
 # persist.rs has one line format, one writer that only appends
 # (WalWriter::create / WalWriter::open) and one reader
