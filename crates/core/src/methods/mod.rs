@@ -28,7 +28,7 @@ use crate::sampler::{BoSampler, MfesSampler, RandomSampler, TpeSampler};
 ///
 /// Serde-derived (unit variants serialize as their names, e.g.
 /// `"HyperTune"`) so a study spec can name its method in a JSONL
-/// command stream or a sidecar file.
+/// command stream or a study's lifecycle record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum MethodKind {
     /// Asynchronous random search with complete evaluations.

@@ -1,5 +1,6 @@
 //! The durable log: one checksummed write-ahead log per run or study,
-//! one writer that only appends, one reader.
+//! one writer that only appends, one reader. A study's log is the only
+//! file it has: its lifecycle rides in the same log as its trials.
 //!
 //! Every derived component — base surrogates, `θ`, the bracket weights,
 //! the incumbent — is a pure function of the measurement history, so the
@@ -17,7 +18,12 @@
 //! # Format
 //!
 //! A header line carrying the format version and the seed, then one
-//! record line per submission and per measurement, in append order.
+//! record line per submission and per measurement, in append order. A
+//! log may also hold `Study` lines: opaque lifecycle records (the
+//! multi-tenant service's spec, status and generation) that this module
+//! stores and hands back without reading. [`RunSnapshot::load`] skips
+//! them, [`WalWriter::open`] returns the last complete one, and the
+//! simulated runner writes none, so its checkpoints are unchanged.
 //! Every line is prefixed with an FNV-1a checksum of its JSON payload, so
 //! [`RunSnapshot::load`] can distinguish the two real-world corruption
 //! modes:
@@ -36,7 +42,7 @@
 use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::history::Measurement;
 use crate::method::JobSpec;
@@ -107,6 +113,7 @@ enum WalRecord {
     Header(WalHeader),
     Submission(SubmissionRecord),
     Measurement(Measurement),
+    Study(Value),
 }
 
 /// Writes one WAL line: `<fnv1a hex>\t{"<tag>":<payload>}\n`, the
@@ -147,9 +154,10 @@ fn parse_line(line: &[u8]) -> Result<WalRecord, String> {
 }
 
 /// Reads a WAL image under [`RunSnapshot::load`]'s rules. Also returns
-/// where the last good record's payload ends — the byte before its
-/// newline, which a tear may have taken on its own.
-fn scan(bytes: &[u8]) -> io::Result<(RunSnapshot, usize)> {
+/// the last complete `Study` record, and where the last good record's
+/// payload ends — the byte before its newline, which a tear may have
+/// taken on its own.
+fn scan(bytes: &[u8]) -> io::Result<(RunSnapshot, Option<Value>, usize)> {
     let mut lines = Vec::new();
     let mut start = 0;
     for line in bytes.split(|&b| b == b'\n') {
@@ -159,6 +167,7 @@ fn scan(bytes: &[u8]) -> io::Result<(RunSnapshot, usize)> {
         start += line.len() + 1;
     }
     let mut snapshot: Option<RunSnapshot> = None;
+    let mut study = None;
     let mut end = 0;
     for (i, line) in lines.iter().enumerate() {
         let record = match parse_line(&bytes[line.clone()]) {
@@ -196,11 +205,12 @@ fn scan(bytes: &[u8]) -> io::Result<(RunSnapshot, usize)> {
             }
             WalRecord::Submission(s) => snapshot.submissions.push(s),
             WalRecord::Measurement(m) => snapshot.measurements.push(m),
+            WalRecord::Study(s) => study = Some(s),
         }
     }
     let snapshot =
         snapshot.ok_or_else(|| corrupt("snapshot WAL has no valid header line".into()))?;
-    Ok((snapshot, end))
+    Ok((snapshot, study, end))
 }
 
 impl RunSnapshot {
@@ -212,6 +222,8 @@ impl RunSnapshot {
     /// - A damaged line **before** the end is an error: the file was
     ///   corrupted after the fact, and replaying around a hole would
     ///   silently produce a different run.
+    ///
+    /// `Study` records are skipped; [`WalWriter::open`] returns them.
     pub fn load(path: &Path) -> io::Result<Self> {
         Ok(scan(&std::fs::read(path)?)?.0)
     }
@@ -262,9 +274,9 @@ impl WalWriter {
         }
     }
 
-    /// Creates (truncating) the WAL at `path` and writes the header
+    /// Creates (truncating) the WAL at `path` and buffers the header
     /// line for `seed`.
-    pub fn create(path: &Path, seed: u64) -> io::Result<Self> {
+    fn start(path: &Path, seed: u64) -> io::Result<Self> {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
@@ -274,25 +286,44 @@ impl WalWriter {
             seed,
         };
         write_record(&mut wal.w, &mut wal.scratch, "Header", &header)?;
+        Ok(wal)
+    }
+
+    /// Creates (truncating) the WAL at `path` and writes the header
+    /// line for `seed`.
+    pub fn create(path: &Path, seed: u64) -> io::Result<Self> {
+        let mut wal = Self::start(path, seed)?;
+        wal.w.flush()?;
+        Ok(wal)
+    }
+
+    /// Like [`create`](WalWriter::create), with a first `Study` record
+    /// after the header. Both lines reach the file in one write, so a
+    /// log cut inside them holds no `Study` record, unless the cut took
+    /// only the final newline.
+    pub fn create_study(path: &Path, seed: u64, study: &impl Serialize) -> io::Result<Self> {
+        let mut wal = Self::start(path, seed)?;
+        write_record(&mut wal.w, &mut wal.scratch, "Study", study)?;
         wal.w.flush()?;
         Ok(wal)
     }
 
     /// Continues the WAL at `path` in place: reads it under
     /// [`RunSnapshot::load`]'s rules, cuts a torn final line off, and
-    /// returns what it holds with a writer that appends after it.
+    /// returns what it holds — the snapshot and the last complete
+    /// `Study` record — with a writer that appends after it.
     /// Nothing before the cut is rewritten. When a tear took only the
     /// last record's newline, the newline is written back instead of
     /// the record being dropped, so the snapshot returned is always what
     /// `load` reads from the same bytes.
-    pub fn open(path: &Path) -> io::Result<(RunSnapshot, Self)> {
+    pub fn open(path: &Path) -> io::Result<(RunSnapshot, Option<Value>, Self)> {
         let mut file = std::fs::OpenOptions::new()
             .read(true)
             .append(true)
             .open(path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        let (snapshot, end) = scan(&bytes)?;
+        let (snapshot, study, end) = scan(&bytes)?;
         let terminated = bytes.get(end) == Some(&b'\n');
         let keep = end + usize::from(terminated);
         if keep < bytes.len() {
@@ -301,7 +332,7 @@ impl WalWriter {
         if !terminated {
             file.write_all(b"\n")?;
         }
-        Ok((snapshot, Self::over(file)))
+        Ok((snapshot, study, Self::over(file)))
     }
 
     /// Chooses between flush-per-append (`true`, the default) and
@@ -348,6 +379,11 @@ impl WalWriter {
     /// Appends one measurement line (flushing under auto-flush).
     pub fn append_measurement(&mut self, m: &Measurement) -> io::Result<()> {
         self.append("Measurement", m)
+    }
+
+    /// Appends one opaque `Study` line (flushing under auto-flush).
+    pub fn append_study(&mut self, study: &impl Serialize) -> io::Result<()> {
+        self.append("Study", study)
     }
 
     fn append(&mut self, tag: &str, payload: &impl Serialize) -> io::Result<()> {
@@ -606,7 +642,7 @@ mod tests {
                 assert!(WalWriter::open(&path).is_err());
                 continue;
             };
-            let (opened, mut w) = WalWriter::open(&path).unwrap();
+            let (opened, _, mut w) = WalWriter::open(&path).unwrap();
             assert_eq!(opened.submissions, loaded.submissions, "cut {cut}");
             assert_eq!(opened.measurements, loaded.measurements, "cut {cut}");
             // Kept: the lines the cut left whole, plus the last one if
@@ -625,6 +661,41 @@ mod tests {
             assert_eq!(back.submissions, loaded.submissions, "cut {cut}");
             assert_eq!(back.measurements.len(), loaded.measurements.len() + 1);
         }
+        cleanup(&path);
+    }
+
+    #[test]
+    fn study_records_are_skipped_by_load_and_returned_by_open() {
+        let fixture = snapshot_fixture(2);
+        let path = temp_wal("study-records");
+        let first = serde_json::json!({"status": "Running", "generation": 0});
+        let second = serde_json::json!({"status": "Stopped", "generation": 0});
+        let mut w = WalWriter::create_study(&path, fixture.seed, &first).unwrap();
+        for (s, m) in fixture.submissions.iter().zip(&fixture.measurements) {
+            w.append_submission(s).unwrap();
+            w.append_measurement(m).unwrap();
+        }
+        w.append_study(&second).unwrap();
+        drop(w);
+        let whole = std::fs::read(&path).unwrap();
+        let text = std::str::from_utf8(&whole).unwrap();
+        assert_eq!(
+            text.lines().filter(|l| l.contains("{\"Study\":")).count(),
+            2
+        );
+
+        let back = RunSnapshot::load(&path).unwrap();
+        assert_eq!(back.seed, fixture.seed);
+        assert_eq!(back.submissions, fixture.submissions);
+        assert_eq!(back.measurements, fixture.measurements);
+        let (opened, study, _) = WalWriter::open(&path).unwrap();
+        assert_eq!(opened.measurements, fixture.measurements);
+        assert_eq!(study, Some(second));
+
+        // A torn last `Study` line is a torn tail: the one before it wins.
+        std::fs::write(&path, &whole[..whole.len() - 5]).unwrap();
+        let (_, study, _) = WalWriter::open(&path).unwrap();
+        assert_eq!(study, Some(first));
         cleanup(&path);
     }
 

@@ -55,7 +55,7 @@
 //!   {"cmd":"status"}                   # print the per-study summary
 //! ```
 //!
-//! With `--state-dir`, every study persists a WAL + sidecar there;
+//! With `--state-dir`, every study persists one file there, its WAL;
 //! `--resume` recovers them on startup (and, when no `--script` is
 //! given, drains the survivors to completion) — kill the service
 //! mid-run, restart with `--resume`, and no trial is ever booked twice.

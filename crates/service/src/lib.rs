@@ -18,8 +18,9 @@
 //!   slots across live studies, with per-study in-flight quotas.
 //!   Proportional share with an O(#studies) error bound, and
 //!   starvation-freedom for light tenants next to heavy ones.
-//! - Snapshot-backed durability: one checksummed WAL + sidecar per
-//!   study under a state directory; [`TuningService::recover`] rebuilds
+//! - Snapshot-backed durability: one file per study under a state
+//!   directory, a checksummed WAL whose `Study` records carry the spec
+//!   and lifecycle beside the trials; [`TuningService::recover`] rebuilds
 //!   every study after a crash with exactly-once booking (in-flight
 //!   trials were never logged, so they re-run fresh — nothing is booked
 //!   twice).

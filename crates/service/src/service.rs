@@ -15,10 +15,13 @@
 //!   per-study `max_in_flight` quota on top. A heavy tenant cannot
 //!   starve a light one, and a stopped or parked (weight 0) study never
 //!   receives a slot.
-//! - **Durability**: with a `state_dir` configured, every study gets an
-//!   appending checksummed WAL (`study-<id>.wal`, the one
-//!   [`hypertune_core::persist`] format) plus a sidecar
-//!   (`study-<id>.json`) recording spec and lifecycle state.
+//! - **Durability**: with a `state_dir` configured, every study is one
+//!   file: an appending checksummed WAL (`study-<id>.wal`, the one
+//!   [`hypertune_core::persist`] format) whose `Study` records carry the
+//!   spec, lifecycle state and generation ([`StudyRecord`]) alongside the
+//!   trials. Creation writes the header and the first `Study` record in
+//!   one write; a stop or a completion appends a `Study` record and
+//!   flushes.
 //!   [`TuningService::recover`] scans the directory and rebuilds every
 //!   study found there, opening each WAL in place and appending after
 //!   it — recovery rewrites no record. The restored history is exact,
@@ -30,8 +33,9 @@
 //!   group-commit across studies — buffered per study, flushed once per
 //!   scheduler round over the studies the round touched — so a kill
 //!   mid-round loses only results that were not booked yet, which
-//!   re-run and never double-book; lifecycle sidecar writes always
-//!   flush the WAL first.
+//!   re-run and never double-book. A lifecycle record follows every
+//!   trial record booked before it in the same file, so it can never
+//!   claim records the log does not have.
 //! - **Retries and quarantine**: every completion is booked through the
 //!   study's runtime, whose ledger retries a failed attempt up to the
 //!   configured [`RetryPolicy`] budget and then quarantines it — the
@@ -80,8 +84,8 @@ const LATENCY_CAP: usize = 1 << 16;
 /// Service-wide configuration.
 #[derive(Clone)]
 pub struct ServiceConfig {
-    /// Durability root: one WAL + sidecar per study underneath. `None`
-    /// runs in-memory only (no recovery).
+    /// Durability root: one WAL per study underneath. `None` runs
+    /// in-memory only (no recovery).
     pub state_dir: Option<PathBuf>,
     /// Retry budget for failed attempts, shared by all studies.
     pub retry: RetryPolicy,
@@ -90,9 +94,8 @@ pub struct ServiceConfig {
     /// one. Off by default. The flush cadence itself is not
     /// configurable: records buffer while a drained batch is booked and
     /// one flush per scheduler round covers every study the round
-    /// touched. Lifecycle transitions (complete/stop) always flush the
-    /// study's WAL before the sidecar is rewritten, so a sidecar can
-    /// never claim records the WAL does not have.
+    /// touched. Lifecycle transitions (complete/stop) append their
+    /// `Study` record and flush the study's WAL at once.
     pub wal_sync: bool,
     /// Telemetry pipeline; per-study handles are tenant-stamped clones
     /// of this one, so every tenant shares the sinks and ring buffer.
@@ -192,6 +195,22 @@ struct Study {
 }
 
 impl Study {
+    /// Appends the study's lifecycle state to its WAL and flushes, so
+    /// the transition is durable together with every trial record
+    /// before it. A no-op without a state directory.
+    fn log_lifecycle(&mut self, id: u64) -> io::Result<()> {
+        let Some(wal) = &mut self.wal else {
+            return Ok(());
+        };
+        wal.append_study(&StudyRecord {
+            id,
+            spec: self.spec.clone(),
+            status: self.status,
+            generation: self.generation,
+        })?;
+        wal.flush()
+    }
+
     /// How many fresh dispatches the study can absorb right now:
     /// remaining budget (a quarantine gives its slot back) capped by the
     /// in-flight quota (trials on the fleet or in the park queue). Zero
@@ -256,20 +275,11 @@ fn wal_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("study-{id}.wal"))
 }
 
-fn sidecar_path(dir: &Path, id: u64) -> PathBuf {
-    dir.join(format!("study-{id}.json"))
-}
-
-/// Atomically rewrites a study's sidecar (write temp + rename), so a
-/// kill mid-transition can never tear the lifecycle record.
-fn write_sidecar(dir: &Path, record: &StudyRecord) -> io::Result<()> {
-    let path = sidecar_path(dir, record.id);
-    let tmp = dir.join(format!("study-{}.json.tmp", record.id));
-    std::fs::write(
-        &tmp,
-        serde_json::to_string(&serde::Serialize::to_value(record))?,
-    )?;
-    std::fs::rename(&tmp, path)
+fn invalid_data(path: &Path, msg: impl std::fmt::Display) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("{}: {msg}", path.display()),
+    )
 }
 
 /// The multi-tenant tuning service; see the module docs for the
@@ -358,8 +368,9 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
     ///
     /// Validates the benchmark name against the resolver up front and
     /// rejects what [`StudySpec::check`] refuses, so nothing unresolvable
-    /// ever reaches the fleet. With a state directory, the study's WAL and
-    /// sidecar are created before the handle is returned.
+    /// ever reaches the fleet. With a state directory, the study's WAL —
+    /// its header and first `Study` record, in one write — is created
+    /// before the handle is returned.
     pub fn create_study(&mut self, spec: StudySpec) -> io::Result<StudyHandle> {
         spec.check()
             .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
@@ -388,23 +399,22 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
             None,
             telemetry.clone(),
         );
+        let record = StudyRecord {
+            id,
+            spec,
+            status: StudyStatus::Running,
+            generation: 0,
+        };
         let wal = match &self.config.state_dir {
             Some(dir) => {
-                let mut wal = WalWriter::create(&wal_path(dir, id), spec.seed)?;
+                let mut wal =
+                    WalWriter::create_study(&wal_path(dir, id), record.spec.seed, &record)?;
                 self.config.configure_wal(&mut wal);
                 Some(wal)
             }
             None => None,
         };
-        let record = StudyRecord {
-            id,
-            spec: spec.clone(),
-            status: StudyStatus::Running,
-            generation: 0,
-        };
-        if let Some(dir) = &self.config.state_dir {
-            write_sidecar(dir, &record)?;
-        }
+        let spec = record.spec;
         let now = self.now();
         let name = spec.name.clone();
         telemetry.emit_with(now, || Event::StudyCreated { study: id, name });
@@ -440,27 +450,13 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
             return Ok(false);
         }
         study.status = StudyStatus::Stopped;
-        // Sidecar ordering: the WAL must be flushed before the sidecar
-        // records the terminal state, so the sidecar never claims
-        // records the WAL does not have.
-        if let Some(wal) = &mut study.wal {
-            wal.flush()?;
-        }
+        study.log_lifecycle(id)?;
         self.sched.unregister(id);
         self.parked.retain(|j| j.study != id);
         study
             .runtime
             .telemetry()
             .emit_with(now, || Event::StudyStopped { study: id });
-        if let Some(dir) = &self.config.state_dir {
-            let record = StudyRecord {
-                id,
-                spec: study.spec.clone(),
-                status: study.status,
-                generation: study.generation,
-            };
-            write_sidecar(dir, &record)?;
-        }
         self.update_live_gauge();
         Ok(true)
     }
@@ -563,7 +559,7 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
     }
 
     /// Marks a study's budget exhausted: `Completed`, out of the
-    /// scheduler, sidecar rewritten.
+    /// scheduler, a `Completed` record appended to its WAL.
     fn finish_study(&mut self, id: u64) -> io::Result<()> {
         let now = self.now();
         self.sched.unregister(id);
@@ -571,26 +567,12 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
             return Ok(());
         };
         study.status = StudyStatus::Completed;
-        // Flush before the sidecar flips to Completed: a `Completed`
-        // sidecar over a WAL missing its tail would permanently
-        // undercount the study on recovery.
-        if let Some(wal) = &mut study.wal {
-            wal.flush()?;
-        }
+        study.log_lifecycle(id)?;
         let trials = study.runtime.counts().completed;
         study
             .runtime
             .telemetry()
             .emit_with(now, || Event::StudyCompleted { study: id, trials });
-        if let Some(dir) = &self.config.state_dir {
-            let record = StudyRecord {
-                id,
-                spec: study.spec.clone(),
-                status: study.status,
-                generation: study.generation,
-            };
-            write_sidecar(dir, &record)?;
-        }
         self.update_live_gauge();
         Ok(())
     }
@@ -797,14 +779,27 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
         Ok(done)
     }
 
-    /// Rebuilds studies from a state directory: for every sidecar not
-    /// already loaded, restores the history from the study's WAL, opened
-    /// in place ([`WalWriter::open`] cuts a torn tail, nothing else), bumps
-    /// the recovery generation, and re-registers still-running studies
-    /// with the scheduler. Terminal studies load for inspection only.
-    /// Returns handles of everything recovered, by id. A sidecar that does
-    /// not parse (it names a method this build does not have, say) or
-    /// whose spec [`StudySpec::check`] refuses is `InvalidData`.
+    /// Rebuilds studies from a state directory: for every
+    /// `study-<id>.wal` not already loaded, opens the WAL in place
+    /// ([`WalWriter::open`] cuts a torn tail, nothing else), takes the
+    /// spec, status and generation from its last complete `Study` record
+    /// and the history from its trial records, and re-registers
+    /// still-running studies with the scheduler. Each running study gets
+    /// one appended `Study` record: the generation bump, or the
+    /// `Completed` finalization when its log already holds the whole
+    /// budget. Terminal studies load for inspection only; nothing is
+    /// appended to their WAL. Returns handles of everything recovered, by
+    /// id.
+    ///
+    /// A WAL cut inside its creation write holds no `Study` record and
+    /// no trial; that study's handle was never returned, so recovery
+    /// deletes the file and goes on. Everything else it cannot read is
+    /// `InvalidData` naming the file, so no tenant disappears silently:
+    /// a `study-<id>.json` sidecar left by an older build, a WAL with
+    /// trial records but no `Study` record, and a `Study` record that
+    /// does not parse (it names a method this build does not have, say),
+    /// names another study than its file, or holds a spec
+    /// [`StudySpec::check`] refuses.
     ///
     /// Recovery is checkpoint-semantics (see the module docs): trials
     /// in flight at the kill were never logged, so they re-run fresh —
@@ -816,48 +811,68 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
         if !dir.exists() {
             return Ok(Vec::new());
         }
-        let mut records: Vec<StudyRecord> = Vec::new();
+        let mut ids = Vec::new();
         for entry in std::fs::read_dir(&dir)? {
             let path = entry?.path();
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if !name.starts_with("study-") || !name.ends_with(".json") {
+            let Some(stem) = name.strip_prefix("study-") else {
                 continue;
+            };
+            if stem.ends_with(".json") {
+                return Err(invalid_data(
+                    &path,
+                    "a sidecar left by an older build; this build keeps each \
+                     study's lifecycle in its WAL and cannot read it",
+                ));
             }
-            let record: StudyRecord = serde_json::from_str(&std::fs::read_to_string(&path)?)
-                .map_err(|e| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("{}: {e}", path.display()),
-                    )
-                })?;
-            if !self.studies.contains_key(&record.id) {
-                records.push(record);
+            let id = stem.strip_suffix(".wal").and_then(|id| id.parse().ok());
+            if let Some(id) = id.filter(|id| !self.studies.contains_key(id)) {
+                ids.push(id);
             }
         }
-        records.sort_by_key(|r| r.id);
+        ids.sort_unstable();
         let mut out = Vec::new();
-        for record in records {
-            let id = record.id;
+        for id in ids {
+            let path = wal_path(&dir, id);
+            let (snapshot, record, mut wal) = match WalWriter::open(&path) {
+                Ok(opened) => opened,
+                // No complete line at all: the cut took the header.
+                Err(e)
+                    if e.kind() == io::ErrorKind::InvalidData
+                        && !std::fs::read(&path)?.contains(&b'\n') =>
+                {
+                    std::fs::remove_file(&path)?;
+                    continue;
+                }
+                Err(e) => return Err(io::Error::new(e.kind(), format!("{}: {e}", path.display()))),
+            };
+            let Some(record) = record else {
+                if snapshot.submissions.is_empty() && snapshot.measurements.is_empty() {
+                    // The cut took the first `Study` record.
+                    drop(wal);
+                    std::fs::remove_file(&path)?;
+                    continue;
+                }
+                return Err(invalid_data(&path, "trial records but no study record"));
+            };
+            let record: StudyRecord =
+                serde::Deserialize::from_value(&record).map_err(|e| invalid_data(&path, e))?;
+            if record.id != id {
+                return Err(invalid_data(
+                    &path,
+                    format_args!("its study record names study {}", record.id),
+                ));
+            }
             let spec = record.spec;
-            spec.check().map_err(|msg| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("study {id}: {msg}"))
-            })?;
+            spec.check()
+                .map_err(|msg| invalid_data(&path, format_args!("study {id}: {msg}")))?;
             let bench = (self.resolver)(&spec.bench, spec.seed).ok_or_else(|| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("study {id} references unknown benchmark {:?}", spec.bench),
                 )
             })?;
-            let generation = record.generation + 1;
-            // Mix the generation into the RNG seed so the restarted
-            // method does not re-walk the exact path whose in-flight
-            // tail was lost (golden-ratio odd multiplier, full-period).
-            let seed = spec.seed ^ generation.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let telemetry = self.config.telemetry.with_tenant(id);
             let levels = ResourceLevels::new(bench.max_resource(), spec.eta);
-            let quota = spec.max_in_flight.min(self.executor.n_workers().max(1));
-            // The WAL is created before the sidecar, so it exists.
-            let (snapshot, mut wal) = WalWriter::open(&wal_path(&dir, id))?;
             // A checksummed record can still come from another ladder or
             // space, when the resolver now maps the benchmark's name to a
             // different one; refuse it here rather than panic the history.
@@ -872,6 +887,22 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
                     ));
                 }
             }
+            let running = record.status == StudyStatus::Running;
+            let (mut status, mut generation) = (record.status, record.generation);
+            if running {
+                generation += 1;
+                if snapshot.measurements.len() >= spec.max_evals {
+                    // Killed after the last booking but before its `Completed`
+                    // record: the budget is spent, finish it now.
+                    status = StudyStatus::Completed;
+                }
+            }
+            // Mix the generation into the RNG seed so the restarted method
+            // does not re-walk the exact path whose in-flight tail was lost
+            // (golden-ratio odd multiplier, full-period).
+            let seed = spec.seed ^ generation.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let telemetry = self.config.telemetry.with_tenant(id);
+            let quota = spec.max_in_flight.min(self.executor.n_workers().max(1));
             self.config.configure_wal(&mut wal);
             let mut method = spec.method.build(&levels, seed);
             method.set_telemetry(telemetry.clone());
@@ -884,36 +915,22 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
                 None,
                 telemetry,
             );
-            let mut status = record.status;
-            if status == StudyStatus::Running && snapshot.measurements.len() >= spec.max_evals {
-                // Killed after the last booking but before the sidecar
-                // flip: the budget is spent, finish it now.
-                status = StudyStatus::Completed;
-            }
             runtime.restore(snapshot.measurements);
-            write_sidecar(
-                &dir,
-                &StudyRecord {
-                    id,
-                    spec: spec.clone(),
-                    status,
-                    generation,
-                },
-            )?;
-            if status == StudyStatus::Running {
-                self.sched.register(id, spec.weight);
+            let mut study = Study {
+                spec,
+                status,
+                generation,
+                method,
+                runtime,
+                wal: Some(wal),
+            };
+            if running {
+                study.log_lifecycle(id)?;
             }
-            self.studies.insert(
-                id,
-                Study {
-                    spec,
-                    status,
-                    generation,
-                    method,
-                    runtime,
-                    wal: Some(wal),
-                },
-            );
+            if status == StudyStatus::Running {
+                self.sched.register(id, study.spec.weight);
+            }
+            self.studies.insert(id, study);
             self.next_study_id = self.next_study_id.max(id + 1);
             out.push(StudyHandle::from_id(id));
         }
@@ -1390,7 +1407,7 @@ mod tests {
             a = svc.create_study(spec("a", 71)).unwrap();
             assert_eq!(svc.run_completions(3).unwrap(), 3);
         }
-        let (snapshot, mut wal) = WalWriter::open(&wal_path(&dir, a.id())).unwrap();
+        let (snapshot, _, mut wal) = WalWriter::open(&wal_path(&dir, a.id())).unwrap();
         let mut m = snapshot.measurements[0].clone();
         corrupt(&mut m);
         wal.append_measurement(&m).unwrap();
@@ -1434,9 +1451,11 @@ mod tests {
         assert_eq!(svc.completed(h), 8);
     }
 
-    /// Books a few trials of one study, then replaces `from` with `to` in
-    /// its sidecar. Returns what `recover` makes of it.
-    fn recover_with_an_edited_sidecar(
+    /// Books a few trials of one study, then appends to its WAL a copy of
+    /// its last `Study` record with `from` replaced by `to`: a
+    /// well-formed, checksummed record. Returns what `recover` makes of
+    /// it.
+    fn recover_with_an_edited_study_record(
         tag: &str,
         from: &str,
         to: &str,
@@ -1449,10 +1468,12 @@ mod tests {
             a = svc.create_study(spec("a", 83)).unwrap();
             assert_eq!(svc.run_completions(2).unwrap(), 2);
         }
-        let sidecar = sidecar_path(&dir, a.id());
-        let text = std::fs::read_to_string(&sidecar).unwrap();
+        let (_, record, mut wal) = WalWriter::open(&wal_path(&dir, a.id())).unwrap();
+        let text = serde_json::to_string(&record.expect("creation wrote one")).unwrap();
         assert!(text.contains(from), "{text}");
-        std::fs::write(&sidecar, text.replace(from, to)).unwrap();
+        let edited: serde::Value = serde_json::from_str(&text.replace(from, to)).unwrap();
+        wal.append_study(&edited).unwrap();
+        drop(wal);
         let mut svc = TuningService::new(pool(1), resolver(), config).unwrap();
         let recovered = svc.recover();
         let _ = std::fs::remove_dir_all(&dir);
@@ -1460,24 +1481,110 @@ mod tests {
     }
 
     #[test]
-    fn recovery_refuses_a_sidecar_with_an_eta_below_two() {
-        let err =
-            recover_with_an_edited_sidecar("flat-sidecar", r#""eta":3"#, r#""eta":1"#).unwrap_err();
+    fn recovery_refuses_a_study_record_with_an_eta_below_two() {
+        let err = recover_with_an_edited_study_record("flat-record", r#""eta":3"#, r#""eta":1"#)
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("study 1"), "{err}");
     }
 
     #[test]
-    fn recovery_refuses_a_sidecar_naming_a_deleted_method() {
+    fn recovery_refuses_a_study_record_naming_a_deleted_method() {
         // The median stopping rule was a `MethodKind` once. (The name is
         // split so that scripts/ci.sh's dead-reference grep, which keeps
         // it out of crates/, does not match this test.)
         let deleted = format!(r#""method":"{}""#, ["Median", "Stop"].concat());
-        let err =
-            recover_with_an_edited_sidecar("deleted-method", r#""method":"HyperTune""#, &deleted)
-                .unwrap_err();
+        let err = recover_with_an_edited_study_record(
+            "deleted-method",
+            r#""method":"HyperTune""#,
+            &deleted,
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("study-1.wal"), "{err}");
+    }
+
+    #[test]
+    fn recovery_refuses_a_study_record_naming_another_study() {
+        let err = recover_with_an_edited_study_record("other-id", r#""id":1,"#, r#""id":7,"#)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("study-1.wal"), "{err}");
+        assert!(err.to_string().contains("study 7"), "{err}");
+    }
+
+    #[test]
+    fn recovery_refuses_a_sidecar_left_by_an_older_build() {
+        // Older builds kept each study's lifecycle in `study-<id>.json`
+        // beside its WAL. This build cannot read that layout, and must
+        // not silently drop the studies it describes.
+        let dir = unique_dir("old-sidecar");
+        let config = ServiceConfig::new().with_state_dir(&dir);
+        {
+            let mut svc = TuningService::new(pool(1), resolver(), config.clone()).unwrap();
+            let a = svc.create_study(spec("a", 84)).unwrap();
+            assert_eq!(svc.run_completions(2).unwrap(), 2);
+            let record = StudyRecord {
+                id: a.id(),
+                spec: spec("a", 84),
+                status: StudyStatus::Running,
+                generation: 0,
+            };
+            let sidecar = dir.join(format!("study-{}.json", a.id()));
+            std::fs::write(sidecar, serde_json::to_string(&record).unwrap()).unwrap();
+        }
+        let mut svc = TuningService::new(pool(1), resolver(), config).unwrap();
+        let err = svc.recover().unwrap_err();
+        let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("study-1.json"), "{err}");
+    }
+
+    /// The file names in a state directory, sorted.
+    fn state_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn a_state_dir_holds_one_file_per_study() {
+        let dir = unique_dir("one-file");
+        let config = ServiceConfig::new().with_state_dir(&dir);
+        let wals = |ids: &[u64]| -> Vec<String> {
+            let mut names: Vec<String> = ids.iter().map(|id| format!("study-{id}.wal")).collect();
+            names.sort();
+            names
+        };
+        let (a, b, c);
+        {
+            let mut svc = TuningService::new(pool(2), resolver(), config.clone()).unwrap();
+            a = svc.create_study(spec("a", 91).with_max_evals(3)).unwrap();
+            b = svc.create_study(spec("b", 92)).unwrap();
+            c = svc.create_study(spec("c", 93)).unwrap();
+            let ids = [a.id(), b.id(), c.id()];
+            assert_eq!(state_files(&dir), wals(&ids), "after create");
+            assert!(svc.stop_study(b).unwrap());
+            assert_eq!(state_files(&dir), wals(&ids), "after stop");
+            while svc.status(a) == Some(StudyStatus::Running) {
+                assert!(svc.run_completions(1).unwrap() > 0);
+            }
+            assert_eq!(svc.status(a), Some(StudyStatus::Completed));
+            assert_eq!(state_files(&dir), wals(&ids), "after completion");
+            // Killed here, with `c` running.
+        }
+        let ids = [a.id(), b.id(), c.id()];
+        assert_eq!(state_files(&dir), wals(&ids), "after the kill");
+        let mut svc = TuningService::new(pool(2), resolver(), config).unwrap();
+        assert_eq!(svc.recover().unwrap(), vec![a, b, c]);
+        assert_eq!(state_files(&dir), wals(&ids), "after recover");
+        svc.drain().unwrap();
+        assert_eq!(svc.status(c), Some(StudyStatus::Completed));
+        assert_eq!(state_files(&dir), wals(&ids), "after the recovered drain");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1651,7 +1758,7 @@ mod tests {
         let group_starts = handles.map(|h| std::fs::metadata(wal(h)).unwrap().len() as usize);
         assert_eq!(svc.run_completions(4).unwrap(), 4);
         drop(svc);
-        // The state directory as the kill left it: WALs and sidecars.
+        // The state directory as the kill left it: one WAL per study.
         let killed: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().path())
@@ -1685,6 +1792,186 @@ mod tests {
                     assert_eq!(reread, booked, "final WAL, cut {cut}");
                 }
             }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every file of a state directory, as bytes.
+    type Image = Vec<(PathBuf, Vec<u8>)>;
+
+    fn image(dir: &Path) -> Image {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|path| (path.clone(), std::fs::read(path).unwrap()))
+            .collect()
+    }
+
+    /// Lays `image` down as the whole state directory, with `victim`'s
+    /// WAL cut to its first `cut` bytes.
+    fn lay_down(dir: &Path, image: &Image, victim: &Path, cut: usize) {
+        let _ = std::fs::remove_dir_all(dir);
+        std::fs::create_dir_all(dir).unwrap();
+        for (path, bytes) in image {
+            let bytes = if path == victim { &bytes[..cut] } else { bytes };
+            std::fs::write(path, bytes).unwrap();
+        }
+    }
+
+    /// Drains a recovered service and checks what it booked: every
+    /// completed study exactly its budget, nothing outstanding, each WAL
+    /// read back equal to what was booked and recovering to the status
+    /// the service left, and one file per study.
+    fn drain_and_audit(mut svc: TuningService<ReadyPool>, dir: &Path, budget: usize, cut: usize) {
+        svc.drain().unwrap();
+        let handles = svc.handles();
+        let statuses: Vec<_> = handles.iter().map(|&h| svc.status(h)).collect();
+        let booked: Vec<Vec<Measurement>> = handles
+            .iter()
+            .map(|&h| svc.measurements(h).to_vec())
+            .collect();
+        for s in svc.stats().studies {
+            assert_eq!(s.outstanding, 0, "study {}, cut {cut}", s.id);
+            assert_eq!(s.dispatched, s.completed, "study {}, cut {cut}", s.id);
+            if s.status == StudyStatus::Completed {
+                assert_eq!(s.completed, budget, "booked once each, cut {cut}");
+            }
+        }
+        drop(svc);
+        for (h, booked) in handles.iter().zip(booked) {
+            let reread = RunSnapshot::load(&wal_path(dir, h.id()))
+                .unwrap()
+                .measurements;
+            assert_eq!(reread, booked, "study {}'s final WAL, cut {cut}", h.id());
+        }
+        let (fleet, _) = ReadyPool::new(2);
+        let config = ServiceConfig::new().with_state_dir(dir);
+        let mut svc = TuningService::new(fleet, resolver(), config).unwrap();
+        assert_eq!(svc.recover().unwrap(), handles, "cut {cut}");
+        let recovered: Vec<_> = handles.iter().map(|&h| svc.status(h)).collect();
+        assert_eq!(recovered, statuses, "cut {cut}");
+        let mut expected: Vec<String> = handles
+            .iter()
+            .map(|h| format!("study-{}.wal", h.id()))
+            .collect();
+        expected.sort();
+        assert_eq!(state_files(dir), expected, "cut {cut}");
+    }
+
+    #[test]
+    fn recovery_survives_a_cut_at_every_byte_of_each_lifecycle_write() {
+        // Four writes change a study's lifecycle: its creation (header and
+        // first `Study` record), a `Stopped` record, a `Completed` record
+        // and recovery's generation bump. Each is cut at every byte; a cut
+        // that takes only the final newline leaves the record whole, which
+        // the log keeps.
+        let budget = 4;
+        let study = |name: &str, seed| {
+            StudySpec::new(name, "counting-ones-tiny", MethodKind::ARandom)
+                .with_seed(seed)
+                .with_max_evals(budget)
+                .with_max_in_flight(2)
+        };
+        let dir = unique_dir("lifecycle-cuts");
+        let config = ServiceConfig::new().with_state_dir(&dir);
+        let wal = |h: StudyHandle| wal_path(&dir, h.id());
+        let len = |h: StudyHandle| std::fs::metadata(wal(h)).unwrap().len() as usize;
+        let service = || {
+            let (fleet, _) = ReadyPool::new(2);
+            TuningService::new(fleet, resolver(), config.clone()).unwrap()
+        };
+
+        // Lifetime 1: `a` and `b` book trials, `b` stops, `c` is created,
+        // and the service is killed.
+        let mut svc = service();
+        let [a, b] = [study("a", 101), study("b", 102)].map(|s| svc.create_study(s).unwrap());
+        assert_eq!(svc.run_completions(2).unwrap(), 2);
+        let stop_start = len(b);
+        assert!(svc.stop_study(b).unwrap());
+        let c = svc.create_study(study("c", 103)).unwrap();
+        drop(svc);
+        let killed = image(&dir);
+        let stop = stop_start..len(b);
+        let created = 0..len(c);
+
+        // Lifetime 2: recovery bumps `a` and `c`, and is killed at once.
+        let mut svc = service();
+        svc.recover().unwrap();
+        drop(svc);
+        let bumped = image(&dir);
+        let bump = killed.iter().find(|(p, _)| *p == wal(a)).unwrap().1.len()..len(a);
+
+        // Lifetime 3: recovered again, everything runs to the end.
+        let mut svc = service();
+        svc.recover().unwrap();
+        svc.drain().unwrap();
+        assert_eq!(svc.status(a), Some(StudyStatus::Completed));
+        drop(svc);
+        let finished = image(&dir);
+        let whole = std::fs::read(wal(a)).unwrap();
+        let completion = whole[..whole.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1)..whole.len();
+
+        let text = |image: &Image, h: StudyHandle, range: &std::ops::Range<usize>| {
+            let bytes = &image.iter().find(|(p, _)| *p == wal(h)).unwrap().1;
+            String::from_utf8(bytes[range.clone()].to_vec()).unwrap()
+        };
+        assert!(text(&killed, b, &stop).contains(r#""status":"Stopped""#));
+        assert!(text(&killed, c, &created).contains(r#"{"Header":"#));
+        assert!(text(&bumped, a, &bump).contains(r#""generation":1,"#));
+        assert!(text(&finished, a, &completion).contains(r#""status":"Completed""#));
+
+        for cut in created.clone() {
+            lay_down(&dir, &killed, &wal(c), cut);
+            let mut svc = service();
+            let recovered = svc.recover().unwrap();
+            if cut + 1 < created.end {
+                assert_eq!(recovered, vec![a, b], "cut {cut}");
+                assert_eq!(svc.status(c), None, "cut {cut}");
+                // The service runs on, and hands the id out again.
+                assert_eq!(svc.create_study(study("c2", 104)).unwrap(), c);
+            } else {
+                assert_eq!(recovered, vec![a, b, c], "cut {cut}");
+            }
+            assert_eq!(svc.status(b), Some(StudyStatus::Stopped), "cut {cut}");
+            drain_and_audit(svc, &dir, budget, cut);
+        }
+        for cut in stop.clone() {
+            lay_down(&dir, &killed, &wal(b), cut);
+            let mut svc = service();
+            assert_eq!(svc.recover().unwrap(), vec![a, b, c], "cut {cut}");
+            let stopped = cut + 1 == stop.end;
+            let expected = if stopped {
+                StudyStatus::Stopped
+            } else {
+                StudyStatus::Running
+            };
+            assert_eq!(svc.status(b), Some(expected), "cut {cut}");
+            drain_and_audit(svc, &dir, budget, cut);
+        }
+        for cut in bump.clone() {
+            lay_down(&dir, &bumped, &wal(a), cut);
+            let mut svc = service();
+            assert_eq!(svc.recover().unwrap(), vec![a, b, c], "cut {cut}");
+            let s = svc
+                .stats()
+                .studies
+                .into_iter()
+                .find(|s| s.id == a.id())
+                .unwrap();
+            let generation = if cut + 1 == bump.end { 2 } else { 1 };
+            assert_eq!((s.status, s.generation), (StudyStatus::Running, generation));
+            drain_and_audit(svc, &dir, budget, cut);
+        }
+        for cut in completion.clone() {
+            lay_down(&dir, &finished, &wal(a), cut);
+            let mut svc = service();
+            assert_eq!(svc.recover().unwrap(), vec![a, b, c], "cut {cut}");
+            assert_eq!(svc.status(a), Some(StudyStatus::Completed), "cut {cut}");
+            assert_eq!(svc.completed(a), budget, "cut {cut}");
+            drain_and_audit(svc, &dir, budget, cut);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

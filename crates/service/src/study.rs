@@ -1,8 +1,8 @@
-//! Study identity: the tenant-facing spec, lifecycle state, durable
-//! sidecar record, and the opaque handle callers hold.
+//! Study identity: the tenant-facing spec, lifecycle state, the durable
+//! lifecycle record, and the opaque handle callers hold.
 //!
-//! Lifecycle state machine (persisted in the sidecar, see
-//! [`StudyRecord`]):
+//! Lifecycle state machine (persisted as `Study` records in the study's
+//! WAL, see [`StudyRecord`]):
 //!
 //! ```text
 //! create ──▶ Running ──▶ Completed   (budget exhausted)
@@ -18,7 +18,7 @@ use hypertune_core::MethodKind;
 /// Everything a tenant declares when creating a study.
 ///
 /// Serde-derived: this is the JSONL `create` payload of the CLI driver
-/// and the body of the durable sidecar record.
+/// and part of the durable lifecycle record.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct StudySpec {
     /// Human-readable study name (for reports; need not be unique).
@@ -98,7 +98,7 @@ impl StudySpec {
 }
 
 /// Where a study is in its lifecycle. Unit variants serialize as their
-/// names (`"Running"` …) in sidecars and status output.
+/// names (`"Running"` …) in lifecycle records and status output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum StudyStatus {
     /// Registered with the fair-share scheduler and eligible for slots.
@@ -110,12 +110,14 @@ pub enum StudyStatus {
     Completed,
 }
 
-/// The durable per-study sidecar (`study-<id>.json` next to the WAL):
-/// identity and lifecycle state, rewritten atomically on every
-/// transition. Measurements live in the WAL, not here.
+/// A study's durable lifecycle record: identity and lifecycle state,
+/// appended as a `Study` record to the study's own WAL at creation, on
+/// every transition and on every recovery that restarts it. The last
+/// complete one in the file is the study's state; the trials are the
+/// WAL's other records.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct StudyRecord {
-    /// Service-assigned tenant id (also the WAL/sidecar file stem).
+    /// Service-assigned tenant id (also the WAL's file stem).
     pub id: u64,
     /// The spec the study was created with.
     pub spec: StudySpec,

@@ -1,8 +1,8 @@
 //! Offline stand-in for the subset of `serde_json` this workspace uses:
 //! `to_string[_pretty]`, `to_writer`, `from_str`, `from_reader`, the
 //! [`Value`] tree (re-exported from the serde shim, where it lives so the
-//! derive macros can target it), and a [`json!`] macro covering object /
-//! array / expression literals.
+//! derive macros can target it), and a [`json!`] macro that reads nested
+//! object / array / `null` literals and expressions.
 
 use std::io::{Read, Write};
 
@@ -89,22 +89,112 @@ pub fn from_reader<R: Read, T: serde::Deserialize>(mut r: R) -> Result<T, Error>
     from_str(&buf)
 }
 
-/// Builds a [`Value`] from a JSON-ish literal: `json!({"k": expr, ...})`,
-/// `json!([a, b])`, `json!(null)`, or `json!(expr)` for any
-/// `serde::Serialize` expression.
+/// Builds a [`Value`] from a JSON literal, the way real `serde_json`
+/// reads one: `null`, `true`, `false`, objects and arrays nest to any
+/// depth (`json!({"a": [1.0, null], "b": {"c": x}})`), and any other
+/// value is a `serde::Serialize` expression.
 #[macro_export]
 macro_rules! json {
+    ($($json:tt)+) => { $crate::json_internal!($($json)+) };
+}
+
+/// The token muncher behind [`json!`]: arrays collect one element at a
+/// time (`@array`), objects munch a key up to its `:` and then one value
+/// (`@object`), and a value that is not a literal, array or object is an
+/// expression up to the next top-level comma.
+#[macro_export]
+#[doc(hidden)]
+macro_rules! json_internal {
+    // ---- arrays: `@array [elements so far] tokens left`
+    (@array [$($elems:expr,)*]) => { vec![$($elems,)*] };
+    (@array [$($elems:expr),*]) => { vec![$($elems),*] };
+    (@array [$($elems:expr,)*] null $($rest:tt)*) => {
+        $crate::json_internal!(@array [$($elems,)* $crate::json_internal!(null)] $($rest)*)
+    };
+    (@array [$($elems:expr,)*] true $($rest:tt)*) => {
+        $crate::json_internal!(@array [$($elems,)* $crate::json_internal!(true)] $($rest)*)
+    };
+    (@array [$($elems:expr,)*] false $($rest:tt)*) => {
+        $crate::json_internal!(@array [$($elems,)* $crate::json_internal!(false)] $($rest)*)
+    };
+    (@array [$($elems:expr,)*] [$($array:tt)*] $($rest:tt)*) => {
+        $crate::json_internal!(@array [$($elems,)* $crate::json_internal!([$($array)*])] $($rest)*)
+    };
+    (@array [$($elems:expr,)*] {$($map:tt)*} $($rest:tt)*) => {
+        $crate::json_internal!(@array [$($elems,)* $crate::json_internal!({$($map)*})] $($rest)*)
+    };
+    (@array [$($elems:expr,)*] $next:expr, $($rest:tt)*) => {
+        $crate::json_internal!(@array [$($elems,)* $crate::json_internal!($next),] $($rest)*)
+    };
+    (@array [$($elems:expr,)*] $last:expr) => {
+        $crate::json_internal!(@array [$($elems,)* $crate::json_internal!($last)])
+    };
+    (@array [$($elems:expr),*] , $($rest:tt)*) => {
+        $crate::json_internal!(@array [$($elems,)*] $($rest)*)
+    };
+
+    // ---- objects: `@object map (key so far) (tokens left)`,
+    // then `@object map [key] (value) tokens left` once a value is read.
+    (@object $object:ident () ()) => {};
+    (@object $object:ident [$($key:tt)+] ($value:expr) , $($rest:tt)*) => {
+        $object.insert(($($key)+).to_string(), $value);
+        $crate::json_internal!(@object $object () ($($rest)*));
+    };
+    (@object $object:ident [$($key:tt)+] ($value:expr)) => {
+        $object.insert(($($key)+).to_string(), $value);
+    };
+    (@object $object:ident ($($key:tt)+) (: null $($rest:tt)*)) => {
+        $crate::json_internal!(
+            @object $object [$($key)+] ($crate::json_internal!(null)) $($rest)*
+        );
+    };
+    (@object $object:ident ($($key:tt)+) (: true $($rest:tt)*)) => {
+        $crate::json_internal!(
+            @object $object [$($key)+] ($crate::json_internal!(true)) $($rest)*
+        );
+    };
+    (@object $object:ident ($($key:tt)+) (: false $($rest:tt)*)) => {
+        $crate::json_internal!(
+            @object $object [$($key)+] ($crate::json_internal!(false)) $($rest)*
+        );
+    };
+    (@object $object:ident ($($key:tt)+) (: [$($array:tt)*] $($rest:tt)*)) => {
+        $crate::json_internal!(
+            @object $object [$($key)+] ($crate::json_internal!([$($array)*])) $($rest)*
+        );
+    };
+    (@object $object:ident ($($key:tt)+) (: {$($map:tt)*} $($rest:tt)*)) => {
+        $crate::json_internal!(
+            @object $object [$($key)+] ($crate::json_internal!({$($map)*})) $($rest)*
+        );
+    };
+    (@object $object:ident ($($key:tt)+) (: $value:expr , $($rest:tt)*)) => {
+        $crate::json_internal!(
+            @object $object [$($key)+] ($crate::json_internal!($value)) , $($rest)*
+        );
+    };
+    (@object $object:ident ($($key:tt)+) (: $value:expr)) => {
+        $crate::json_internal!(
+            @object $object [$($key)+] ($crate::json_internal!($value))
+        );
+    };
+    (@object $object:ident ($($key:tt)*) ($tt:tt $($rest:tt)*)) => {
+        $crate::json_internal!(@object $object ($($key)* $tt) ($($rest)*));
+    };
+
+    // ---- one value
     (null) => { $crate::Value::Null };
     (true) => { $crate::Value::Bool(true) };
     (false) => { $crate::Value::Bool(false) };
-    ({ $($key:literal : $value:expr),* $(,)? }) => {{
-        #[allow(unused_mut)]
-        let mut m = $crate::Map::new();
-        $( m.insert($key.to_string(), $crate::to_value(&$value)); )*
-        $crate::Value::Object(m)
-    }};
-    ([ $($elem:expr),* $(,)? ]) => {
-        $crate::Value::Array(vec![ $( $crate::to_value(&$elem) ),* ])
+    ([]) => { $crate::Value::Array(vec![]) };
+    ([ $($tt:tt)+ ]) => { $crate::Value::Array($crate::json_internal!(@array [] $($tt)+)) };
+    ({}) => { $crate::Value::Object($crate::Map::new()) };
+    ({ $($tt:tt)+ }) => {
+        $crate::Value::Object({
+            let mut object = $crate::Map::new();
+            $crate::json_internal!(@object object () ($($tt)+));
+            object
+        })
     };
     ($other:expr) => { $crate::to_value(&$other) };
 }
@@ -391,6 +481,18 @@ mod tests {
         assert_eq!(back["neg"].as_i64(), Some(-4));
         assert!(back["nothing"].is_null());
         assert_eq!(back["arr"][2].as_f64(), Some(3.0));
+    }
+
+    #[test]
+    fn literals_nest_inside_arrays_and_objects() {
+        let x = 2.5;
+        let doc = json!([null, true, [], {}, {"a": [x, null], "b": {"c": x * 2.0}}, x + 1.0,]);
+        assert_eq!(
+            to_string(&doc).unwrap(),
+            r#"[null,true,[],{},{"a":[2.5,null],"b":{"c":5.0}},3.5]"#
+        );
+        let picked = json!({ "k": if x > 1.0 { "big" } else { "small" }, "n": [1, -2] });
+        assert_eq!(to_string(&picked).unwrap(), r#"{"k":"big","n":[1,-2]}"#);
     }
 
     #[test]

@@ -332,17 +332,32 @@ if [[ -n "$codec_impls" ]]; then
   exit 1
 fi
 
-step "one durable log (no WAL rewrite, no legacy blob reader, no side formats)"
+step "one durable log (no WAL rewrite, no legacy blob reader, no side formats, one file per study)"
 # persist.rs has one line format, one writer that only appends
 # (WalWriter::create / WalWriter::open) and one reader
-# (RunSnapshot::load); the service's sidecar is the only other file
-# (DESIGN.md §9.3, §17.3).
+# (RunSnapshot::load). A study's spec, status and generation are Study
+# records in its own WAL, so a state directory holds one file per study
+# and no sidecar (DESIGN.md §9.3, §17.3).
 # (The quote pairs keep this file from matching its own patterns.)
 log_dead='create''_from|replace''_wal|staging''_path|Checkpoint''::|Run''Record'
 log_dead+='|single-''blob|legacy blob ''parser|blob_snapshot_still''_loads'
+log_dead+='|write''_sidecar|sidecar''_path|\.json''\.tmp'
 if grep -rnE "$log_dead" crates/ examples/ README.md DESIGN.md; then
   exit 1
 fi
+# The multi-tenant smoke above left its state directory after a stop, a
+# kill and a resume of eight studies: it must hold their eight WALs and
+# nothing else.
+state_files=$(ls -A target/service-state | sort)
+if [[ "$state_files" != "$(printf 'study-%d.wal\n' 1 2 3 4 5 6 7 8 | sort)" ]]; then
+  printf 'target/service-state should hold one WAL per study, holds:\n%s\n' "$state_files"
+  exit 1
+fi
+# Recovery reads every study's lifecycle through the serde_json shim's
+# parser. The shims sit outside the workspace, so the suite above never
+# runs the parser's own tests; run them here, by count.
+json_run=$(cargo test -q -p serde_json --offline --lib)
+grep -q '^test result: ok\. 7 passed' <<< "$json_run"
 
 step "no per-call threads (surrogate fits, level refits and θ folds run on the calling thread)"
 # A scoped spawn and join cost more than the forest fit they split, and
