@@ -26,12 +26,15 @@
 //! Run with: `cargo run --release -p hypertune-bench --bin robustness`
 //!
 //! Environment:
+//! - `HYPERTUNE_FULL=1` runs ten repetitions instead of three;
+//! - `HYPERTUNE_BUDGET_DIV=<d>` divides the paper budgets by `d` (a
+//!   finite number of at least 1; anything else exits with status 2);
 //! - `HYPERTUNE_CHAOS_ONLY=1` skips parts 1–2 (the CI chaos-smoke path);
 //! - `HYPERTUNE_CHAOS_TRACE=<path>` overrides the churn trace location
 //!   (default `target/chaos-trace.jsonl`).
 
 use hypertune::prelude::*;
-use hypertune_bench::{budget_divisor, evaluate_method, report, MethodSummary};
+use hypertune_bench::{evaluate_method, report, MethodSummary, Scale};
 use std::path::PathBuf;
 
 fn noisy_covertype(noise_mult: f64, seed: u64) -> SyntheticBenchmark {
@@ -54,17 +57,36 @@ fn noisy_covertype(noise_mult: f64, seed: u64) -> SyntheticBenchmark {
 }
 
 fn main() {
-    let budget = 3.0 * 3600.0 / budget_divisor();
+    let scale = scale_from_env();
     if std::env::var("HYPERTUNE_CHAOS_ONLY").is_err() {
-        noise_sweep(budget);
-        fault_sweep(budget);
+        noise_sweep(scale);
+        fault_sweep(scale);
     }
-    churn_sweep();
+    churn_sweep(scale);
+}
+
+/// The scale `HYPERTUNE_FULL` and `HYPERTUNE_BUDGET_DIV` ask for.
+fn scale_from_env() -> Scale {
+    let budget_div = match std::env::var("HYPERTUNE_BUDGET_DIV") {
+        Err(_) => 1.0,
+        Ok(v) => Scale::parse_div(&v).unwrap_or_else(|| {
+            eprintln!("HYPERTUNE_BUDGET_DIV must be a finite number >= 1, got `{v}`");
+            std::process::exit(2);
+        }),
+    };
+    Scale {
+        full: std::env::var("HYPERTUNE_FULL").is_ok_and(|v| v == "1"),
+        budget_div,
+    }
 }
 
 /// Part 1: converged error vs low-fidelity noise scale.
-fn noise_sweep(budget: f64) {
-    report::header("Robustness: converged error vs low-fidelity noise scale");
+fn noise_sweep(scale: Scale) {
+    report::header(
+        "Robustness: converged error vs low-fidelity noise scale",
+        scale,
+    );
+    let budget = scale.budget(3.0);
     let methods = [
         MethodKind::Asha,
         MethodKind::Bohb,
@@ -80,7 +102,7 @@ fn noise_sweep(budget: f64) {
         let config = RunConfig::new(8, budget, 700);
         let mut summaries = Vec::new();
         for kind in methods {
-            summaries.push(evaluate_method(kind, &bench, &config, 4));
+            summaries.push(evaluate_method(kind, &bench, &config, 4, scale));
         }
         rows.push((mult, summaries));
     }
@@ -120,8 +142,9 @@ fn noise_sweep(budget: f64) {
 }
 
 /// Part 2: converged error vs worker crash rate, sync vs async families.
-fn fault_sweep(budget: f64) {
-    report::header("Robustness: converged error vs worker crash rate");
+fn fault_sweep(scale: Scale) {
+    report::header("Robustness: converged error vs worker crash rate", scale);
+    let budget = scale.budget(3.0);
     let methods = [
         MethodKind::Hyperband, // sync
         MethodKind::Bohb,      // sync
@@ -139,7 +162,7 @@ fn fault_sweep(budget: f64) {
         }
         let mut summaries = Vec::new();
         for kind in methods {
-            summaries.push(evaluate_method(kind, &bench, &config, 4));
+            summaries.push(evaluate_method(kind, &bench, &config, 4, scale));
         }
         rows.push((p, summaries));
     }
@@ -211,8 +234,11 @@ fn fault_sweep(budget: f64) {
 /// highest-churn Hyper-Tune run streams its telemetry to a JSONL trace,
 /// which is then replayed through [`TraceSummary`] to audit exactly-once
 /// trial accounting; CI repeats the audit via the `trace-report` binary.
-fn churn_sweep() {
-    report::header("Robustness: elastic churn (lease recovery + speculation + breaker)");
+fn churn_sweep(scale: Scale) {
+    report::header(
+        "Robustness: elastic churn (lease recovery + speculation + breaker)",
+        scale,
+    );
     let methods = [MethodKind::Asha, MethodKind::HyperTune];
     let rates = [0.0, 0.05, 0.15];
     // Cheap objective + fixed virtual budget: churn behaviour is about

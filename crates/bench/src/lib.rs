@@ -1,15 +1,15 @@
 //! Experiment harness reproducing every table and figure of the
 //! Hyper-Tune paper.
 //!
-//! Each binary in `src/bin/` regenerates one artifact (see `DESIGN.md`'s
-//! per-experiment index); this library holds the shared machinery:
-//! repeated seeded runs, curve aggregation onto a common time grid,
-//! speedup computation, and plain-text table/series rendering.
+//! The `experiments` binary runs them all from one table of specs (see
+//! `DESIGN.md`'s per-experiment index); this library holds the shared
+//! machinery: repeated seeded runs, curve aggregation onto a common time
+//! grid, speedup computation, and plain-text table/series rendering.
 //!
 //! Experiments default to a scaled-down but shape-preserving setup
-//! (fewer repetitions, compressed budgets) so every figure regenerates in
-//! seconds to minutes; set `HYPERTUNE_FULL=1` for paper-scale budgets and
-//! ten repetitions.
+//! (three repetitions, Fig. 9's smaller clusters) so every figure
+//! regenerates in seconds to minutes. The [`Scale`] a run uses is passed
+//! in by its binary; this library reads no environment.
 
 pub mod aggregate;
 pub mod analysis;
@@ -18,34 +18,64 @@ pub mod report;
 
 use hypertune::prelude::*;
 
+/// How far an experiment is scaled down from the paper's setup.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Scale {
+    /// Paper scale: ten repetitions and Fig. 9's largest clusters.
+    pub full: bool,
+    /// Paper budgets are divided by this; at least 1.
+    pub budget_div: f64,
+}
+
+impl Default for Scale {
+    fn default() -> Self {
+        Self {
+            full: false,
+            budget_div: 1.0,
+        }
+    }
+}
+
+impl Scale {
+    /// A paper budget of `hours`, in virtual seconds at this scale.
+    pub fn budget(&self, hours: f64) -> f64 {
+        hours * 3600.0 / self.budget_div
+    }
+
+    /// Parses a budget divisor: a finite number of at least 1.
+    pub fn parse_div(s: &str) -> Option<f64> {
+        s.parse::<f64>().ok().filter(|d| d.is_finite() && *d >= 1.0)
+    }
+}
+
 /// Number of repetitions (seeds) per method: 3 by default, 10 (the
-/// paper's count) under `HYPERTUNE_FULL=1`. Budgets are at paper scale
-/// either way except for the scalability panels (see `fig9_scalability`).
-pub fn n_repeats() -> u64 {
-    if full_scale() {
+/// paper's count) at full scale.
+pub fn n_repeats(scale: Scale) -> u64 {
+    if scale.full {
         10
     } else {
         3
     }
 }
 
-/// `true` when `HYPERTUNE_FULL=1` requests paper-scale experiments.
-pub fn full_scale() -> bool {
-    std::env::var("HYPERTUNE_FULL")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+/// The seed of each repetition: `base + rep × stride`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Seeds {
+    /// Seed of repetition 0.
+    pub base: u64,
+    /// Step between repetitions.
+    pub stride: u64,
 }
 
-/// Budget scale factor: paper budgets are divided by this. Runs are so
-/// cheap on the simulator that paper budgets are affordable even in the
-/// default configuration; the knob remains for quick smoke tests via
-/// `HYPERTUNE_BUDGET_DIV`.
-pub fn budget_divisor() -> f64 {
-    std::env::var("HYPERTUNE_BUDGET_DIV")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|&d| d >= 1.0)
-        .unwrap_or(1.0)
+impl Seeds {
+    /// [`evaluate_method`]'s rule for a run config seeded `seed`:
+    /// `seed + 1 + rep × 1000`.
+    pub const fn standard(seed: u64) -> Self {
+        Self {
+            base: seed + 1,
+            stride: 1000,
+        }
+    }
 }
 
 /// One method's aggregated results over repeated runs.
@@ -108,24 +138,51 @@ impl MethodSummary {
     }
 }
 
-/// Runs `kind` `n_repeats()` times on `bench` and aggregates; `grid_n`
+/// Runs `kind` `n_repeats(scale)` times on `bench` with seeds
+/// [`Seeds::standard`] of `base_config.seed`, and aggregates; `grid_n`
 /// points are used for curve interpolation.
 pub fn evaluate_method(
     kind: MethodKind,
     bench: &dyn Benchmark,
     base_config: &RunConfig,
     grid_n: usize,
+    scale: Scale,
 ) -> MethodSummary {
-    let repeats = n_repeats();
-    let mut runs = Vec::with_capacity(repeats as usize);
-    for rep in 0..repeats {
-        let mut config = base_config.clone();
-        config.seed = base_config.seed + rep * 1000 + 1;
-        let levels = ResourceLevels::new(bench.max_resource(), config.eta);
-        let mut method = kind.build(&levels, config.seed);
-        runs.push(run(method.as_mut(), bench, &config));
-    }
-    summarize(kind.name(), runs, base_config.budget, grid_n)
+    let build = |levels: &ResourceLevels, seed| kind.build(levels, seed);
+    let seeds = Seeds::standard(base_config.seed);
+    evaluate(
+        kind.name(),
+        &build,
+        bench,
+        base_config,
+        seeds,
+        scale,
+        grid_n,
+    )
+}
+
+/// Runs the method `build` makes on `bench` under `config`, once per
+/// repetition of `scale` with its seed from `seeds`, and aggregates the
+/// runs under `name`.
+pub fn evaluate(
+    name: &str,
+    build: &dyn Fn(&ResourceLevels, u64) -> Box<dyn Method>,
+    bench: &dyn Benchmark,
+    config: &RunConfig,
+    seeds: Seeds,
+    scale: Scale,
+    grid_n: usize,
+) -> MethodSummary {
+    let runs = (0..n_repeats(scale))
+        .map(|rep| {
+            let mut config = config.clone();
+            config.seed = seeds.base + rep * seeds.stride;
+            let levels = ResourceLevels::new(bench.max_resource(), config.eta);
+            let mut method = build(&levels, config.seed);
+            run(method.as_mut(), bench, &config)
+        })
+        .collect();
+    summarize(name, runs, config.budget, grid_n)
 }
 
 /// Aggregates already-collected runs onto a shared grid.
@@ -215,8 +272,8 @@ mod tests {
     fn evaluate_method_aggregates_runs() {
         let bench = CountingOnes::new(3, 3, 0);
         let config = RunConfig::new(4, 800.0, 0);
-        let s = evaluate_method(MethodKind::ARandom, &bench, &config, 10);
-        assert_eq!(s.runs.len() as u64, n_repeats());
+        let s = evaluate_method(MethodKind::ARandom, &bench, &config, 10, Scale::default());
+        assert_eq!(s.runs.len(), 3);
         assert_eq!(s.grid.len(), 10);
         assert_eq!(s.curve_mean.len(), 10);
         assert!(s.mean_final() <= 0.0);
@@ -227,7 +284,7 @@ mod tests {
     fn speedup_of_method_against_itself_is_about_one() {
         let bench = CountingOnes::new(3, 3, 0);
         let config = RunConfig::new(4, 800.0, 0);
-        let s = evaluate_method(MethodKind::ARandom, &bench, &config, 10);
+        let s = evaluate_method(MethodKind::ARandom, &bench, &config, 10, Scale::default());
         let sp = speedup(&s, &s).unwrap();
         assert!((sp - 1.0).abs() < 1e-9);
     }

@@ -4,7 +4,7 @@
 use std::io::Write as _;
 use std::path::Path;
 
-use crate::MethodSummary;
+use crate::{MethodSummary, Scale};
 
 /// Prints one figure panel as a text table: rows are grid times, columns
 /// are methods (the same series a plotted figure would show).
@@ -100,17 +100,14 @@ fn truncate(s: &str, n: usize) -> String {
 }
 
 /// Standard experiment header with scale information.
-pub fn header(what: &str) {
+pub fn header(what: &str, scale: Scale) {
     println!("=== {what} ===");
-    if crate::full_scale() {
-        println!("scale: FULL (paper budgets, 10 repetitions)");
-    } else {
-        println!(
-            "scale: reduced (budgets ÷ {:.0}, {} repetitions; set HYPERTUNE_FULL=1 for paper scale)",
-            crate::budget_divisor(),
-            crate::n_repeats()
-        );
-    }
+    println!(
+        "scale: {} (budgets ÷ {}, {} repetitions)",
+        if scale.full { "full" } else { "reduced" },
+        scale.budget_div,
+        crate::n_repeats(scale)
+    );
 }
 
 #[cfg(test)]
@@ -130,7 +127,9 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let s = dummy_summary();
-        let dir = std::env::temp_dir().join("hypertune-report-test");
+        // Under the workspace's target directory: the library itself
+        // reads no environment, its tests included.
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/hypertune-report-test");
         let path = dir.join("out.json");
         write_json(&path, "test", std::slice::from_ref(&s)).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
@@ -145,7 +144,7 @@ mod tests {
         let s = dummy_summary();
         print_series("demo", std::slice::from_ref(&s), 60.0, "min");
         print_final_table("demo", std::slice::from_ref(&s), "err");
-        header("demo");
+        header("demo", Scale::default());
     }
 
     #[test]

@@ -79,6 +79,10 @@ impl fmt::Display for Number {
                 if x.fract() == 0.0 && x.abs() < 1.0e16 {
                     // Keep a float marker so round-trips stay floats.
                     write!(f, "{x:.1}")
+                } else if x.fract() == 0.0 {
+                    // Exponent form, as serde_json writes it: `1e300`,
+                    // not its 301 digits.
+                    write!(f, "{x:e}")
                 } else {
                     write!(f, "{x}")
                 }

@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use proc_macro::{Delimiter, TokenStream, TokenTree};
+use proc_macro::{Delimiter, Spacing, TokenStream, TokenTree};
 
 #[derive(Debug)]
 struct Field {
@@ -172,9 +172,12 @@ fn eat_vis(toks: &mut std::iter::Peekable<impl Iterator<Item = TokenTree>>) {
 }
 
 /// Collects a type as source text until a top-level `,` (or the end).
+/// A joint punctuation token is glued to the next one, so a path keeps
+/// its `::` rather than becoming `: :`.
 fn eat_type(toks: &mut std::iter::Peekable<impl Iterator<Item = TokenTree>>) -> String {
     let mut depth = 0i32;
     let mut out = String::new();
+    let mut joint = true;
     while let Some(t) = toks.peek() {
         match t {
             TokenTree::Punct(p) if p.as_char() == ',' && depth == 0 => break,
@@ -183,9 +186,10 @@ fn eat_type(toks: &mut std::iter::Peekable<impl Iterator<Item = TokenTree>>) -> 
             _ => {}
         }
         let t = toks.next().expect("peeked");
-        if !out.is_empty() {
+        if !joint {
             out.push(' ');
         }
+        joint = matches!(&t, TokenTree::Punct(p) if p.spacing() == Spacing::Joint);
         out.push_str(&t.to_string());
     }
     out

@@ -47,6 +47,31 @@ step "dispatch fingerprints (all 22 methods x 2 seeds, plus 5 x 2 under every fa
 cargo run --release -q -p hypertune-bench --offline --bin dispatch_probe \
   | diff results/dispatch_probe.txt -
 
+step "figure fingerprints (every experiment at --budget-div 8: stdout and each JSON series, byte for byte)"
+# results/figures_quick.txt holds the sha256 of what `experiments
+# --budget-div 8` prints and of every JSON series it writes. A change to
+# a method, a benchmark's objective or noise, the simulator or the driver
+# that moves any table or figure changes a line here; a change that means
+# to regenerates the file with the same command and says why. The driver
+# writes results/ under its working directory, so it runs in a temporary
+# one, never in the repo.
+cargo build --release -q -p hypertune-bench --offline --bin experiments
+experiments="$PWD/target/release/experiments"
+figures=$(mktemp -d)
+(
+  cd "$figures"
+  export LC_ALL=C
+  "$experiments" --budget-div 8 > stdout.txt
+  sha256sum stdout.txt results/*.json
+) | diff results/figures_quick.txt -
+rm -rf "$figures"
+# The scale is a value the driver passes in: the bench library reads no
+# environment (robustness, a bin, still reads HYPERTUNE_FULL and
+# HYPERTUNE_BUDGET_DIV for the smokes below).
+if grep -n 'std::env' crates/bench/src/*.rs; then
+  exit 1
+fi
+
 step "perf smoke (harness unit tests + 1/20-scale pass: result schema, exactly-once reconciliation)"
 # The benchmark behind BENCHMARK.json is a package outside the
 # workspace, so no other step builds it. The numbers this prints are
@@ -217,7 +242,7 @@ grep -q -- "-- study 8 --" target/service-report.out
 [[ "$(grep -c "^duplicated trials: 0$" target/service-report.out)" -ge 8 ]]
 ! grep -E "^duplicated trials: [1-9]" target/service-report.out
 
-step "dead references (deleted benches, shared stores, the suggester thread, the stopping rules and the GP stay deleted)"
+step "dead references (deleted benches and figure bins, shared stores, the suggester thread, the stopping rules and the GP stay deleted)"
 # ROADMAP.md and CHANGES.md are history, results/ holds the feature
 # ledger that records the deletions, and perf/ is the benchmark's own
 # tree, so none of them is searched; DESIGN.md keeps the one paragraph
@@ -227,6 +252,7 @@ dead='BENCH_[a-z]*\.json|net-''bench|service-''bench|cargo ''bench'
 dead+='|Shared''History|Sharded''Pending|History''View'
 dead+='|Median''Stop|Lce''Stop|median''_stop|lce''_stop'
 dead+='|Gaussian''Process|Mat''ern|Chol''esky|Standard''izer'
+dead+='|--bin ''(fig[4-9]_|table[1-3]|ablations_)'
 # (`if`, not `! grep`: errexit ignores a negated command.)
 if grep -rnE "$dead" README.md DESIGN.md EXPERIMENTS.md scripts/ crates/ examples/ ||
   grep -rni 'pre''fetch' README.md scripts/ crates/ examples/; then
