@@ -267,6 +267,11 @@ fn churn_sweep(scale: Scale) {
             config.retry = RetryPolicy::default_policy();
             let traced = ri + 1 == rates.len() && kind == MethodKind::HyperTune;
             if traced {
+                // The default path sits under `target/`, which a run from
+                // outside the repository does not have.
+                if let Some(dir) = std::path::Path::new(&trace_path).parent() {
+                    std::fs::create_dir_all(dir).expect("create the chaos trace's directory");
+                }
                 config.telemetry = Telemetry::new()
                     .with_sink(JsonlSink::create(&trace_path).expect("create chaos trace"))
                     .build();

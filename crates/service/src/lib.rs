@@ -31,6 +31,7 @@
 //! is tenant-stamped throughout: one trace carries all tenants, and
 //! `TraceSummary::per_tenant` splits it back into per-study summaries.
 
+mod fill;
 pub mod job;
 pub mod scheduler;
 pub mod service;

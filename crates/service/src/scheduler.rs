@@ -29,6 +29,9 @@
 //! round (a synchronous barrier). The overcharge is at most one stride
 //! per barrier round and keeps the scheduler oblivious to method
 //! internals.
+//!
+//! `FairShare::plan` runs the same picks on a copy, so a fill round can
+//! know each study's grant count before it asks any method for a job.
 
 use std::collections::BTreeMap;
 
@@ -37,7 +40,7 @@ use std::collections::BTreeMap;
 /// never.
 const STRIDE_ONE: u128 = 1 << 32;
 
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Entry {
     weight: u64,
     pass: u128,
@@ -45,7 +48,7 @@ struct Entry {
 
 /// Weighted stride scheduler over study ids. See the module docs for
 /// the algorithm and its fairness bound.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct FairShare {
     entries: BTreeMap<u64, Entry>,
 }
@@ -109,6 +112,36 @@ impl FairShare {
         let e = self.entries.get_mut(&id).expect("picked id exists");
         e.pass += STRIDE_ONE / u128::from(e.weight);
         Some(id)
+    }
+
+    /// Schedulable (weight > 0) study ids, ascending.
+    pub(crate) fn ids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.entries
+            .iter()
+            .filter(|(_, e)| e.weight > 0)
+            .map(|(&id, _)| id)
+    }
+
+    /// The grants up to `slots` picks would make if every grant took one
+    /// of the study's `wants` and filled one slot: `(id, grants)` for every
+    /// study granted at least once, by id. Picks on a copy, so `self` is
+    /// not charged.
+    pub(crate) fn plan(
+        &self,
+        slots: usize,
+        mut wants: impl FnMut(u64) -> usize,
+    ) -> Vec<(u64, usize)> {
+        let mut copy = self.clone();
+        let mut left: BTreeMap<u64, usize> = self.ids().map(|id| (id, wants(id))).collect();
+        let mut grants: BTreeMap<u64, usize> = BTreeMap::new();
+        for _ in 0..slots {
+            let Some(id) = copy.pick(|id| left[&id] > 0) else {
+                break;
+            };
+            *left.get_mut(&id).expect("planned ids have wants") -= 1;
+            *grants.entry(id).or_insert(0) += 1;
+        }
+        grants.into_iter().collect()
     }
 }
 

@@ -52,11 +52,13 @@
 //! other one that is already there
 //! ([`Executor::drain_completions`]), route them home by tenant id in
 //! arrival order, and commit the round's WAL records with one flush.
+//! The fill runs different studies' costly suggestions on separate cores
+//! and hands their jobs out in the one-thread order (DESIGN.md §17.2).
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 use std::time::Instant;
 
 use hypertune_benchmarks::{Benchmark, Eval};
@@ -68,6 +70,7 @@ use hypertune_core::{
 };
 use hypertune_telemetry::{Event, TelemetryHandle};
 
+use crate::fill::{fill_round, run_here, Chain, Helpers, Round};
 use crate::job::ServiceJob;
 use crate::scheduler::FairShare;
 use crate::study::{StudyHandle, StudyRecord, StudySpec, StudyStatus};
@@ -192,9 +195,63 @@ struct Study {
     method: Box<dyn Method>,
     runtime: StudyRuntime,
     wal: Option<WalWriter>,
+    /// Seconds a suggestion of this study takes: a moving average of the
+    /// observed calls, 0 before the first. A fill runs a study's
+    /// suggestions off the driver thread only when this says they are
+    /// worth it.
+    suggest_cost: f64,
 }
 
 impl Study {
+    fn new(
+        spec: StudySpec,
+        status: StudyStatus,
+        generation: u64,
+        method: Box<dyn Method>,
+        runtime: StudyRuntime,
+        wal: Option<WalWriter>,
+    ) -> Self {
+        Self {
+            spec,
+            status,
+            generation,
+            method,
+            runtime,
+            wal,
+            suggest_cost: 0.0,
+        }
+    }
+
+    /// Asks the method for up to `k` jobs and charges them; returns them
+    /// with the call's wall seconds, which also update `suggest_cost`.
+    fn suggest(&mut self, k: usize, now: f64) -> (Vec<JobSpec>, f64) {
+        let t0 = Instant::now();
+        let batch = self
+            .runtime
+            .suggest(self.method.as_mut(), k, now, "suggest_batch");
+        let latency = t0.elapsed().as_secs_f64();
+        self.suggest_cost = if self.suggest_cost == 0.0 {
+            latency
+        } else {
+            0.75 * self.suggest_cost + 0.25 * latency
+        };
+        (batch, latency)
+    }
+
+    /// One fill-round suggestion as a fleet job (`None` at a barrier),
+    /// with the call's wall seconds.
+    fn suggest_job(&mut self, id: u64, started: Instant) -> (Option<ServiceJob>, f64) {
+        let (mut batch, latency) = self.suggest(1, started.elapsed().as_secs_f64());
+        debug_assert!(batch.len() <= 1, "asked for one job, got {}", batch.len());
+        let job = batch.pop().map(|spec| ServiceJob {
+            study: id,
+            bench: self.spec.bench.clone(),
+            bench_seed: self.spec.seed,
+            job: ThreadedJob { spec, attempt: 0 },
+        });
+        (job, latency)
+    }
+
     /// Appends the study's lifecycle state to its WAL and flushes, so
     /// the transition is durable together with every trial record
     /// before it. A no-op without a state directory.
@@ -224,6 +281,164 @@ impl Study {
         let budget = self.spec.max_evals.saturating_sub(counts.charged());
         let quota = self.spec.max_in_flight.saturating_sub(counts.outstanding());
         budget.min(quota)
+    }
+}
+
+/// Suggest-call latencies in seconds: every call up to [`LATENCY_CAP`],
+/// then a ring (oldest overwritten).
+#[derive(Debug, Default)]
+struct Latencies {
+    samples: Vec<f64>,
+    cursor: usize,
+}
+
+impl Latencies {
+    fn record(&mut self, secs: f64) {
+        if self.samples.len() < LATENCY_CAP {
+            self.samples.push(secs);
+        } else {
+            self.samples[self.cursor % LATENCY_CAP] = secs;
+            self.cursor = self.cursor.wrapping_add(1);
+        }
+    }
+
+    /// Exact p99 of the samples held, if any.
+    fn p99(&self) -> Option<f64> {
+        if self.samples.is_empty() {
+            return None;
+        }
+        let mut v = self.samples.clone();
+        v.sort_by(f64::total_cmp);
+        let idx = ((v.len() - 1) as f64 * 0.99).ceil() as usize;
+        Some(v[idx])
+    }
+}
+
+/// One chain of a fill round, handed to a [`Helpers`] thread together
+/// with the study it runs on.
+struct ChainTask {
+    id: u64,
+    grants: usize,
+    started: Instant,
+    study: Study,
+    chain: Option<Chain<ServiceJob>>,
+    latencies: Vec<f64>,
+}
+
+impl ChainTask {
+    fn run(&mut self) {
+        let (id, started) = (self.id, self.started);
+        let (study, latencies) = (&mut self.study, &mut self.latencies);
+        self.chain = Some(Chain::run(id, self.grants, || {
+            let (job, latency) = study.suggest_job(id, started);
+            latencies.push(latency);
+            job
+        }));
+    }
+}
+
+/// The threads fill rounds run chains on: kept for the life of the
+/// process and shared by its services, which are often short-lived
+/// (DESIGN.md §17.2 has the measurements). A service never waits for
+/// them: while another service's chains hold them, a round runs its
+/// chains on its own thread.
+fn helpers() -> &'static Mutex<Helpers<ChainTask>> {
+    static HELPERS: OnceLock<Mutex<Helpers<ChainTask>>> = OnceLock::new();
+    HELPERS.get_or_init(|| Mutex::new(Helpers::new(ChainTask::run)))
+}
+
+/// A fill round's view of the service (see [`crate::fill`]): its
+/// studies, fleet and park queue, borrowed apart from the scheduler.
+struct Fill<'a, E> {
+    studies: &'a mut BTreeMap<u64, Study>,
+    executor: &'a mut E,
+    parked: &'a mut VecDeque<ServiceJob>,
+    latencies: &'a mut Latencies,
+    telemetry: &'a TelemetryHandle,
+    started: Instant,
+}
+
+impl<E: Executor<ServiceJob, Eval>> Round for Fill<'_, E> {
+    type Job = ServiceJob;
+
+    fn idle(&self) -> usize {
+        self.executor.idle_workers()
+    }
+
+    fn cores(&self) -> usize {
+        // Read once per process: the lookup reads cgroup files.
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores =
+            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        // This crate's tests run chains threaded on any host, one core
+        // or many, as they zero the cost floor.
+        if cfg!(test) {
+            cores.max(2)
+        } else {
+            cores
+        }
+    }
+
+    fn wants(&self, id: u64) -> usize {
+        self.studies.get(&id).map_or(0, Study::wants)
+    }
+
+    fn cost(&self, id: u64) -> f64 {
+        self.studies.get(&id).map_or(0.0, |s| s.suggest_cost)
+    }
+
+    fn suggest(&mut self, id: u64) -> Option<ServiceJob> {
+        let study = self.studies.get_mut(&id).expect("picked studies exist");
+        let (job, latency) = study.suggest_job(id, self.started);
+        self.latencies.record(latency);
+        job
+    }
+
+    fn chains(&mut self, plan: &[(u64, usize)], width: usize) -> Vec<Chain<ServiceJob>> {
+        let mut tasks: Vec<ChainTask> = plan
+            .iter()
+            .map(|&(id, grants)| ChainTask {
+                id,
+                grants,
+                started: self.started,
+                study: self.studies.remove(&id).expect("planned studies exist"),
+                chain: None,
+                latencies: Vec::with_capacity(grants),
+            })
+            .collect();
+        // Longest first, so that the chain left running alone at the end
+        // is a short one.
+        let expected = |t: &ChainTask| t.study.suggest_cost * t.grants as f64;
+        tasks.sort_by(|a, b| expected(b).total_cmp(&expected(a)));
+        let (tasks, offloaded, panic) = match helpers().try_lock() {
+            Ok(mut helpers) => helpers.run(tasks, width),
+            Err(TryLockError::Poisoned(helpers)) => helpers.into_inner().run(tasks, width),
+            Err(TryLockError::WouldBlock) => run_here(tasks, ChainTask::run),
+        };
+        self.telemetry
+            .counter_add("service.suggest.offloaded", offloaded as u64);
+        let mut chains = Vec::with_capacity(tasks.len());
+        for task in tasks {
+            task.latencies
+                .iter()
+                .for_each(|&l| self.latencies.record(l));
+            self.studies.insert(task.id, task.study);
+            chains.extend(task.chain);
+        }
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
+        chains
+    }
+
+    fn submit(&mut self, job: ServiceJob) -> Result<(), ServiceJob> {
+        self.executor.submit(job.clone()).map_err(|_| job)
+    }
+
+    fn park(&mut self, jobs: Vec<ServiceJob>) {
+        for job in jobs.into_iter().rev() {
+            self.parked.push_front(job);
+        }
     }
 }
 
@@ -306,8 +521,7 @@ pub struct TuningService<E: Executor<ServiceJob, Eval>> {
     /// partitioned away). Studies park rather than stall; cleared when
     /// a redial restores capacity.
     fleet_down: bool,
-    suggest_latencies: Vec<f64>,
-    latency_cursor: usize,
+    latencies: Latencies,
 }
 
 impl<E: Executor<ServiceJob, Eval>> std::fmt::Debug for TuningService<E> {
@@ -343,8 +557,7 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
             batch: Vec::new(),
             dirty_wals: Vec::new(),
             fleet_down: false,
-            suggest_latencies: Vec::new(),
-            latency_cursor: 0,
+            latencies: Latencies::default(),
         })
     }
 
@@ -420,17 +633,8 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
         telemetry.emit_with(now, || Event::StudyCreated { study: id, name });
         telemetry.counter_add("service.studies.created", 1);
         self.sched.register(id, spec.weight);
-        self.studies.insert(
-            id,
-            Study {
-                spec,
-                status: StudyStatus::Running,
-                generation: 0,
-                method,
-                runtime,
-                wal,
-            },
-        );
+        let study = Study::new(spec, StudyStatus::Running, 0, method, runtime, wal);
+        self.studies.insert(id, study);
         self.update_live_gauge();
         Ok(StudyHandle::from_id(id))
     }
@@ -478,18 +682,8 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
         if study.status != StudyStatus::Running {
             return Ok(Vec::new());
         }
-        let t0 = Instant::now();
-        let batch = study
-            .runtime
-            .suggest(study.method.as_mut(), k, now, "suggest_batch");
-        let latency = t0.elapsed().as_secs_f64();
-        if self.suggest_latencies.len() < LATENCY_CAP {
-            self.suggest_latencies.push(latency);
-        } else {
-            let slot = self.latency_cursor % LATENCY_CAP;
-            self.suggest_latencies[slot] = latency;
-            self.latency_cursor = self.latency_cursor.wrapping_add(1);
-        }
+        let (batch, latency) = study.suggest(k, now);
+        self.latencies.record(latency);
         Ok(batch)
     }
 
@@ -579,9 +773,9 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
 
     /// Fills idle fleet capacity: park queue first (those jobs already
     /// own budget and quota), then fresh dispatches granted by stride
-    /// scheduling, one slot per grant. A study whose method declines to
-    /// produce (synchronous barrier) is skipped for the rest of the
-    /// round.
+    /// scheduling, one slot per grant ([`fill_round`]). A study whose
+    /// method declines to produce (synchronous barrier) is skipped for
+    /// the rest of the round.
     fn fill(&mut self) {
         // Degradation-ladder hook: at zero live capacity (a full
         // partition with every worker in redial) studies park instead of
@@ -617,39 +811,15 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
                 break;
             }
         }
-        let mut blocked: HashSet<u64> = HashSet::new();
-        while self.executor.idle_workers() > 0 {
-            let studies = &self.studies;
-            let picked = self.sched.pick(|sid| {
-                !blocked.contains(&sid) && studies.get(&sid).is_some_and(|s| s.wants() > 0)
-            });
-            let Some(id) = picked else { break };
-            let batch = self
-                .suggest(StudyHandle::from_id(id), 1)
-                .expect("picked studies exist");
-            if batch.is_empty() {
-                blocked.insert(id);
-                continue;
-            }
-            let (bench, bench_seed) = {
-                let s = &self.studies[&id];
-                (s.spec.bench.clone(), s.spec.seed)
-            };
-            for spec in batch {
-                let job = ServiceJob {
-                    study: id,
-                    bench: bench.clone(),
-                    bench_seed,
-                    job: ThreadedJob { spec, attempt: 0 },
-                };
-                if self.executor.submit(job.clone()).is_err() {
-                    // Capacity vanished mid-fill (elastic shrink): park
-                    // the dispatch, it goes out first next round.
-                    self.parked.push_front(job);
-                    return;
-                }
-            }
-        }
+        let mut round = Fill {
+            studies: &mut self.studies,
+            executor: &mut self.executor,
+            parked: &mut self.parked,
+            latencies: &mut self.latencies,
+            telemetry: &self.config.telemetry,
+            started: self.started,
+        };
+        fill_round(&mut self.sched, &mut round);
     }
 
     /// Routes one fleet completion home by tenant id and books it. Results
@@ -916,14 +1086,7 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
                 telemetry,
             );
             runtime.restore(snapshot.measurements);
-            let mut study = Study {
-                spec,
-                status,
-                generation,
-                method,
-                runtime,
-                wal: Some(wal),
-            };
+            let mut study = Study::new(spec, status, generation, method, runtime, Some(wal));
             if running {
                 study.log_lifecycle(id)?;
             }
@@ -975,13 +1138,7 @@ impl<E: Executor<ServiceJob, Eval>> TuningService<E> {
 
     /// Exact p99 of suggest-call latency in seconds, if any suggest ran.
     pub fn suggest_p99(&self) -> Option<f64> {
-        if self.suggest_latencies.is_empty() {
-            return None;
-        }
-        let mut v = self.suggest_latencies.clone();
-        v.sort_by(f64::total_cmp);
-        let idx = ((v.len() - 1) as f64 * 0.99).ceil() as usize;
-        Some(v[idx])
+        self.latencies.p99()
     }
 
     /// A statistics snapshot across all studies.
@@ -1053,6 +1210,8 @@ mod tests {
         slots: usize,
         queue: VecDeque<PoolResult<ServiceJob, Eval>>,
         ready: Arc<AtomicUsize>,
+        /// `(study, dispatch id)` of every accepted submit, in order.
+        submits: Arc<Mutex<Vec<(u64, u64)>>>,
     }
 
     impl ReadyPool {
@@ -1063,6 +1222,7 @@ mod tests {
                 slots,
                 queue: VecDeque::new(),
                 ready: Arc::clone(&ready),
+                submits: Arc::default(),
             };
             (pool, ready)
         }
@@ -1074,6 +1234,10 @@ mod tests {
                 return Err(ClusterError::NoIdleWorker);
             }
             let output = Some((self.eval)(&job));
+            self.submits
+                .lock()
+                .unwrap()
+                .push((job.study, job.job.spec.id));
             self.queue.push_back(PoolResult {
                 job,
                 output,
@@ -1974,6 +2138,71 @@ mod tests {
             drain_and_audit(svc, &dir, budget, cut);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// FNV-1a over `bytes`: a hash that no toolchain update moves.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn a_mixed_fleet_dispatches_the_pinned_stream() {
+        // Three Hyper-Tune studies, two ASHA and one BOHB (a method with
+        // synchronous barriers), with different weights, on a fleet whose
+        // sixteen slots are all ready at every drain: every round grants
+        // many slots across studies. The hash covers each study's
+        // measurement stream and the global submit order, as the
+        // one-thread fill produced them.
+        let telemetry = hypertune_telemetry::Telemetry::new().build();
+        let (fleet, _) = ReadyPool::new(16);
+        let submits = Arc::clone(&fleet.submits);
+        let config = ServiceConfig::new().with_telemetry(telemetry.clone());
+        let mut svc = TuningService::new(fleet, resolver(), config).unwrap();
+        let studies = [
+            (MethodKind::HyperTune, 3),
+            (MethodKind::HyperTune, 1),
+            (MethodKind::HyperTune, 2),
+            (MethodKind::Asha, 1),
+            (MethodKind::Asha, 4),
+            (MethodKind::Bohb, 2),
+        ];
+        let handles: Vec<StudyHandle> = studies
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, weight))| {
+                let spec = StudySpec::new(format!("s{i}"), "counting-ones-small", kind)
+                    .with_seed(200 + i as u64)
+                    .with_weight(weight)
+                    .with_max_evals(24)
+                    .with_max_in_flight(4);
+                svc.create_study(spec).unwrap()
+            })
+            .collect();
+        svc.drain().unwrap();
+        let mut text = String::new();
+        for &h in &handles {
+            assert_eq!(svc.status(h), Some(StudyStatus::Completed));
+            for m in svc.measurements(h) {
+                let values = m.config.values();
+                text.push_str(&format!(
+                    "{} {values:?} {} {:x}\n",
+                    h.id(),
+                    m.level,
+                    m.value.to_bits()
+                ));
+            }
+        }
+        let submits = submits.lock().unwrap();
+        assert_eq!(submits.len(), 6 * 24);
+        text.push_str(&format!("{submits:?}"));
+        // Pinned at the one-thread fill, before suggestion chains ran on
+        // other threads.
+        assert_eq!(fnv1a(text.as_bytes()), 0x8c77_3abd_679f_2afb);
+        let snapshot = telemetry.snapshot().expect("telemetry is on");
+        let offloaded = snapshot.counter("service.suggest.offloaded");
+        assert!(offloaded > Some(0), "no chain ran off the driver thread");
     }
 
     #[test]

@@ -37,6 +37,13 @@ step "cargo test --release -p hypertune-cluster (the workspace's one unsafe bloc
 # the way the product is built.
 cargo test --release -q -p hypertune-cluster --offline
 
+step "cargo test --release -p hypertune-service (fill rounds run chains on helper threads)"
+# A fill round runs costly studies' suggestion chains on helper threads
+# and replays them in the one-thread order. Its pinned dispatch stream,
+# the replay proptests and the restart drills run again at release speed,
+# where threads interleave as they do in the product.
+cargo test --release -q -p hypertune-service --offline
+
 step "dispatch fingerprints (all 22 methods x 2 seeds, plus 5 x 2 under every fault, bit for bit)"
 # results/dispatch_probe.txt is what the probe printed before the forest
 # kernel was rewritten, plus the fault-path lines recorded before the
